@@ -2,8 +2,9 @@
 //
 // Every simulated buffer has a unique simulated virtual address (used by the
 // cache model) and real backing bytes (so every transfer mechanism actually
-// moves payload, making end-to-end data integrity testable). Address spaces
-// are private to a simulated process unless created shared; cross-space
+// moves payload, making end-to-end data integrity testable); the bytes are
+// zero-on-first-touch, so a buffer nobody reads costs no storage. Address
+// spaces are private to a simulated process unless created shared; cross-space
 // access is a protocol error that the hardware layer checks, mirroring the
 // paper's observation that "a process cannot directly access the address
 // space of another process" without kernel help.
@@ -73,7 +74,8 @@ func (s *Space) PageBytes() int64 { return s.pageBytes }
 // Allocated returns the total bytes allocated from this space.
 func (s *Space) Allocated() int64 { return s.allocated }
 
-// Alloc returns a page-aligned buffer of n bytes with zeroed backing.
+// Alloc returns a page-aligned buffer of n bytes that reads as zeroes. The
+// backing array is made on first content access (see Buffer).
 func (s *Space) Alloc(n int64) *Buffer {
 	if n < 0 {
 		panic("mem: negative allocation")
@@ -88,7 +90,9 @@ func (s *Space) Alloc(n int64) *Buffer {
 	if s.next >= uint64(s.id+1)*spaceStride {
 		panic(fmt.Sprintf("mem: space %s exhausted its 1TiB region", s.name))
 	}
-	return &Buffer{space: s, addr: addr, length: n, data: make([]byte, n)}
+	b := &Buffer{space: s, addr: addr, length: n}
+	b.root = b
+	return b
 }
 
 // AllocPhantom returns a page-aligned buffer of n bytes whose simulated
@@ -115,6 +119,14 @@ func (b *Buffer) Phantom() bool { return b.window != nil }
 // Buffer is a contiguous allocation: a simulated address range plus real
 // backing bytes. Sub-buffers created with Slice share backing.
 //
+// Backing is lazy: the first content access (Bytes, Region.Bytes,
+// FillPattern, a copy) through the allocation or any of its views makes one
+// zeroed array for the whole allocation, which every view aliases from then
+// on. Until then the buffer is addresses only — the nemesis cells and shm
+// slots of a phantom-payload run never pay for 64 KiB of zeroing each. Like
+// the rest of a simulated machine, a buffer belongs to one engine's
+// machine-domain context; first touches are not synchronised.
+//
 // Phantom buffers (AllocPhantom) have full simulated address ranges — so
 // cache and bus modelling is exact — but share one small backing window per
 // space instead of real storage. They exist for communication-skeleton
@@ -126,8 +138,23 @@ type Buffer struct {
 	space  *Space
 	addr   uint64
 	length int64
+	// root is the allocation this buffer views (itself for one returned by
+	// Alloc, nil for a phantom) and off the view's offset into it; data is
+	// the root's backing array, nil until first touched.
+	root   *Buffer
+	off    int64
 	data   []byte
 	window []byte // non-nil marks a phantom buffer
+}
+
+// bytes returns the view's window of the allocation's backing array,
+// materialising the array on first touch.
+func (b *Buffer) bytes() []byte {
+	r := b.root
+	if r.data == nil {
+		r.data = make([]byte, r.length)
+	}
+	return r.data[b.off : b.off+b.length]
 }
 
 // phantomWindowBytes bounds the content slice a phantom region exposes; it
@@ -156,7 +183,7 @@ func (b *Buffer) Bytes() []byte {
 	if b.Phantom() {
 		panic("mem: Bytes() on a phantom buffer")
 	}
-	return b.data
+	return b.bytes()
 }
 
 // Slice returns a view of [off, off+n) sharing backing bytes.
@@ -167,7 +194,7 @@ func (b *Buffer) Slice(off, n int64) *Buffer {
 	if b.Phantom() {
 		return &Buffer{space: b.space, addr: b.addr + uint64(off), length: n, window: b.window}
 	}
-	return &Buffer{space: b.space, addr: b.addr + uint64(off), length: n, data: b.data[off : off+n]}
+	return &Buffer{space: b.space, addr: b.addr + uint64(off), length: n, root: b.root, off: b.off + off}
 }
 
 // FillPattern writes a deterministic byte pattern derived from seed, for
@@ -176,7 +203,7 @@ func (b *Buffer) FillPattern(seed uint64) {
 	if b.Phantom() {
 		panic("mem: FillPattern on a phantom buffer")
 	}
-	FillPatternBytes(b.data, seed)
+	FillPatternBytes(b.bytes(), seed)
 }
 
 // FillPatternBytes writes the deterministic xorshift stream into any byte
@@ -279,7 +306,7 @@ func (r Region) Bytes() []byte {
 		}
 		return r.Buf.window[:n]
 	}
-	return r.Buf.data[r.Off : r.Off+r.Len]
+	return r.Buf.bytes()[r.Off : r.Off+r.Len]
 }
 
 // IOVec is an ordered list of regions (struct iovec analogue).

@@ -164,12 +164,15 @@ func (j *simJob) Run(app func(p comm.Peer)) error {
 // RunUntil clears the flag at entry); the dump is taken after the loop has
 // returned — on this goroutine, so it races nothing — and Terminate then
 // force-unwinds every remaining process. Terminate also runs after normal
-// completion, reaping perturbation daemons parked mid-sleep.
+// completion, reaping perturbation daemons parked mid-sleep, and when a
+// rank's panic resurfaces from Run, reaping the ranks that survived it —
+// so however RunCtx leaves, it leaves no goroutine behind.
 func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("sim: job cancelled before start: %w", err)
 	}
 	eng := j.w.eng()
+	defer eng.Terminate()
 	done := make(chan struct{})
 	stopWatch := context.AfterFunc(ctx, func() {
 		for {
@@ -181,6 +184,8 @@ func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 			}
 		}
 	})
+	defer stopWatch()
+	defer close(done)
 	_, err := j.w.Run(func(c *Comm) {
 		var p comm.Peer = &simPeer{c: c}
 		if j.hier {
@@ -188,14 +193,9 @@ func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 		}
 		app(p)
 	})
-	close(done)
-	stopWatch()
 	if cerr := ctx.Err(); cerr != nil {
-		dump := eng.StateDump()
-		eng.Terminate()
-		return fmt.Errorf("sim: job cancelled: %w\n%s", cerr, dump)
+		return fmt.Errorf("sim: job cancelled: %w\n%s", cerr, eng.StateDump())
 	}
-	eng.Terminate()
 	return err
 }
 

@@ -16,8 +16,10 @@ import (
 	"time"
 
 	"knemesis/internal/experiments"
+	"knemesis/internal/perturb"
 	"knemesis/internal/serve/api"
 	"knemesis/internal/serve/store"
+	"knemesis/internal/sim"
 	"knemesis/internal/units"
 )
 
@@ -48,6 +50,20 @@ func init() {
 				panic("transient flake")
 			}
 			return testResult{name: "test-flaky-once"}, nil
+		},
+	})
+	// A perturbation that makes one rank of a sim job panic on its own
+	// simulated process, mid-run, at its first receive.
+	perturb.Register(perturb.Kind{
+		Name: "test-rank-panic", Help: "serve test: rank 1 panics at its first receive", Order: 99,
+		Sim: func(t *perturb.SimTarget, set *perturb.SimSet, in perturb.Inst) error {
+			set.RecvDelay = func(rank int, op uint64) sim.Time {
+				if rank == 1 {
+					panic("rank 1 detonated")
+				}
+				return 0
+			}
+			return nil
 		},
 	})
 }
@@ -284,6 +300,43 @@ func TestPanicRetriedThenSucceeds(t *testing.T) {
 	// The artefact of the successful retry is served normally.
 	if _, err := d.Store().Artefact(rec.ID, "result.json"); err != nil {
 		t.Fatalf("retried job has no artefact: %v", err)
+	}
+}
+
+// TestSimRankPanicFailsOnlyItsJob pins Execute as the panic boundary for
+// the simulator too: a rank is a simulated process on a goroutine of its
+// own, and its panic has to come back to the goroutine that runs the engine
+// for any recover to see it. The job fails with the rank's value and stack;
+// a job running beside it in the same process finishes.
+func TestSimRankPanicFailsOnlyItsJob(t *testing.T) {
+	bomb := tinySpec(4 * units.KiB)
+	bomb.Perturb = "test-rank-panic"
+	bomb, _ = mustCanon(t, bomb)
+	_, err := Execute(context.Background(), bomb, nil)
+	var pe *experiments.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Execute returned %v, want *experiments.PanicError", err)
+	}
+	if !strings.Contains(pe.Value, "rank 1 detonated") || !strings.Contains(pe.Value, "mpi-rank1") ||
+		!strings.Contains(pe.Value, "recovery_test.go") {
+		t.Fatalf("failure does not name the rank, its value and where it panicked: %s", pe.Value)
+	}
+
+	d := newTestDaemon(t, Config{SimWorkers: 2, RetryMax: -1})
+	defer d.Close()
+	slow, err := d.Submit(slowSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := d.Submit(bomb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec = await(t, d, rec.ID); rec.State != store.Failed || !strings.Contains(rec.Error, "panic: sim: process mpi-rank1 panicked: rank 1 detonated") {
+		t.Fatalf("panicking job finished %s: %s", rec.State, rec.Error)
+	}
+	if slow = await(t, d, slow.ID); slow.State != store.Done {
+		t.Fatalf("the job beside it finished %s: %s", slow.State, slow.Error)
 	}
 }
 

@@ -50,7 +50,11 @@ func (p *rtProbe) exit() { p.inFlight.Add(-1) }
 // Execute is also the daemon's panic boundary: a panic anywhere in an
 // engine or driver is converted into a job failure carrying the recovered
 // value and stack (*experiments.PanicError), so one hostile spec fails its
-// own job instead of killing the always-on process.
+// own job instead of killing the always-on process. That covers simulated
+// ranks and device daemons, which run on goroutines of their own: the
+// simulator re-raises their panics, stack attached, on the goroutine
+// running the engine (sim.ProcPanic) — this one. The rt engine recovers
+// its rank goroutines itself and reports an error.
 func Execute(ctx context.Context, spec api.Spec, probe *rtProbe) (files map[string][]byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -162,11 +162,8 @@ type Engine struct {
 	nextPID  int
 
 	stopped atomic.Bool
-	// terminating flags a Terminate unwind: parked processes woken during
-	// it abandon execution (park panics procKilled) instead of resuming.
-	terminating atomic.Bool
-	failMu      sync.Mutex
-	err         error
+	failMu  sync.Mutex
+	err     error
 
 	// serial selects the reference single-heap execution path.
 	serial bool
@@ -337,27 +334,31 @@ func (e *Engine) LiveProcs() int { return int(e.liveProc.Load()) }
 // Terminate; the spawn wrapper recovers exactly this type.
 type procKilled struct{}
 
-// Terminate force-unwinds every process that has not finished: each parked
-// goroutine is woken once, abandons its work by panicking procKilled out of
-// park (running deferred cleanup on the way), and is reaped. Call it only
-// after Run/RunUntil has returned (every live process is then parked at its
-// resume handshake); afterwards the engine cannot run again.
+// Terminate force-unwinds every process that has not finished. A parked
+// process is stopped: its yield reports false, park panics procKilled, the
+// deferred cleanup runs on the unwind (anything in it that blocks again is
+// cut short the same way) and its goroutine exits. A process whose start
+// event has not fired never runs at all. Call it only after Run/RunUntil
+// has returned or panicked (every unfinished process is then parked or
+// unstarted); afterwards the engine cannot run again, no process goroutine
+// is left and LiveProcs is 0.
 func (e *Engine) Terminate() {
 	e.stopped.Store(true)
-	e.terminating.Store(true)
 	for _, p := range e.procs {
-		for !p.done {
-			p.resume <- struct{}{}
-			<-p.yield
+		if p.done {
+			continue
+		}
+		p.stop()
+		if !p.done { // never started: nothing ran, so nothing retired it
+			p.retire()
 		}
 	}
-	e.terminating.Store(false)
 }
 
 // StateDump renders the engine's process table for watchdog diagnostics:
 // the clock, live/pending counts, and every unfinished process with its
 // park reason. Call it from the goroutine that ran the engine, after
-// Run/RunUntil has returned.
+// Run/RunUntil has returned and before Terminate, which retires them all.
 func (e *Engine) StateDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim engine: now=%v live=%d daemons+procs=%d pending events=%d\n",

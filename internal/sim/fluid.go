@@ -20,6 +20,12 @@ type Fluid struct {
 	last       Time   // time of last remaining-work update
 	gen        uint64 // invalidates stale completion events
 
+	// freeFlows holds the flows Consume has finished with and freeTicks the
+	// completion events that have fired, for reuse: the two per-Consume
+	// allocations of the simulator's hottest path.
+	freeFlows []*Flow
+	freeTicks []*fluidTick
+
 	// Served accumulates the total units completed (for utilization stats).
 	Served float64
 }
@@ -67,7 +73,14 @@ func (f *Fluid) epsilon() float64 { return f.capacity * 1e-14 }
 // Start begins a flow of the given amount and returns a handle to wait on.
 // A non-positive amount completes immediately.
 func (f *Fluid) Start(amount float64) *Flow {
-	fl := &Flow{fluid: f, remaining: amount, amount: amount}
+	var fl *Flow
+	if n := len(f.freeFlows); n > 0 {
+		fl = f.freeFlows[n-1]
+		f.freeFlows = f.freeFlows[:n-1]
+		*fl = Flow{fluid: f, remaining: amount, amount: amount, waiters: fl.waiters}
+	} else {
+		fl = &Flow{fluid: f, remaining: amount, amount: amount}
+	}
 	if amount <= f.epsilon() {
 		fl.done = true
 		f.Served += amount
@@ -81,7 +94,11 @@ func (f *Fluid) Start(amount float64) *Flow {
 
 // Consume runs a flow of the given amount to completion, blocking p.
 func (f *Fluid) Consume(p *Proc, amount float64) {
-	f.Start(amount).Wait(p)
+	fl := f.Start(amount)
+	fl.Wait(p)
+	// The flow never left this function and is done, so update has dropped
+	// it from f.flows: nothing refers to it any more.
+	f.freeFlows = append(f.freeFlows, fl)
 }
 
 // Wait blocks p until the flow completes. Multiple processes may wait on the
@@ -118,7 +135,8 @@ func (f *Fluid) update() {
 			for _, w := range fl.waiters {
 				f.eng.Schedule(now, w.wakeFn)
 			}
-			fl.waiters = nil
+			clear(fl.waiters)
+			fl.waiters = fl.waiters[:0]
 		} else {
 			live = append(live, fl)
 		}
@@ -128,6 +146,26 @@ func (f *Fluid) update() {
 		f.flows[i] = nil
 	}
 	f.flows = live
+}
+
+// fluidTick is one scheduled completion event: the generation it was
+// scheduled under and its callback, bound once. Every tick fires exactly
+// once (superseded ones are not unscheduled, they fire and return), so a
+// tick goes back on the free list the moment it fires.
+type fluidTick struct {
+	f    *Fluid
+	gen  uint64
+	fire func()
+}
+
+func (t *fluidTick) run() {
+	f, gen := t.f, t.gen
+	f.freeTicks = append(f.freeTicks, t)
+	if gen != f.gen {
+		return // superseded by a later flow-set change
+	}
+	f.update()
+	f.reschedule()
 }
 
 // reschedule places a completion event at the earliest flow finish time.
@@ -145,14 +183,16 @@ func (f *Fluid) reschedule() {
 	}
 	rate := f.capacity / float64(len(f.flows))
 	dt := FromSeconds(minRem/rate) + 1 // round up so the flow really finishes
-	gen := f.gen
-	f.eng.Schedule(f.eng.now+dt, func() {
-		if gen != f.gen {
-			return // superseded by a later flow-set change
-		}
-		f.update()
-		f.reschedule()
-	})
+	var t *fluidTick
+	if n := len(f.freeTicks); n > 0 {
+		t = f.freeTicks[n-1]
+		f.freeTicks = f.freeTicks[:n-1]
+	} else {
+		t = &fluidTick{f: f}
+		t.fire = t.run
+	}
+	t.gen = f.gen
+	f.eng.Schedule(f.eng.now+dt, t.fire)
 }
 
 // String describes the fluid for diagnostics.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,39 @@ func TestFluidServedAccounting(t *testing.T) {
 	}
 	if !approx(f.Served, 3000, 1e-9) {
 		t.Fatalf("Served = %v, want 3000", f.Served)
+	}
+}
+
+// Consume is the simulator's hottest path (every modelled copy charges a
+// CPU and a bus through it). In steady state it reuses its Flow and the
+// fluid its completion events — superseded ones included, which two
+// processes sharing one fluid at different paces produce all the time.
+func TestConsumeSteadyStateDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	f := NewFluid(e, "cpu", 1e9)
+	const warm, timed = 100, 2000
+	var before, after runtime.MemStats
+	e.Spawn("fast", func(p *Proc) {
+		for i := 0; i < warm+timed; i++ {
+			f.Consume(p, 300)
+		}
+	})
+	e.Spawn("slow", func(p *Proc) {
+		for i := 0; i < warm; i++ {
+			f.Consume(p, 1000)
+		}
+		runtime.ReadMemStats(&before)
+		for i := 0; i < timed; i++ {
+			f.Consume(p, 1000)
+		}
+		runtime.ReadMemStats(&after)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// More than 2·timed Consumes ran between the two readings; a Flow or a
+	// closure apiece would be thousands of objects.
+	if n := after.Mallocs - before.Mallocs; n > 100 {
+		t.Fatalf("%d heap objects allocated across %d steady-state Consumes", n, 2*timed)
 	}
 }

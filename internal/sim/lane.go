@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Parallel execution: sharded event lanes under a conservative time-window
@@ -250,23 +251,40 @@ func (e *Engine) laneRound(t0 Time, limit Time) {
 	}
 	e.roundLanes = active
 
+	e.runRound(active)
+	e.mergeRound(active)
+}
+
+// runRound executes the active lanes up to their bounds, on this goroutine
+// when there is one and on a worker each otherwise. A process that panics
+// resurfaces from ln.run on its lane's worker; the first such panic is
+// carried back here, so that Run panics on its caller's goroutine in this
+// mode too.
+func (e *Engine) runRound(active []*lane) {
 	e.roundActive.Store(true)
+	defer e.roundActive.Store(false)
 	if len(active) == 1 {
 		active[0].run()
-	} else {
-		var wg sync.WaitGroup
-		for _, ln := range active {
-			wg.Add(1)
-			go func(ln *lane) {
-				defer wg.Done()
-				ln.run()
-			}(ln)
-		}
-		wg.Wait()
+		return
 	}
-	e.roundActive.Store(false)
-
-	e.mergeRound(active)
+	var wg sync.WaitGroup
+	var procPanic atomic.Pointer[any]
+	for _, ln := range active {
+		wg.Add(1)
+		go func(ln *lane) {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					procPanic.CompareAndSwap(nil, &r)
+				}
+			}()
+			ln.run()
+		}(ln)
+	}
+	wg.Wait()
+	if r := procPanic.Load(); r != nil {
+		panic(*r)
+	}
 }
 
 // mergeRound replays the round's per-lane execution logs in (at, seq) order

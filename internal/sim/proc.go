@@ -1,10 +1,19 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// Proc is a simulated process: a goroutine that advances simulated time by
-// blocking on the engine. All Proc methods must be called from the process's
-// own goroutine (that is, from within the function passed to Spawn).
+// Proc is a simulated process: a coroutine that advances simulated time by
+// blocking on the engine. The executor wakes it with a direct goroutine
+// switch (iter.Pull) and gets control back the same way when it parks, so a
+// hand-off never passes through the Go scheduler. All Proc methods must be
+// called from the process's own coroutine (that is, from within the function
+// passed to Spawn).
 //
 // A process is homed on a domain. Machine-homed processes (the default) may
 // use every engine primitive; while homed on a lane (between Enter and
@@ -22,16 +31,17 @@ type Proc struct {
 	dom Domain
 	// laneCtx is the lane the process is currently executing on (nil in
 	// machine context or serial mode). Set by wake before the control
-	// transfer, so the process goroutine observes it via the channel
-	// handshake.
+	// transfer, which orders it before the process's next instruction.
 	laneCtx *lane
 
-	// resume and yield are the per-process control-transfer pair: wakers
-	// send on resume and wait on yield; the process parks by sending on
-	// yield and waiting on resume. Per-process (rather than engine-global)
-	// channels let lane workers resume their processes concurrently.
-	resume chan struct{}
-	yield  chan struct{}
+	// next and stop are the executor's side of the coroutine: next runs the
+	// process until it parks or finishes, stop makes a parked process's
+	// yield report false (and a never-started one never run). yield is the
+	// process's side. Only one of the two sides ever runs at a time, and
+	// only the executor owning the process's wake event may call next.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	started   bool
 	done      bool
@@ -44,6 +54,21 @@ type Proc struct {
 	wakeFn func()
 }
 
+// ProcPanic is what Run, RunUntil (or, for a panic in deferred cleanup,
+// Terminate) panics with when a process panics: the process's own panic
+// value, and its stack at that moment, since the panic is re-raised on the
+// goroutine running the engine, where a recover can turn it into a failure
+// of that one simulation.
+type ProcPanic struct {
+	Proc  string // name given at Spawn
+	Value any    // what the process passed to panic
+	Stack []byte // the process's stack when it did
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %s panicked: %v\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
 // SpawnAt creates a process that will begin executing fn at simulated time
 // start (which must be >= now). The process counts as live until fn returns.
 func (e *Engine) SpawnAt(start Time, name string, fn func(*Proc)) *Proc {
@@ -51,39 +76,30 @@ func (e *Engine) SpawnAt(start Time, name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Engine) spawn(start Time, name string, daemon bool, fn func(*Proc)) *Proc {
-	p := &Proc{
-		eng: e, name: name, pid: e.nextPID, daemon: daemon,
-		resume: make(chan struct{}), yield: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, pid: e.nextPID, daemon: daemon}
 	p.wakeFn = p.wake
 	e.nextPID++
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.liveProc.Add(1)
 	}
-	go func() {
-		<-p.resume // wait for the start event
-		if !e.terminating.Load() {
-			// During Terminate a parked process panics procKilled out of
-			// park; recover exactly that (deferred cleanup has already run
-			// on the unwind) and fall through to the reaping handshake.
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(procKilled); !ok {
-							panic(r)
-						}
-					}
-				}()
-				fn(p)
-			}()
-		}
-		p.done = true
-		if !daemon {
-			e.liveProc.Add(-1)
-		}
-		p.yield <- struct{}{}
-	}()
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.retire()
+			// Terminate unwinds a parked process with procKilled (deferred
+			// cleanup has already run by now); swallow exactly that. Any
+			// other panic travels on through the pull and resurfaces from
+			// next on the goroutine that is running the engine — a switch
+			// of goroutines that would lose this stack, so it goes along.
+			if r := recover(); r != nil {
+				if _, ok := r.(procKilled); !ok {
+					panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+				}
+			}
+		}()
+		fn(p)
+	})
 	e.Schedule(start, func() {
 		p.started = true
 		p.wake()
@@ -103,27 +119,36 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 	return e.spawn(e.now, name, true, fn)
 }
 
-// wake transfers control to the process goroutine and returns when it parks
-// again (or finishes). It must be called from the executor owning the
-// process's wake event: the engine loop for machine-homed processes, the
-// lane worker for lane-homed ones.
+// retire marks the process finished and settles the live count. It runs
+// once per process: on the coroutine when fn returns or unwinds, or from
+// Terminate for a process whose start event never fired.
+func (p *Proc) retire() {
+	p.done = true
+	if !p.daemon {
+		p.eng.liveProc.Add(-1)
+	}
+}
+
+// wake switches to the process and returns when it parks again or finishes;
+// a panic in the process resurfaces here. It must be called from the
+// executor owning the process's wake event: the engine loop for
+// machine-homed processes, the lane worker for lane-homed ones.
 func (p *Proc) wake() {
 	if p.dom != DomainMachine && !p.eng.serial {
 		p.laneCtx = p.eng.lanes[p.dom-1]
 	} else {
 		p.laneCtx = nil
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 }
 
 // park returns control to the executor until the process is woken.
-// reason is recorded for deadlock diagnostics.
+// reason is recorded for deadlock diagnostics. Once Terminate has stopped
+// the process, yield reports false — at the parked call and at every later
+// one, so cleanup that blocks during the unwind is cut short the same way.
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
-	p.yield <- struct{}{}
-	<-p.resume
-	if p.eng.terminating.Load() {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 	p.blockedOn = ""
