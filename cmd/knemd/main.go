@@ -49,7 +49,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8077", "serve address")
-		storeRoot  = flag.String("store", "", "artefact directory (empty = in memory)")
+		storeRoot  = flag.String("store", "", "ledger directory holding wal.jsonl, records and artefacts (empty = in memory only)")
 		simWorkers = flag.Int("sim-workers", runtime.GOMAXPROCS(0), "concurrently running sim jobs")
 		rtCores    = flag.Int("rt-cores", 1, "core quota reserved for the rt lane")
 		queueCap   = flag.Int("queue-cap", 256, "backlog cap before submissions are shed (429)")

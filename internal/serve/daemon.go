@@ -48,7 +48,7 @@ type Config struct {
 	QueueCap   int           // backlog cap before shedding (default 64)
 	CacheSize  int           // result-cache entries (default 256)
 	Deadline   time.Duration // default per-job deadline (default 2m)
-	StoreRoot  string        // artefact+WAL directory ("" = in memory)
+	StoreRoot  string        // WAL directory ("" = in memory only)
 
 	// Recovery selects what happens to jobs the replayed WAL shows as
 	// interrupted: RecoveryRequeue (default) or RecoveryFail.
@@ -110,6 +110,11 @@ type Daemon struct {
 	panicCount  map[string]int         // cache key -> panics observed
 	quarantined map[string]bool        // cache key -> shed on submit
 	recov       api.RecoveryStats
+
+	// publish orders result-cache lookups against a finishing owner: held
+	// exclusively from before its done state becomes visible until its key
+	// is in the cache, so whoever saw it done and resubmits gets the hit.
+	publish sync.RWMutex
 
 	done      atomic.Int64
 	failed    atomic.Int64
@@ -233,7 +238,6 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 			continue
 		}
 		if owner, ok := d.cache.Get(rec.Key); ok {
-			d.store.MarkCached(id, owner)
 			d.done.Add(1)
 			d.store.Finish(id, store.Done, "", owner, "crash-recovered: answered from the rebuilt cache")
 			rs.CachedAnswered++
@@ -244,7 +248,7 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 		d.keys[id] = rec.Key
 		d.mu.Unlock()
 		d.store.Advance(id, store.Queued, "crash-recovered: re-queued")
-		if err := d.dispatch(id, c, rec.Key); err != nil {
+		if err := d.dispatch(id, c); err != nil {
 			d.clearJob(id)
 			crashFail(fmt.Sprintf("crash-interrupted: re-queue rejected: %v", err))
 			continue
@@ -286,9 +290,11 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 
 	// Warm path: a previous run with this key owns an artefact; answer
 	// from the store without touching an engine.
-	if owner, ok := d.cache.Get(key); ok {
-		d.store.Create(id, key, c.Class(), c.CanonicalJSON(), store.Done)
-		d.store.MarkCached(id, owner)
+	d.publish.RLock()
+	owner, ok := d.cache.Get(key)
+	d.publish.RUnlock()
+	if ok {
+		d.store.CreateCached(id, key, c.Class(), c.CanonicalJSON(), owner)
 		d.done.Add(1)
 		r, _ := d.store.Get(id)
 		return r, nil
@@ -300,7 +306,7 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	d.mu.Unlock()
 	d.store.Create(id, key, c.Class(), c.CanonicalJSON(), store.Queued)
 
-	if err := d.dispatch(id, c, key); err != nil {
+	if err := d.dispatch(id, c); err != nil {
 		// Shed: the record never ran, remove it so the ledger only holds
 		// admitted history.
 		d.store.Delete(id)
@@ -313,7 +319,7 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 
 // dispatch hands one canonical spec to the scheduler (initial submission,
 // crash-recovery re-queue and retry all funnel through here).
-func (d *Daemon) dispatch(id string, c api.Spec, key string) error {
+func (d *Daemon) dispatch(id string, c api.Spec) error {
 	var demand quota.Res
 	if c.Class() == api.ClassRT {
 		demand = quota.Res{Cores: 1}
@@ -323,11 +329,11 @@ func (d *Daemon) dispatch(id string, c api.Spec, key string) error {
 		Class:    c.Class(),
 		Demand:   demand,
 		Deadline: time.Duration(c.DeadlineSec * float64(time.Second)),
-		Run:      func(ctx context.Context) error { return d.runJob(ctx, id, c, key) },
+		Run:      func(ctx context.Context) error { return d.runJob(ctx, id, c) },
 	})
 }
 
-func (d *Daemon) runJob(ctx context.Context, id string, spec api.Spec, key string) error {
+func (d *Daemon) runJob(ctx context.Context, id string, spec api.Spec) error {
 	files, err := Execute(ctx, spec, &d.probe)
 	if err != nil {
 		return err
@@ -335,25 +341,35 @@ func (d *Daemon) runJob(ctx context.Context, id string, spec api.Spec, key strin
 	if err := d.store.PutArtefact(id, files); err != nil {
 		return fmt.Errorf("serve: persisting artefact of %s: %w", id, err)
 	}
-	d.cache.Put(key, id)
 	return nil
 }
 
-func (d *Daemon) clearJob(id string) {
+// clearJob forgets a job's runner-side state and returns its cache key.
+func (d *Daemon) clearJob(id string) string {
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	key := d.keys[id]
 	delete(d.specs, id)
 	delete(d.keys, id)
 	delete(d.attempts, id)
-	d.mu.Unlock()
+	return key
 }
 
 // onFinish maps a scheduler completion onto the ledger.
 func (d *Daemon) onFinish(id string, err error, cancelRequested bool) {
 	switch {
 	case err == nil:
-		d.clearJob(id)
+		key := d.clearJob(id)
 		d.done.Add(1)
+		// Publish to the result cache only once the finish entry, and with
+		// it the artefact, is durable: a cache hit acknowledges a client
+		// against this owner.
+		d.publish.Lock()
 		d.store.Finish(id, store.Done, "", id, "")
+		if rec, ok := d.store.Get(id); ok && rec.State == store.Done {
+			d.cache.Put(key, id)
+		}
+		d.publish.Unlock()
 	case cancelRequested:
 		d.clearJob(id)
 		d.cancelled.Add(1)
@@ -408,7 +424,7 @@ func (d *Daemon) failJob(id string, err error) {
 		d.attempts[id]++
 		n := d.attempts[id]
 		backoff := d.cfg.RetryBackoff << (n - 1)
-		d.timers[id] = time.AfterFunc(backoff, func() { d.retryNow(id, c, key) })
+		d.timers[id] = time.AfterFunc(backoff, func() { d.retryNow(id, c) })
 		d.mu.Unlock()
 		d.retries.Add(1)
 		d.store.Advance(id, store.Queued,
@@ -430,7 +446,7 @@ func (d *Daemon) failJob(id string, err error) {
 
 // retryNow fires when a retry backoff expires: re-dispatch unless the job
 // was cancelled or the daemon started draining in the meantime.
-func (d *Daemon) retryNow(id string, c api.Spec, key string) {
+func (d *Daemon) retryNow(id string, c api.Spec) {
 	d.mu.Lock()
 	if _, pending := d.timers[id]; !pending {
 		d.mu.Unlock()
@@ -438,7 +454,7 @@ func (d *Daemon) retryNow(id string, c api.Spec, key string) {
 	}
 	delete(d.timers, id)
 	d.mu.Unlock()
-	if err := d.dispatch(id, c, key); err != nil {
+	if err := d.dispatch(id, c); err != nil {
 		d.clearJob(id)
 		d.failed.Add(1)
 		d.store.Finish(id, store.Failed, err.Error(), "", "retry re-queue rejected")

@@ -221,6 +221,66 @@ func TestCrashRecoveryFailPolicy(t *testing.T) {
 	}
 }
 
+// TestOldFormatRootReRunsOwner opens a ledger written before artefacts rode
+// the finish entry: the done owner's bytes sat in a job directory no code
+// reads any more, so replay hands the owner to recovery as interrupted and
+// the re-run restores the same bytes under the same ID — for the owner and
+// for the cache hit an old "cached" entry pointed at it.
+func TestOldFormatRootReRunsOwner(t *testing.T) {
+	root := t.TempDir()
+	spec, key := mustCanon(t, tinySpec(4*units.KiB))
+	at := `"at":"2026-01-02T03:04:05Z"`
+	create := func(id, state string) string {
+		return fmt.Sprintf(`{"op":"create","id":%q,"key":%q,"class":"sim","spec":%s,"state":%q,%s}`,
+			id, key, spec.CanonicalJSON(), state, at)
+	}
+	log := strings.Join([]string{
+		create("job-000001", "queued"),
+		`{"op":"advance","id":"job-000001","state":"admitted",` + at + `}`,
+		`{"op":"advance","id":"job-000001","state":"running",` + at + `}`,
+		`{"op":"finish","id":"job-000001","state":"done","artefact_id":"job-000001",` + at + `}`,
+		create("job-000002", "done"),
+		`{"op":"cached","id":"job-000002","artefact_id":"job-000001",` + at + `}`,
+	}, "\n") + "\n"
+	if err := os.WriteFile(root+"/wal.jsonl", []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(root+"/job-000001", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(root+"/job-000001/result.json", []byte("stale\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, rep, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Interrupted) != 1 || rep.Interrupted[0] != "job-000001" || rep.Terminal != 1 {
+		t.Fatalf("replay of an old-format root = %+v", rep)
+	}
+	hit, _ := st.Get("job-000002")
+	if hit.State != store.Done || !hit.Cached || hit.ArtefactID != "job-000001" {
+		t.Fatalf("old cached entry replayed as %+v", hit)
+	}
+	st.Close()
+
+	d := newTestDaemon(t, Config{StoreRoot: root})
+	defer d.Close()
+	awaitReady(t, d)
+	if rec := await(t, d, "job-000001"); rec.State != store.Done {
+		t.Fatalf("old-format owner finished %s: %s", rec.State, rec.Error)
+	}
+	direct, err := Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.Store().Artefact(hit.ArtefactID, "result.json")
+	if err != nil || !bytes.Equal(got, direct["result.json"]) {
+		t.Fatalf("re-run artefact = %q, %v", got, err)
+	}
+}
+
 // TestReadyzGatesSubmissions pins readiness as distinct from liveness: a
 // recovering daemon answers healthz 200 but readyz 503 and rejects
 // submissions with ErrNotReady (HTTP 503).

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -210,6 +212,66 @@ func TestCachedResubmitSkipsEngine(t *testing.T) {
 	}
 	if !rec3.Cached {
 		t.Fatal("semantically equal spec missed the cache")
+	}
+}
+
+// TestCacheHitNeverOutrunsOwnersFinish hammers a few specs from several
+// goroutines on a durable store and reads the log back: a submission may
+// only be acknowledged as a cache hit against an owner whose finish entry,
+// which carries the bytes, is already in the log ahead of it.
+func TestCacheHitNeverOutrunsOwnersFinish(t *testing.T) {
+	root := t.TempDir()
+	d := newTestDaemon(t, Config{SimWorkers: 2, QueueCap: 256, StoreRoot: root})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				rec, err := d.Submit(tinySpec(int64(1+round) * units.KiB))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rec = await(t, d, rec.ID); rec.State != store.Done {
+					t.Errorf("%s finished %s: %s", rec.ID, rec.State, rec.Error)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := os.ReadFile(filepath.Join(root, "wal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := map[string]bool{}
+	hits := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(log), []byte{'\n'}) {
+		var e struct {
+			Op, ID, State string
+			Cached        bool
+			Owner         string `json:"artefact_id"`
+			Files         map[string][]byte
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("wal line %q: %v", line, err)
+		}
+		switch {
+		case e.Op == "finish" && e.State == "done" && e.Owner == e.ID && len(e.Files) > 0:
+			finished[e.ID] = true
+		case e.Op == "create" && e.Cached:
+			hits++
+			if !finished[e.Owner] {
+				t.Fatalf("%s acknowledged as a hit on %s before that owner's finish was logged", e.ID, e.Owner)
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("100 submissions of 25 specs produced no cache hit")
 	}
 }
 

@@ -7,11 +7,11 @@
 // job back to queued), with a timestamped transition log and a
 // monotonically increasing version the progress API long-polls on.
 //
-// With a root directory configured the ledger is durable: every mutation
-// is appended to an fsync'd write-ahead log (see wal.go) before the call
-// returns, Open replays that log on boot, and artefacts are written via
-// temp-file+rename so a crash can never leave a torn file behind. A zero
-// root keeps everything in memory.
+// Records and artefacts live in memory. With a root directory configured
+// they are durable too: every mutation is appended to a write-ahead log (see
+// wal.go), root/wal.jsonl, the only file the store keeps; a job's artefact
+// travels inside its finish entry, so no record is ever done without its
+// bytes; and Open replays that log on boot. A zero root logs nothing.
 package store
 
 import (
@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -69,19 +68,18 @@ type Record struct {
 	ArtefactID string `json:"artefact_id,omitempty"`
 }
 
-// Store is the goroutine-safe ledger. A zero root keeps artefacts in
-// memory; otherwise they live under root/<job id>/<file> and the ledger is
-// WAL-backed.
+// Store is the goroutine-safe ledger and artefact store; a non-empty root
+// makes it WAL-backed.
 type Store struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	root string
-	wal  *os.File // nil when root == ""
+	wal  logFile // nil when root == ""
 
 	jobs  map[string]*Record
 	order []string // submission order, for List
 
-	mem map[string]map[string][]byte // in-memory artefacts (root == "")
+	artefacts map[string]map[string][]byte // job id -> file name -> bytes
 
 	replay Replay
 }
@@ -97,7 +95,7 @@ func New(root string) (*Store, error) {
 // if present, is replayed: the returned summary tells the caller what was
 // reconstructed and which jobs a crash caught mid-flight.
 func Open(root string) (*Store, Replay, error) {
-	s := &Store{root: root, jobs: make(map[string]*Record), mem: make(map[string]map[string][]byte)}
+	s := &Store{root: root, jobs: make(map[string]*Record), artefacts: make(map[string]map[string][]byte)}
 	s.cond = sync.NewCond(&s.mu)
 	if root == "" {
 		return s, Replay{}, nil
@@ -137,28 +135,33 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Create opens a record in its initial state (Queued normally, Done for a
-// cache hit). Duplicate IDs are programmer errors.
+// Create opens a record in its initial state. Duplicate IDs are programmer
+// errors.
 func (s *Store) Create(id, key, class string, spec []byte, initial State) {
+	s.create(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: initial})
+}
+
+// CreateCached opens a record that is born done: a submission answered from
+// the result cache by owner's artefact. One entry, one fsync.
+func (s *Store) CreateCached(id, key, class string, spec []byte, owner string) {
+	s.create(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: Done,
+		Cached: true, Artefact: owner})
+}
+
+func (s *Store) create(e walEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.jobs[id]; dup {
-		panic(fmt.Sprintf("store: job %q created twice", id))
+	if _, dup := s.jobs[e.ID]; dup {
+		panic(fmt.Sprintf("store: job %q created twice", e.ID))
 	}
-	r := &Record{ID: id, Key: key, Class: class, Spec: spec}
-	s.jobs[id] = r
-	s.order = append(s.order, id)
-	at := time.Now().UTC()
-	s.appendWAL(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: initial, At: at})
-	s.advanceLocked(r, initial, "", at)
+	s.commit(e, true)
 }
 
 // Delete removes a record (a submission shed before it was ever queued).
 func (s *Store) Delete(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.appendWAL(walEntry{Op: "delete", ID: id, At: time.Now().UTC()})
-	s.deleteLocked(id)
+	s.commit(walEntry{Op: "delete", ID: id}, true)
 	s.cond.Broadcast()
 }
 
@@ -172,24 +175,24 @@ func (s *Store) deleteLocked(id string) {
 	}
 }
 
-// Advance appends a transition. Advancing a terminal record is ignored
-// (the scheduler and a concurrent cancel may race to finish a job; the
-// first terminal transition wins).
+// Advance appends a non-terminal transition. Advancing a terminal record is
+// ignored (the scheduler and a concurrent cancel may race to finish a job;
+// the first terminal transition wins). The entry is logged without an fsync
+// of its own, see wal.go.
 func (s *Store) Advance(id string, st State, note string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.jobs[id]
-	if !ok || r.State.Terminal() {
-		return
+	if r, ok := s.jobs[id]; ok && !r.State.Terminal() {
+		s.commit(walEntry{Op: "advance", ID: id, State: st, Note: note}, st.Terminal())
 	}
-	at := time.Now().UTC()
-	s.appendWAL(walEntry{Op: "advance", ID: id, State: st, Note: note, At: at})
-	s.advanceLocked(r, st, note, at)
 }
 
 // Finish moves a record to a terminal state, recording the error text (the
 // engine's cut error embeds the state dump), the artefact owner and an
-// optional transition note (e.g. "crash-interrupted").
+// optional transition note (e.g. "crash-interrupted"). A done record that
+// owns its artefact (artefactID == id) takes the files PutArtefact staged
+// into its log entry; one answered by another job's artefact is marked
+// cached.
 func (s *Store) Finish(id string, st State, errText, artefactID, note string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -197,22 +200,15 @@ func (s *Store) Finish(id string, st State, errText, artefactID, note string) {
 	if !ok || r.State.Terminal() {
 		return
 	}
-	r.Error = errText
-	r.ArtefactID = artefactID
-	at := time.Now().UTC()
-	s.appendWAL(walEntry{Op: "finish", ID: id, State: st, Error: errText, Artefact: artefactID, Note: note, At: at})
-	s.advanceLocked(r, st, note, at)
-}
-
-// MarkCached flags a record as answered from the result cache.
-func (s *Store) MarkCached(id, artefactID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.jobs[id]; ok {
-		r.Cached = true
-		r.ArtefactID = artefactID
-		s.appendWAL(walEntry{Op: "cached", ID: id, Artefact: artefactID, At: time.Now().UTC()})
+	e := walEntry{Op: "finish", ID: id, State: st, Error: errText, Artefact: artefactID, Note: note}
+	if st == Done {
+		if artefactID == id {
+			e.Files = s.artefacts[id]
+		} else {
+			e.Cached = true
+		}
 	}
+	s.commit(e, true)
 }
 
 func (s *Store) advanceLocked(r *Record, st State, note string, at time.Time) {
@@ -284,60 +280,19 @@ func (r *Record) clone() Record {
 	return c
 }
 
-// PutArtefact stores a job's artefact files. On-disk files are written via
-// temp file + rename with the file and its directory fsync'd, so a crash
-// mid-put can never leave a torn artefact under the final name — a reader
-// sees either the complete file or no file.
+// PutArtefact stages a job's artefact files; Finish makes them durable.
 func (s *Store) PutArtefact(id string, files map[string][]byte) error {
-	if s.root == "" {
-		cp := make(map[string][]byte, len(files))
-		for name, buf := range files {
-			cp[name] = append([]byte(nil), buf...)
-		}
-		s.mu.Lock()
-		s.mem[id] = cp
-		s.mu.Unlock()
-		return nil
-	}
-	dir := filepath.Join(s.root, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+	cp := make(map[string][]byte, len(files))
 	for name, buf := range files {
-		if name != filepath.Base(name) || strings.HasPrefix(name, ".") {
-			return fmt.Errorf("store: artefact name %q escapes its directory", name)
-		}
-		if err := writeFileAtomic(dir, name, buf); err != nil {
-			return err
-		}
+		cp[name] = append([]byte(nil), buf...)
 	}
-	return syncDir(dir)
+	s.mu.Lock()
+	s.artefacts[id] = cp
+	s.mu.Unlock()
+	return nil
 }
 
-// writeFileAtomic writes dir/name via a dot-prefixed temp file in the same
-// directory, fsyncs it and renames it into place. ArtefactNames skips
-// dot-prefixed entries, so a temp file orphaned by a crash is invisible.
-func writeFileAtomic(dir, name string, buf []byte) error {
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name))
-}
-
-// syncDir fsyncs a directory so renames and creates within it are durable.
+// syncDir fsyncs a directory so creates within it are durable.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -349,30 +304,15 @@ func syncDir(dir string) error {
 
 // ArtefactNames lists a job's artefact files in sorted order.
 func (s *Store) ArtefactNames(id string) ([]string, error) {
-	if s.root == "" {
-		s.mu.Lock()
-		files, ok := s.mem[id]
-		s.mu.Unlock()
-		if !ok {
-			return nil, os.ErrNotExist
-		}
-		names := make([]string, 0, len(files))
-		for name := range files {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return names, nil
+	s.mu.Lock()
+	files, ok := s.artefacts[id]
+	s.mu.Unlock()
+	if !ok {
+		return nil, os.ErrNotExist
 	}
-	entries, err := os.ReadDir(filepath.Join(s.root, id))
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue // orphaned atomic-write temp files are not artefacts
-		}
-		names = append(names, e.Name())
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
@@ -380,18 +320,11 @@ func (s *Store) ArtefactNames(id string) ([]string, error) {
 
 // Artefact returns one artefact file's bytes.
 func (s *Store) Artefact(id, name string) ([]byte, error) {
-	if name != filepath.Base(name) || strings.HasPrefix(name, ".") {
-		return nil, fmt.Errorf("store: artefact name %q escapes its directory", name)
+	s.mu.Lock()
+	buf, ok := s.artefacts[id][name]
+	s.mu.Unlock()
+	if !ok {
+		return nil, os.ErrNotExist
 	}
-	if s.root == "" {
-		s.mu.Lock()
-		files, ok := s.mem[id]
-		buf, okName := files[name]
-		s.mu.Unlock()
-		if !ok || !okName {
-			return nil, os.ErrNotExist
-		}
-		return append([]byte(nil), buf...), nil
-	}
-	return os.ReadFile(filepath.Join(s.root, id, name))
+	return append([]byte(nil), buf...), nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -216,37 +217,95 @@ func TestWaitOnReplayedTerminalReturnsImmediately(t *testing.T) {
 	}
 }
 
-// TestOrphanedAtomicTempInvisible pins the torn-artefact fix: a crash
-// between CreateTemp and rename leaves a dot-prefixed temp file behind,
-// which must never surface as an artefact.
-func TestOrphanedAtomicTempInvisible(t *testing.T) {
-	root := t.TempDir()
-	s, _, err := Open(root)
+// TestCrashPrefixWall enumerates every point a power loss can cut the log
+// at, instead of sampling one: the WAL of two interleaved cold jobs and a
+// cache hit on the first is truncated at every byte offset and reopened.
+// Whatever survives must open, hold every record whose create line is whole,
+// hand every unfinished record to recovery, and never show a done record
+// without its exact bytes — or any bytes for a record that is not done.
+func TestCrashPrefixWall(t *testing.T) {
+	files := map[string]map[string][]byte{
+		"job-000001": {"result.json": []byte(`{"n":1}` + "\n"), "fig.csv": []byte("a,b\n1,2\n")},
+		"job-000002": {"result.json": []byte(`{"n":2}` + "\n")},
+	}
+	src := t.TempDir()
+	s, err := New(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	s.Create("job-000001", "k", "sim", nil, Queued)
-	if err := s.PutArtefact("job-000001", map[string][]byte{"result.json": []byte("{}\n")}); err != nil {
+	spec := []byte(`{"kind":"comm"}`)
+	s.Create("job-000001", "key-a", "sim", spec, Queued)
+	s.Create("job-000002", "key-b", "sim", spec, Queued)
+	s.Advance("job-000001", Admitted, "")
+	s.Advance("job-000002", Admitted, "")
+	s.Advance("job-000001", Running, "")
+	s.Advance("job-000002", Running, "")
+	s.PutArtefact("job-000001", files["job-000001"])
+	s.PutArtefact("job-000002", files["job-000002"])
+	s.Finish("job-000001", Done, "", "job-000001", "")
+	s.CreateCached("job-000003", "key-a", "sim", spec, "job-000001")
+	s.Finish("job-000002", Done, "", "job-000002", "")
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	orphan := filepath.Join(root, "job-000001", ".result.json.tmp-orphan")
-	if err := os.WriteFile(orphan, []byte("torn"), 0o644); err != nil {
+	wal, err := os.ReadFile(filepath.Join(src, walFile))
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	names, err := s.ArtefactNames("job-000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(names, []string{"result.json"}) {
-		t.Fatalf("orphaned temp file leaked into artefact names: %v", names)
-	}
-	if _, err := s.Artefact("job-000001", ".result.json.tmp-orphan"); err == nil {
-		t.Fatal("dot-prefixed artefact name was served")
-	}
-	// Dot-prefixed names are rejected on the way in, too.
-	if err := s.PutArtefact("job-000001", map[string][]byte{".sneaky": nil}); err == nil {
-		t.Fatal("PutArtefact accepted a dot-prefixed name")
+	root := t.TempDir()
+	path := filepath.Join(root, walFile)
+	for cut := 0; cut <= len(wal); cut++ {
+		if err := os.WriteFile(path, wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, rep, err := Open(root)
+		if err != nil {
+			t.Fatalf("cut %d: Open: %v", cut, err)
+		}
+		// The model: the last state each id reached in the whole lines.
+		whole := wal[:bytes.LastIndexByte(wal[:cut], '\n')+1]
+		want := map[string]State{}
+		for _, line := range bytes.Split(whole, []byte{'\n'}) {
+			var e walEntry
+			if len(line) > 0 && json.Unmarshal(line, &e) == nil {
+				want[e.ID] = e.State
+			}
+		}
+		if rep.Records != len(want) || rep.TornTail != (len(whole) != cut) {
+			t.Fatalf("cut %d: replay = %+v, want %d records", cut, rep, len(want))
+		}
+		interrupted := map[string]bool{}
+		for _, id := range rep.Interrupted {
+			interrupted[id] = true
+		}
+		for id, st := range want {
+			r, ok := s.Get(id)
+			if !ok || r.State != st {
+				t.Fatalf("cut %d: %s = %+v (ok %v), want %s", cut, id, r, ok, st)
+			}
+			if interrupted[id] == st.Terminal() {
+				t.Fatalf("cut %d: %s is %s, interrupted = %v", cut, id, st, rep.Interrupted)
+			}
+			if st != Done {
+				if names, err := s.ArtefactNames(id); err == nil {
+					t.Fatalf("cut %d: unfinished %s shows artefacts %v", cut, id, names)
+				}
+				continue
+			}
+			orig := files[r.ArtefactID]
+			names, err := s.ArtefactNames(r.ArtefactID)
+			if err != nil || len(names) != len(orig) {
+				t.Fatalf("cut %d: done %s lists %v, %v", cut, id, names, err)
+			}
+			for name, buf := range orig {
+				if got, err := s.Artefact(r.ArtefactID, name); err != nil || !bytes.Equal(got, buf) {
+					t.Fatalf("cut %d: done %s: %s = %q, %v", cut, id, name, got, err)
+				}
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
