@@ -59,31 +59,38 @@ func (s Stats) MissesInLines(lineBytes int64) int64 {
 
 // Cache is one physical cache (an L2 in this simulator).
 //
-// Way state is encoded for scan speed: an invalid way holds tag
-// invalidTag (which no real block number reaches) and stamp 0, while valid
-// ways always have stamp >= 1 (the clock pre-increments). The LRU victim
-// search is then a bare argmin over stamps — zero-stamp (invalid) ways win
-// automatically, earliest index first, exactly the historical
-// first-invalid-else-LRU policy.
+// Replacement is exact LRU, kept as a recency order per set so that no
+// access searches for its victim: every way of a set sits on one circular
+// doubly linked list (next points towards older ways, prev towards newer
+// ones, head is the most recently used way, so prev[head] is the victim).
+// Empty ways are kept at the victim end, lowest way last, which makes the
+// list order the first-invalid-lowest-index-else-LRU policy exactly: a miss
+// takes prev[head] and makes it the head (one store, the circle rotates), a
+// hit moves its way to the front, Invalidate re-files the way among the
+// empty ones.
+//
+// The zero state is an empty cache: an empty way holds tag 0 (a resident
+// block b is stored as b+1) and a set builds its links on its first fill,
+// so New and Flush touch no way individually.
 type Cache struct {
 	name       string
 	blockBytes int64
 	sets       int
 	assoc      int
 
-	// Way arrays indexed by set*assoc+way.
-	tags  []uint64 // block number, or invalidTag
+	// Way arrays indexed by set*assoc+way; links hold way numbers.
+	tags  []uint64 // block number + 1 (addresses end far below 2^64), or 0 for an empty way
 	dirty []bool
-	stamp []uint64 // LRU timestamps; 0 marks an invalid way
+	next  []uint8
+	prev  []uint8
+	head  []uint8 // per set
 
-	clock uint64
 	stats Stats
 }
 
-// invalidTag marks an empty way. Real block numbers stay far below it:
-// addresses top out near 2^50 (spaces are 1 TiB apart) and blocks are
-// addresses divided by the block size.
-const invalidTag = ^uint64(0)
+// MaxAssoc is the highest associativity a Cache supports: way numbers and
+// the recency links between them are one byte each.
+const MaxAssoc = 255
 
 // AccessResult describes the outcome of one block access.
 type AccessResult struct {
@@ -95,10 +102,15 @@ type AccessResult struct {
 }
 
 // New creates a cache of sizeBytes split into blockBytes blocks with the
-// given associativity. sizeBytes must be divisible by assoc*blockBytes.
+// given associativity (at most MaxAssoc). sizeBytes must be divisible by
+// assoc*blockBytes.
 func New(name string, sizeBytes, blockBytes int64, assoc int) *Cache {
 	if sizeBytes <= 0 || blockBytes <= 0 || assoc <= 0 {
 		panic("cache: non-positive geometry")
+	}
+	if assoc > MaxAssoc {
+		panic(fmt.Sprintf("cache %s: associativity %d above the supported maximum %d",
+			name, assoc, MaxAssoc))
 	}
 	if sizeBytes%(blockBytes*int64(assoc)) != 0 {
 		panic(fmt.Sprintf("cache %s: size %d not divisible by assoc %d x block %d",
@@ -106,19 +118,17 @@ func New(name string, sizeBytes, blockBytes int64, assoc int) *Cache {
 	}
 	sets := int(sizeBytes / (blockBytes * int64(assoc)))
 	n := sets * assoc
-	c := &Cache{
+	return &Cache{
 		name:       name,
 		blockBytes: blockBytes,
 		sets:       sets,
 		assoc:      assoc,
 		tags:       make([]uint64, n),
 		dirty:      make([]bool, n),
-		stamp:      make([]uint64, n),
+		next:       make([]uint8, n),
+		prev:       make([]uint8, n),
+		head:       make([]uint8, sets),
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	return c
 }
 
 // Name returns the cache's diagnostic name.
@@ -139,18 +149,24 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Block converts a byte address into this cache's block number.
 func (c *Cache) Block(addr uint64) uint64 { return addr / uint64(c.blockBytes) }
 
-func (c *Cache) setOf(block uint64) int { return int(block % uint64(c.sets)) }
+// SetOf returns the set block maps to. Consecutive blocks map to
+// consecutive sets (wrapping at Sets), which is what lets a range walk
+// carry the set along instead of dividing per block.
+func (c *Cache) SetOf(block uint64) int { return int(block % uint64(c.sets)) }
 
-// probe returns the way index of block within its set, or -1.
-func (c *Cache) probe(block uint64) int {
-	base := c.setOf(block) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		if c.tags[base+w] == block {
+// find returns the way array index of block within set, or -1.
+func (c *Cache) find(set int, block uint64) int {
+	base := set * c.assoc
+	for w, tag := range c.tags[base : base+c.assoc] {
+		if tag == block+1 {
 			return base + w
 		}
 	}
 	return -1
 }
+
+// probe is find in block's own set.
+func (c *Cache) probe(block uint64) int { return c.find(c.SetOf(block), block) }
 
 // Contains reports whether the block is resident.
 func (c *Cache) Contains(block uint64) bool { return c.probe(block) >= 0 }
@@ -164,51 +180,128 @@ func (c *Cache) ContainsDirty(block uint64) bool {
 // Access performs a read or write of one block, allocating on miss and
 // evicting LRU as needed. Coherence with other caches is the caller's job
 // (see internal/hw); Access only manages this cache's arrays and stats.
-// One pass over the set finds both the hit way and the eviction victim.
 func (c *Cache) Access(block uint64, write bool) AccessResult {
-	c.clock++
-	c.stats.Accesses++
-	base := c.setOf(block) * c.assoc
-	tags, stamps := c.tags, c.stamp
-	victim := base
-	minStamp := stamps[base]
-	for i := base; i < base+c.assoc; i++ {
-		if tags[i] == block {
-			c.stats.Hits++
-			res := AccessResult{Hit: true}
-			if write {
-				res.WasDirtyHit = c.dirty[i]
-				c.dirty[i] = true
-			}
-			stamps[i] = c.clock
-			return res
-		}
-		if stamps[i] < minStamp {
-			minStamp, victim = stamps[i], i
-		}
+	set := c.SetOf(block)
+	if i := c.find(set, block); i >= 0 {
+		return AccessResult{Hit: true, WasDirtyHit: c.touch(set, i, write)}
 	}
+	return c.Fill(set, block, write)
+}
 
+// Hit is Access for a caller that knows block is resident in set (the
+// machine's coherence directory says so): a hit is all it can be, and
+// anything else is a bug in the caller's bookkeeping.
+func (c *Cache) Hit(set int, block uint64, write bool) {
+	i := c.find(set, block)
+	if i < 0 {
+		panic(fmt.Sprintf("cache %s: block %d reported resident in set %d is not there", c.name, block, set))
+	}
+	c.touch(set, i, write)
+}
+
+// Fill is Access for a caller that knows block is not resident in set: it
+// allocates the block in the set's victim way without looking at the tags.
+func (c *Cache) Fill(set int, block uint64, write bool) (res AccessResult) {
+	c.stats.Accesses++
 	c.stats.Misses++
 	c.stats.FillBytes += c.blockBytes
-	res := AccessResult{}
-	if tags[victim] != invalidTag {
+	base := set * c.assoc
+	h := c.head[set]
+	victim := c.prev[base+int(h)]
+	if victim == h && c.assoc > 1 {
+		// A circle of one way: the set's links were never built.
+		c.linkSet(set)
+		victim = 0
+	}
+	c.head[set] = victim
+	i := base + int(victim)
+	if tag := c.tags[i]; tag != 0 {
 		res.Evicted = true
-		res.EvictedBlock = tags[victim]
-		if c.dirty[victim] {
+		res.EvictedBlock = tag - 1
+		if c.dirty[i] {
 			res.EvictedDirty = true
 			c.stats.WriteBackBytes += c.blockBytes
 		}
 	}
-	tags[victim] = block
-	c.dirty[victim] = write
-	stamps[victim] = c.clock
+	c.tags[i] = block + 1
+	c.dirty[i] = write
 	return res
+}
+
+// linkSet builds the recency order of a set whose ways are all empty: from
+// the head, way assoc-1 down to way 0, the first victim.
+func (c *Cache) linkSet(set int) {
+	base := set * c.assoc
+	next, prev := c.next[base:base+c.assoc], c.prev[base:base+c.assoc]
+	top := uint8(c.assoc - 1)
+	for w := range next {
+		next[w] = uint8(w) - 1
+		prev[w] = uint8(w) + 1
+	}
+	next[0], prev[top] = top, 0
+	c.head[set] = top
+}
+
+// touch records a hit on way array index i of set: the way moves to the
+// front of the recency order and a write marks it dirty. It reports whether
+// a written block was dirty already.
+func (c *Cache) touch(set, i int, write bool) (wasDirty bool) {
+	c.stats.Accesses++
+	c.stats.Hits++
+	if write {
+		wasDirty = c.dirty[i]
+		c.dirty[i] = true
+	}
+	base := set * c.assoc
+	w, h := uint8(i-base), c.head[set]
+	if w == h {
+		return wasDirty
+	}
+	next, prev := c.next[base:base+c.assoc], c.prev[base:base+c.assoc]
+	// Unlink w, then link it between the tail and the old head.
+	n, p := next[w], prev[w]
+	next[p], prev[n] = n, p
+	tail := prev[h]
+	next[tail], prev[w] = w, tail
+	next[w], prev[h] = h, w
+	c.head[set] = w
+	return wasDirty
+}
+
+// retire re-files the just emptied way w of set among the empty ways at
+// the victim end of the recency order, so that the lowest empty way is
+// the next victim and the highest the last.
+func (c *Cache) retire(set int, w uint8) {
+	base := set * c.assoc
+	next, prev := c.next[base:base+c.assoc], c.prev[base:base+c.assoc]
+	tags := c.tags[base : base+c.assoc]
+	n, p := next[w], prev[w]
+	next[p], prev[n] = n, p
+	h := c.head[set]
+	if h == w {
+		h = n
+	}
+	// Walk up from the tail past the empty ways below w; w goes behind
+	// the first way that is resident or a higher empty one.
+	at, passed := prev[h], 1
+	for ; passed < c.assoc && tags[at] == 0 && at < w; passed++ {
+		at = prev[at]
+	}
+	if passed == c.assoc {
+		// Every other way is empty and lower (at is the tail again).
+		h = w
+	}
+	behind := next[at]
+	next[at], prev[w] = w, at
+	next[w], prev[behind] = behind, w
+	c.head[set] = h
 }
 
 // Invalidate removes the block if present, returning whether it was present
 // and whether it was dirty (the caller accounts for the writeback transfer).
 func (c *Cache) Invalidate(block uint64) (present, wasDirty bool) {
-	i := c.probe(block)
+	set := c.SetOf(block)
+	i := c.find(set, block)
 	if i < 0 {
 		return false, false
 	}
@@ -217,9 +310,9 @@ func (c *Cache) Invalidate(block uint64) (present, wasDirty bool) {
 		c.stats.WriteBackBytes += c.blockBytes
 		wasDirty = true
 	}
-	c.tags[i] = invalidTag
-	c.stamp[i] = 0
+	c.tags[i] = 0
 	c.dirty[i] = false
+	c.retire(set, uint8(i-set*c.assoc))
 	return true, wasDirty
 }
 
@@ -259,28 +352,28 @@ func (c *Cache) ResidentBytes(addr uint64, n int64) int64 {
 	return resident
 }
 
-// ForEachResident calls fn for every resident block, in way order. It is
-// how the machine layer rebuilds its coherence directory when switching
-// coherence implementations mid-run.
+// ForEachResident calls fn for every resident block, in way order (the
+// machine layer's tests audit the coherence directory against it).
 func (c *Cache) ForEachResident(fn func(block uint64, dirty bool)) {
 	for i, tag := range c.tags {
-		if tag != invalidTag {
-			fn(tag, c.dirty[i])
+		if tag != 0 {
+			fn(tag-1, c.dirty[i])
 		}
 	}
 }
 
 // Flush invalidates every block (bulk coherence reset between experiment
-// repetitions); dirty blocks count writebacks.
+// repetitions); dirty blocks count writebacks. The cache is as New made it
+// afterwards, statistics aside.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		if c.tags[i] != invalidTag {
-			if c.dirty[i] {
-				c.stats.WriteBackBytes += c.blockBytes
-			}
-			c.tags[i] = invalidTag
-			c.stamp[i] = 0
-			c.dirty[i] = false
+	for _, d := range c.dirty {
+		if d {
+			c.stats.WriteBackBytes += c.blockBytes
 		}
 	}
+	clear(c.tags)
+	clear(c.dirty)
+	clear(c.next)
+	clear(c.prev)
+	clear(c.head)
 }

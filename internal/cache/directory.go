@@ -4,13 +4,16 @@ package cache
 // tracks which cache domains hold a copy (a presence bitmask) and which
 // domain, if any, holds the block modified. The machine layer (internal/hw)
 // is the single mutator of the caches and keeps the directory in sync on
-// every Access, Invalidate, Downgrade and Flush; coherent accesses can then
-// consult the directory instead of probing every remote cache, making the
-// overwhelmingly common no-remote-copy case O(1).
+// every fill, eviction, Invalidate, Downgrade and Flush. Coherent accesses
+// then consult the directory instead of probing every remote cache, making
+// the overwhelmingly common no-remote-copy case O(1), and the local cache
+// is told whether the access hits (Cache.Hit) or not (Cache.Fill) instead
+// of finding out by scanning its tags.
 //
-// Entries are stored in fixed-size pages keyed by the high block bits, with
-// a one-page lookup cache: bulk copies stream through consecutive blocks,
-// so almost every access resolves without a map operation.
+// Entries are stored in fixed-size pages keyed by the high block bits. A
+// range walk fetches each page once (Page) and indexes it per block; the
+// per-block calls (Entry, Lookup) go through a small lookup cache, so
+// consecutive blocks resolve without a map operation.
 //
 // Pages are only reclaimed by Reset (hw.FlushCaches), not when their
 // entries empty out: live tracking would put a counter update on every
@@ -20,15 +23,15 @@ package cache
 // (one per simulated stack) is dropped.
 type Directory struct {
 	domains int
-	pages   map[uint64]*dirPage
+	pages   map[uint64]*DirPage
 
-	// Two-slot page cache. One slot serves streaming accesses; the
-	// second keeps the map out of the loop when evictions (which touch
-	// the victim block's page) interleave with the streamed range.
+	// Two-slot page cache for the per-block calls: eviction victims,
+	// which come in runs of consecutive blocks, and the DMA walks. The
+	// second slot keeps the map out of the loop when two runs interleave.
 	lastKey  uint64
-	lastPage *dirPage
+	lastPage *DirPage
 	prevKey  uint64
-	prevPage *dirPage
+	prevPage *DirPage
 }
 
 // DirEntry is the directory's knowledge of one block. The zero value means
@@ -69,7 +72,12 @@ const (
 	dirPageBlocks = 1 << dirPageShift
 )
 
-type dirPage [dirPageBlocks]DirEntry
+// DirPage holds the entries of a run of consecutive blocks. A range walk
+// fetches it once (Directory.Page) and indexes it per block.
+type DirPage [dirPageBlocks]DirEntry
+
+// Entry returns the mutable entry for block, which must lie in the page.
+func (p *DirPage) Entry(block uint64) *DirEntry { return &p[block&(dirPageBlocks-1)] }
 
 // NewDirectory returns an empty directory over the given number of cache
 // domains (at most 64, the presence-mask width).
@@ -77,20 +85,28 @@ func NewDirectory(domains int) *Directory {
 	if domains < 1 || domains > 64 {
 		panic("cache: directory needs 1..64 domains")
 	}
-	return &Directory{domains: domains, pages: make(map[uint64]*dirPage)}
+	return &Directory{domains: domains, pages: make(map[uint64]*DirPage)}
 }
 
 // Domains returns the number of cache domains the directory covers.
 func (d *Directory) Domains() int { return d.domains }
 
+// Page returns the page holding block's entry, allocating it on first
+// touch, and the last block that page covers.
+func (d *Directory) Page(block uint64) (pg *DirPage, last uint64) {
+	key := block >> dirPageShift
+	last = block | (dirPageBlocks - 1)
+	if pg := d.lastPage; pg != nil && d.lastKey == key {
+		return pg, last
+	}
+	return d.pageSlow(key, true), last
+}
+
 // Entry returns the mutable entry for block, allocating its page on first
 // touch.
 func (d *Directory) Entry(block uint64) *DirEntry {
-	key := block >> dirPageShift
-	if pg := d.lastPage; pg != nil && d.lastKey == key {
-		return &pg[block&(dirPageBlocks-1)]
-	}
-	return &d.entrySlow(key, true)[block&(dirPageBlocks-1)]
+	pg, _ := d.Page(block)
+	return pg.Entry(block)
 }
 
 // Lookup returns a copy of block's entry without allocating anything:
@@ -98,18 +114,18 @@ func (d *Directory) Entry(block uint64) *DirEntry {
 func (d *Directory) Lookup(block uint64) DirEntry {
 	key := block >> dirPageShift
 	if pg := d.lastPage; pg != nil && d.lastKey == key {
-		return pg[block&(dirPageBlocks-1)]
+		return *pg.Entry(block)
 	}
-	pg := d.entrySlow(key, false)
+	pg := d.pageSlow(key, false)
 	if pg == nil {
 		return DirEntry{}
 	}
-	return pg[block&(dirPageBlocks-1)]
+	return *pg.Entry(block)
 }
 
-// entrySlow resolves key through the second cache slot, then the map
+// pageSlow resolves key through the second cache slot, then the map
 // (creating the page if asked), promoting the result to the first slot.
-func (d *Directory) entrySlow(key uint64, create bool) *dirPage {
+func (d *Directory) pageSlow(key uint64, create bool) *DirPage {
 	pg := d.prevPage
 	if pg == nil || d.prevKey != key {
 		var ok bool
@@ -118,7 +134,7 @@ func (d *Directory) entrySlow(key uint64, create bool) *dirPage {
 			if !create {
 				return nil
 			}
-			pg = new(dirPage)
+			pg = new(DirPage)
 			d.pages[key] = pg
 		}
 	}
@@ -127,9 +143,21 @@ func (d *Directory) entrySlow(key uint64, create bool) *dirPage {
 	return pg
 }
 
+// ForEach calls fn for every block with a non-zero entry, in no particular
+// order (the machine layer's tests audit the directory against the caches).
+func (d *Directory) ForEach(fn func(block uint64, e DirEntry)) {
+	for key, pg := range d.pages {
+		for i, e := range pg {
+			if e != (DirEntry{}) {
+				fn(key<<dirPageShift|uint64(i), e)
+			}
+		}
+	}
+}
+
 // Reset forgets everything (bulk coherence reset after flushing all caches).
 func (d *Directory) Reset() {
-	d.pages = make(map[uint64]*dirPage)
+	d.pages = make(map[uint64]*DirPage)
 	d.lastPage = nil
 	d.prevPage = nil
 }

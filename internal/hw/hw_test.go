@@ -296,3 +296,25 @@ func TestL2MissLinesReporting(t *testing.T) {
 		t.Fatalf("L2MissLines = %d, want %d", got, (1*units.MiB)/64)
 	}
 }
+
+// A timed copy in steady state (directory pages made, caches warm or
+// evicting, the bus flow and the fluids' completion events recycled)
+// allocates nothing.
+func TestTimedCopyRangeSteadyStateDoesNotAllocate(t *testing.T) {
+	m := newMachine()
+	const size = 256 * units.KiB
+	src := m.Mem.NewSpace("src").AllocPhantom(size)
+	dst := m.Mem.NewSharedSpace("dst").AllocPhantom(size)
+	var allocs float64
+	m.Eng.Spawn("p", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(50, func() {
+			m.CopyRange(p, 0, mem.Region{Buf: dst, Len: size}, mem.Region{Buf: src, Len: size}, CopyOpts{})
+		})
+	})
+	if err := m.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a steady-state timed CopyRange allocates %.1f objects", allocs)
+	}
+}

@@ -39,13 +39,9 @@ type Machine struct {
 	// dir is the machine-wide coherence directory: per block, a presence
 	// bitmask over the L2 domains plus the dirty owner. Every cache
 	// mutation made by this package keeps it in sync, so coherent
-	// accesses need not probe remote caches.
+	// accesses need not probe remote caches, and the local cache is told
+	// whether an access hits instead of searching for the block.
 	dir *cache.Directory
-
-	// snoop selects the brute-force probe-every-cache coherence path,
-	// kept as the reference implementation the directory is verified
-	// against (see SetSnoopCoherence and the differential tests).
-	snoop bool
 }
 
 // Core is one CPU core's runtime state.
@@ -90,29 +86,6 @@ func NewOn(eng *sim.Engine, t *topo.Machine) *Machine {
 	}
 	m.dir = cache.NewDirectory(len(t.L2Domains))
 	return m
-}
-
-// SetSnoopCoherence selects the coherence implementation: true switches to
-// the brute-force snoop path that probes every cache (the reference
-// implementation), false returns to the default directory fast path,
-// rebuilding the directory from current cache contents so the mode may be
-// flipped mid-run. Both produce identical traffic and statistics.
-func (m *Machine) SetSnoopCoherence(snoop bool) {
-	if m.snoop && !snoop {
-		m.dir.Reset()
-		for d, c := range m.L2s {
-			dom := d
-			c.ForEachResident(func(block uint64, dirty bool) {
-				e := m.dir.Entry(block)
-				if dirty {
-					e.SetOwner(dom)
-				} else {
-					e.SetPresent(dom)
-				}
-			})
-		}
-	}
-	m.snoop = snoop
 }
 
 // Core returns the runtime core for id.
@@ -236,160 +209,78 @@ func (t *Traffic) Add(other Traffic) {
 	t.CPUSeconds += other.CPUSeconds
 }
 
-// accessBlock performs one coherent block access by a core and returns the
-// bus bytes it generated, whether it hit in the local L2, and whether a
-// remote modified copy had to service it. The default implementation
-// consults the coherence directory; accessBlockSnoop is the brute-force
-// reference it must stay equivalent to.
-func (m *Machine) accessBlock(coreID topo.CoreID, block uint64, write bool) (busBytes int64, hit, dirtyRemote bool) {
-	if m.snoop {
-		return m.accessBlockSnoop(coreID, block, write)
-	}
-	p := &m.Topo.Params
-	local := m.coreL2[coreID]
-	return m.accessBlockDir(m.L2s[local], local, block, write,
-		int64(float64(p.BlockBytes)*p.DirtyTransferFactor), p.BlockBytes)
-}
-
-// accessBlockDir is the per-block directory-coherence transition shared by
-// accessBlock and classifyRange's bulk loop (which hoists the arguments
-// once per range): resolve remote copies, access the local cache, keep the
-// directory in sync with the fill and any eviction, and account bus bytes.
-// dirtyFill is the modified-line FSB transfer cost (a stale hit with a
-// remote dirty copy pays it too).
-func (m *Machine) accessBlockDir(l2 *cache.Cache, local int, block uint64, write bool, dirtyFill, blockBytes int64) (busBytes int64, hit, dirtyRemote bool) {
-	e := m.dir.Entry(block)
-	if remote := e.Mask() &^ (1 << uint(local)); remote != 0 {
-		dirtyRemote = m.serviceRemote(e, block, remote, local, write)
-	}
-
-	res := l2.Access(block, write)
-	if res.Evicted {
-		m.dir.Entry(res.EvictedBlock).ClearPresent(local)
-	}
-	if write {
-		e.SetOwner(local)
-	} else {
-		e.SetPresent(local)
-	}
-
-	if res.Hit {
-		if dirtyRemote {
-			busBytes = dirtyFill
-		}
-		return busBytes, true, dirtyRemote
-	}
-	if dirtyRemote {
-		busBytes = dirtyFill
-	} else {
-		busBytes = blockBytes
-	}
-	if res.EvictedDirty {
-		busBytes += blockBytes
-	}
-	return busBytes, false, dirtyRemote
-}
-
-// accessBlockSnoop is the pre-directory coherence implementation: every
-// remote cache is probed on every access. It is kept verbatim as the
-// reference the directory path is differentially tested against.
-func (m *Machine) accessBlockSnoop(coreID topo.CoreID, block uint64, write bool) (busBytes int64, hit, dirtyRemote bool) {
-	p := &m.Topo.Params
-	local := m.coreL2[coreID]
-	l2 := m.L2s[local]
-
-	if write {
-		// Invalidate all other copies; a dirty remote copy must be
-		// transferred first (snoop-forced writeback).
-		for d, c := range m.L2s {
-			if d == local {
-				continue
-			}
-			if present, wasDirty := c.Invalidate(block); present && wasDirty {
-				dirtyRemote = true
-			}
-		}
-	} else {
-		// A dirty remote copy services the read (after writeback);
-		// downgrade it to clean.
-		for d, c := range m.L2s {
-			if d == local {
-				continue
-			}
-			if c.ContainsDirty(block) {
-				c.Downgrade(block)
-				dirtyRemote = true
-			}
-		}
-	}
-
-	res := l2.Access(block, write)
-	if res.Hit {
-		if dirtyRemote {
-			// Rare: stale hit with remote dirty copy; count transfer.
-			busBytes += int64(float64(p.BlockBytes) * p.DirtyTransferFactor)
-		}
-		return busBytes, true, dirtyRemote
-	}
-
-	fill := p.BlockBytes
-	if dirtyRemote {
-		// Modified-line transfer over the FSB costs extra.
-		fill = int64(float64(p.BlockBytes) * p.DirtyTransferFactor)
-	}
-	busBytes += fill
-	if res.EvictedDirty {
-		busBytes += p.BlockBytes
-	}
-	return busBytes, false, dirtyRemote
-}
-
 // classifyRange runs the coherence/cache state machine over [addr, addr+n)
-// for a core, returning bus bytes, missed payload bytes, and the subset of
-// missed bytes serviced by remote modified lines. It does not advance
-// simulated time. The bulk loop hoists the parameter loads, the core's
-// cache/domain resolution and the dirty-transfer cost out of the per-block
-// path, and only does boundary math on the (at most two) partial blocks at
-// the range edges; the per-block coherence transition is the same one
-// accessBlock performs.
+// for a core, one block at a time in address order, returning bus bytes,
+// missed payload bytes, and the subset of missed bytes serviced by remote
+// modified lines. It does not advance simulated time.
+//
+// Per block: resolve remote copies, access the local cache, keep the
+// directory in sync with the fill and any eviction, and account bus bytes.
+// The directory's presence bit decides hit or miss before the cache is
+// touched, so a hit only finds its way and a miss scans no tags at all.
+// Everything that does not change from block to block is taken once per
+// range; the directory page is fetched once per page of blocks, and the
+// set follows the block by counting instead of dividing. Boundary math is
+// only done on the (at most two) partial blocks at the range edges.
 func (m *Machine) classifyRange(coreID topo.CoreID, addr uint64, n int64, write bool) (busBytes, missBytes, dirtyMissBytes int64) {
 	if n <= 0 {
 		return 0, 0, 0
 	}
-	p := &m.Topo.Params
-	bs := uint64(p.BlockBytes)
+	blockBytes := m.Topo.Params.BlockBytes
+	bs := uint64(blockBytes)
 	first := addr / bs
 	last := (addr + uint64(n) - 1) / bs
 	end := addr + uint64(n)
-	if m.snoop {
-		for b := first; b <= last; b++ {
-			bb, hit, dirtyRemote := m.accessBlockSnoop(coreID, b, write)
-			busBytes += bb
-			if !hit {
-				span := partialSpan(b, bs, addr, end)
+
+	local := m.coreL2[coreID]
+	l2 := m.L2s[local]
+	localBit := uint64(1) << uint(local)
+	// dirtyFill is the modified-line FSB transfer cost (a stale hit with
+	// a remote dirty copy pays it too).
+	dirtyFill := int64(float64(blockBytes) * m.Topo.Params.DirtyTransferFactor)
+	set, sets := l2.SetOf(first), l2.Sets()
+	for b := first; b <= last; {
+		page, pageLast := m.dir.Page(b)
+		pageLast = min(pageLast, last)
+		for ; b <= pageLast; b++ {
+			e := page.Entry(b)
+			mask := e.Mask()
+			dirtyRemote := false
+			if remote := mask &^ localBit; remote != 0 {
+				dirtyRemote = m.serviceRemote(e, b, remote, local, write)
+			}
+			if dirtyRemote {
+				busBytes += dirtyFill
+			}
+			if mask&localBit != 0 {
+				l2.Hit(set, b, write)
+			} else {
+				res := l2.Fill(set, b, write)
+				if res.Evicted {
+					m.dir.Entry(res.EvictedBlock).ClearPresent(local)
+				}
+				if !dirtyRemote {
+					busBytes += blockBytes
+				}
+				if res.EvictedDirty {
+					busBytes += blockBytes
+				}
+				span := blockBytes
+				if b == first || b == last {
+					span = partialSpan(b, bs, addr, end)
+				}
 				missBytes += span
 				if dirtyRemote {
 					dirtyMissBytes += span
 				}
 			}
-		}
-		return busBytes, missBytes, dirtyMissBytes
-	}
-
-	local := m.coreL2[coreID]
-	l2 := m.L2s[local]
-	dirtyFill := int64(float64(p.BlockBytes) * p.DirtyTransferFactor)
-	for b := first; b <= last; b++ {
-		bb, hit, dirtyRemote := m.accessBlockDir(l2, local, b, write, dirtyFill, p.BlockBytes)
-		busBytes += bb
-		if !hit {
-			span := int64(bs)
-			if b == first || b == last {
-				span = partialSpan(b, bs, addr, end)
+			if write {
+				e.SetOwner(local)
+			} else {
+				e.SetPresent(local)
 			}
-			missBytes += span
-			if dirtyRemote {
-				dirtyMissBytes += span
+			if set++; set == sets {
+				set = 0
 			}
 		}
 	}
@@ -437,16 +328,13 @@ func (m *Machine) serviceRemote(e *cache.DirEntry, block uint64, remote uint64, 
 }
 
 // ResidentBytes reports how many bytes of [addr, addr+n) are resident in
-// core coreID's L2. The directory path walks only directory-known blocks
-// instead of probing the cache's ways per block.
+// core coreID's L2, by the directory's presence bits instead of probing
+// the cache's ways per block.
 func (m *Machine) ResidentBytes(coreID topo.CoreID, addr uint64, n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
 	local := m.coreL2[coreID]
-	if m.snoop {
-		return m.L2s[local].ResidentBytes(addr, n)
-	}
 	bs := uint64(m.Topo.Params.BlockBytes)
 	first := addr / bs
 	last := (addr + uint64(n) - 1) / bs

@@ -67,11 +67,19 @@ func (m *Machine) CopyRange(p *sim.Proc, coreID topo.CoreID, dst, src mem.Region
 	tr.CPUSeconds = float64(n)/par.CPUCopyCachedBps + stall*missStallPerByte(par)
 
 	if !opts.NoTime {
-		flow := m.Bus.Start(float64(tr.BusBytes))
-		m.Cores[coreID].CPU.Consume(p, tr.CPUSeconds)
-		flow.Wait(p)
+		m.charge(p, coreID, tr.BusBytes, tr.CPUSeconds)
 	}
 	return tr
+}
+
+// charge advances simulated time by one operation's traffic: busBytes flow
+// through the shared bus while cpuSeconds are consumed on the core, and p
+// resumes when both are done.
+func (m *Machine) charge(p *sim.Proc, coreID topo.CoreID, busBytes int64, cpuSeconds float64) {
+	flow := m.Bus.Start(float64(busBytes))
+	m.Cores[coreID].CPU.Consume(p, cpuSeconds)
+	flow.Wait(p)
+	m.Bus.Release(flow)
 }
 
 // TouchRange walks [addr, addr+n) through core coreID's cache as reads or
@@ -93,9 +101,7 @@ func (m *Machine) TouchRange(p *sim.Proc, coreID topo.CoreID, addr uint64, n int
 	stall := float64(missBytes) + float64(dirtyMiss)*(par.RemoteDirtyStallFactor-1)
 	tr.CPUSeconds = float64(n)/par.CPUCopyCachedBps + stall*missStallPerByte(par)
 	if !noTime {
-		flow := m.Bus.Start(float64(tr.BusBytes))
-		m.Cores[coreID].CPU.Consume(p, tr.CPUSeconds)
-		flow.Wait(p)
+		m.charge(p, coreID, tr.BusBytes, tr.CPUSeconds)
 	}
 	return tr
 }
@@ -114,9 +120,8 @@ func (m *Machine) DMAInvalidateDest(addr uint64, n int64) int64 {
 	return m.dmaWalk(addr, n, true)
 }
 
-// dmaWalk prepares [addr, addr+n) for a cache-bypassing DMA access. The
-// directory path touches only blocks known to be cached somewhere; the
-// snoop path probes every cache for every block (reference implementation).
+// dmaWalk prepares [addr, addr+n) for a cache-bypassing DMA access,
+// touching only the blocks the directory knows to be cached somewhere.
 func (m *Machine) dmaWalk(addr uint64, n int64, invalidate bool) int64 {
 	if n <= 0 {
 		return 0
@@ -126,21 +131,6 @@ func (m *Machine) dmaWalk(addr uint64, n int64, invalidate bool) int64 {
 	first := addr / bs
 	last := (addr + uint64(n) - 1) / bs
 	var busBytes int64
-	if m.snoop {
-		for b := first; b <= last; b++ {
-			for _, c := range m.L2s {
-				if invalidate {
-					if present, wasDirty := c.Invalidate(b); present && wasDirty {
-						busBytes += par.BlockBytes
-					}
-				} else if c.ContainsDirty(b) {
-					c.Downgrade(b)
-					busBytes += par.BlockBytes
-				}
-			}
-		}
-		return busBytes
-	}
 	for b := first; b <= last; b++ {
 		e := m.dir.Lookup(b)
 		mask := e.Mask()
@@ -217,8 +207,6 @@ func (m *Machine) Compute(p *sim.Proc, coreID topo.CoreID, base sim.Time, ws ...
 	reload := (float64(tr.SrcMissBytes) + float64(tr.DstMissBytes)/2 +
 		float64(tr.DirtyMissBytes)*(par.RemoteDirtyStallFactor-1)) * missStallPerByte(par)
 	tr.CPUSeconds = base.Seconds() + reload
-	flow := m.Bus.Start(float64(tr.BusBytes))
-	m.Cores[coreID].CPU.Consume(p, tr.CPUSeconds)
-	flow.Wait(p)
+	m.charge(p, coreID, tr.BusBytes, tr.CPUSeconds)
 	return tr
 }

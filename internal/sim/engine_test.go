@@ -180,6 +180,33 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
+// A mailbox round trip between two processes is the simulator's hand-off
+// in miniature; in steady state neither the item queues nor the conditions'
+// waiter queues may allocate.
+func TestMailboxRoundTripDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	ab, ba := NewMailbox[int](e, "ab"), NewMailbox[int](e, "ba")
+	const runs = 500
+	var allocs float64
+	e.Spawn("a", func(p *Proc) {
+		allocs = testing.AllocsPerRun(runs, func() {
+			ab.Put(1)
+			ba.Get(p)
+		})
+	})
+	e.Spawn("b", func(p *Proc) {
+		for i := 0; i < runs+1; i++ { // AllocsPerRun adds a warm-up call
+			ba.Put(ab.Get(p))
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a mailbox round trip allocates %.1f objects", allocs)
+	}
+}
+
 func TestResourceMutualExclusion(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "dev", 1)

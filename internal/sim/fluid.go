@@ -20,8 +20,8 @@ type Fluid struct {
 	last       Time   // time of last remaining-work update
 	gen        uint64 // invalidates stale completion events
 
-	// freeFlows holds the flows Consume has finished with and freeTicks the
-	// completion events that have fired, for reuse: the two per-Consume
+	// freeFlows holds the flows handed back through Release and freeTicks
+	// the completion events that have fired, for reuse: the two per-flow
 	// allocations of the simulator's hottest path.
 	freeFlows []*Flow
 	freeTicks []*fluidTick
@@ -96,8 +96,19 @@ func (f *Fluid) Start(amount float64) *Flow {
 func (f *Fluid) Consume(p *Proc, amount float64) {
 	fl := f.Start(amount)
 	fl.Wait(p)
-	// The flow never left this function and is done, so update has dropped
-	// it from f.flows: nothing refers to it any more.
+	f.Release(fl)
+}
+
+// Release hands a flow the caller started on f, has seen complete and will
+// not use again back to f, which reuses it for a later Start. A finished
+// flow is no longer among f's active flows, so the caller's was the last
+// reference. Releasing is optional; it panics on a flow that is still
+// running, was started on another fluid or was released before.
+func (f *Fluid) Release(fl *Flow) {
+	if fl.fluid != f || !fl.done {
+		panic("sim: Release of a flow that is unfinished or not held on fluid " + f.name)
+	}
+	fl.fluid = nil
 	f.freeFlows = append(f.freeFlows, fl)
 }
 

@@ -213,3 +213,42 @@ func TestConsumeSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("%d heap objects allocated across %d steady-state Consumes", n, 2*timed)
 	}
 }
+
+// A flow held across other work (hw starts the bus flow, consumes CPU, then
+// waits) goes back to its fluid through Release, and only a finished flow
+// of that fluid, once.
+func TestReleaseRecyclesHeldFlow(t *testing.T) {
+	e := NewEngine()
+	bus, cpu := NewFluid(e, "bus", 1e9), NewFluid(e, "cpu", 1)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Release of %s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	var allocs float64
+	e.Spawn("p", func(p *Proc) {
+		running := bus.Start(1000)
+		mustPanic("a running flow", func() { bus.Release(running) })
+		running.Wait(p)
+		mustPanic("another fluid's flow", func() { cpu.Release(running) })
+		bus.Release(running)
+		mustPanic("a released flow", func() { bus.Release(running) })
+
+		allocs = testing.AllocsPerRun(200, func() {
+			fl := bus.Start(1000)
+			cpu.Consume(p, 1e-6)
+			fl.Wait(p)
+			bus.Release(fl)
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a held-and-released flow allocates %.1f objects per round", allocs)
+	}
+}

@@ -32,9 +32,19 @@ func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.eng.Schedule(c.eng.now, w.wakeFn)
+	c.eng.Schedule(c.eng.now, shift(&c.waiters).wakeFn)
+}
+
+// shift removes and returns the first element of a non-empty queue by
+// moving the rest down: re-slicing from the front would give the backing
+// array away an element at a time and make a busy queue reallocate for ever.
+func shift[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	n := copy(s, s[1:])
+	clear(s[n:])
+	*q = s[:n]
+	return v
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
@@ -71,10 +81,7 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 	for len(m.items) == 0 {
 		m.cond.Wait(p)
 	}
-	v := m.items[0]
-	copy(m.items, m.items[1:])
-	m.items = m.items[:len(m.items)-1]
-	return v
+	return shift(&m.items)
 }
 
 // TryGet returns the next item without blocking.
@@ -83,10 +90,7 @@ func (m *Mailbox[T]) TryGet() (T, bool) {
 	if len(m.items) == 0 {
 		return zero, false
 	}
-	v := m.items[0]
-	copy(m.items, m.items[1:])
-	m.items = m.items[:len(m.items)-1]
-	return v, true
+	return shift(&m.items), true
 }
 
 // Len reports the number of queued items.

@@ -8,6 +8,7 @@ package topo
 import (
 	"fmt"
 
+	"knemesis/internal/cache"
 	"knemesis/internal/sim"
 	"knemesis/internal/units"
 )
@@ -249,6 +250,9 @@ func (m *Machine) Validate() error {
 	}
 	if m.L2SizeBytes <= 0 || m.L2Assoc <= 0 {
 		return fmt.Errorf("topo: %s: invalid L2 geometry", m.Name)
+	}
+	if m.L2Assoc > cache.MaxAssoc {
+		return fmt.Errorf("topo: %s: L2 associativity %d above the cache model's limit of %d ways", m.Name, m.L2Assoc, cache.MaxAssoc)
 	}
 	p := m.Params
 	for _, v := range []int64{p.BlockBytes, p.LineBytes, p.PageBytes} {

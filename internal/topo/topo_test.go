@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"strings"
 	"testing"
 
 	"knemesis/internal/units"
@@ -79,6 +80,12 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 	m.Params.BlockBytes = 32 // below line size
 	if err := m.Validate(); err == nil {
 		t.Error("block < line machine validated")
+	}
+
+	m = XeonE5345()
+	m.L2Assoc = 256 // divides the 4 MiB evenly, but a way link is one byte
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "limit of 255 ways") {
+		t.Errorf("256-way machine: error %v does not name the associativity limit", err)
 	}
 }
 
