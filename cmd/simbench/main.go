@@ -17,7 +17,6 @@
 //	simbench -out BENCH_5.json            # write/refresh the committed baseline
 //	simbench -check BENCH_5.json          # compare a fresh run to the baseline
 //	simbench -rt=false -check BENCH_3.json  # sim-only workloads vs the old artefact
-//	simbench -sim=false -rt=false -lanes -out BENCH_6.json  # parallel-engine workloads
 //
 // Since schema 3 the artefact records the host context (Go version,
 // GOMAXPROCS, CPU count, OS/arch) it was written on. -check compares
@@ -42,7 +41,6 @@ import (
 	"knemesis/internal/mpi"
 	"knemesis/internal/nemesis"
 	"knemesis/internal/profiling"
-	"knemesis/internal/sim"
 	"knemesis/internal/topo"
 	"knemesis/internal/units"
 )
@@ -115,24 +113,19 @@ const perfWarnTolerance = 0.5
 // wallWarnFactor is the total wall-time growth that triggers the warning.
 const wallWarnFactor = 1.5
 
-// laneSpeedupTarget is the parallel-engine wall-clock speedup the lanes
-// workloads aim for on a multi-core host. It is a measured metric, so
-// falling short only warns (a single-core host cannot reach it at all).
-const laneSpeedupTarget = 1.3
-
 func main() {
 	var (
 		out        = flag.String("out", "", "write the benchmark artefact to this file")
 		check      = flag.String("check", "", "run the workloads and compare against this baseline file")
 		withSim    = flag.Bool("sim", true, "include the simulation sweep workloads (figures, thresholds, multipair)")
 		withRT     = flag.Bool("rt", true, "include the real-runtime (rt) workloads")
-		withLanes  = flag.Bool("lanes", false, "include the parallel-simulator lane workloads")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if (*out == "") == (*check == "") {
-		fatal(fmt.Errorf("exactly one of -out or -check is required"))
+	if err := checkFlags(*out, *check, *withSim, *withRT); err != nil {
+		fmt.Fprintln(os.Stderr, "simbench:", err)
+		os.Exit(2)
 	}
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
@@ -140,7 +133,7 @@ func main() {
 		fatal(err)
 	}
 
-	cur := File{Schema: 3, Host: currentHost(), Workloads: runWorkloads(*withSim, *withRT, *withLanes)}
+	cur := File{Schema: 3, Host: currentHost(), Workloads: runWorkloads(*withSim, *withRT)}
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, "simbench: profile:", err)
 	}
@@ -170,6 +163,19 @@ func main() {
 	}
 	fmt.Printf("simbench: %d workloads match %s within %.0f%%\n",
 		len(cur.Workloads), *check, simTolerance*100)
+}
+
+// checkFlags rejects flag combinations that cannot do what they say. With
+// both workload sets off nothing would run, and -check would pass against
+// any baseline: compare only walks the workloads that ran.
+func checkFlags(out, check string, withSim, withRT bool) error {
+	if (out == "") == (check == "") {
+		return fmt.Errorf("exactly one of -out or -check is required")
+	}
+	if !withSim && !withRT {
+		return fmt.Errorf("-sim=false -rt=false selects no workloads")
+	}
+	return nil
 }
 
 func readFile(path string) (File, error) {
@@ -299,15 +305,7 @@ const (
 	rtStreamBytes   = int(4 * units.MiB)
 )
 
-// lanes workload scale: enough rounds and per-phase host work that the
-// engine mode dominates the wall time, small enough to stay interactive.
-const (
-	laneReps       = 5
-	laneRounds     = 12
-	lanePhaseIters = 60_000
-)
-
-func runWorkloads(withSim, withRT, withLanes bool) []Workload {
+func runWorkloads(withSim, withRT bool) []Workload {
 	var out []Workload
 	add := func(name string, run func() (map[string]float64, error)) {
 		start := time.Now()
@@ -358,27 +356,8 @@ func runWorkloads(withSim, withRT, withLanes bool) []Workload {
 		}
 	}
 
-	addLanes := func() {
-		for _, ranks := range []int{4, 8} {
-			name := fmt.Sprintf("lanes/phases/%drank", ranks)
-			start := time.Now()
-			wl, err := laneWorkload(ranks)
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
-			}
-			wl.Name = name
-			wl.WallSec = time.Since(start).Seconds()
-			out = append(out, wl)
-		}
-	}
-
 	if !withSim {
-		if withRT {
-			addRT()
-		}
-		if withLanes {
-			addLanes()
-		}
+		addRT()
 		return out
 	}
 
@@ -429,63 +408,7 @@ func runWorkloads(withSim, withRT, withLanes bool) []Workload {
 	if withRT {
 		addRT()
 	}
-	if withLanes {
-		addLanes()
-	}
 	return out
-}
-
-// laneWorkload benchmarks the parallel simulator core itself: the lane-phases
-// proxy workload runs laneReps times per engine mode, serial and parallel
-// interleaved in the same process so both medians see the same host
-// conditions. The simulated time must be identical across every run and both
-// modes — any divergence is a hard failure, not tolerance-gated drift. The
-// wall-clock medians and their ratio are measured (Perf) metrics; a speedup
-// below laneSpeedupTarget only warns, since a few-core host cannot reach it.
-func laneWorkload(ranks int) (Workload, error) {
-	var serialWalls, parWalls []float64
-	var simTime sim.Time
-	for rep := 0; rep < laneReps; rep++ {
-		for _, serial := range []bool{true, false} {
-			res, err := experiments.LaneBench(ranks, laneRounds, lanePhaseIters, serial)
-			if err != nil {
-				return Workload{}, err
-			}
-			if rep == 0 && serial {
-				simTime = res.SimTime
-			} else if res.SimTime != simTime {
-				return Workload{}, fmt.Errorf(
-					"simulated time diverged between engine modes: %v (serial=%v) vs reference %v",
-					res.SimTime, serial, simTime)
-			}
-			if serial {
-				serialWalls = append(serialWalls, res.Wall.Seconds())
-			} else {
-				parWalls = append(parWalls, res.Wall.Seconds())
-			}
-		}
-	}
-	serialMed, parMed := median(serialWalls), median(parWalls)
-	speedup := serialMed / parMed
-	if speedup < laneSpeedupTarget {
-		fmt.Fprintf(os.Stderr,
-			"simbench: WARNING: lanes/%drank speedup %.2fx below the %.1fx target (measured metric; expected on few-core hosts, GOMAXPROCS=%d)\n",
-			ranks, speedup, laneSpeedupTarget, runtime.GOMAXPROCS(0))
-	}
-	return Workload{
-		Sim: map[string]float64{"simtime-us": float64(simTime) / float64(sim.Microsecond)},
-		Perf: map[string]float64{
-			"serial_ms":   serialMed * 1e3,
-			"parallel_ms": parMed * 1e3,
-			"speedup":     speedup,
-		},
-	}, nil
-}
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
 }
 
 func pingPong(opt core.Options, shared bool) (map[string]float64, error) {

@@ -134,13 +134,3 @@ func TestClusterUnexpectedCrossNode(t *testing.T) {
 		}
 	}
 }
-
-func TestClusterMinCrossDelay(t *testing.T) {
-	cs := newTwoNodeCluster(t, 8)
-	if d := cs.MinCrossDelay(); d <= 0 {
-		t.Fatalf("MinCrossDelay = %v", d)
-	}
-	if cs.MinCrossDelay() > cs.Topo.MinLinkLatency() {
-		t.Fatal("cluster cross delay must not exceed the smallest link latency")
-	}
-}

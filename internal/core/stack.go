@@ -105,29 +105,6 @@ func (cs *ClusterStack) NodeStack(rank int) *Stack {
 	panic("core: rank on unused host")
 }
 
-// MinCrossDelay is the cluster-wide floor on one rank affecting another:
-// the smallest per-node scheduler wakeup (ranks on the same node) — network
-// latency is always larger, so the intra-node floor governs lane lookahead.
-func (cs *ClusterStack) MinCrossDelay() sim.Time {
-	min := cs.Nodes[0].MinCrossDelay()
-	for _, s := range cs.Nodes[1:] {
-		if d := s.MinCrossDelay(); d < min {
-			min = d
-		}
-	}
-	if lat := cs.Topo.MinLinkLatency(); lat < min {
-		min = lat
-	}
-	return min
-}
-
-// MinCrossDelay reports the stack's minimum cross-rank latency — the
-// channel's declared floor on one rank affecting another — which callers
-// feed to sim.Engine.SetLookahead when sharding ranks onto event lanes.
-func (s *Stack) MinCrossDelay() sim.Time {
-	return s.Ch.MinCrossDelay()
-}
-
 // StandardOptions returns the four LMT configurations of the paper's tables
 // (default, vmsplice, KNEM kernel copy, KNEM with auto I/OAT), in order.
 // The CMA backend postdates the paper and is therefore not part of the

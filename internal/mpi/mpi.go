@@ -29,9 +29,6 @@ type World struct {
 	Cluster *core.ClusterStack // multi-node job (nil on a single node)
 	Size    int
 
-	// lanes[rank] is the rank's private event lane, set by EnableLanes.
-	lanes []sim.Domain
-
 	// pset is the installed perturbation set (nil unperturbed); the only
 	// part the MPI layer consults directly is the receive-posting delay.
 	pset *perturb.SimSet
@@ -81,13 +78,6 @@ func (w *World) endpoint(rank int) *nemesis.Endpoint {
 	return w.Stack.Ch.Endpoints[rank]
 }
 
-func (w *World) minCrossDelay() sim.Time {
-	if w.Cluster != nil {
-		return w.Cluster.MinCrossDelay()
-	}
-	return w.Stack.MinCrossDelay()
-}
-
 // Comm is a rank's handle, bound to the rank's process. It is not safe to
 // share across simulated processes.
 type Comm struct {
@@ -104,7 +94,7 @@ type Comm struct {
 
 // recvDelay models a perturbed receiver: sleep the sampled posting delay
 // before the receive reaches the matching machinery. The sample is a pure
-// function of (rank, op), so serial and lane runs draw identically.
+// function of (rank, op), so every run of the same spec draws identically.
 func (c *Comm) recvDelay() {
 	set := c.w.pset
 	if set == nil || set.RecvDelay == nil {
@@ -131,27 +121,6 @@ func (w *World) Run(app func(c *Comm)) (sim.Time, error) {
 	err := w.eng().Run()
 	return w.eng().Now(), err
 }
-
-// EnableLanes declares one event lane per rank and sets the engine's
-// conservative lookahead to the stack's minimum cross-rank delay. Under the
-// parallel simulator core, rank-local phases executed through LanePhases
-// then run concurrently across ranks; under the serial reference engine the
-// same lanes execute in strict (at, seq) order with identical results. Call
-// once, before Run. Idempotent.
-func (w *World) EnableLanes() {
-	if w.lanes != nil {
-		return
-	}
-	eng := w.eng()
-	w.lanes = make([]sim.Domain, w.Size)
-	for rank := range w.lanes {
-		w.lanes[rank] = eng.NewDomain(fmt.Sprintf("rank%d", rank))
-	}
-	eng.SetLookahead(w.minCrossDelay())
-}
-
-// LanesEnabled reports whether EnableLanes has been called.
-func (w *World) LanesEnabled() bool { return w.lanes != nil }
 
 // Rank returns the calling rank.
 func (c *Comm) Rank() int { return c.rank }
@@ -184,25 +153,6 @@ func (c *Comm) Space() *mem.Space { return c.ep.Space }
 // given working-set regions (cache effects included).
 func (c *Comm) Compute(base sim.Time, ws ...mem.Region) {
 	c.ep.Ch.M.Compute(c.p, c.ep.Core, base, ws...)
-}
-
-// LanePhases runs n rank-local compute phases on the rank's private event
-// lane: the process hops onto its lane (paying the scheduling latency
-// once each way), then for each phase calls step — on the lane's worker
-// goroutine under the parallel engine, so host-side work inside step runs
-// concurrently across ranks — and advances the lane clock by the modeled
-// duration step returns. step must not touch shared simulation state
-// (channel, machine, other ranks); the cache-aware alternative for
-// machine-coupled computation is Compute. Requires World.EnableLanes.
-func (c *Comm) LanePhases(n int, step func(i int) sim.Time) {
-	if c.w.lanes == nil {
-		panic("mpi: LanePhases requires World.EnableLanes before Run")
-	}
-	c.p.Enter(c.w.lanes[c.rank])
-	for i := 0; i < n; i++ {
-		c.p.Sleep(step(i))
-	}
-	c.p.Exit()
 }
 
 // Status describes a completed receive.

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"knemesis/internal/core"
@@ -17,12 +16,50 @@ import (
 
 // Seeded determinism of the perturbation layer on the simulator: a
 // perturbed workload — slowed core, saturated bus, MMPP noise bursts,
-// delayed receivers — must produce byte-identical artefacts (timestamps,
-// message accounting, cache stats, the full executed-event trace) on the
-// serial reference engine and the parallel lane engine, and across repeat
-// runs of the same (spec, seed). Every perturbation draw is a counter-based
-// pure function of (seed, stream, counter), so worker interleaving cannot
-// perturb the perturbations.
+// delayed receivers, degraded, jittery and flapping links — must produce
+// byte-identical artefacts (timestamps, message accounting, the full
+// executed-event trace) across repeat runs of the same (spec, seed). Every
+// perturbation draw is a counter-based pure function of (seed, stream,
+// counter), so nothing but the spec and the seed can move it.
+
+// perturbArtefacts is everything a single-node perturbed run is compared
+// on: per-rank observed timestamps, final simulated time, channel message
+// accounting and the executed-event trace.
+type perturbArtefacts struct {
+	obs       [][]sim.Time
+	final     sim.Time
+	eager     int64
+	rndv      int64
+	bytesSent int64
+	trace     []traceRec
+}
+
+// clusterPerturbArtefacts is the multi-node variant: per-node channel and
+// network accounting in place of one channel's.
+type clusterPerturbArtefacts struct {
+	obs      [][]sim.Time
+	final    sim.Time
+	eager    int64
+	rndv     int64
+	netPkts  int64
+	netHops  int64
+	netEager int64
+	netRndv  int64
+	trace    []traceRec
+}
+
+// traceRec is one executed event, as the engine's trace observer saw it.
+type traceRec struct {
+	at  sim.Time
+	seq uint64
+}
+
+// recordTrace appends every event eng executes to *trace.
+func recordTrace(eng *sim.Engine, trace *[]traceRec) {
+	eng.SetTrace(func(at sim.Time, seq uint64, _ sim.Domain) {
+		*trace = append(*trace, traceRec{at, seq})
+	})
+}
 
 func perturbSpecs(t *testing.T) []perturb.Spec {
 	t.Helper()
@@ -43,16 +80,13 @@ func perturbSpecs(t *testing.T) []perturb.Spec {
 }
 
 // runPerturbedWorkload runs a fixed traffic mix under the given
-// perturbation set and returns the comparison artefacts. parallel selects
-// the lane engine; the workload itself is identical.
-func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks int, parallel bool) laneDiffArtefacts {
+// perturbation set and returns the comparison artefacts.
+func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks int) perturbArtefacts {
 	t.Helper()
 	m := topo.XeonE5345()
 	st := core.NewStack(m, m.AllCores()[:ranks], core.Options{Kind: core.KnemLMT}, nemesis.Config{})
 	eng := st.M.Eng
-	eng.SetSerial(!parallel)
 	w := NewWorld(st)
-	w.EnableLanes()
 
 	target := &perturb.SimTarget{
 		Eng:      eng,
@@ -66,10 +100,8 @@ func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks
 	}
 	w.SetPerturb(set)
 
-	art := laneDiffArtefacts{obs: make([][]sim.Time, ranks)}
-	eng.SetTrace(func(at sim.Time, seq uint64, dom sim.Domain) {
-		art.trace = append(art.trace, laneTraceRec{at, seq, dom})
-	})
+	art := perturbArtefacts{obs: make([][]sim.Time, ranks)}
+	recordTrace(eng, &art.trace)
 
 	final, err := w.Run(func(c *Comm) {
 		buf := c.Alloc(192 * units.KiB)
@@ -89,41 +121,19 @@ func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks
 		}
 	})
 	if err != nil {
-		t.Fatalf("perturbed run (parallel=%v): %v", parallel, err)
+		t.Fatalf("perturbed run: %v", err)
 	}
 	art.final = final
 	art.eager, art.rndv = st.Ch.EagerMsgs, st.Ch.RndvMsgs
 	art.bytesSent = st.Ch.BytesSent
-	sort.Slice(art.trace, func(i, j int) bool {
-		if art.trace[i].at != art.trace[j].at {
-			return art.trace[i].at < art.trace[j].at
-		}
-		return art.trace[i].seq < art.trace[j].seq
-	})
 	return art
-}
-
-func TestPerturbedSerialVsLanesDeterminism(t *testing.T) {
-	specs := perturbSpecs(t)
-	const seed = 42
-	ref := runPerturbedWorkload(t, specs, seed, 4, false)
-	par := runPerturbedWorkload(t, specs, seed, 4, true)
-	if !reflect.DeepEqual(ref.trace, par.trace) {
-		t.Fatalf("perturbed event trace diverged between serial and lanes (%d vs %d events)",
-			len(ref.trace), len(par.trace))
-	}
-	refNT, parNT := ref, par
-	refNT.trace, parNT.trace = nil, nil
-	if !reflect.DeepEqual(refNT, parNT) {
-		t.Fatalf("perturbed artefacts diverged:\nserial: %+v\nlanes:  %+v", refNT, parNT)
-	}
 }
 
 func TestPerturbedRepeatRunDeterminism(t *testing.T) {
 	specs := perturbSpecs(t)
 	const seed = 99
-	a := runPerturbedWorkload(t, specs, seed, 4, true)
-	b := runPerturbedWorkload(t, specs, seed, 4, true)
+	a := runPerturbedWorkload(t, specs, seed, 4)
+	b := runPerturbedWorkload(t, specs, seed, 4)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same (spec, seed) produced different artefacts across runs")
 	}
@@ -133,8 +143,8 @@ func TestPerturbedRepeatRunDeterminism(t *testing.T) {
 // is seeded, not decorative.
 func TestPerturbedSeedMatters(t *testing.T) {
 	specs := perturbSpecs(t)
-	a := runPerturbedWorkload(t, specs, 1, 4, false)
-	b := runPerturbedWorkload(t, specs, 2, 4, false)
+	a := runPerturbedWorkload(t, specs, 1, 4)
+	b := runPerturbedWorkload(t, specs, 2, 4)
 	if a.final == b.final && reflect.DeepEqual(a.obs, b.obs) {
 		t.Fatal("seeds 1 and 2 produced identical perturbed timelines")
 	}
@@ -144,8 +154,8 @@ func TestPerturbedSeedMatters(t *testing.T) {
 // inter-node traffic over the modeled network with the link perturbations
 // (degraded bandwidth, delivery jitter, flapping) plus a delayed receiver.
 // The jitter path exercises the per-connection delivery-order clamp: jitter
-// must never reorder a pair's deliveries, in either engine mode.
-func runPerturbedClusterWorkload(t *testing.T, seed uint64, parallel bool) clusterLaneArtefacts {
+// must never reorder a pair's deliveries.
+func runPerturbedClusterWorkload(t *testing.T, seed uint64) clusterPerturbArtefacts {
 	t.Helper()
 	cl := topo.TwoNode(2, 1*sim.Microsecond, 1.25e9)
 	pl, err := cl.Place(4)
@@ -153,10 +163,8 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64, parallel bool) clust
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	eng.SetSerial(!parallel)
 	cs := core.NewClusterStack(eng, pl, core.Options{Kind: core.KnemLMT}, nemesis.Config{})
 	w := NewClusterWorld(cs)
-	w.EnableLanes()
 
 	var machines []*hw.Machine
 	for _, s := range cs.Nodes {
@@ -188,10 +196,8 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64, parallel bool) clust
 	}
 	w.SetPerturb(set)
 
-	art := clusterLaneArtefacts{obs: make([][]sim.Time, w.Size)}
-	eng.SetTrace(func(at sim.Time, seq uint64, dom sim.Domain) {
-		art.trace = append(art.trace, laneTraceRec{at, seq, dom})
-	})
+	art := clusterPerturbArtefacts{obs: make([][]sim.Time, w.Size)}
+	recordTrace(eng, &art.trace)
 	final, err := w.Run(func(c *Comm) {
 		buf := c.Alloc(192 * units.KiB)
 		rbuf := c.Alloc(192 * units.KiB)
@@ -209,7 +215,7 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64, parallel bool) clust
 		}
 	})
 	if err != nil {
-		t.Fatalf("perturbed cluster run (parallel=%v): %v", parallel, err)
+		t.Fatalf("perturbed cluster run: %v", err)
 	}
 	art.final = final
 	for _, s := range cs.Nodes {
@@ -220,38 +226,31 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64, parallel bool) clust
 	art.netHops = cs.Net.ByteHops
 	art.netEager = cs.Net.EagerMsgs
 	art.netRndv = cs.Net.RndvMsgs
-	sort.Slice(art.trace, func(i, j int) bool {
-		if art.trace[i].at != art.trace[j].at {
-			return art.trace[i].at < art.trace[j].at
-		}
-		return art.trace[i].seq < art.trace[j].seq
-	})
 	return art
 }
 
-func TestPerturbedClusterSerialVsLanesDeterminism(t *testing.T) {
+func TestPerturbedClusterRepeatRunDeterminism(t *testing.T) {
 	const seed = 13
-	ref := runPerturbedClusterWorkload(t, seed, false)
-	if ref.netPkts == 0 {
+	a := runPerturbedClusterWorkload(t, seed)
+	if a.netPkts == 0 {
 		t.Fatal("workload sent no network traffic; link perturbations untested")
 	}
-	par := runPerturbedClusterWorkload(t, seed, true)
-	if !reflect.DeepEqual(ref.trace, par.trace) {
-		t.Fatalf("perturbed cluster event trace diverged (%d vs %d events)",
-			len(ref.trace), len(par.trace))
+	b := runPerturbedClusterWorkload(t, seed)
+	if !reflect.DeepEqual(a.trace, b.trace) {
+		t.Fatalf("perturbed cluster event trace diverged across runs (%d vs %d events)",
+			len(a.trace), len(b.trace))
 	}
-	refNT, parNT := ref, par
-	refNT.trace, parNT.trace = nil, nil
-	if !reflect.DeepEqual(refNT, parNT) {
-		t.Fatalf("perturbed cluster artefacts diverged:\nserial: %+v\nlanes:  %+v", refNT, parNT)
+	a.trace, b.trace = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same (spec, seed) produced different cluster artefacts:\nrun 1: %+v\nrun 2: %+v", a, b)
 	}
 }
 
 // An unperturbed run and a perturbed one must differ in modeled time: the
 // perturbations inject real modeled contention, not no-ops.
 func TestPerturbationsChangeTiming(t *testing.T) {
-	perturbed := runPerturbedWorkload(t, perturbSpecs(t), 7, 4, false)
-	clean := runPerturbedWorkload(t, nil, 7, 4, false)
+	perturbed := runPerturbedWorkload(t, perturbSpecs(t), 7, 4)
+	clean := runPerturbedWorkload(t, nil, 7, 4)
 	if perturbed.final <= clean.final {
 		t.Fatalf("perturbed run (%v) not slower than clean run (%v)",
 			perturbed.final, clean.final)

@@ -108,18 +108,6 @@ func (ch *Channel) LeaveCollective() {
 // CollectiveHint reports the current hint (0 when none).
 func (ch *Channel) CollectiveHint() int { return ch.collHint }
 
-// MinCrossDelay declares the channel's minimum cross-rank latency: no rank
-// can affect another rank's private timeline faster than this. A rank
-// detached from the shared machine (running on its private event lane) is
-// reachable only through the OS scheduler — an eager cell or rendezvous
-// notification must wake its target — so the scheduler wakeup cost is the
-// floor. The parallel simulator core uses this as its conservative
-// lookahead: how far a rank's lane may run ahead of the machine clock
-// without coordination (sim.Engine.SetLookahead).
-func (ch *Channel) MinCrossDelay() sim.Time {
-	return ch.M.Params().SchedWakeLatency
-}
-
 // NewChannel creates a channel for n ranks placed on the given cores.
 // os, dma and km may share substrate with other components; dma and km may
 // be nil when the experiment disables them.

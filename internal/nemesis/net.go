@@ -70,8 +70,8 @@ func (n *Net) ScaleBandwidth(factor float64) {
 // SetDeliverJitter installs a latency-jitter source consulted once per
 // delivered message. Deliveries on one connection are clamped to stay in
 // transmission order, so jitter perturbs timing without ever violating the
-// per-pair FIFO the matching machinery relies on. The function runs on the
-// machine timeline (deterministic order in both engine modes).
+// per-pair FIFO the matching machinery relies on. The function runs in the
+// engine's deterministic event order.
 func (n *Net) SetDeliverJitter(fn func() sim.Time) { n.jitter = fn }
 
 type netLink struct {

@@ -224,8 +224,8 @@ func init() {
 				return nil
 			}
 			// The jitter closure advances a counter per delivery; network
-			// deliveries execute in deterministic machine-domain order in
-			// both engine modes, so the draw sequence is reproducible.
+			// deliveries execute in the engine's deterministic event
+			// order, so the draw sequence is reproducible.
 			seed, stream, mean := in.Seed, in.Stream, in.F("mean")
 			var ctr uint64
 			fn := func() sim.Time {

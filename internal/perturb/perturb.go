@@ -7,8 +7,8 @@
 //   - sim: perturbations are modeled — background Fluid load, scaled core
 //     capacities, degraded/jittered network links, receiver posting delays
 //     — all driven by counter-based RNG streams, so a fixed (spec, seed)
-//     produces byte-identical simulations at any worker-pool width, in
-//     serial and lane engine modes alike.
+//     produces byte-identical simulations on every run and at any
+//     worker-pool width.
 //   - rt: perturbations are real — timed injector goroutines burning CPU
 //     and memory bandwidth, wall-clock delays on receive posting and
 //     cross-node sends — derived from the same seeded schedules.

@@ -7,7 +7,7 @@ import (
 
 // Counter-based randomness: every draw is a pure function of (seed, stream,
 // counter), with no shared generator state. That is what makes perturbed
-// simulations byte-identical across worker-pool widths and engine modes —
+// simulations byte-identical across runs and worker-pool widths —
 // two concurrent stacks never contend for an RNG, and the draw order inside
 // one stack is fixed by the deterministic event order.
 

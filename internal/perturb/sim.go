@@ -23,8 +23,8 @@ type SimTarget struct {
 // SimSet is the installed result the engine consults at runtime.
 type SimSet struct {
 	// RecvDelay, when non-nil, returns the modeled posting delay for a
-	// rank's op-th receive (a pure function of its arguments, so lane and
-	// serial runs sample identically).
+	// rank's op-th receive (a pure function of its arguments, so every run
+	// of the same spec and seed samples identically).
 	RecvDelay func(rank int, op uint64) sim.Time
 
 	// netJitter is the accumulated delivery-jitter chain (composed across

@@ -128,6 +128,37 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// The trace observer sees every executed event, in (at, seq) order; an
+// engine that runs dry hands its heap's backing array to heapPool for the
+// next engine, while one cut short by RunUntil keeps its pending events.
+func TestTraceOrderAndDrainedHeapRelease(t *testing.T) {
+	e := NewEngine()
+	var seqs []uint64
+	e.SetTrace(func(at Time, seq uint64, dom Domain) {
+		if dom != DomainMachine || at != e.Now() {
+			t.Fatalf("trace (%v, %d, %d) at now %v", at, seq, dom, e.Now())
+		}
+		seqs = append(seqs, seq)
+	})
+	e.Schedule(3*Second, func() {})
+	e.Schedule(Second, func() { e.After(0, func() {}) })
+	if err := e.RunUntil(2 * Second); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.events) != 1 {
+		t.Fatalf("%d events pending after RunUntil, want 1", len(e.events))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{2, 3, 1}; fmt.Sprint(seqs) != fmt.Sprint(want) {
+		t.Fatalf("traced seqs %v, want %v", seqs, want)
+	}
+	if e.events != nil {
+		t.Fatalf("drained engine kept its heap (cap %d)", cap(e.events))
+	}
+}
+
 func TestCondSignalBroadcast(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e, "c")

@@ -113,10 +113,8 @@ func (f *Fluid) Release(fl *Flow) {
 }
 
 // Wait blocks p until the flow completes. Multiple processes may wait on the
-// same flow. Fluids are shared (machine-domain) state: a lane-homed process
-// must Exit before waiting.
+// same flow.
 func (fl *Flow) Wait(p *Proc) {
-	p.requireMachine("Flow.Wait")
 	for !fl.done {
 		fl.waiters = append(fl.waiters, p)
 		p.park(fl.fluid.parkReason)

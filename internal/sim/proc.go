@@ -14,31 +14,15 @@ import (
 // hand-off never passes through the Go scheduler. All Proc methods must be
 // called from the process's own coroutine (that is, from within the function
 // passed to Spawn).
-//
-// A process is homed on a domain. Machine-homed processes (the default) may
-// use every engine primitive; while homed on a lane (between Enter and
-// Exit) a process runs its events on that lane's worker — concurrently with
-// other lanes under the parallel engine — and may therefore only touch
-// lane-local and process-local state: Sleep, Yield, Now and Exit. Shared
-// primitives (conditions, fluids, mailboxes, resources, sends) require
-// machine residence and panic otherwise.
 type Proc struct {
 	eng  *Engine
 	name string
 	pid  int
 
-	// dom is the process's home domain; wake events fire there.
-	dom Domain
-	// laneCtx is the lane the process is currently executing on (nil in
-	// machine context or serial mode). Set by wake before the control
-	// transfer, which orders it before the process's next instruction.
-	laneCtx *lane
-
 	// next and stop are the executor's side of the coroutine: next runs the
 	// process until it parks or finishes, stop makes a parked process's
 	// yield report false (and a never-started one never run). yield is the
-	// process's side. Only one of the two sides ever runs at a time, and
-	// only the executor owning the process's wake event may call next.
+	// process's side. Only one of the two sides ever runs at a time.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
@@ -130,17 +114,9 @@ func (p *Proc) retire() {
 }
 
 // wake switches to the process and returns when it parks again or finishes;
-// a panic in the process resurfaces here. It must be called from the
-// executor owning the process's wake event: the engine loop for
-// machine-homed processes, the lane worker for lane-homed ones.
-func (p *Proc) wake() {
-	if p.dom != DomainMachine && !p.eng.serial {
-		p.laneCtx = p.eng.lanes[p.dom-1]
-	} else {
-		p.laneCtx = nil
-	}
-	p.next()
-}
+// a panic in the process resurfaces here, on the goroutine running the
+// engine.
+func (p *Proc) wake() { p.next() }
 
 // park returns control to the executor until the process is woken.
 // reason is recorded for deadlock diagnostics. Once Terminate has stopped
@@ -163,25 +139,8 @@ func (p *Proc) Name() string { return p.name }
 // PID returns the unique process id.
 func (p *Proc) PID() int { return p.pid }
 
-// Now returns the current simulated time: the lane-local clock while homed
-// on a lane, the machine clock otherwise.
-func (p *Proc) Now() Time {
-	if lc := p.laneCtx; lc != nil {
-		return lc.now
-	}
-	return p.eng.now
-}
-
-// Domain returns the process's current home domain.
-func (p *Proc) Domain() Domain { return p.dom }
-
-// requireMachine guards shared-state primitives: they are machine-domain
-// only, in both modes (so serial remains the exact reference for parallel).
-func (p *Proc) requireMachine(what string) {
-	if p.dom != DomainMachine {
-		panic(fmt.Sprintf("sim: %s from process %s while homed on a lane (call Exit first)", what, p.name))
-	}
-}
+// Now returns the current simulated time.
+func (p *Proc) Now() Time { return p.eng.now }
 
 // Sleep suspends the process for simulated duration d (d <= 0 yields at the
 // current time, running after already-scheduled same-time events).
@@ -189,49 +148,9 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	if lc := p.laneCtx; lc != nil {
-		lc.schedule(p.dom, lc.now+d, p.wakeFn)
-		p.park("sleep")
-		return
-	}
-	p.eng.ScheduleDomain(p.dom, p.eng.now+d, p.wakeFn)
+	p.eng.Schedule(p.eng.now+d, p.wakeFn)
 	p.park("sleep")
 }
 
 // Yield reschedules the process at the current time behind pending events.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// Enter homes the process on lane d. It costs the engine's declared
-// lookahead of simulated time — the modeled scheduling-in latency of
-// binding a context to its dedicated core — in both modes; that charge is
-// what lets the parallel engine run the lane ahead of the machine clock
-// without coordination. Must be called from machine residence.
-func (p *Proc) Enter(d Domain) {
-	p.requireMachine("Enter")
-	if d <= 0 || int(d) > len(p.eng.lanes) {
-		panic(fmt.Sprintf("sim: Enter on unknown domain %d", d))
-	}
-	p.dom = d
-	p.eng.ScheduleDomain(d, p.eng.now+p.eng.lookahead, p.wakeFn)
-	p.park("enter " + p.eng.lanes[d-1].name)
-}
-
-// Exit returns the process to machine residence. Like Enter it costs the
-// engine's declared lookahead of simulated time — the modeled scheduling-out
-// latency of rejoining the shared machine — in both modes; that charge keeps
-// the hop at or beyond the parallel engine's round bound, so the machine
-// never observes it mid-window. A machine-homed process may call it as a
-// no-op.
-func (p *Proc) Exit() {
-	if p.dom == DomainMachine {
-		return
-	}
-	p.dom = DomainMachine
-	if lc := p.laneCtx; lc != nil {
-		lc.schedule(DomainMachine, lc.now+p.eng.lookahead, p.wakeFn)
-		p.park("exit lane")
-		return
-	}
-	p.eng.ScheduleDomain(DomainMachine, p.eng.now+p.eng.lookahead, p.wakeFn)
-	p.park("exit lane")
-}

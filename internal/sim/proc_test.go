@@ -24,55 +24,45 @@ func waitGoroutines(t *testing.T, baseline int) {
 // called it — where a recover can see it — carrying the process's value and
 // stack; Terminate then reaps the processes that survived.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-		lanes  bool
-	}{{"serial", true, false}, {"parallel", false, false}, {"lane-workers", false, true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			e := NewEngine()
-			e.SetSerial(mode.serial)
-			e.SetLookahead(Microsecond)
-			doms := []Domain{e.NewDomain("a"), e.NewDomain("b")}
-			body := func(i int, then func()) func(*Proc) {
-				return func(p *Proc) {
-					if mode.lanes {
-						p.Enter(doms[i])
-					}
-					p.Sleep(Microsecond)
-					then()
-					p.Sleep(Second)
-				}
+	// The engine runs its processes one at a time; "serial" names that one
+	// mode, kept from when the engine also had parallel and lane-worker modes.
+	t.Run("serial", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		e := NewEngine()
+		body := func(then func()) func(*Proc) {
+			return func(p *Proc) {
+				p.Sleep(Microsecond)
+				then()
+				p.Sleep(Second)
 			}
-			e.Spawn("bomb", body(0, func() { panic("boom") }))
-			e.Spawn("survivor", body(1, func() {}))
+		}
+		e.Spawn("bomb", body(func() { panic("boom") }))
+		e.Spawn("survivor", body(func() {}))
 
-			var r any
-			func() {
-				defer func() { r = recover() }()
-				e.Run()
-			}()
-			pp, ok := r.(*ProcPanic)
-			if !ok {
-				t.Fatalf("Run panicked with %#v, want *ProcPanic", r)
-			}
-			if pp.Value != "boom" || pp.Proc != "bomb" {
-				t.Fatalf("ProcPanic = {%q %v}, want {bomb boom}", pp.Proc, pp.Value)
-			}
-			if !strings.Contains(string(pp.Stack), "TestProcPanicSurfacesFromRun") {
-				t.Fatalf("stack does not reach the panicking process:\n%s", pp.Stack)
-			}
-			if e.LiveProcs() != 1 {
-				t.Fatalf("live = %d after the panic, want 1 (the survivor)", e.LiveProcs())
-			}
-			e.Terminate()
-			if e.LiveProcs() != 0 {
-				t.Fatalf("live = %d after Terminate", e.LiveProcs())
-			}
-			waitGoroutines(t, baseline)
-		})
-	}
+		var r any
+		func() {
+			defer func() { r = recover() }()
+			e.Run()
+		}()
+		pp, ok := r.(*ProcPanic)
+		if !ok {
+			t.Fatalf("Run panicked with %#v, want *ProcPanic", r)
+		}
+		if pp.Value != "boom" || pp.Proc != "bomb" {
+			t.Fatalf("ProcPanic = {%q %v}, want {bomb boom}", pp.Proc, pp.Value)
+		}
+		if !strings.Contains(string(pp.Stack), "TestProcPanicSurfacesFromRun") {
+			t.Fatalf("stack does not reach the panicking process:\n%s", pp.Stack)
+		}
+		if e.LiveProcs() != 1 {
+			t.Fatalf("live = %d after the panic, want 1 (the survivor)", e.LiveProcs())
+		}
+		e.Terminate()
+		if e.LiveProcs() != 0 {
+			t.Fatalf("live = %d after Terminate", e.LiveProcs())
+		}
+		waitGoroutines(t, baseline)
+	})
 }
 
 // A process whose start event has not fired when the engine is terminated

@@ -18,10 +18,8 @@ func NewCond(e *Engine, label string) *Cond {
 	return &Cond{eng: e, label: label, parkReason: "cond " + label}
 }
 
-// Wait blocks p until Signal or Broadcast wakes it. Conditions are shared
-// (machine-domain) state: a lane-homed process must Exit before waiting.
+// Wait blocks p until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	p.requireMachine("Cond.Wait")
 	c.waiters = append(c.waiters, p)
 	p.park(c.parkReason)
 }

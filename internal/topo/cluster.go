@@ -218,18 +218,6 @@ func (c *Cluster) Path(a, b int) ([]int, sim.Time) {
 	return links, lat
 }
 
-// MinLinkLatency returns the smallest link latency (0 for a linkless
-// single-node cluster) — a floor on how fast one node can affect another.
-func (c *Cluster) MinLinkLatency() sim.Time {
-	var minLat sim.Time
-	for i, l := range c.Links {
-		if i == 0 || l.Latency < minLat {
-			minLat = l.Latency
-		}
-	}
-	return minLat
-}
-
 // Placement maps ranks onto a cluster: which node and which core within
 // that node each rank runs on. It is the cluster-level analogue of the
 // SharedCachePairs/CrossDiePairs placement helpers one level down.

@@ -91,8 +91,9 @@ func TestClusterCapacityAndMinLatency(t *testing.T) {
 		if got := c.Capacity(); got < 2 {
 			t.Fatalf("%s capacity %d", p.Name, got)
 		}
-		if c.MinLinkLatency() <= 0 {
-			t.Fatalf("%s has no positive link latency", p.Name)
+		// Validate rejects a link without a positive latency.
+		if err := c.Validate(); err != nil || len(c.Links) == 0 {
+			t.Fatalf("%s: %d links, Validate: %v", p.Name, len(c.Links), err)
 		}
 	}
 	ft := FatTree(4, 8, 8, 16, sim.Microsecond, 2.5e9, 2*sim.Microsecond, 10e9)
