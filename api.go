@@ -185,7 +185,8 @@ func StandardLMTOptions() []LMTOptions { return core.StandardOptions() }
 type (
 	// World is an MPI job on a simulated node.
 	World = mpi.World
-	// Comm is one rank's MPI handle.
+	// Comm is one rank's MPI handle: point-to-point only. Collectives
+	// live on the engine-neutral Peer (see NewJob).
 	Comm = mpi.Comm
 )
 

@@ -6,11 +6,11 @@ import (
 	"math"
 )
 
-// Generic collective algorithms over Peer, for engines that have no native
-// (cost-modelled) collectives: the real runtime builds its Barrier, Bcast,
-// Allreduce, Alltoall and Alltoallv from these. Engines that model memory
-// and cache cost (the simulator) provide native implementations instead,
-// because these generics move content without charging modelled time.
+// Collective algorithms over Peer: every engine builds its Barrier, Bcast,
+// Allreduce, Alltoall and Alltoallv from these. They move data only through
+// Peer calls — point-to-point plus CopyLocal for a rank's own block — so an
+// engine with a memory model (the simulator) charges modelled time for every
+// byte, and an engine without one (the real runtime) does plain copies.
 //
 // Tags live in the negative space so they never collide with user tags
 // (which must be >= 0). Every rank must invoke collectives in the same
@@ -49,53 +49,21 @@ func GenericBarrier(p Peer, seq *int) {
 
 // GenericBcast broadcasts root's range to every rank (binomial tree).
 func GenericBcast(p Peer, seq *int, root int, r Range) {
-	n := p.Size()
-	tag := collTag(seq, opBcast)
-	if n == 1 {
-		return
-	}
-	rel := (p.Rank() - root + n) % n
-	if rel != 0 {
-		mask := 1
-		for mask < n && rel&mask == 0 {
-			mask <<= 1
-		}
-		p.Recv((rel-mask+root+n)%n, tag, r)
-	}
-	mask := 1
-	for mask < n && rel&mask == 0 {
-		mask <<= 1
-	}
-	for child := mask >> 1; child >= 1; child >>= 1 {
-		if rel+child < n {
-			p.Send((rel+child+root)%n, tag, r)
-		}
-	}
+	listBcast(p, collTag(seq, opBcast), allRanks(p), root, r)
 }
 
 // GenericReduce combines every rank's range into root's (binomial tree).
 func GenericReduce(p Peer, seq *int, root int, r Range, op ReduceOp) {
-	n := p.Size()
-	tag := collTag(seq, opReduce)
-	if n == 1 {
-		return
+	listReduce(p, collTag(seq, opReduce), allRanks(p), root, r, op)
+}
+
+// allRanks lists 0..Size()-1, the rank list of the flat trees.
+func allRanks(p Peer) []int {
+	list := make([]int, p.Size())
+	for i := range list {
+		list[i] = i
 	}
-	rel := (p.Rank() - root + n) % n
-	tmp := p.Alloc(r.Len)
-	mask := 1
-	for mask < n {
-		if rel&mask == 0 {
-			peer := rel | mask
-			if peer < n {
-				p.Recv((peer+root)%n, tag, Whole(tmp))
-				op(r.bytes(), tmp.Bytes())
-			}
-		} else {
-			p.Send((rel-mask+root+n)%n, tag, r)
-			break
-		}
-		mask <<= 1
-	}
+	return list
 }
 
 // GenericAllreduce combines every rank's range with op; all ranks end with
@@ -124,8 +92,8 @@ func GenericAllreduce(p Peer, seq *int, r Range, op ReduceOp) {
 
 // GenericAlltoall exchanges equal blocks: send and recv hold Size() blocks
 // of block bytes each (pairwise exchange: XOR partners for power-of-two
-// rank counts, rotation otherwise). A 1-rank world and zero-byte blocks
-// degenerate cleanly.
+// rank counts, rotation otherwise — the MPICH large-message algorithm
+// behind Figure 7). A 1-rank world and zero-byte blocks degenerate cleanly.
 func GenericAlltoall(p Peer, seq *int, send, recv Buf, block int64) {
 	n := p.Size()
 	if block < 0 {
@@ -136,7 +104,7 @@ func GenericAlltoall(p Peer, seq *int, send, recv Buf, block int64) {
 	}
 	tag := collTag(seq, opAlltoall)
 	me := p.Rank()
-	copyRange(R(recv, int64(me)*block, block), R(send, int64(me)*block, block))
+	p.CopyLocal(R(recv, int64(me)*block, block), R(send, int64(me)*block, block))
 	pow2 := n&(n-1) == 0
 	for step := 1; step < n; step++ {
 		var to, from int
@@ -167,7 +135,7 @@ func GenericAlltoallv(p Peer, seq *int, send Buf, sendCounts, sendDispls []int64
 		panic("comm: Alltoallv self counts disagree")
 	}
 	if cnt := sendCounts[me]; cnt > 0 {
-		copyRange(R(recv, recvDispls[me], cnt), R(send, sendDispls[me], cnt))
+		p.CopyLocal(R(recv, recvDispls[me], cnt), R(send, sendDispls[me], cnt))
 	}
 	for step := 1; step < n; step++ {
 		to := (me + step) % n
@@ -181,18 +149,6 @@ func GenericAlltoallv(p Peer, seq *int, send Buf, sendCounts, sendDispls []int64
 		}
 		p.Sendrecv(to, tag, sv, from, tag, rv)
 	}
-}
-
-// copyRange moves a rank's own block locally (content only, no modelled
-// cost — generic collectives run on engines without a memory model).
-func copyRange(dst, src Range) {
-	if dst.Len != src.Len {
-		panic(fmt.Sprintf("comm: local copy length mismatch %d != %d", dst.Len, src.Len))
-	}
-	if dst.Len == 0 {
-		return
-	}
-	copy(dst.bytes(), src.bytes())
 }
 
 // Reduce operations shared by the workloads (elementwise, little-endian).

@@ -66,8 +66,9 @@ func R(b Buf, off, n int64) Range { return Range{Buf: b, Off: off, Len: n} }
 func Whole(b Buf) Range { return Range{Buf: b, Off: 0, Len: b.Len()} }
 
 // bytes returns the live backing slice of a range (nil for a zero Range).
-// Used by the generic collective algorithms; engines with modelled memory
-// provide native collectives instead (see Peer).
+// The collective algorithms use it only to combine reduction operands,
+// which are real buffers on every engine; block moves go through
+// Peer.CopyLocal so modelled engines charge them.
 func (r Range) bytes() []byte {
 	if r.Buf == nil || r.Len == 0 {
 		return nil

@@ -2,6 +2,7 @@ package comm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -48,6 +49,7 @@ func conformanceCases() []confCase {
 		{"sendrecv-ring-no-deadlock", 4, sendrecvRingNoDeadlock},
 		{"waitall-out-of-order-completion", 2, waitallOutOfOrder},
 		{"unexpected-before-post", 2, unexpectedBeforePost},
+		{"collectives", 5, collectives},
 	}
 }
 
@@ -549,6 +551,68 @@ func unexpectedBeforePost(t *testing.T, c comm.Peer) {
 			}
 			verify(t, buf, 0, sizes[i], 40+i)
 		}
+	}
+}
+
+// Every engine runs comm's collective algorithms over its own point-to-point
+// and local copy, so their results belong in the contract: at 5 ranks (no
+// power of two) a barrier, a bcast from a non-zero root, an Allreduce on the
+// reduce + bcast path, a rotation Alltoall at rendezvous size and an
+// irregular Alltoallv with empty blocks all deliver the right content.
+func collectives(t *testing.T, c comm.Peer) {
+	n, me := c.Size(), c.Rank()
+	c.Barrier()
+
+	const root = 3
+	b := c.Alloc(rendezvousLen)
+	if me == root {
+		fill(b, 7)
+	}
+	c.Bcast(root, comm.Whole(b))
+	verify(t, b, 0, rendezvousLen, 7)
+
+	const elems = 16
+	red := c.Alloc(8 * elems)
+	for i := 0; i < elems; i++ {
+		binary.LittleEndian.PutUint64(red.Bytes()[8*i:], uint64(me*elems+i))
+	}
+	c.Allreduce(comm.Whole(red), comm.SumInt64)
+	for i := 0; i < elems; i++ {
+		want := elems*n*(n-1)/2 + n*i // sum over ranks r of r*elems + i
+		if got := int64(binary.LittleEndian.Uint64(red.Bytes()[8*i:])); got != int64(want) {
+			t.Errorf("allreduce element %d = %d, want %d", i, got, want)
+		}
+	}
+
+	block := int64(2 * confEagerMax)
+	send, recv := c.Alloc(int64(n)*block), c.Alloc(int64(n)*block)
+	for d := 0; d < n; d++ {
+		copy(send.Bytes()[int64(d)*block:], pattern(100*me+d, int(block)))
+	}
+	c.Alltoall(send, recv, block)
+	for s := 0; s < n; s++ {
+		verify(t, recv, int64(s)*block, block, 100*s+me)
+	}
+
+	// Rank s sends count(s, d) bytes to d: 0, 3, 6 or 9 KiB, so some pairs
+	// exchange nothing and some cross the rendezvous threshold.
+	count := func(s, d int) int64 { return int64((s+2*d)%4) * 3 * 1024 }
+	sendCounts, sendDispls := make([]int64, n), make([]int64, n)
+	recvCounts, recvDispls := make([]int64, n), make([]int64, n)
+	var sTot, rTot int64
+	for p := 0; p < n; p++ {
+		sendCounts[p], sendDispls[p] = count(me, p), sTot
+		recvCounts[p], recvDispls[p] = count(p, me), rTot
+		sTot += sendCounts[p]
+		rTot += recvCounts[p]
+	}
+	vs, vr := c.Alloc(sTot), c.Alloc(rTot)
+	for d := 0; d < n; d++ {
+		copy(vs.Bytes()[sendDispls[d]:], pattern(1000+10*me+d, int(sendCounts[d])))
+	}
+	c.Alltoallv(vs, sendCounts, sendDispls, vr, recvCounts, recvDispls)
+	for s := 0; s < n; s++ {
+		verify(t, vr, recvDispls[s], recvCounts[s], 1000+10*s+me)
 	}
 }
 

@@ -83,6 +83,7 @@ func pos(list []int, rank int) int {
 
 // listBcast broadcasts r over the ranks of list (binomial tree rooted at
 // list[rootPos]). Only participants (callers whose rank is in list) act.
+// GenericBcast is this tree over every rank.
 func listBcast(p Peer, tag int, list []int, rootPos int, r Range) {
 	n := len(list)
 	me := pos(list, p.Rank())
@@ -109,7 +110,7 @@ func listBcast(p Peer, tag int, list []int, rootPos int, r Range) {
 }
 
 // listReduce combines every list member's r into list[rootPos]'s (binomial
-// tree). Only participants act.
+// tree). Only participants act. GenericReduce is this tree over every rank.
 func listReduce(p Peer, tag int, list []int, rootPos int, r Range, op ReduceOp) {
 	n := len(list)
 	me := pos(list, p.Rank())

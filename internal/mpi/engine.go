@@ -17,10 +17,10 @@ import (
 
 // The "sim" engine: the deterministic discrete-event simulator behind every
 // paper artefact, exposed through the engine-neutral comm interface. The
-// adapter is a pass-through — every comm call maps 1:1 onto the same
-// mpi.Comm operation the pre-interface drivers issued, so simulation
-// results (and the recorded goldens) are bit-identical to the old direct
-// entry points.
+// adapter is a pass-through — every point-to-point call and local copy maps
+// 1:1 onto an mpi.Comm operation, and the collectives are comm's algorithms
+// built from those calls, so simulation results (and the recorded goldens)
+// are bit-identical to the old direct entry points.
 
 func init() {
 	comm.RegisterEngine(comm.Engine{
@@ -243,7 +243,8 @@ func (j *simJob) MissLines() int64 {
 
 // simPeer adapts one rank's mpi.Comm to the engine-neutral Peer.
 type simPeer struct {
-	c *Comm
+	c   *Comm
+	seq int // collective tag sequence
 }
 
 func (p *simPeer) Rank() int           { return p.c.Rank() }
@@ -343,25 +344,31 @@ func status(st Status) comm.Status {
 	return comm.Status{Source: st.Source, Tag: st.Tag, Bytes: st.Bytes}
 }
 
-// Collectives delegate to the MPI layer's native, cost-modelled algorithms
-// (the generic comm algorithms would move content without charging
-// simulated time).
+// Collectives run the comm algorithms over this peer, so every message and
+// every local block copy is charged by the model. The two exchanges also
+// announce their n-1 concurrent transfers to the channel: the §6
+// collective-aware threshold hint, a no-op unless the LMT policy opts in.
 
-func (p *simPeer) Barrier()                     { p.c.Barrier() }
-func (p *simPeer) Bcast(root int, r comm.Range) { p.c.Bcast(root, vec(r)) }
+func (p *simPeer) Barrier() { comm.GenericBarrier(p, &p.seq) }
+
+func (p *simPeer) Bcast(root int, r comm.Range) { comm.GenericBcast(p, &p.seq, root, r) }
 
 func (p *simPeer) Allreduce(r comm.Range, op comm.ReduceOp) {
-	p.c.Allreduce(simBuffer(r.Buf).Slice(r.Off, r.Len), op)
+	comm.GenericAllreduce(p, &p.seq, r, op)
 }
 
 func (p *simPeer) Alltoall(send, recv comm.Buf, block int64) {
-	p.c.Alltoall(simBuffer(send), simBuffer(recv), block)
+	p.c.ep.Ch.EnterCollective(p.Size() - 1)
+	defer p.c.ep.Ch.LeaveCollective()
+	comm.GenericAlltoall(p, &p.seq, send, recv, block)
 }
 
 func (p *simPeer) Alltoallv(send comm.Buf, sendCounts, sendDispls []int64,
 	recv comm.Buf, recvCounts, recvDispls []int64) {
-	p.c.Alltoallv(simBuffer(send), sendCounts, sendDispls,
-		simBuffer(recv), recvCounts, recvDispls)
+	p.c.ep.Ch.EnterCollective(p.Size() - 1)
+	defer p.c.ep.Ch.LeaveCollective()
+	comm.GenericAlltoallv(p, &p.seq, send, sendCounts, sendDispls,
+		recv, recvCounts, recvDispls)
 }
 
 func (p *simPeer) CopyLocal(dst, src comm.Range) {

@@ -1,26 +1,22 @@
-// Package mpi implements the MPI subset the paper's benchmarks need on top
-// of the Nemesis channel: blocking and nonblocking point-to-point with tag
-// matching, derived (strided) datatypes, and the collectives used by IMB
-// and the NAS kernels (Barrier, Bcast, Reduce, Allreduce, Allgather,
-// Alltoall, Alltoallv), with MPICH-style algorithms (binomial trees,
-// recursive doubling, pairwise exchange).
+// Package mpi implements the MPI point-to-point subset the paper's
+// benchmarks need on top of the Nemesis channel: blocking and nonblocking
+// sends and receives with tag matching, derived (strided) datatypes, and a
+// cost-modelled local copy. Its "sim" engine adapter (engine.go) exposes a
+// rank as a comm.Peer, whose collectives are the comm package's algorithms
+// run over these primitives.
 package mpi
 
 import (
 	"fmt"
 
 	"knemesis/internal/core"
+	"knemesis/internal/hw"
 	"knemesis/internal/mem"
 	"knemesis/internal/nemesis"
 	"knemesis/internal/perturb"
 	"knemesis/internal/sim"
 	"knemesis/internal/topo"
 )
-
-// Tag space: user tags must stay below collTagBase; collectives use
-// per-operation sequence numbers above it so concurrent collectives and
-// point-to-point traffic never collide.
-const collTagBase = 1 << 24
 
 // World is one MPI job on a simulated machine — or, when built from a
 // ClusterStack, on several machines joined by the modelled network.
@@ -86,7 +82,6 @@ type Comm struct {
 	ep   *nemesis.Endpoint
 	p    *sim.Proc
 
-	collSeq int
 	// recvOps counts this rank's posted receives: the delayed-recv
 	// perturbation's deterministic per-op RNG counter.
 	recvOps uint64
@@ -153,6 +148,18 @@ func (c *Comm) Space() *mem.Space { return c.ep.Space }
 // given working-set regions (cache effects included).
 func (c *Comm) Compute(base sim.Time, ws ...mem.Region) {
 	c.ep.Ch.M.Compute(c.p, c.ep.Core, base, ws...)
+}
+
+// CopyLocal is the engine-neutral local copy: modelled memcpy within the
+// rank's own memory (phantom-safe — bench buffers charge cost, skip content).
+func (c *Comm) CopyLocal(dst, src mem.Region) {
+	if dst.Len != src.Len {
+		panic(fmt.Sprintf("mpi: CopyLocal length mismatch %d != %d", dst.Len, src.Len))
+	}
+	if dst.Len == 0 {
+		return
+	}
+	c.ep.Ch.M.CopyRange(c.p, c.ep.Core, dst, src, hw.CopyOpts{})
 }
 
 // Status describes a completed receive.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"knemesis/internal/comm"
 	"knemesis/internal/core"
 	"knemesis/internal/mem"
 	"knemesis/internal/nemesis"
@@ -90,7 +91,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	if _, err := w.Run(func(c *Comm) {
 		// Rank r sleeps r*10us, then all must leave the barrier at >= 70us.
 		c.Proc().Sleep(sim.Time(c.Rank()) * 10 * sim.Microsecond)
-		c.Barrier()
+		(&simPeer{c: c}).Barrier()
 		after[c.Rank()] = c.Now()
 	}); err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestBcastDeliversToAll(t *testing.T) {
 			if c.Rank() == 3%ranks {
 				b.FillPattern(99)
 			}
-			c.Bcast(3%ranks, mem.VecOf(b))
+			(&simPeer{c: c}).Bcast(3%ranks, comm.Whole(b))
 			want := c.Alloc(size)
 			want.FillPattern(99)
 			if !mem.EqualBytes(b, want) {
@@ -131,7 +132,7 @@ func TestAllreduceSum(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				binary.LittleEndian.PutUint64(b.Bytes()[i*8:], uint64(c.Rank()+i))
 			}
-			c.Allreduce(b, SumInt64)
+			(&simPeer{c: c}).Allreduce(comm.Whole(b), comm.SumInt64)
 			n := int64(c.Size())
 			base := n * (n - 1) / 2 // sum of ranks
 			for i := 0; i < 8; i++ {
@@ -146,39 +147,6 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestReduceToRoot(t *testing.T) {
-	w := newWorld(t, 6, core.Options{Kind: core.DefaultLMT})
-	if _, err := w.Run(func(c *Comm) {
-		b := c.Alloc(8)
-		putU64s(b, uint64(1<<c.Rank()))
-		c.Reduce(2, b, SumInt64)
-		if c.Rank() == 2 {
-			if got := getU64(b, 0); got != (1<<6)-1 {
-				t.Errorf("reduce result = %d, want %d", got, (1<<6)-1)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgatherRing(t *testing.T) {
-	w := newWorld(t, 8, core.Options{Kind: core.DefaultLMT})
-	if _, err := w.Run(func(c *Comm) {
-		send := c.Alloc(8)
-		putU64s(send, uint64(100+c.Rank()))
-		recv := c.Alloc(8 * int64(c.Size()))
-		c.Allgather(send, recv)
-		for r := 0; r < c.Size(); r++ {
-			if got := getU64(recv, r); got != uint64(100+r) {
-				t.Errorf("rank %d: slot %d = %d", c.Rank(), r, got)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoallCorrectness(t *testing.T) {
 	for _, ranks := range []int{4, 8} {
 		w := newWorld(t, ranks, core.Options{Kind: core.KnemLMT, IOAT: core.IOATAuto})
@@ -190,7 +158,7 @@ func TestAlltoallCorrectness(t *testing.T) {
 			for r := 0; r < c.Size(); r++ {
 				send.Slice(int64(r)*block, block).FillPattern(uint64(c.Rank()*100 + r))
 			}
-			c.Alltoall(send, recv, block)
+			(&simPeer{c: c}).Alltoall(send, recv, block)
 			for r := 0; r < c.Size(); r++ {
 				want := c.Alloc(block)
 				want.FillPattern(uint64(r*100 + c.Rank()))
@@ -227,7 +195,7 @@ func TestAlltoallvIrregular(t *testing.T) {
 		for d := 0; d < n; d++ {
 			send.Slice(sendDispls[d], sendCounts[d]).FillPattern(uint64(c.Rank()*10 + d))
 		}
-		c.Alltoallv(send, sendCounts, sendDispls, recv, recvCounts, recvDispls)
+		(&simPeer{c: c}).Alltoallv(send, sendCounts, sendDispls, recv, recvCounts, recvDispls)
 		for s := 0; s < n; s++ {
 			want := c.Alloc(recvCounts[s])
 			want.FillPattern(uint64(s*10 + c.Rank()))
@@ -282,7 +250,7 @@ func TestAlltoallProperty(t *testing.T) {
 			for r := 0; r < c.Size(); r++ {
 				send.Slice(int64(r)*block, block).FillPattern(uint64(c.Rank())<<16 | uint64(r))
 			}
-			c.Alltoall(send, recv, block)
+			(&simPeer{c: c}).Alltoall(send, recv, block)
 			for r := 0; r < c.Size(); r++ {
 				want := c.Alloc(block)
 				want.FillPattern(uint64(r)<<16 | uint64(c.Rank()))

@@ -104,6 +104,7 @@ func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks
 	recordTrace(eng, &art.trace)
 
 	final, err := w.Run(func(c *Comm) {
+		p := &simPeer{c: c}
 		buf := c.Alloc(192 * units.KiB)
 		rbuf := c.Alloc(192 * units.KiB)
 		note := func() { art.obs[c.Rank()] = append(art.obs[c.Rank()], c.Now()) }
@@ -116,7 +117,7 @@ func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks
 				note()
 			}
 			c.Compute(2*sim.Microsecond, mem.Region{Buf: buf, Off: 0, Len: 64 * units.KiB})
-			c.Barrier()
+			p.Barrier()
 			note()
 		}
 	})
@@ -199,6 +200,7 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64) clusterPerturbArtefa
 	art := clusterPerturbArtefacts{obs: make([][]sim.Time, w.Size)}
 	recordTrace(eng, &art.trace)
 	final, err := w.Run(func(c *Comm) {
+		p := &simPeer{c: c}
 		buf := c.Alloc(192 * units.KiB)
 		rbuf := c.Alloc(192 * units.KiB)
 		note := func() { art.obs[c.Rank()] = append(art.obs[c.Rank()], c.Now()) }
@@ -210,7 +212,7 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64) clusterPerturbArtefa
 					prev, iter, mem.VecOf(rbuf.Slice(0, size)))
 				note()
 			}
-			c.Barrier()
+			p.Barrier()
 			note()
 		}
 	})
