@@ -11,8 +11,9 @@ package cache
 // of finding out by scanning its tags.
 //
 // Entries are stored in fixed-size pages keyed by the high block bits. A
-// range walk fetches each page once (Page) and indexes it per block; the
-// per-block calls (Entry, Lookup) go through a small lookup cache, so
+// range walk fetches each page once (Page, or PageIfAny when it only
+// touches blocks that are cached somewhere) and indexes it per block; the
+// per-block call (Entry) goes through a small lookup cache, so
 // consecutive blocks resolve without a map operation.
 //
 // Pages are only reclaimed by Reset (hw.FlushCaches), not when their
@@ -25,8 +26,8 @@ type Directory struct {
 	domains int
 	pages   map[uint64]*DirPage
 
-	// Two-slot page cache for the per-block calls: eviction victims,
-	// which come in runs of consecutive blocks, and the DMA walks. The
+	// Two-slot page cache for the per-block calls (eviction victims,
+	// which come in runs of consecutive blocks) and the page walks. The
 	// second slot keeps the map out of the loop when two runs interleave.
 	lastKey  uint64
 	lastPage *DirPage
@@ -109,18 +110,17 @@ func (d *Directory) Entry(block uint64) *DirEntry {
 	return pg.Entry(block)
 }
 
-// Lookup returns a copy of block's entry without allocating anything:
-// blocks never cached report the zero entry.
-func (d *Directory) Lookup(block uint64) DirEntry {
+// PageIfAny is Page without the allocation: the page is nil when no block
+// in it was ever cached (every entry would be zero, the entry of a block
+// never cached). last is the last block the page covers either way, so a
+// walk can skip the whole page.
+func (d *Directory) PageIfAny(block uint64) (pg *DirPage, last uint64) {
 	key := block >> dirPageShift
+	last = block | (dirPageBlocks - 1)
 	if pg := d.lastPage; pg != nil && d.lastKey == key {
-		return *pg.Entry(block)
+		return pg, last
 	}
-	pg := d.pageSlow(key, false)
-	if pg == nil {
-		return DirEntry{}
-	}
-	return *pg.Entry(block)
+	return d.pageSlow(key, false), last
 }
 
 // pageSlow resolves key through the second cache slot, then the map

@@ -217,7 +217,10 @@ func checkDirectorySync(t *testing.T, m *Machine) {
 	for d, c := range m.L2s {
 		c.ForEachResident(func(block uint64, dirty bool) {
 			resident++
-			e := m.dir.Lookup(block)
+			var e cache.DirEntry // zero: no page, no bit
+			if pg, _ := m.dir.PageIfAny(block); pg != nil {
+				e = *pg.Entry(block)
+			}
 			if e.Mask()&(1<<uint(d)) == 0 {
 				t.Fatalf("block %d is in L2.%d but its presence bit is clear (mask %b)", block, d, e.Mask())
 			}

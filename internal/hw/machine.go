@@ -329,7 +329,7 @@ func (m *Machine) serviceRemote(e *cache.DirEntry, block uint64, remote uint64, 
 
 // ResidentBytes reports how many bytes of [addr, addr+n) are resident in
 // core coreID's L2, by the directory's presence bits instead of probing
-// the cache's ways per block.
+// the cache's ways per block, a directory page at a time.
 func (m *Machine) ResidentBytes(coreID topo.CoreID, addr uint64, n int64) int64 {
 	if n <= 0 {
 		return 0
@@ -341,16 +341,23 @@ func (m *Machine) ResidentBytes(coreID topo.CoreID, addr uint64, n int64) int64 
 	end := addr + uint64(n)
 	bit := uint64(1) << uint(local)
 	var resident int64
-	for b := first; b <= last; b++ {
-		e := m.dir.Lookup(b)
-		if e.Mask()&bit == 0 {
+	for b := first; b <= last; {
+		page, pageLast := m.dir.PageIfAny(b)
+		pageLast = min(pageLast, last)
+		if page == nil {
+			b = pageLast + 1
 			continue
 		}
-		span := int64(bs)
-		if b == first || b == last {
-			span = partialSpan(b, bs, addr, end)
+		for ; b <= pageLast; b++ {
+			if page.Entry(b).Mask()&bit == 0 {
+				continue
+			}
+			span := int64(bs)
+			if b == first || b == last {
+				span = partialSpan(b, bs, addr, end)
+			}
+			resident += span
 		}
-		resident += span
 	}
 	return resident
 }

@@ -121,7 +121,8 @@ func (m *Machine) DMAInvalidateDest(addr uint64, n int64) int64 {
 }
 
 // dmaWalk prepares [addr, addr+n) for a cache-bypassing DMA access,
-// touching only the blocks the directory knows to be cached somewhere.
+// touching only the blocks the directory knows to be cached somewhere. It
+// walks the directory a page at a time, skipping pages never cached.
 func (m *Machine) dmaWalk(addr uint64, n int64, invalidate bool) int64 {
 	if n <= 0 {
 		return 0
@@ -131,29 +132,36 @@ func (m *Machine) dmaWalk(addr uint64, n int64, invalidate bool) int64 {
 	first := addr / bs
 	last := (addr + uint64(n) - 1) / bs
 	var busBytes int64
-	for b := first; b <= last; b++ {
-		e := m.dir.Lookup(b)
-		mask := e.Mask()
-		if mask == 0 {
+	for b := first; b <= last; {
+		page, pageLast := m.dir.PageIfAny(b)
+		pageLast = min(pageLast, last)
+		if page == nil {
+			b = pageLast + 1
 			continue
 		}
-		if invalidate {
-			ent := m.dir.Entry(b)
-			for d := 0; mask != 0; d++ {
-				bit := uint64(1) << uint(d)
-				if mask&bit == 0 {
-					continue
-				}
-				mask &^= bit
-				if present, wasDirty := m.L2s[d].Invalidate(b); present && wasDirty {
-					busBytes += par.BlockBytes
-				}
-				ent.ClearPresent(d)
+		for ; b <= pageLast; b++ {
+			e := page.Entry(b)
+			mask := e.Mask()
+			if mask == 0 {
+				continue
 			}
-		} else if owner := e.Owner(); owner >= 0 {
-			m.L2s[owner].Downgrade(b)
-			m.dir.Entry(b).ClearOwner()
-			busBytes += par.BlockBytes
+			if invalidate {
+				for d := 0; mask != 0; d++ {
+					bit := uint64(1) << uint(d)
+					if mask&bit == 0 {
+						continue
+					}
+					mask &^= bit
+					if present, wasDirty := m.L2s[d].Invalidate(b); present && wasDirty {
+						busBytes += par.BlockBytes
+					}
+					e.ClearPresent(d)
+				}
+			} else if owner := e.Owner(); owner >= 0 {
+				m.L2s[owner].Downgrade(b)
+				e.ClearOwner()
+				busBytes += par.BlockBytes
+			}
 		}
 	}
 	return busBytes

@@ -107,6 +107,7 @@ func (e *Engine) run(p *sim.Proc) {
 		flow := e.m.Bus.Start(float64(cohBytes + 2*req.bytes))
 		p.Sleep(sim.FromSeconds(float64(req.bytes) / par.DMABandwidth))
 		flow.Wait(p)
+		e.m.Bus.Release(flow)
 
 		for _, rp := range req.pairs {
 			mem.CopyBytes(rp.Dst, rp.Src)

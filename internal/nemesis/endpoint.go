@@ -141,7 +141,9 @@ type Endpoint struct {
 	sendTicket map[int]uint64
 	sendTurn   map[int]uint64
 
-	opSeq int // names spawned protocol processes
+	// Names of the protocol processes the endpoint spawns, made once: the
+	// engine's pid tells two processes of one name apart.
+	sendName, recvName, lmtRecvName string
 }
 
 func newEndpoint(ch *Channel, rank int, core topo.CoreID) *Endpoint {
@@ -155,6 +157,10 @@ func newEndpoint(ch *Channel, rank int, core topo.CoreID) *Endpoint {
 		netPulls:   make(map[uint64]*netPull),
 		sendTicket: make(map[int]uint64),
 		sendTurn:   make(map[int]uint64),
+
+		sendName:    fmt.Sprintf("r%d.send", rank),
+		recvName:    fmt.Sprintf("r%d.recv", rank),
+		lmtRecvName: fmt.Sprintf("r%d.lmtrecv", rank),
 	}
 	for i := 0; i < ch.Cfg.CellsPerRank; i++ {
 		ep.freeCells = append(ep.freeCells, &cell{buf: ch.Shm.Alloc(CellBytes), owner: ep})
@@ -288,12 +294,6 @@ func (req *RecvReq) complete(ep *Endpoint, src, tag int, size int64) {
 	req.ActualSize = size
 	req.done = true
 	ep.notify()
-}
-
-// spawnName generates a unique protocol-process name.
-func (ep *Endpoint) spawnName(kind string) string {
-	ep.opSeq++
-	return fmt.Sprintf("r%d.%s#%d", ep.Rank, kind, ep.opSeq)
 }
 
 // returnCell hands an eager cell back to its owner's free pool; the

@@ -144,6 +144,9 @@ type netConn struct {
 	q    []*netMsg
 	busy bool
 	seq  int
+	// flows holds the in-flight message's flow on each link of the path;
+	// the connection's one process reuses it message after message.
+	flows []*sim.Flow
 	// lastDeliver is the latest delivery time scheduled on this connection:
 	// jittered deliveries clamp to it so per-pair FIFO order survives any
 	// jitter magnitude (equal-time events fire in schedule order).
@@ -188,12 +191,15 @@ func (c *netConn) run(p *sim.Proc) {
 	for len(c.q) > 0 {
 		m := c.q[0]
 		c.q = c.q[1:]
-		flows := make([]*sim.Flow, len(c.path.links))
-		for i, l := range c.path.links {
-			flows[i] = l.fluid.Start(float64(m.wire))
+		c.flows = c.flows[:0]
+		for _, l := range c.path.links {
+			c.flows = append(c.flows, l.fluid.Start(float64(m.wire)))
 		}
-		for _, f := range flows {
+		for _, f := range c.flows {
 			f.Wait(p)
+		}
+		for i, l := range c.path.links {
+			l.fluid.Release(c.flows[i])
 		}
 		at := p.Now() + c.path.latency
 		if j := c.net.jitter; j != nil {

@@ -20,7 +20,7 @@ func (ep *Endpoint) Isend(dst, tag int, vec mem.IOVec) *SendReq {
 	req := &SendReq{ep: ep}
 	tick := ep.sendTicket[dst]
 	ep.sendTicket[dst] = tick + 1
-	ep.Ch.M.Eng.Spawn(ep.spawnName("send"), func(p *sim.Proc) {
+	ep.Ch.M.Eng.Spawn(ep.sendName, func(p *sim.Proc) {
 		ep.runSend(p, req, dst, tag, vec, tick)
 	})
 	return req
@@ -32,7 +32,7 @@ func (ep *Endpoint) Irecv(src, tag int, vec mem.IOVec) *RecvReq {
 		panic(err)
 	}
 	req := &RecvReq{ep: ep, src: src, tag: tag, vec: vec}
-	ep.Ch.M.Eng.Spawn(ep.spawnName("recv"), func(p *sim.Proc) {
+	ep.Ch.M.Eng.Spawn(ep.recvName, func(p *sim.Proc) {
 		ep.runRecv(p, req)
 	})
 	return req
@@ -276,7 +276,7 @@ func (ep *Endpoint) dispatchRTS(p *sim.Proc, pkt *packet) {
 			ep.runNetRecv(p, pkt.src, pkt.tag, pkt.seq, pkt.size, req)
 			return
 		}
-		ep.Ch.M.Eng.Spawn(ep.spawnName("lmtrecv"), func(lp *sim.Proc) {
+		ep.Ch.M.Eng.Spawn(ep.lmtRecvName, func(lp *sim.Proc) {
 			ep.runLMTRecv(lp, pkt.src, pkt.tag, pkt.seq, pkt.size, pkt.cookie, req)
 		})
 		return

@@ -7,12 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// event is a scheduled callback. Events with equal time fire in the order
-// they were scheduled (seq breaks ties), which makes runs deterministic.
+// event is a scheduled callback or process wake-up. Events with equal time
+// fire in the order they were scheduled (seq breaks ties), which makes runs
+// deterministic.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	p   *Proc // fn == nil: the event resumes (or starts) p
 }
 
 // before orders events by (at, seq); seqs are unique, so this is a total
@@ -120,18 +122,36 @@ type Domain int32
 // DomainMachine is the domain of every event.
 const DomainMachine Domain = 0
 
-// Engine is a discrete-event simulation executor: it pops events from one
-// heap in (at, seq) order and runs them on the calling goroutine.
+// Engine is a discrete-event simulation executor: it runs events in
+// (at, seq) order, the callbacks itself and the process wake-ups by
+// switching to the process. A process that parks runs the callbacks that
+// come next on its own goroutine, up to its own wake-up (Proc.park), so
+// most hand-offs switch no goroutine at all.
+//
+// Events due later than now wait in a binary heap; events scheduled for now
+// go to a FIFO. Every heap event due now was scheduled before the clock
+// reached now, every FIFO event after, so (at, seq) order is: the heap's
+// events due now, then the FIFO, then the clock advances. No tie can
+// reorder, and a zero-delay event never touches the heap.
 //
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
 	now    Time
 	seq    uint64
-	events eventQueue
+	events eventQueue // heap, ordered by (at, seq)
+	fifo   eventQueue // events scheduled at now for now, from fifo[head] on
+	head   int
+	limit  Time // bound of the running RunUntil (< 0: none)
 
 	procs    []*Proc
 	liveProc atomic.Int32 // processes that have started and not yet finished
 	nextPID  int
+	idle     []*worker // coroutines whose process finished, for reuse
+	switches int       // executor → process switches, for tests
+
+	// cbPanic is a callback's panic caught on a parking process's
+	// goroutine, for the executor to re-raise.
+	cbPanic any
 
 	stopped atomic.Bool
 	failMu  sync.Mutex
@@ -151,18 +171,72 @@ func (e *Engine) Now() Time { return e.now }
 
 // SetTrace installs an observer called for every executed event with its
 // timestamp, sequence number and domain (always DomainMachine), in
-// execution order.
+// execution order. It may run on a process's goroutine (see Proc.park), one
+// goroutine at a time.
 func (e *Engine) SetTrace(fn func(at Time, seq uint64, dom Domain)) { e.trace = fn }
 
 // Schedule registers fn to run at absolute simulated time at. Scheduling in
 // the past panics: it would violate causality.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
+func (e *Engine) Schedule(at Time, fn func()) { e.push(event{at: at, fn: fn}) }
+
+// scheduleWake resumes (or, before it has started, starts) p at time at.
+func (e *Engine) scheduleWake(at Time, p *Proc) { e.push(event{at: at, p: p}) }
+
+func (e *Engine) push(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", ev.at, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, fn: fn})
+	ev.seq = e.seq
+	if ev.at > e.now {
+		e.events.push(ev)
+		return
+	}
+	if e.fifo == nil {
+		e.fifo = *(heapPool.Get().(*[]event))
+	}
+	e.fifo = append(e.fifo, ev)
 }
+
+// fifoFirst reports whether the FIFO holds the next event: it is not empty
+// and no heap event is due now.
+func (e *Engine) fifoFirst() bool {
+	return e.head < len(e.fifo) && (len(e.events) == 0 || e.events[0].at != e.now)
+}
+
+// peek returns the next event in (at, seq) order, or nil if none is pending.
+func (e *Engine) peek() *event {
+	if e.fifoFirst() {
+		return &e.fifo[e.head]
+	}
+	if len(e.events) == 0 {
+		return nil
+	}
+	return &e.events[0]
+}
+
+// take removes the event peek returns, advances the clock to it and traces
+// it.
+func (e *Engine) take() event {
+	var ev event
+	if e.fifoFirst() {
+		ev = e.fifo[e.head]
+		e.fifo[e.head] = event{}
+		if e.head++; e.head == len(e.fifo) {
+			e.fifo, e.head = e.fifo[:0], 0
+		}
+	} else {
+		ev = e.events.pop()
+		e.now = ev.at
+	}
+	if e.trace != nil {
+		e.trace(ev.at, ev.seq, DomainMachine)
+	}
+	return ev
+}
+
+// pending reports the number of scheduled events not yet run.
+func (e *Engine) pending() int { return len(e.events) + len(e.fifo) - e.head }
 
 // After registers fn to run d after the current simulated time.
 func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
@@ -179,28 +253,40 @@ func (e *Engine) Stop() { e.stopped.Store(true) }
 func (e *Engine) LiveProcs() int { return int(e.liveProc.Load()) }
 
 // procKilled is the sentinel panic that unwinds a parked process during
-// Terminate; the spawn wrapper recovers exactly this type.
+// Terminate; Proc.run recovers exactly this type.
 type procKilled struct{}
 
 // Terminate force-unwinds every process that has not finished. A parked
 // process is stopped: its yield reports false, park panics procKilled, the
 // deferred cleanup runs on the unwind (anything in it that blocks again is
-// cut short the same way) and its goroutine exits. A process whose start
-// event has not fired never runs at all. Call it only after Run/RunUntil
-// has returned or panicked (every unfinished process is then parked or
-// unstarted); afterwards the engine cannot run again, no process goroutine
-// is left and LiveProcs is 0.
+// cut short the same way, and runs no event) and its goroutine exits. A
+// process whose start event has not fired never runs at all. Call it only
+// after Run/RunUntil has returned or panicked (every unfinished process is
+// then parked or unstarted); afterwards the engine cannot run again, no
+// process goroutine is left (idle ones included) and LiveProcs is 0.
 func (e *Engine) Terminate() {
 	e.stopped.Store(true)
 	for _, p := range e.procs {
 		if p.done {
 			continue
 		}
-		p.stop()
+		if p.started {
+			p.w.stop()
+		}
 		if !p.done { // never started: nothing ran, so nothing retired it
 			p.retire()
 		}
 	}
+	e.stopIdle()
+}
+
+// stopIdle ends the goroutines of the workers waiting for a process.
+func (e *Engine) stopIdle() {
+	for _, w := range e.idle {
+		w.stop()
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
 }
 
 // StateDump renders the engine's process table for watchdog diagnostics:
@@ -210,7 +296,7 @@ func (e *Engine) Terminate() {
 func (e *Engine) StateDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim engine: now=%v live=%d daemons+procs=%d pending events=%d\n",
-		e.now, e.liveProc.Load(), len(e.procs), len(e.events))
+		e.now, e.liveProc.Load(), len(e.procs), e.pending())
 	for _, p := range e.procs {
 		if p.done {
 			continue
@@ -251,17 +337,21 @@ func (e *Engine) Run() error {
 // limit when the limit cut execution short).
 func (e *Engine) RunUntil(limit Time) error {
 	e.stopped.Store(false)
-	for !e.stopped.Load() && len(e.events) > 0 {
-		if limit >= 0 && e.events[0].at > limit {
-			e.now = limit
+	e.limit = limit
+	for !e.stopped.Load() {
+		next := e.peek()
+		if next == nil {
+			break
+		}
+		if limit >= 0 && next.at > limit {
+			e.now = max(e.now, limit) // never back: the FIFO's events are due at now
 			return e.err
 		}
-		next := e.events.pop()
-		e.now = next.at
-		if e.trace != nil {
-			e.trace(next.at, next.seq, DomainMachine)
+		if ev := e.take(); ev.fn != nil {
+			ev.fn()
+		} else {
+			e.resume(ev.p)
 		}
-		next.fn()
 	}
 	if e.err != nil {
 		return e.err
@@ -273,16 +363,47 @@ func (e *Engine) RunUntil(limit Time) error {
 		return fmt.Errorf("sim: deadlock at %v: %d process(es) blocked: %s",
 			e.now, e.liveProc.Load(), e.blockedNames())
 	}
-	// Terminal state: hand the drained heap's backing to the pool.
+	// Terminal state: hand the drained queues' backing to the pool and end
+	// the idle workers' goroutines.
 	e.events.release()
+	e.fifo.release()
+	e.stopIdle()
 	return nil
 }
 
+// resume switches to p — binding it to a worker first if this is its start
+// event — and returns when p parks or finishes. A panic in p resurfaces here
+// as a *ProcPanic; a callback's that p ran while parking, raw.
+func (e *Engine) resume(p *Proc) {
+	if p.done { // its worker may be running another process by now
+		return
+	}
+	if !p.started {
+		p.started = true
+		if n := len(e.idle); n > 0 {
+			p.w = e.idle[n-1]
+			e.idle[n-1] = nil
+			e.idle = e.idle[:n-1]
+		} else {
+			p.w = e.newWorker()
+		}
+		p.w.p = p
+	}
+	e.switches++
+	p.w.next()
+	if r := e.cbPanic; r != nil {
+		e.cbPanic = nil
+		panic(r)
+	}
+}
+
+// blockedNames lists the blocked non-daemon processes for a deadlock
+// report, each with its pid: protocol processes of one kind share a name.
 func (e *Engine) blockedNames() string {
 	var names []string
 	for _, p := range e.procs {
 		if p.started && !p.done && !p.daemon {
-			names = append(names, fmt.Sprintf("%s[%s]", p.name, p.blockedOn))
+			names = append(names, fmt.Sprintf("proc %d %s[%s]", p.pid, p.name, p.blockedOn))
 		}
 	}
 	return strings.Join(names, ", ")

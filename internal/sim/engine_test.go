@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -95,13 +96,19 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// A deadlock report names every blocked process by pid as well as name:
+// protocol processes of one kind share a name.
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e, "never")
 	e.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	e.Spawn("stuck", func(p *Proc) { c.Wait(p) })
 	err := e.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
+	}
+	if !strings.Contains(err.Error(), "proc 0 stuck[cond never], proc 1 stuck[cond never]") {
+		t.Fatalf("deadlock report %q does not tell the two processes apart", err)
 	}
 }
 

@@ -142,7 +142,7 @@ func (f *Fluid) update() {
 			fl.done = true
 			f.Served += fl.amount
 			for _, w := range fl.waiters {
-				f.eng.Schedule(now, w.wakeFn)
+				f.eng.scheduleWake(now, w)
 			}
 			clear(fl.waiters)
 			fl.waiters = fl.waiters[:0]

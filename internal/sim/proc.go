@@ -9,33 +9,52 @@ import (
 )
 
 // Proc is a simulated process: a coroutine that advances simulated time by
-// blocking on the engine. The executor wakes it with a direct goroutine
-// switch (iter.Pull) and gets control back the same way when it parks, so a
-// hand-off never passes through the Go scheduler. All Proc methods must be
-// called from the process's own coroutine (that is, from within the function
-// passed to Spawn).
+// blocking on the engine. It runs on a worker (a goroutine the engine
+// reuses from process to process); the executor wakes it with a direct
+// goroutine switch (iter.Pull) and gets control back the same way when it
+// parks, so a hand-off never passes through the Go scheduler — and when the
+// process's own wake-up is the next event, it does not switch at all (see
+// park). All Proc methods must be called from the process's own coroutine
+// (that is, from within the function passed to Spawn).
 type Proc struct {
 	eng  *Engine
 	name string
 	pid  int
-
-	// next and stop are the executor's side of the coroutine: next runs the
-	// process until it parks or finishes, stop makes a parked process's
-	// yield report false (and a never-started one never run). yield is the
-	// process's side. Only one of the two sides ever runs at a time.
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	fn   func(*Proc)
+	w    *worker // bound by the start event
 
 	started   bool
 	done      bool
 	daemon    bool
 	blockedOn string // human-readable reason, for deadlock reports
+}
 
-	// wakeFn is the method value p.wake, captured once at spawn so that
-	// wakers (Sleep, fluids, condition variables) schedule it without
-	// allocating a fresh closure per wakeup.
-	wakeFn func()
+// worker is a coroutine that runs processes one after another: when one
+// finishes it goes idle, and the next process to start takes it over with
+// the stack it has grown. next and stop are the executor's side — next runs
+// the bound process until it parks or finishes, stop makes its yield report
+// false — and yield is the process's side. Only one side runs at a time.
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process it runs; nil while idle
+}
+
+func (e *Engine) newWorker() *worker {
+	w := &worker{}
+	w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			w.p.run()
+			w.p = nil
+			e.idle = append(e.idle, w)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return w
 }
 
 // ProcPanic is what Run, RunUntil (or, for a panic in deferred cleanup,
@@ -60,35 +79,31 @@ func (e *Engine) SpawnAt(start Time, name string, fn func(*Proc)) *Proc {
 }
 
 func (e *Engine) spawn(start Time, name string, daemon bool, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, pid: e.nextPID, daemon: daemon}
-	p.wakeFn = p.wake
+	p := &Proc{eng: e, name: name, pid: e.nextPID, daemon: daemon, fn: fn}
 	e.nextPID++
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.liveProc.Add(1)
 	}
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			p.retire()
-			// Terminate unwinds a parked process with procKilled (deferred
-			// cleanup has already run by now); swallow exactly that. Any
-			// other panic travels on through the pull and resurfaces from
-			// next on the goroutine that is running the engine — a switch
-			// of goroutines that would lose this stack, so it goes along.
-			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
-				}
-			}
-		}()
-		fn(p)
-	})
-	e.Schedule(start, func() {
-		p.started = true
-		p.wake()
-	})
+	e.scheduleWake(start, p)
 	return p
+}
+
+// run runs the process to its end on its worker. Terminate unwinds a parked
+// process with procKilled (deferred cleanup has already run by then);
+// exactly that is swallowed. Any other panic travels on through the worker
+// and resurfaces from next on the goroutine that is running the engine — a
+// switch of goroutines that would lose this stack, so it goes along.
+func (p *Proc) run() {
+	defer func() {
+		p.retire()
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+			}
+		}
+	}()
+	p.fn(p)
 }
 
 // Spawn creates a process starting at the current simulated time.
@@ -104,7 +119,7 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 // retire marks the process finished and settles the live count. It runs
-// once per process: on the coroutine when fn returns or unwinds, or from
+// once per process: on its worker when fn returns or unwinds, or from
 // Terminate for a process whose start event never fired.
 func (p *Proc) retire() {
 	p.done = true
@@ -113,21 +128,50 @@ func (p *Proc) retire() {
 	}
 }
 
-// wake switches to the process and returns when it parks again or finishes;
-// a panic in the process resurfaces here, on the goroutine running the
-// engine.
-func (p *Proc) wake() { p.next() }
-
-// park returns control to the executor until the process is woken.
-// reason is recorded for deadlock diagnostics. Once Terminate has stopped
-// the process, yield reports false — at the parked call and at every later
-// one, so cleanup that blocks during the unwind is cut short the same way.
+// park blocks the process until it is woken; reason is recorded for
+// deadlock diagnostics. First it runs the events that come next on its own
+// goroutine (runUntilWake): when that reaches its own wake-up the process
+// carries on without a switch. Otherwise it yields to the executor. Once
+// Terminate has stopped the process, yield reports false — at the parked
+// call and at every later one, so cleanup that blocks during the unwind is
+// cut short the same way (and, the engine being stopped, runs no event).
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
-	if !p.yield(struct{}{}) {
+	if !p.eng.runUntilWake(p) && !p.w.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 	p.blockedOn = ""
+}
+
+// runUntilWake runs events on parking process p's goroutine, in (at, seq)
+// order, and reports whether it reached p's own wake-up, which it takes. It
+// stops short — p must yield to the executor — when the next event wakes
+// another process (only the executor switches to a process), nothing is
+// pending, the next event lies past RunUntil's limit or the engine is
+// stopped. A callback's panic is caught and left for the executor, which
+// re-raises it once p has yielded: it surfaces raw from Run, with p still
+// parked, just as if the callback had run on the executor.
+func (e *Engine) runUntilWake(p *Proc) (woken bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.cbPanic = r
+		}
+	}()
+	for !e.stopped.Load() {
+		next := e.peek()
+		if next == nil || (e.limit >= 0 && next.at > e.limit) {
+			return false
+		}
+		if next.fn == nil {
+			if next.p != p {
+				return false
+			}
+			e.take()
+			return true
+		}
+		e.take().fn()
+	}
+	return false
 }
 
 // Engine returns the engine this process belongs to.
@@ -148,7 +192,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.Schedule(p.eng.now+d, p.wakeFn)
+	p.eng.scheduleWake(p.eng.now+d, p)
 	p.park("sleep")
 }
 

@@ -30,7 +30,7 @@ func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	c.eng.Schedule(c.eng.now, shift(&c.waiters).wakeFn)
+	c.eng.scheduleWake(c.eng.now, shift(&c.waiters))
 }
 
 // shift removes and returns the first element of a non-empty queue by
@@ -48,7 +48,7 @@ func shift[T any](q *[]T) T {
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
-		c.eng.Schedule(c.eng.now, w.wakeFn)
+		c.eng.scheduleWake(c.eng.now, w)
 	}
 	c.waiters = c.waiters[:0]
 }
