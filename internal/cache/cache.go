@@ -70,15 +70,17 @@ func (s Stats) MissesInLines(lineBytes int64) int64 {
 // empty ones.
 //
 // The zero state is an empty cache: an empty way holds tag 0 (a resident
-// block b is stored as b+1) and a set builds its links on its first fill,
-// so New and Flush touch no way individually.
+// block b is stored as b+1), a set builds its links on its first fill, and
+// a cache makes its way arrays on its first fill, so New allocates nothing
+// and an L2 no core ever fills costs no memory.
 type Cache struct {
 	name       string
 	blockBytes int64
 	sets       int
 	assoc      int
 
-	// Way arrays indexed by set*assoc+way; links hold way numbers.
+	// Way arrays indexed by set*assoc+way, nil until the first fill;
+	// links hold way numbers.
 	tags  []uint64 // block number + 1 (addresses end far below 2^64), or 0 for an empty way
 	dirty []bool
 	next  []uint8
@@ -116,18 +118,11 @@ func New(name string, sizeBytes, blockBytes int64, assoc int) *Cache {
 		panic(fmt.Sprintf("cache %s: size %d not divisible by assoc %d x block %d",
 			name, sizeBytes, assoc, blockBytes))
 	}
-	sets := int(sizeBytes / (blockBytes * int64(assoc)))
-	n := sets * assoc
 	return &Cache{
 		name:       name,
 		blockBytes: blockBytes,
-		sets:       sets,
+		sets:       int(sizeBytes / (blockBytes * int64(assoc))),
 		assoc:      assoc,
-		tags:       make([]uint64, n),
-		dirty:      make([]bool, n),
-		next:       make([]uint8, n),
-		prev:       make([]uint8, n),
-		head:       make([]uint8, sets),
 	}
 }
 
@@ -156,6 +151,9 @@ func (c *Cache) SetOf(block uint64) int { return int(block % uint64(c.sets)) }
 
 // find returns the way array index of block within set, or -1.
 func (c *Cache) find(set int, block uint64) int {
+	if c.tags == nil {
+		return -1
+	}
 	base := set * c.assoc
 	for w, tag := range c.tags[base : base+c.assoc] {
 		if tag == block+1 {
@@ -185,7 +183,12 @@ func (c *Cache) Access(block uint64, write bool) AccessResult {
 	if i := c.find(set, block); i >= 0 {
 		return AccessResult{Hit: true, WasDirtyHit: c.touch(set, i, write)}
 	}
-	return c.Fill(set, block, write)
+	victim, dirty := c.Fill(set, block, write)
+	res := AccessResult{EvictedDirty: dirty}
+	if victim != 0 {
+		res.Evicted, res.EvictedBlock = true, victim-1
+	}
+	return res
 }
 
 // Hit is Access for a caller that knows block is resident in set (the
@@ -201,31 +204,35 @@ func (c *Cache) Hit(set int, block uint64, write bool) {
 
 // Fill is Access for a caller that knows block is not resident in set: it
 // allocates the block in the set's victim way without looking at the tags.
-func (c *Cache) Fill(set int, block uint64, write bool) (res AccessResult) {
+// victim is the evicted block + 1, or 0 when the way was empty; dirty says
+// the evicted block was modified (its writeback is counted here).
+func (c *Cache) Fill(set int, block uint64, write bool) (victim uint64, dirty bool) {
+	if c.tags == nil {
+		n := c.sets * c.assoc
+		c.tags, c.dirty = make([]uint64, n), make([]bool, n)
+		c.next, c.prev, c.head = make([]uint8, n), make([]uint8, n), make([]uint8, c.sets)
+	}
 	c.stats.Accesses++
 	c.stats.Misses++
 	c.stats.FillBytes += c.blockBytes
 	base := set * c.assoc
 	h := c.head[set]
-	victim := c.prev[base+int(h)]
-	if victim == h && c.assoc > 1 {
+	w := c.prev[base+int(h)]
+	if w == h && c.assoc > 1 {
 		// A circle of one way: the set's links were never built.
 		c.linkSet(set)
-		victim = 0
+		w = 0
 	}
-	c.head[set] = victim
-	i := base + int(victim)
-	if tag := c.tags[i]; tag != 0 {
-		res.Evicted = true
-		res.EvictedBlock = tag - 1
-		if c.dirty[i] {
-			res.EvictedDirty = true
-			c.stats.WriteBackBytes += c.blockBytes
-		}
+	c.head[set] = w
+	i := base + int(w)
+	// An empty way is clean: Invalidate and Flush clear both.
+	victim, dirty = c.tags[i], c.dirty[i]
+	if dirty {
+		c.stats.WriteBackBytes += c.blockBytes
 	}
 	c.tags[i] = block + 1
 	c.dirty[i] = write
-	return res
+	return victim, dirty
 }
 
 // linkSet builds the recency order of a set whose ways are all empty: from
@@ -363,8 +370,9 @@ func (c *Cache) ForEachResident(fn func(block uint64, dirty bool)) {
 }
 
 // Flush invalidates every block (bulk coherence reset between experiment
-// repetitions); dirty blocks count writebacks. The cache is as New made it
-// afterwards, statistics aside.
+// repetitions); dirty blocks count writebacks. The cache is empty afterwards,
+// as New made it, statistics aside; way arrays it has made are cleared and
+// kept for the next fill.
 func (c *Cache) Flush() {
 	for _, d := range c.dirty {
 		if d {

@@ -12,9 +12,9 @@ package cache
 //
 // Entries are stored in fixed-size pages keyed by the high block bits. A
 // range walk fetches each page once (Page, or PageIfAny when it only
-// touches blocks that are cached somewhere) and indexes it per block; the
-// per-block call (Entry) goes through a small lookup cache, so
-// consecutive blocks resolve without a map operation.
+// touches blocks that are cached somewhere) and indexes it per block, and
+// keeps its eviction victims' page the same way: one map lookup per run of
+// DirPageBlocks blocks, so the directory keeps no lookup cache of its own.
 //
 // Pages are only reclaimed by Reset (hw.FlushCaches), not when their
 // entries empty out: live tracking would put a counter update on every
@@ -25,14 +25,6 @@ package cache
 type Directory struct {
 	domains int
 	pages   map[uint64]*DirPage
-
-	// Two-slot page cache for the per-block calls (eviction victims,
-	// which come in runs of consecutive blocks) and the page walks. The
-	// second slot keeps the map out of the loop when two runs interleave.
-	lastKey  uint64
-	lastPage *DirPage
-	prevKey  uint64
-	prevPage *DirPage
 }
 
 // DirEntry is the directory's knowledge of one block. The zero value means
@@ -69,16 +61,18 @@ func (e *DirEntry) ClearPresent(dom int) {
 }
 
 const (
-	dirPageShift  = 9
-	dirPageBlocks = 1 << dirPageShift
+	dirPageShift = 9
+	// DirPageBlocks is how many blocks a DirPage covers: blocks a and b
+	// share a page exactly when a|(DirPageBlocks-1) == b|(DirPageBlocks-1).
+	DirPageBlocks = 1 << dirPageShift
 )
 
 // DirPage holds the entries of a run of consecutive blocks. A range walk
 // fetches it once (Directory.Page) and indexes it per block.
-type DirPage [dirPageBlocks]DirEntry
+type DirPage [DirPageBlocks]DirEntry
 
 // Entry returns the mutable entry for block, which must lie in the page.
-func (p *DirPage) Entry(block uint64) *DirEntry { return &p[block&(dirPageBlocks-1)] }
+func (p *DirPage) Entry(block uint64) *DirEntry { return &p[block&(DirPageBlocks-1)] }
 
 // NewDirectory returns an empty directory over the given number of cache
 // domains (at most 64, the presence-mask width).
@@ -96,18 +90,11 @@ func (d *Directory) Domains() int { return d.domains }
 // touch, and the last block that page covers.
 func (d *Directory) Page(block uint64) (pg *DirPage, last uint64) {
 	key := block >> dirPageShift
-	last = block | (dirPageBlocks - 1)
-	if pg := d.lastPage; pg != nil && d.lastKey == key {
-		return pg, last
+	if pg = d.pages[key]; pg == nil {
+		pg = new(DirPage)
+		d.pages[key] = pg
 	}
-	return d.pageSlow(key, true), last
-}
-
-// Entry returns the mutable entry for block, allocating its page on first
-// touch.
-func (d *Directory) Entry(block uint64) *DirEntry {
-	pg, _ := d.Page(block)
-	return pg.Entry(block)
+	return pg, block | (DirPageBlocks - 1)
 }
 
 // PageIfAny is Page without the allocation: the page is nil when no block
@@ -115,32 +102,7 @@ func (d *Directory) Entry(block uint64) *DirEntry {
 // never cached). last is the last block the page covers either way, so a
 // walk can skip the whole page.
 func (d *Directory) PageIfAny(block uint64) (pg *DirPage, last uint64) {
-	key := block >> dirPageShift
-	last = block | (dirPageBlocks - 1)
-	if pg := d.lastPage; pg != nil && d.lastKey == key {
-		return pg, last
-	}
-	return d.pageSlow(key, false), last
-}
-
-// pageSlow resolves key through the second cache slot, then the map
-// (creating the page if asked), promoting the result to the first slot.
-func (d *Directory) pageSlow(key uint64, create bool) *DirPage {
-	pg := d.prevPage
-	if pg == nil || d.prevKey != key {
-		var ok bool
-		pg, ok = d.pages[key]
-		if !ok {
-			if !create {
-				return nil
-			}
-			pg = new(DirPage)
-			d.pages[key] = pg
-		}
-	}
-	d.prevKey, d.prevPage = d.lastKey, d.lastPage
-	d.lastKey, d.lastPage = key, pg
-	return pg
+	return d.pages[block>>dirPageShift], block | (DirPageBlocks - 1)
 }
 
 // ForEach calls fn for every block with a non-zero entry, in no particular
@@ -158,6 +120,4 @@ func (d *Directory) ForEach(fn func(block uint64, e DirEntry)) {
 // Reset forgets everything (bulk coherence reset after flushing all caches).
 func (d *Directory) Reset() {
 	d.pages = make(map[uint64]*DirPage)
-	d.lastPage = nil
-	d.prevPage = nil
 }

@@ -140,10 +140,20 @@ func runRecencyDiff(t *testing.T, rng *rand.Rand, assoc, steps int) {
 			t.Fatalf("assoc %d op %d: stats %+v, reference %+v", assoc, i, c.Stats(), ref.stats)
 		}
 		// Which empty way a fill takes shows in no result, only here.
-		if !slices.Equal(c.tags, ref.tags) || !slices.Equal(c.dirty, ref.dirty) {
-			t.Fatalf("assoc %d op %d: way contents differ from the reference:\n%v\n%v", assoc, i, c.tags, ref.tags)
+		if tags, dirty := ways(c); !slices.Equal(tags, ref.tags) || !slices.Equal(dirty, ref.dirty) {
+			t.Fatalf("assoc %d op %d: way contents differ from the reference:\n%v\n%v", assoc, i, tags, ref.tags)
 		}
 	}
+}
+
+// ways returns the tag and dirty bit of every way of c; a cache that has
+// not made its arrays yet reads as all ways empty.
+func ways(c *Cache) ([]uint64, []bool) {
+	if c.tags == nil {
+		n := c.sets * c.assoc
+		return make([]uint64, n), make([]bool, n)
+	}
+	return c.tags, c.dirty
 }
 
 // TestRecencyListMatchesStampReference: the recency lists choose the same
@@ -194,9 +204,62 @@ func TestFlushedCacheChoosesLikeFresh(t *testing.T) {
 		if got, want := used.Access(b, write), fresh.Access(b, write); got != want {
 			t.Fatalf("op %d: Access(%d,%v) flushed %+v, fresh %+v", i, b, write, got, want)
 		}
-		if !slices.Equal(used.tags, fresh.tags) {
-			t.Fatalf("op %d: way contents differ:\n%v\n%v", i, used.tags, fresh.tags)
+		usedTags, _ := ways(used)
+		freshTags, _ := ways(fresh)
+		if !slices.Equal(usedTags, freshTags) {
+			t.Fatalf("op %d: way contents differ:\n%v\n%v", i, usedTags, freshTags)
 		}
+	}
+}
+
+// TestUnallocatedCacheAnswersAsEmpty: New makes no way array, and until
+// its first fill a cache answers every query and coherence action as an
+// emptied one does, without making them either.
+func TestUnallocatedCacheAnswersAsEmpty(t *testing.T) {
+	const sets, assoc, blockBytes = 4, 16, 64
+	lazy := New("lazy", sets*assoc*blockBytes, blockBytes, assoc)
+	if lazy.tags != nil || lazy.dirty != nil || lazy.next != nil || lazy.prev != nil || lazy.head != nil {
+		t.Fatal("New made way arrays")
+	}
+	emptied := New("emptied", sets*assoc*blockBytes, blockBytes, assoc)
+	for b := uint64(0); b < 2*sets*assoc; b++ {
+		emptied.Access(b, b%3 == 0)
+	}
+	emptied.Flush()
+	before := emptied.Stats()
+	for b := uint64(0); b < 3*sets*assoc; b++ {
+		if got, want := lazy.Contains(b), emptied.Contains(b); got != want {
+			t.Fatalf("Contains(%d) = %v, emptied cache %v", b, got, want)
+		}
+		if got, want := lazy.ContainsDirty(b), emptied.ContainsDirty(b); got != want {
+			t.Fatalf("ContainsDirty(%d) = %v, emptied cache %v", b, got, want)
+		}
+		if got, want := lazy.Downgrade(b), emptied.Downgrade(b); got != want {
+			t.Fatalf("Downgrade(%d) = %v, emptied cache %v", b, got, want)
+		}
+		gp, gd := lazy.Invalidate(b)
+		wp, wd := emptied.Invalidate(b)
+		if gp != wp || gd != wd {
+			t.Fatalf("Invalidate(%d) = (%v,%v), emptied cache (%v,%v)", b, gp, gd, wp, wd)
+		}
+	}
+	span := int64(3 * sets * assoc * blockBytes)
+	if got, want := lazy.ResidentBytes(0, span), emptied.ResidentBytes(0, span); got != want {
+		t.Fatalf("ResidentBytes = %d, emptied cache %d", got, want)
+	}
+	lazy.ForEachResident(func(block uint64, _ bool) { t.Fatalf("ForEachResident reports block %d", block) })
+	lazy.Flush()
+	emptied.Flush()
+	if got, want := lazy.Stats(), emptied.Stats().Sub(before); got != want {
+		t.Fatalf("stats %+v, emptied cache %+v", got, want)
+	}
+	if lazy.tags != nil {
+		t.Fatal("a query or coherence action made way arrays")
+	}
+	lazy.Access(0, false)
+	if len(lazy.tags) != sets*assoc || len(lazy.head) != sets {
+		t.Fatalf("the first fill made %d ways and %d set heads, want %d and %d",
+			len(lazy.tags), len(lazy.head), sets*assoc, sets)
 	}
 }
 

@@ -258,11 +258,22 @@ func runDiff(t *testing.T, rng *rand.Rand, steps int, pressure bool) {
 		tp.L2SizeBytes = 512 * units.KiB
 		footprint, maxLen = units.MiB, 128*units.KiB
 	}
+	checkTrace(t, tp, footprint, randTrace(rng, steps, footprint, maxLen))
+}
+
+// checkTrace runs ops on a Machine and a snoopMachine of topology tp over
+// a shared buffer of two footprints (copies write into the second), which
+// starts on a directory page boundary, and compares them after every op.
+func checkTrace(t *testing.T, tp *topo.Machine, footprint int64, ops []traceOp) {
+	t.Helper()
 	m, ref := New(tp), newSnoopMachine(tp)
 	buf := m.Mem.NewSharedSpace("shm").Alloc(2 * footprint)
+	if buf.Addr()/uint64(tp.Params.BlockBytes)%cache.DirPageBlocks != 0 {
+		t.Fatalf("buffer at %#x does not start a directory page", buf.Addr())
+	}
 	dst := buf.Slice(footprint, footprint)
 
-	for i, op := range randTrace(rng, steps, footprint, maxLen) {
+	for i, op := range ops {
 		da, db, dc := apply(m, buf, dst, op)
 		sa, sb, sc := applySnoop(ref, buf, dst, op)
 		if da != sa || db != sb || dc != sc {
@@ -298,6 +309,49 @@ func TestCoherenceDirectoryMatchesSnoop(t *testing.T) {
 			runDiff(t, rand.New(rand.NewSource(int64(seed)*7919+1)), steps, seed%2 == 1)
 		})
 	}
+}
+
+// TestCoherenceVictimsCrossDirectoryPages: a range walk whose eviction
+// victims run through consecutive blocks of other directory pages, so the
+// walk's victim page must be fetched again at every page boundary. Every
+// L2 is the E5345's 4 MiB (4096 blocks of 1 KiB, 256 sets, 8 directory
+// pages): the second pass of core 0 evicts the first pass's blocks in
+// address order, dirty ones included, then other cores read, write and
+// copy over both while DMA walks recall the copies.
+func TestCoherenceVictimsCrossDirectoryPages(t *testing.T) {
+	const l2 = 4 * units.MiB
+	checkTrace(t, topo.XeonE5345(), 2*l2, []traceOp{
+		{kind: 1, core: 0, off: 0, n: l2},                     // fill L2.0 dirty
+		{kind: 0, core: 0, off: l2, n: l2},                    // evicts blocks 0..4095 in order
+		{kind: 0, core: 1, off: 300, n: l2},                   // same L2: evicts the second pass
+		{kind: 1, core: 2, off: l2 / 2, n: l2 + 700},          // L2.1: invalidates L2.0's copies
+		{kind: 2, core: 4, off: 5000, off2: l2 - 3000, n: l2}, // L2.2: reads L2.1's dirty lines
+		{kind: 3, off: 0, n: 2 * l2},
+		{kind: 0, core: 6, off: 100, n: 2*l2 - 200}, // L2.3: evicts its own first half
+		{kind: 4, off: l2 / 4, n: l2},
+		{kind: 1, core: 3, off: 0, n: 2 * l2},
+	})
+}
+
+// TestCoherenceVictimInWalkedPage: an L2 of 128 KiB holds 128 blocks in 8
+// sets, so a range walk evicts blocks of the very directory page it is
+// walking (block b evicts b-128) as well as of the page before it, at the
+// start of each page.
+func TestCoherenceVictimInWalkedPage(t *testing.T) {
+	tp := topo.XeonE5345()
+	tp.L2SizeBytes = 128 * units.KiB
+	const page = 512 * units.KiB // one directory page of 1 KiB blocks
+	checkTrace(t, tp, 2*page, []traceOp{
+		{kind: 1, core: 0, off: 0, n: 2 * page},
+		{kind: 0, core: 1, off: page - 70*units.KiB, n: page},
+		{kind: 1, core: 2, off: 3000, n: page + 5000},
+		{kind: 0, core: 0, off: page / 2, n: page},
+		{kind: 2, core: 5, off: 1000, off2: 100, n: page + 200*units.KiB},
+		{kind: 3, off: 0, n: 2 * page},
+		{kind: 1, core: 7, off: page - 1, n: page},
+		{kind: 4, off: page / 3, n: page},
+		{kind: 0, core: 3, off: 0, n: 2 * page},
+	})
 }
 
 // FuzzCoherenceEquivalence lets the fuzzer hunt for trace shapes the seeded

@@ -318,3 +318,48 @@ func TestTimedCopyRangeSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatalf("a steady-state timed CopyRange allocates %.1f objects", allocs)
 	}
 }
+
+// An untimed copy of two 6 MiB ranges through a 4 MiB L2 evicts on almost
+// every block, and its victims hop between the directory pages of both
+// ranges: the walk's victim page changes hands without allocating.
+func TestUntimedCopyRangeEvictingAcrossPagesDoesNotAllocate(t *testing.T) {
+	m := newMachine()
+	const size = 6 * units.MiB
+	src := m.Mem.NewSpace("src").AllocPhantom(size)
+	dst := m.Mem.NewSharedSpace("dst").AllocPhantom(size)
+	allocs := testing.AllocsPerRun(5, func() {
+		m.CopyRange(nil, 0, mem.Region{Buf: dst, Len: size}, mem.Region{Buf: src, Len: size}, CopyOpts{NoTime: true})
+	})
+	if allocs != 0 {
+		t.Fatalf("an evicting untimed CopyRange allocates %.1f objects", allocs)
+	}
+	if ev := m.L2s[0].Stats().WriteBackBytes; ev == 0 {
+		t.Fatal("the copies evicted no dirty block")
+	}
+}
+
+// An L2 makes its way arrays on its first fill: a ping-pong between the two
+// cores of one die fills one L2, one between dies fills two, and the other
+// L2s of the E5345 cost nothing.
+func TestOnlyFilledL2sMakeWayArrays(t *testing.T) {
+	for _, c := range []struct {
+		peer topo.CoreID
+		want int
+	}{{peer: 1, want: 1}, {peer: 2, want: 2}} {
+		m := newMachine()
+		shm := m.Mem.NewSharedSpace("shm").Alloc(256 * units.KiB)
+		buf := m.Mem.NewSpace("peer").Alloc(256 * units.KiB)
+		m.TouchRange(nil, 0, shm.Addr(), shm.Len(), true, true)
+		m.CopyRange(nil, c.peer, mem.Region{Buf: buf, Len: buf.Len()}, mem.Region{Buf: shm, Len: shm.Len()},
+			CopyOpts{NoTime: true})
+		got := 0
+		for _, l2 := range m.L2s {
+			if hasWayArrays(l2) {
+				got++
+			}
+		}
+		if got != c.want {
+			t.Fatalf("core 0 to core %d: %d of %d L2s made way arrays, want %d", c.peer, got, len(m.L2s), c.want)
+		}
+	}
+}

@@ -220,8 +220,11 @@ func (t *Traffic) Add(other Traffic) {
 // touched, so a hit only finds its way and a miss scans no tags at all.
 // Everything that does not change from block to block is taken once per
 // range; the directory page is fetched once per page of blocks, and the
-// set follows the block by counting instead of dividing. Boundary math is
-// only done on the (at most two) partial blocks at the range edges.
+// set follows the block by counting instead of dividing. Eviction victims
+// come in runs of consecutive blocks, so the walk keeps the last victim's
+// page too and fetches another only when a victim falls outside it.
+// Boundary math is only done on the (at most two) partial blocks at the
+// range edges.
 func (m *Machine) classifyRange(coreID topo.CoreID, addr uint64, n int64, write bool) (busBytes, missBytes, dirtyMissBytes int64) {
 	if n <= 0 {
 		return 0, 0, 0
@@ -239,15 +242,19 @@ func (m *Machine) classifyRange(coreID topo.CoreID, addr uint64, n int64, write 
 	// a remote dirty copy pays it too).
 	dirtyFill := int64(float64(blockBytes) * m.Topo.Params.DirtyTransferFactor)
 	set, sets := l2.SetOf(first), l2.Sets()
+	var victimPage *cache.DirPage
+	var victimLast uint64 // the last block of victimPage; no page ends at 0
 	for b := first; b <= last; {
 		page, pageLast := m.dir.Page(b)
 		pageLast = min(pageLast, last)
 		for ; b <= pageLast; b++ {
 			e := page.Entry(b)
 			mask := e.Mask()
+			// Remote copies first: a write invalidates them all, a read
+			// downgrades a remote dirty owner, which services the access.
 			dirtyRemote := false
 			if remote := mask &^ localBit; remote != 0 {
-				dirtyRemote = m.serviceRemote(e, b, remote, local, write)
+				dirtyRemote = m.recall(e, b, remote, write) > 0
 			}
 			if dirtyRemote {
 				busBytes += dirtyFill
@@ -255,14 +262,18 @@ func (m *Machine) classifyRange(coreID topo.CoreID, addr uint64, n int64, write 
 			if mask&localBit != 0 {
 				l2.Hit(set, b, write)
 			} else {
-				res := l2.Fill(set, b, write)
-				if res.Evicted {
-					m.dir.Entry(res.EvictedBlock).ClearPresent(local)
+				victim, victimDirty := l2.Fill(set, b, write)
+				if victim != 0 {
+					v := victim - 1
+					if v|(cache.DirPageBlocks-1) != victimLast {
+						victimPage, victimLast = m.dir.Page(v)
+					}
+					victimPage.Entry(v).ClearPresent(local)
 				}
 				if !dirtyRemote {
 					busBytes += blockBytes
 				}
-				if res.EvictedDirty {
+				if victimDirty {
 					busBytes += blockBytes
 				}
 				span := blockBytes
@@ -301,30 +312,32 @@ func partialSpan(b, bs uint64, addr, end uint64) int64 {
 	return int64(hi - lo)
 }
 
-// serviceRemote resolves remote copies of block before a local access:
-// writes invalidate every remote copy, reads downgrade the dirty owner.
-// Returns whether a remote modified copy had to service the access.
-func (m *Machine) serviceRemote(e *cache.DirEntry, block uint64, remote uint64, local int, write bool) (dirtyRemote bool) {
-	if write {
-		for d := 0; remote != 0; d++ {
-			bit := uint64(1) << uint(d)
-			if remote&bit == 0 {
-				continue
-			}
-			remote &^= bit
-			if present, wasDirty := m.L2s[d].Invalidate(block); present && wasDirty {
-				dirtyRemote = true
-			}
-			e.ClearPresent(d)
+// recall is the one coherence action on the copies of block in the domains
+// of mask, e being block's directory entry: invalidate invalidates every
+// one of them and clears its presence bit; otherwise the dirty owner, if
+// it is in mask, is downgraded to clean. It returns how many modified
+// copies had to be written back.
+func (m *Machine) recall(e *cache.DirEntry, block, mask uint64, invalidate bool) (dirty int64) {
+	if !invalidate {
+		if owner := e.Owner(); owner >= 0 && mask&(1<<uint(owner)) != 0 {
+			m.L2s[owner].Downgrade(block)
+			e.ClearOwner()
+			return 1
 		}
-		return dirtyRemote
+		return 0
 	}
-	if owner := e.Owner(); owner >= 0 && owner != local {
-		m.L2s[owner].Downgrade(block)
-		e.ClearOwner()
-		return true
+	for d := 0; mask != 0; d++ {
+		bit := uint64(1) << uint(d)
+		if mask&bit == 0 {
+			continue
+		}
+		mask &^= bit
+		if present, wasDirty := m.L2s[d].Invalidate(block); present && wasDirty {
+			dirty++
+		}
+		e.ClearPresent(d)
 	}
-	return false
+	return dirty
 }
 
 // ResidentBytes reports how many bytes of [addr, addr+n) are resident in

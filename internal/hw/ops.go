@@ -140,27 +140,8 @@ func (m *Machine) dmaWalk(addr uint64, n int64, invalidate bool) int64 {
 			continue
 		}
 		for ; b <= pageLast; b++ {
-			e := page.Entry(b)
-			mask := e.Mask()
-			if mask == 0 {
-				continue
-			}
-			if invalidate {
-				for d := 0; mask != 0; d++ {
-					bit := uint64(1) << uint(d)
-					if mask&bit == 0 {
-						continue
-					}
-					mask &^= bit
-					if present, wasDirty := m.L2s[d].Invalidate(b); present && wasDirty {
-						busBytes += par.BlockBytes
-					}
-					e.ClearPresent(d)
-				}
-			} else if owner := e.Owner(); owner >= 0 {
-				m.L2s[owner].Downgrade(b)
-				e.ClearOwner()
-				busBytes += par.BlockBytes
+			if e := page.Entry(b); e.Mask() != 0 {
+				busBytes += m.recall(e, b, e.Mask(), invalidate) * par.BlockBytes
 			}
 		}
 	}
