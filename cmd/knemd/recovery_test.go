@@ -26,18 +26,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"knemesis/internal/experiments"
 	"knemesis/internal/serve"
 	"knemesis/internal/serve/api"
-	"knemesis/internal/serve/loadgen"
 	"knemesis/internal/serve/store"
 	"knemesis/internal/units"
 )
@@ -50,26 +50,20 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// chaosChild is the daemon side of the gate: a real serve stack on a real
-// WAL root, killed from outside with SIGKILL — it never exits voluntarily.
+// chaosChild is the daemon side of the gate: knemd's own serve loop on a
+// real WAL root. The kill-9 gate kills it from outside with SIGKILL; the
+// SIGTERM test lets it drain and return.
 func chaosChild() {
-	d, err := serve.NewDaemon(serve.Config{
+	cfg := serve.Config{
 		SimWorkers:   2,
 		QueueCap:     512,
 		StoreRoot:    os.Getenv("KNEMD_CHAOS_STORE"),
 		RetryBackoff: 20 * time.Millisecond,
-	})
-	if err != nil {
+	}
+	if err := serveForever(cfg, "127.0.0.1:0"); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos child:", err)
 		os.Exit(1)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaos child:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("knemd: serving on http://%s\n", ln.Addr())
-	http.Serve(ln, serve.Handler(d))
 }
 
 func init() {
@@ -82,8 +76,9 @@ func init() {
 }
 
 // startChild re-executes the test binary as a knemd daemon on root and
-// returns the process and its base URL.
-func startChild(t *testing.T, root string) (*exec.Cmd, string) {
+// returns the process, its base URL and a channel that yields the rest of
+// its stdout once the process closes it.
+func startChild(t *testing.T, root string) (*exec.Cmd, string, <-chan string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "KNEMD_CHAOS_CHILD=1", "KNEMD_CHAOS_STORE="+root)
@@ -98,14 +93,21 @@ func startChild(t *testing.T, root string) (*exec.Cmd, string) {
 	sc := bufio.NewScanner(stdout)
 	for sc.Scan() {
 		if addr, ok := strings.CutPrefix(sc.Text(), "knemd: serving on "); ok {
-			go io.Copy(io.Discard, stdout) // keep the pipe drained
-			return cmd, addr
+			rest := make(chan string, 1)
+			go func() { // keep the pipe drained
+				var b strings.Builder
+				for sc.Scan() {
+					b.WriteString(sc.Text() + "\n")
+				}
+				rest <- b.String()
+			}()
+			return cmd, addr, rest
 		}
 	}
 	cmd.Process.Kill()
 	cmd.Wait()
 	t.Fatal("child never announced its address")
-	return nil, ""
+	return nil, "", nil
 }
 
 func httpSubmit(t *testing.T, client *http.Client, base string, spec api.Spec) api.SubmitResult {
@@ -193,6 +195,17 @@ func chaosSlow(i int) api.Spec {
 	return api.Spec{Kind: api.KindComm, Bench: "pingpong", Sizes: sizes}
 }
 
+// burstSpecs is the burst's mix: several sim shapes, so repeated draws hit
+// the result cache, and one rt spec for the exclusive lane.
+var burstSpecs = []api.Spec{
+	{Kind: api.KindComm, Bench: "pingpong", Sizes: []int64{4 * units.KiB, 64 * units.KiB}},
+	{Kind: api.KindComm, Bench: "pingpong", Sizes: []int64{16 * units.KiB}},
+	{Kind: api.KindComm, Bench: "sendrecv", Ranks: 4, Sizes: []int64{8 * units.KiB}},
+	{Kind: api.KindComm, Bench: "alltoall", Ranks: 4, Sizes: []int64{4 * units.KiB}},
+	{Kind: api.KindComm, Bench: "allreduce", Ranks: 4, Sizes: []int64{16 * units.KiB}},
+	{Kind: api.KindComm, Engine: "rt", Bench: "pingpong", Sizes: []int64{4 * units.KiB}},
+}
+
 func TestKill9RecoveryGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos gate forks, kills and restarts a daemon; skipped in -short")
@@ -201,7 +214,7 @@ func TestKill9RecoveryGate(t *testing.T) {
 	client := &http.Client{Timeout: time.Minute}
 
 	// --- Phase 1: a live daemon absorbs work, then dies by SIGKILL. -----
-	child, base := startChild(t, root)
+	child, base, _ := startChild(t, root)
 	const nTiny, nSlow = 6, 3
 	tinyIDs := make([]string, nTiny)
 	tinyArtefacts := make([][]byte, nTiny)
@@ -222,23 +235,30 @@ func TestKill9RecoveryGate(t *testing.T) {
 	for i := 0; i < nSlow; i++ {
 		slowIDs[i] = httpSubmit(t, client, base, chaosSlow(i)).ID
 	}
-	// An MMPP-modulated burst rides on top; the kill lands inside it, so
-	// its outcome is deliberately unknowable — the gate's accounting below
-	// only relies on the IDs captured above.
-	burstDone := make(chan struct{})
-	go func() {
-		defer close(burstDone)
-		loadgen.Run(loadgen.Config{BaseURL: base, Jobs: 40, Seed: 7})
-	}()
+	// A burst of mixed specs rides on top, one submission every 10 ms, so
+	// the kill lands inside it and its outcome is deliberately unknowable —
+	// the gate's accounting below only relies on the IDs captured above.
+	var burst sync.WaitGroup
+	for i := 0; i < 40; i++ {
+		burst.Add(1)
+		go func(i int) {
+			defer burst.Done()
+			time.Sleep(time.Duration(i) * 10 * time.Millisecond)
+			body, _ := json.Marshal(burstSpecs[i%len(burstSpecs)])
+			if resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body)); err == nil {
+				resp.Body.Close()
+			}
+		}(i)
+	}
 	time.Sleep(300 * time.Millisecond)
 	if err := child.Process.Kill(); err != nil { // SIGKILL: no drain, no fsync flush, nothing
 		t.Fatal(err)
 	}
 	child.Wait()
-	<-burstDone
+	burst.Wait()
 
 	// --- Phase 2: restart against the same WAL root. --------------------
-	child2, base2 := startChild(t, root)
+	child2, base2, _ := startChild(t, root)
 	defer func() {
 		child2.Process.Kill()
 		child2.Wait()
@@ -379,5 +399,38 @@ func TestKill9RecoveryGate(t *testing.T) {
 	}
 	if rec := httpAwait(t, client, base2, fresh.ID); rec.State != store.Done {
 		t.Fatalf("post-recovery submission finished %s: %s", rec.State, rec.Error)
+	}
+}
+
+// SIGTERM is the orderly exit: knemd drains, closes its store and exits 0,
+// and the WAL it leaves replays without a torn tail.
+func TestSIGTERMDrainsAndClosesStore(t *testing.T) {
+	root := t.TempDir()
+	client := &http.Client{Timeout: time.Minute}
+	child, base, rest := startChild(t, root)
+	id := httpSubmit(t, client, base, chaosTiny(0)).ID
+	if rec := httpAwait(t, client, base, id); rec.State != store.Done {
+		t.Fatalf("job %s finished %s: %s", id, rec.State, rec.Error)
+	}
+	if err := child.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	out := <-rest
+	if err := child.Wait(); err != nil {
+		t.Fatalf("knemd exited with %v after SIGTERM; stdout:\n%s", err, out)
+	}
+	if !strings.Contains(out, "knemd: drained: 1 done") {
+		t.Fatalf("no drained line for the finished job; stdout:\n%s", out)
+	}
+	st, rep, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if rep.TornTail {
+		t.Fatal("the WAL of a drained daemon has a torn tail")
+	}
+	if rec, ok := st.Get(id); !ok || rec.State != store.Done {
+		t.Fatalf("replayed %s = %+v (found %v), want done", id, rec, ok)
 	}
 }

@@ -67,16 +67,6 @@ func (r multipairResult) WriteFiles(dir string) error {
 	return WriteJSON(dir, r.ID, r.MultiRows)
 }
 
-// MultipairRows runs the multipair sweep and returns its typed rows
-// directly (cmd/simbench records them as drift-checked benchmark metrics).
-func MultipairRows(env Env) ([]MultipairRow, error) {
-	res, err := multipair(context.Background(), env)
-	if err != nil {
-		return nil, err
-	}
-	return res.MultiRows, nil
-}
-
 // multipairCase is one sharded stack simulation of the sweep.
 type multipairCase struct {
 	kind      core.Kind

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"knemesis/internal/comm"
 	"knemesis/internal/imb"
@@ -63,114 +62,6 @@ func RTRows(env Env) ([]RTRow, error) {
 		return nil, err
 	}
 	return res.RTRows, nil
-}
-
-// --- rt fast-path perf suite -------------------------------------------
-//
-// RTMsgRate and RTStreamBW are the regression-gated rt benchmarks: fixed
-// amounts of work (so two runs are comparable as plain seconds) measuring
-// the two ends the paper's Nemesis substrate optimizes — small-message
-// rate (the fastbox / zero-alloc envelope path) and large-message stream
-// bandwidth (the pipelined copy path). cmd/simbench runs them at default
-// scale and records them into BENCH_5.json; the suites section of that
-// file holds the before/after wall-clock comparison.
-
-// RTPerfPoint is one measured rt perf workload.
-type RTPerfPoint struct {
-	Workload string  // "msgrate" or "streambw"
-	Mode     string  // eager | single-copy | offload
-	Size     int64   // message size in bytes
-	Msgs     int     // messages moved
-	Secs     float64 // wall-clock for the whole workload
-	MsgsPerS float64 // msgrate: messages per second
-	MiBps    float64 // streambw: payload MiB per second
-}
-
-// RTMsgRate measures small-message rate: `rounds` blocking ping-pong round
-// trips of `size` bytes between two ranks (2 messages per round).
-func RTMsgRate(mode string, size, rounds int) (RTPerfPoint, error) {
-	m, err := rt.ParseMode(mode)
-	if err != nil {
-		return RTPerfPoint{}, err
-	}
-	w := rt.NewWorld(2, rt.Config{Large: m})
-	start := time.Now()
-	err = w.Run(func(r *rt.Rank) {
-		buf := make([]byte, size)
-		if r.ID() == 0 {
-			for i := 0; i < rounds; i++ {
-				r.Send(1, 0, buf)
-				r.Recv(1, 0, buf)
-			}
-		} else {
-			for i := 0; i < rounds; i++ {
-				r.Recv(0, 0, buf)
-				r.Send(0, 0, buf)
-			}
-		}
-	})
-	secs := time.Since(start).Seconds()
-	if err != nil {
-		return RTPerfPoint{}, err
-	}
-	msgs := 2 * rounds
-	return RTPerfPoint{Workload: "msgrate", Mode: mode, Size: int64(size),
-		Msgs: msgs, Secs: secs, MsgsPerS: float64(msgs) / secs}, nil
-}
-
-// rtStreamWindow is the number of outstanding operations each side of the
-// bandwidth stream keeps in flight — the osu_bw/IMB uniband shape, so the
-// measurement exercises the transport pipeline rather than the app's
-// posting latency (a receive is always pre-posted when the next message
-// starts arriving).
-const rtStreamWindow = 4
-
-// RTStreamBW measures large-message bandwidth: `count` sends of `size`
-// bytes from rank 0 to rank 1 with a window of rtStreamWindow outstanding
-// operations per side (a unidirectional stream, the shape of the paper's
-// bandwidth figures).
-func RTStreamBW(mode string, size, count int) (RTPerfPoint, error) {
-	m, err := rt.ParseMode(mode)
-	if err != nil {
-		return RTPerfPoint{}, err
-	}
-	w := rt.NewWorld(2, rt.Config{Large: m})
-	start := time.Now()
-	err = w.Run(func(r *rt.Rank) {
-		bufs := make([][]byte, rtStreamWindow)
-		for i := range bufs {
-			bufs[i] = make([]byte, size)
-		}
-		reqs := make([]*rt.Request, rtStreamWindow)
-		for i := 0; i < count; i++ {
-			slot := i % rtStreamWindow
-			if reqs[slot] != nil {
-				r.Wait(reqs[slot])
-			}
-			if r.ID() == 0 {
-				reqs[slot] = r.Isend(1, 0, bufs[slot])
-			} else {
-				reqs[slot] = r.Irecv(0, 0, bufs[slot])
-			}
-		}
-		for _, req := range reqs {
-			if req != nil {
-				r.Wait(req)
-			}
-		}
-		if r.ID() == 0 {
-			r.Recv(1, 1, nil) // completion ack: the stream is fully delivered
-		} else {
-			r.Send(0, 1, nil)
-		}
-	})
-	secs := time.Since(start).Seconds()
-	if err != nil {
-		return RTPerfPoint{}, err
-	}
-	return RTPerfPoint{Workload: "streambw", Mode: mode, Size: int64(size),
-		Msgs: count, Secs: secs,
-		MiBps: float64(size) * float64(count) / (1 << 20) / secs}, nil
 }
 
 func rtBench(ctx context.Context, env Env) (rtResult, error) {

@@ -77,37 +77,6 @@ func TestRTExperimentShape(t *testing.T) {
 	}
 }
 
-// The perf-suite workloads (simbench's rt rows) run at tiny scale: the
-// shapes must hold, unknown modes must error, and the fixed work must be
-// reflected in the point.
-func TestRTPerfPoints(t *testing.T) {
-	pt, err := RTMsgRate("single-copy", 64, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Workload != "msgrate" || pt.Mode != "single-copy" || pt.Size != 64 {
-		t.Errorf("point identity: %+v", pt)
-	}
-	if pt.Msgs != 400 || pt.Secs <= 0 || pt.MsgsPerS <= 0 {
-		t.Errorf("degenerate msgrate point: %+v", pt)
-	}
-	for _, mode := range []string{"eager", "single-copy", "offload"} {
-		pt, err := RTStreamBW(mode, 256*1024, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pt.Workload != "streambw" || pt.Mode != mode || pt.Msgs != 4 || pt.MiBps <= 0 {
-			t.Errorf("degenerate streambw point: %+v", pt)
-		}
-	}
-	if _, err := RTMsgRate("bogus", 64, 1); err == nil {
-		t.Error("unknown msgrate mode accepted")
-	}
-	if _, err := RTStreamBW("bogus", 64, 1); err == nil {
-		t.Error("unknown streambw mode accepted")
-	}
-}
-
 // The JSON schema of one row is what external consumers parse; golden-check
 // the key set and types via a zero-valued row.
 func TestRTRowJSONSchemaGolden(t *testing.T) {

@@ -59,8 +59,8 @@ func sampleDist(dist string, mean float64, u float64) float64 {
 // coefficient of variation above unity — genuinely bursty load rather than
 // a rescaled trickle. Gaps are a pure function of (seed, stream) and the
 // internal draw counter, so two generators built alike emit identical
-// schedules. Besides the noisy-rank perturbation kind, the knemd load
-// generator drives its submission schedule from one.
+// schedules. The noisy-rank perturbation kind draws its interruptions from
+// one.
 type Arrivals struct {
 	seed, stream uint64
 	ctr          uint64
@@ -73,23 +73,20 @@ type Arrivals struct {
 	stateLeft float64 // seconds left in the current state
 }
 
-// NewArrivals builds an arrival generator on the (seed, stream) RNG stream.
-// With mmpp false the process is plain Poisson at rate and burstRate/flip
-// are ignored; with mmpp true the two-state chain alternates between rate
-// and burstRate, changing state at rate flip (all per second, > 0).
-func NewArrivals(seed, stream uint64, rate, burstRate, flip float64, mmpp bool) *Arrivals {
+// newArrivalGen builds an arrival generator on the instance's (seed,
+// stream) RNG stream. With mmpp false the process is plain Poisson at rate
+// and burstRate/flip are ignored; with mmpp true the two-state chain
+// alternates between rate and burstRate, changing state at rate flip (all
+// per second, > 0).
+func newArrivalGen(in Inst, rate, burstRate, flip float64, mmpp bool) *Arrivals {
 	g := &Arrivals{
-		seed: seed, stream: stream,
+		seed: in.Seed, stream: in.Stream,
 		mmpp: mmpp, rate: rate, burstRate: burstRate, flip: flip,
 	}
 	if g.mmpp {
 		g.stateLeft = g.exp(1 / g.flip)
 	}
 	return g
-}
-
-func newArrivalGen(in Inst, rate, burstRate, flip float64, mmpp bool) *Arrivals {
-	return NewArrivals(in.Seed, in.Stream, rate, burstRate, flip, mmpp)
 }
 
 func (g *Arrivals) exp(mean float64) float64 {

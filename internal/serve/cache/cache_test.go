@@ -69,7 +69,7 @@ func TestLRUConcurrent(t *testing.T) {
 // TestLRUHitMissAccountingUnderHammer drives the daemon's actual cache
 // usage pattern — Get, then Put on a miss — from many goroutines over a key
 // space twice the capacity, and checks the accounting identities the
-// selftest's cache_hit_rate metric is built on: every Get is exactly one
+// daemon's cache hit/miss stats are built on: every Get is exactly one
 // hit or one miss, the globally first touch of every key is a miss, and
 // eviction keeps the table at capacity. Run under -race in CI.
 func TestLRUHitMissAccountingUnderHammer(t *testing.T) {

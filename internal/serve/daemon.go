@@ -527,6 +527,5 @@ func (d *Daemon) Stats() api.Stats {
 	}
 }
 
-// CacheHits exposes the lifetime cache hit count (asserted by tests and
-// the selftest gate).
+// CacheHits exposes the lifetime cache hit count (asserted by tests).
 func (d *Daemon) CacheHits() int64 { return d.cache.Hits() }
