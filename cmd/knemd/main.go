@@ -1,9 +1,10 @@
 // Command knemd is the always-on experiment service: it accepts canonical
 // JobSpec envelopes (see internal/serve/api) over HTTP/JSON, schedules
 // them through the class-aware admission controller — sim jobs fan out
-// across a bounded worker pool, rt jobs run one at a time on a reserved
-// quota — answers repeated submissions from the result cache, and persists
-// typed JSON artefacts with a long-pollable progress ledger.
+// across a bounded worker pool, rt jobs run one at a time (no core is
+// reserved; sim jobs may run beside one) — answers repeated submissions
+// from the result cache, and persists typed JSON artefacts with a
+// long-pollable progress ledger.
 //
 //	knemd -addr 127.0.0.1:8077 -store /var/lib/knemd
 //	curl -d '{"kind":"comm","bench":"pingpong"}' http://127.0.0.1:8077/v1/jobs
@@ -30,7 +31,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8077", "serve address")
 		storeRoot  = flag.String("store", "", "ledger directory holding wal.jsonl, records and artefacts (empty = in memory only)")
 		simWorkers = flag.Int("sim-workers", runtime.GOMAXPROCS(0), "concurrently running sim jobs")
-		rtCores    = flag.Int("rt-cores", 1, "core quota reserved for the rt lane")
 		queueCap   = flag.Int("queue-cap", 256, "backlog cap before submissions are shed (429)")
 		cacheSize  = flag.Int("cache", 256, "result cache entries")
 		deadline   = flag.Duration("deadline", 2*time.Minute, "default per-job deadline")
@@ -44,7 +44,6 @@ func main() {
 
 	cfg := serve.Config{
 		SimWorkers: *simWorkers,
-		RTCores:    *rtCores,
 		QueueCap:   *queueCap,
 		CacheSize:  *cacheSize,
 		Deadline:   *deadline,

@@ -2,7 +2,7 @@
 // sort, whose alltoallv moves ~2 MiB per rank pair per iteration — under
 // the four LMT configurations and print the Table 1 row with the speedup
 // column. Uses a reduced key volume so the example finishes in seconds;
-// run `cmd/nas -kernel is.B.8` for the full class B.
+// run `knemsim -experiment table1` for the full class B suite.
 package main
 
 import (

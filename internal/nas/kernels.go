@@ -87,16 +87,6 @@ func Kernels() []Kernel {
 	return []Kernel{BT(), CG(), EP(), FT(), IS(), LU(), MG(), SP()}
 }
 
-// KernelByName finds a kernel ("is", "ft", ...); ok is false if unknown.
-func KernelByName(name string) (Kernel, bool) {
-	for _, k := range Kernels() {
-		if k.Name == name {
-			return k, true
-		}
-	}
-	return Kernel{}, false
-}
-
 // BT is bt.B.4: block-tridiagonal solver, 4 ranks, 200 ADI iterations,
 // each exchanging ~240 KiB faces with both neighbours in 3 dimensions.
 func BT() Kernel {

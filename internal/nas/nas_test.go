@@ -27,12 +27,6 @@ func TestKernelCatalog(t *testing.T) {
 			t.Errorf("%s: missing calibration target or iterations", k.Name)
 		}
 	}
-	if _, ok := KernelByName("is.B.8"); !ok {
-		t.Error("KernelByName failed for is.B.8")
-	}
-	if _, ok := KernelByName("nope"); ok {
-		t.Error("KernelByName found a ghost")
-	}
 }
 
 func TestISKeyVolumeMatchesPaperScale(t *testing.T) {

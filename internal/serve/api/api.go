@@ -44,7 +44,7 @@ const (
 // Resource classes (scheduler lanes).
 const (
 	ClassSim = "sim" // fan out across the bounded worker pool
-	ClassRT  = "rt"  // exclusive: serialized onto reserved cores
+	ClassRT  = "rt"  // one rt job at a time; no core reserved, sim jobs may run beside it
 )
 
 // BenchNames lists the comm-kind drivers, in help order.
@@ -423,8 +423,9 @@ type Stats struct {
 	CacheEntries int   `json:"cache_entries"`
 
 	// RTMaxObserved is the in-process honesty probe: the high-water mark
-	// of concurrently executing rt-class jobs. Anything above 1 means an
-	// rt measurement shared its cores.
+	// of concurrently executing rt-class jobs. Anything above 1 means two
+	// rt measurements ran at once; sim jobs running beside one are not
+	// counted.
 	RTMaxObserved int64 `json:"rt_max_observed"`
 	// RTAuditFailures counts rt jobs whose post-run envelope audit found
 	// leaked envelopes (minted != pooled).

@@ -12,7 +12,6 @@ import (
 	"knemesis/internal/experiments"
 	"knemesis/internal/serve/api"
 	"knemesis/internal/serve/cache"
-	"knemesis/internal/serve/quota"
 	"knemesis/internal/serve/scheduler"
 	"knemesis/internal/serve/store"
 )
@@ -43,8 +42,6 @@ var (
 // Config sizes a Daemon. Zero values select the defaults noted inline.
 type Config struct {
 	SimWorkers int           // concurrently running sim jobs (default 4)
-	RTCores    int           // core quota reserved for the rt lane (default 1)
-	RTMemBytes int64         // memory quota for the rt lane (default 1 GiB)
 	QueueCap   int           // backlog cap before shedding (default 64)
 	CacheSize  int           // result-cache entries (default 256)
 	Deadline   time.Duration // default per-job deadline (default 2m)
@@ -158,8 +155,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d.seq.Store(rep.MaxSeq)
 	d.sched = scheduler.New(scheduler.Config{
 		SimWorkers: cfg.SimWorkers,
-		RTCores:    cfg.RTCores,
-		RTMemBytes: cfg.RTMemBytes,
 		QueueCap:   cfg.QueueCap,
 		Deadline:   cfg.Deadline,
 		OnAdmit:    func(id string) { d.store.Advance(id, store.Admitted, "") },
@@ -320,14 +315,9 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 // dispatch hands one canonical spec to the scheduler (initial submission,
 // crash-recovery re-queue and retry all funnel through here).
 func (d *Daemon) dispatch(id string, c api.Spec) error {
-	var demand quota.Res
-	if c.Class() == api.ClassRT {
-		demand = quota.Res{Cores: 1}
-	}
 	return d.sched.Submit(scheduler.Job{
 		ID:       id,
 		Class:    c.Class(),
-		Demand:   demand,
 		Deadline: time.Duration(c.DeadlineSec * float64(time.Second)),
 		Run:      func(ctx context.Context) error { return d.runJob(ctx, id, c) },
 	})

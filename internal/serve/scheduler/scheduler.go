@@ -1,10 +1,11 @@
 // Package scheduler is knemd's admission controller. Jobs arrive in one of
-// two resource classes: sim jobs fan out across a bounded worker pool,
-// while rt jobs — whose wall-clock numbers are only honest on quiet
-// cores — are admitted one at a time onto a reserved core/memory quota via
-// a first-fit-decreasing packer. The queue is capped; submissions beyond
-// the cap are shed with ErrQueueFull so the daemon can answer 429 instead
-// of building an unbounded backlog.
+// two resource classes, each admitted FIFO with one capacity check: sim
+// jobs fan out across a bounded worker pool, while rt jobs — whose
+// wall-clock numbers are only honest when two rt runs do not share the
+// machine — are admitted one at a time. No core is reserved for the rt
+// lane: sim jobs may run beside an rt job. The queue is capped;
+// submissions beyond the cap are shed with ErrQueueFull so the daemon can
+// answer 429 instead of building an unbounded backlog.
 //
 // The scheduler has no dispatcher goroutine: admission decisions run under
 // the lock from Submit, job completion and Cancel, so there is no window
@@ -17,8 +18,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"knemesis/internal/serve/quota"
 )
 
 // Submission errors.
@@ -39,8 +38,6 @@ const (
 // Config sizes a Scheduler. Zero values select the defaults noted inline.
 type Config struct {
 	SimWorkers int           // concurrently running sim jobs (default 4)
-	RTCores    int           // core quota reserved for rt jobs (default 1)
-	RTMemBytes int64         // memory quota for rt jobs (default 1 GiB)
 	QueueCap   int           // max queued (not yet running) jobs (default 64)
 	Deadline   time.Duration // per-job deadline when the job sets none (default none)
 
@@ -58,7 +55,6 @@ type Config struct {
 type Job struct {
 	ID       string
 	Class    string        // ClassSim | ClassRT
-	Demand   quota.Res     // rt only: cores/memory to reserve
 	Deadline time.Duration // 0 = Config.Deadline
 	Run      func(ctx context.Context) error
 }
@@ -71,13 +67,10 @@ type jobState struct {
 
 // Stats is a point-in-time scheduler snapshot.
 type Stats struct {
-	Queued     int
-	Running    int
-	Submitted  int64
-	Shed       int64
-	RTMax      int64 // high-water mark of concurrently running rt jobs
-	RTCapacity quota.Res
-	RTUsed     quota.Res
+	Queued    int
+	Running   int
+	Submitted int64
+	Shed      int64
 }
 
 // Scheduler admits, runs, cancels and drains jobs.
@@ -88,10 +81,8 @@ type Scheduler struct {
 	cond     *sync.Cond // signalled on any running-set shrink (Drain waits on it)
 	queue    []*jobState
 	running  map[string]*jobState
-	packer   *quota.Packer
 	simRun   int
 	rtRun    int
-	rtMax    int64
 	draining bool
 
 	submitted int64
@@ -103,19 +94,12 @@ func New(cfg Config) *Scheduler {
 	if cfg.SimWorkers <= 0 {
 		cfg.SimWorkers = 4
 	}
-	if cfg.RTCores <= 0 {
-		cfg.RTCores = 1
-	}
-	if cfg.RTMemBytes <= 0 {
-		cfg.RTMemBytes = 1 << 30
-	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
 	s := &Scheduler{
 		cfg:     cfg,
 		running: make(map[string]*jobState),
-		packer:  quota.New(quota.Res{Cores: cfg.RTCores, MemBytes: cfg.RTMemBytes}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -123,8 +107,7 @@ func New(cfg Config) *Scheduler {
 
 // Submit queues a job and admits as much of the backlog as now fits. A
 // full queue sheds with ErrQueueFull; a draining scheduler rejects with
-// ErrDraining; an rt demand beyond the reserved quota can never run and is
-// rejected outright.
+// ErrDraining.
 func (s *Scheduler) Submit(j Job) error {
 	if j.Run == nil {
 		return fmt.Errorf("scheduler: job %s has no Run", j.ID)
@@ -133,15 +116,6 @@ func (s *Scheduler) Submit(j Job) error {
 	case ClassSim, ClassRT:
 	default:
 		return fmt.Errorf("scheduler: job %s has unknown class %q", j.ID, j.Class)
-	}
-	if j.Class == ClassRT {
-		if j.Demand == (quota.Res{}) {
-			j.Demand = quota.Res{Cores: 1}
-		}
-		if !s.packer.Satisfiable(j.Demand) {
-			return fmt.Errorf("scheduler: job %s demands %+v beyond the rt quota %+v",
-				j.ID, j.Demand, s.packer.Capacity())
-		}
 	}
 
 	s.mu.Lock()
@@ -164,9 +138,8 @@ func (s *Scheduler) Submit(j Job) error {
 
 // admitLocked moves every currently admittable job from the queue to the
 // running set and returns them; the caller fires callbacks and goroutines
-// after unlocking. Within each class, candidates are considered in
-// first-fit-decreasing order (FIFO among equals), so a large rt job is not
-// starved behind a stream of small ones.
+// after unlocking. Each class is admitted in submission order; a class
+// without capacity does not hold up the other.
 func (s *Scheduler) admitLocked() []*jobState {
 	var admitted []*jobState
 	for {
@@ -175,11 +148,7 @@ func (s *Scheduler) admitLocked() []*jobState {
 			return admitted
 		}
 		if js.job.Class == ClassRT {
-			s.packer.Acquire(js.job.Demand)
 			s.rtRun++
-			if int64(s.rtRun) > s.rtMax {
-				s.rtMax = int64(s.rtRun)
-			}
 		} else {
 			s.simRun++
 		}
@@ -188,25 +157,13 @@ func (s *Scheduler) admitLocked() []*jobState {
 	}
 }
 
-// pickLocked selects the next admittable queued job, or nil.
+// pickLocked removes and returns the oldest queued job whose class has
+// capacity — a free sim worker, or no rt job running — or returns nil.
 func (s *Scheduler) pickLocked() *jobState {
-	demands := make([]quota.Res, len(s.queue))
 	for i, js := range s.queue {
-		demands[i] = js.job.Demand
-	}
-	for _, i := range quota.OrderFFD(demands) {
-		js := s.queue[i]
-		switch js.job.Class {
-		case ClassSim:
-			if s.simRun >= s.cfg.SimWorkers {
-				continue
-			}
-		case ClassRT:
-			// One rt job at a time, and only when its demand fits the
-			// remaining quota.
-			if s.rtRun > 0 || !s.packer.Fit(js.job.Demand) {
-				continue
-			}
+		if js.job.Class == ClassRT && s.rtRun > 0 ||
+			js.job.Class == ClassSim && s.simRun >= s.cfg.SimWorkers {
+			continue
 		}
 		s.queue = append(s.queue[:i], s.queue[i+1:]...)
 		return js
@@ -263,7 +220,6 @@ func (s *Scheduler) run(js *jobState) {
 
 	s.mu.Lock()
 	if js.job.Class == ClassRT {
-		s.packer.Release(js.job.Demand)
 		s.rtRun--
 	} else {
 		s.simRun--
@@ -358,12 +314,9 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Queued:     len(s.queue),
-		Running:    len(s.running),
-		Submitted:  s.submitted,
-		Shed:       s.shed,
-		RTMax:      s.rtMax,
-		RTCapacity: s.packer.Capacity(),
-		RTUsed:     s.packer.Used(),
+		Queued:    len(s.queue),
+		Running:   len(s.running),
+		Submitted: s.submitted,
+		Shed:      s.shed,
 	}
 }

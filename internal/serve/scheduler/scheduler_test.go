@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"knemesis/internal/serve/quota"
 )
 
 // blockingJob returns a job that parks until released (or its ctx is cut).
@@ -21,17 +19,6 @@ func blockingJob(id, class string, release <-chan struct{}) Job {
 			return ctx.Err()
 		}
 	}}
-}
-
-func waitFor(t *testing.T, what string, pred func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !pred() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func TestSimPoolBounded(t *testing.T) {
@@ -66,12 +53,11 @@ func TestSimPoolBounded(t *testing.T) {
 func TestRTExclusive(t *testing.T) {
 	var running, max atomic.Int64
 	var done sync.WaitGroup
-	s := New(Config{SimWorkers: 4, RTCores: 4, QueueCap: 16,
+	s := New(Config{SimWorkers: 4, QueueCap: 16,
 		OnFinish: func(string, error, bool) { done.Done() }})
 	for i := 0; i < 4; i++ {
 		done.Add(1)
 		err := s.Submit(Job{ID: string(rune('a' + i)), Class: ClassRT,
-			Demand: quota.Res{Cores: 1},
 			Run: func(ctx context.Context) error {
 				n := running.Add(1)
 				for {
@@ -92,9 +78,6 @@ func TestRTExclusive(t *testing.T) {
 	if got := max.Load(); got != 1 {
 		t.Fatalf("rt concurrency reached %d; rt jobs must never overlap", got)
 	}
-	if st := s.Stats(); st.RTMax != 1 {
-		t.Fatalf("RTMax watermark = %d, want 1", st.RTMax)
-	}
 }
 
 func TestQueueShedding(t *testing.T) {
@@ -113,15 +96,6 @@ func TestQueueShedding(t *testing.T) {
 		t.Fatalf("stats after shed = %+v", st)
 	}
 	close(release)
-}
-
-func TestUnsatisfiableDemandRejected(t *testing.T) {
-	s := New(Config{RTCores: 2, RTMemBytes: 1 << 20})
-	err := s.Submit(Job{ID: "big", Class: ClassRT, Demand: quota.Res{Cores: 3},
-		Run: func(context.Context) error { return nil }})
-	if err == nil || errors.Is(err, ErrQueueFull) {
-		t.Fatalf("impossible demand error = %v", err)
-	}
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {
@@ -236,36 +210,51 @@ func TestDrainDeadlineCutsStragglers(t *testing.T) {
 	}
 }
 
-// TestFFDAdmission: with the rt lane busy, a later-large rt job is
-// preferred over earlier-small ones once capacity frees (FFD order).
-func TestFFDAdmission(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	release := make(chan struct{})
+// TestFIFOPerClass: each class starts in submission order, and a running
+// rt job holds back only rt jobs.
+func TestFIFOPerClass(t *testing.T) {
+	started := make(chan string, 8)
 	var done sync.WaitGroup
-	s := New(Config{SimWorkers: 1, RTCores: 4, QueueCap: 8,
-		OnStart:  func(id string) { mu.Lock(); order = append(order, id); mu.Unlock() },
+	s := New(Config{SimWorkers: 1, QueueCap: 8,
+		OnStart:  func(id string) { started <- id },
 		OnFinish: func(string, error, bool) { done.Done() }})
-	done.Add(4)
-	if err := s.Submit(blockingJob("first", ClassRT, release)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "first rt job running", func() bool { return s.Stats().Running == 1 })
-	for _, j := range []Job{
-		{ID: "small1", Class: ClassRT, Demand: quota.Res{Cores: 1}},
-		{ID: "small2", Class: ClassRT, Demand: quota.Res{Cores: 1}},
-		{ID: "large", Class: ClassRT, Demand: quota.Res{Cores: 4}},
-	} {
-		j.Run = func(context.Context) error { return nil }
-		if err := s.Submit(j); err != nil {
+	release := make(map[string]chan struct{})
+	submit := func(id, class string) {
+		release[id] = make(chan struct{})
+		done.Add(1)
+		if err := s.Submit(blockingJob(id, class, release[id])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	close(release)
-	done.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 4 || order[1] != "large" {
-		t.Fatalf("admission order = %v, want large admitted first after the lane frees", order)
+	expect := func(want string) {
+		t.Helper()
+		select {
+		case got := <-started:
+			if got != want {
+				t.Fatalf("%s started, want %s next", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %s to start", want)
+		}
 	}
+
+	submit("rt0", ClassRT)
+	expect("rt0")
+	submit("rt1", ClassRT)
+	submit("rt2", ClassRT)
+	submit("sim0", ClassSim)
+	submit("sim1", ClassSim)
+	expect("sim0") // beside the running rt0
+	if st := s.Stats(); st.Running != 2 || st.Queued != 3 {
+		t.Fatalf("stats with rt0 and sim0 running = %+v, want 2 running, 3 queued", st)
+	}
+	close(release["rt0"])
+	expect("rt1")
+	close(release["rt1"])
+	expect("rt2")
+	close(release["sim0"])
+	expect("sim1")
+	close(release["rt2"])
+	close(release["sim1"])
+	done.Wait()
 }
