@@ -108,11 +108,6 @@ type Daemon struct {
 	quarantined map[string]bool        // cache key -> shed on submit
 	recov       api.RecoveryStats
 
-	// publish orders result-cache lookups against a finishing owner: held
-	// exclusively from before its done state becomes visible until its key
-	// is in the cache, so whoever saw it done and resubmits gets the hit.
-	publish sync.RWMutex
-
 	done      atomic.Int64
 	failed    atomic.Int64
 	cancelled atomic.Int64
@@ -153,6 +148,12 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	// Resume the ID sequence above every replayed job so recovered and new
 	// records can never collide.
 	d.seq.Store(rep.MaxSeq)
+	// A key enters the result cache when the store applies its owner's done
+	// finish: once it and the artefact are durable, and in the same critical
+	// section that makes done visible, so whoever saw the owner done and
+	// resubmits gets the hit, and a hit is only ever logged behind the entry
+	// that holds its bytes.
+	st.SetPublish(d.cache.Put)
 	d.sched = scheduler.New(scheduler.Config{
 		SimWorkers: cfg.SimWorkers,
 		QueueCap:   cfg.QueueCap,
@@ -256,10 +257,11 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 
 // Submit validates, canonicalizes and admits one spec. The returned record
 // reflects the submission outcome: a cache hit is already Done (no engine
-// invocation), everything else starts Queued. A full queue sheds with
-// scheduler.ErrQueueFull; an unfinished recovery rejects with ErrNotReady;
-// a spec whose key tripped the panic circuit breaker is shed with
-// ErrQuarantined.
+// invocation); everything else started Queued and is returned as the ledger
+// holds it once its create is durable, which may be further along. A full
+// queue sheds with scheduler.ErrQueueFull; an unfinished recovery rejects
+// with ErrNotReady; a spec whose key tripped the panic circuit breaker is
+// shed with ErrQuarantined.
 func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	if d.draining.Load() {
 		return store.Record{}, scheduler.ErrDraining
@@ -285,10 +287,7 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 
 	// Warm path: a previous run with this key owns an artefact; answer
 	// from the store without touching an engine.
-	d.publish.RLock()
-	owner, ok := d.cache.Get(key)
-	d.publish.RUnlock()
-	if ok {
+	if owner, ok := d.cache.Get(key); ok {
 		d.store.CreateCached(id, key, c.Class(), c.CanonicalJSON(), owner)
 		d.done.Add(1)
 		r, _ := d.store.Get(id)
@@ -299,15 +298,18 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	d.specs[id] = c
 	d.keys[id] = key
 	d.mu.Unlock()
-	d.store.Create(id, key, c.Class(), c.CanonicalJSON(), store.Queued)
+	durable := d.store.CreateAsync(id, key, c.Class(), c.CanonicalJSON(), store.Queued)
 
 	if err := d.dispatch(id, c); err != nil {
 		// Shed: the record never ran, remove it so the ledger only holds
-		// admitted history.
+		// admitted history. The delete's fsync covers the create too.
 		d.store.Delete(id)
 		d.clearJob(id)
 		return store.Record{}, err
 	}
+	// The job may start before its create is durable; it is acknowledged
+	// only after.
+	durable()
 	r, _ := d.store.Get(id)
 	return r, nil
 }
@@ -334,32 +336,22 @@ func (d *Daemon) runJob(ctx context.Context, id string, spec api.Spec) error {
 	return nil
 }
 
-// clearJob forgets a job's runner-side state and returns its cache key.
-func (d *Daemon) clearJob(id string) string {
+// clearJob forgets a job's runner-side state.
+func (d *Daemon) clearJob(id string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	key := d.keys[id]
 	delete(d.specs, id)
 	delete(d.keys, id)
 	delete(d.attempts, id)
-	return key
 }
 
 // onFinish maps a scheduler completion onto the ledger.
 func (d *Daemon) onFinish(id string, err error, cancelRequested bool) {
 	switch {
 	case err == nil:
-		key := d.clearJob(id)
+		d.clearJob(id)
 		d.done.Add(1)
-		// Publish to the result cache only once the finish entry, and with
-		// it the artefact, is durable: a cache hit acknowledges a client
-		// against this owner.
-		d.publish.Lock()
-		d.store.Finish(id, store.Done, "", id, "")
-		if rec, ok := d.store.Get(id); ok && rec.State == store.Done {
-			d.cache.Put(key, id)
-		}
-		d.publish.Unlock()
+		d.store.Finish(id, store.Done, "", id, "") // publishes the key, see NewDaemon
 	case cancelRequested:
 		d.clearJob(id)
 		d.cancelled.Add(1)

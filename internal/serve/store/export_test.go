@@ -1,24 +1,61 @@
 package store
 
-import "sync/atomic"
+import "sync"
 
-// syncCounter counts the fsyncs that reach the WAL handle it wraps.
-type syncCounter struct {
+// LogRecorder keeps every byte written through the WAL handle it wraps and
+// the byte offset each completed fsync made durable.
+type LogRecorder struct {
 	logFile
-	n atomic.Int64
+	mu    sync.Mutex
+	buf   []byte
+	syncs []int
 }
 
-func (c *syncCounter) Sync() error {
-	c.n.Add(1)
-	return c.logFile.Sync()
+func (r *LogRecorder) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	r.buf = append(r.buf, p...)
+	r.mu.Unlock()
+	return r.logFile.Write(p)
 }
 
-// CountSyncs wraps the store's WAL handle and returns a reader of how many
-// fsyncs it has seen since.
-func (s *Store) CountSyncs() func() int64 {
+// Sync records the length of the log when the fsync started: every byte
+// written by then is durable once it returns.
+func (r *LogRecorder) Sync() error {
+	r.mu.Lock()
+	off := len(r.buf)
+	r.mu.Unlock()
+	if err := r.logFile.Sync(); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.syncs = append(r.syncs, off)
+	r.mu.Unlock()
+	return nil
+}
+
+// Synced returns the log offset the last completed fsync made durable.
+func (r *LogRecorder) Synced() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.syncs) == 0 {
+		return 0
+	}
+	return r.syncs[len(r.syncs)-1]
+}
+
+// Log returns a copy of every byte written so far and the offset of every
+// completed fsync, in completion order.
+func (r *LogRecorder) Log() ([]byte, []int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]byte(nil), r.buf...), append([]int(nil), r.syncs...)
+}
+
+// RecordLog wraps the store's WAL handle in a LogRecorder.
+func (s *Store) RecordLog() *LogRecorder {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := &syncCounter{logFile: s.wal}
-	s.wal = c
-	return c.n.Load
+	r := &LogRecorder{logFile: s.wal}
+	s.wal = r
+	return r
 }

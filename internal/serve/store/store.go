@@ -11,7 +11,8 @@
 // they are durable too: every mutation is appended to a write-ahead log (see
 // wal.go), root/wal.jsonl, the only file the store keeps; a job's artefact
 // travels inside its finish entry, so no record is ever done without its
-// bytes; and Open replays that log on boot. A zero root logs nothing.
+// bytes; a create, finish or delete becomes visible only once it is
+// durable; and Open replays that log on boot. A zero root logs nothing.
 package store
 
 import (
@@ -81,6 +82,19 @@ type Store struct {
 
 	artefacts map[string]map[string][]byte // job id -> file name -> bytes
 
+	// Group commit (wal.go): entries written but not yet applied, in log
+	// order; the sequence numbers of the last written and the last durable
+	// entry; whether a leader's fsync is in flight; and the sticky error of
+	// a failed one. synced is signalled whenever an fsync ends.
+	pending []pendingEntry
+	written int64
+	durable int64
+	syncing bool
+	failed  error
+	synced  *sync.Cond
+
+	publish func(key, id string) // see SetPublish
+
 	replay Replay
 }
 
@@ -97,6 +111,7 @@ func New(root string) (*Store, error) {
 func Open(root string) (*Store, Replay, error) {
 	s := &Store{root: root, jobs: make(map[string]*Record), artefacts: make(map[string]map[string][]byte)}
 	s.cond = sync.NewCond(&s.mu)
+	s.synced = sync.NewCond(&s.mu)
 	if root == "" {
 		return s, Replay{}, nil
 	}
@@ -123,46 +138,80 @@ func Open(root string) (*Store, Replay, error) {
 // Replay returns the summary of what Open reconstructed.
 func (s *Store) Replay() Replay { return s.replay }
 
-// Close releases the WAL handle. The store must not be mutated afterwards.
+// SetPublish installs the hook the store calls, under its own lock, when it
+// applies the done finish of a job that owns its artefact: the moment that
+// done state, durable with the bytes, becomes visible. Anyone who saw the
+// job done therefore finds whatever the hook did already done. fn runs
+// under the store's lock, so it must neither block nor call the store. Set
+// it before the first Finish; replay in Open does not call it.
+func (s *Store) SetPublish(fn func(key, id string)) {
+	s.mu.Lock()
+	s.publish = fn
+	s.mu.Unlock()
+}
+
+// Close makes everything written durable and releases the WAL handle. The
+// store must not be mutated afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal == nil {
 		return nil
 	}
+	for s.failed == nil && s.durable < s.written {
+		s.awaitLocked(s.written)
+	}
 	err := s.wal.Close()
 	s.wal = nil
+	if s.failed != nil {
+		return s.failed
+	}
 	return err
 }
 
-// Create opens a record in its initial state. Duplicate IDs are programmer
-// errors.
+// Create opens a record in its initial state and returns once it is
+// durable and visible. Duplicate IDs are programmer errors.
 func (s *Store) Create(id, key, class string, spec []byte, initial State) {
-	s.create(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: initial})
+	s.CreateAsync(id, key, class, spec, initial)()
+}
+
+// CreateAsync logs a create like Create but returns as soon as it is
+// written. The record is live for Advance, Finish and Delete at once, but
+// invisible to readers until the returned function, which waits for it to
+// be durable, can return.
+func (s *Store) CreateAsync(id, key, class string, spec []byte, initial State) (durable func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lsn := s.createLocked(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: initial})
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.awaitLocked(lsn)
+	}
 }
 
 // CreateCached opens a record that is born done: a submission answered from
 // the result cache by owner's artefact. One entry, one fsync.
 func (s *Store) CreateCached(id, key, class string, spec []byte, owner string) {
-	s.create(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: Done,
-		Cached: true, Artefact: owner})
-}
-
-func (s *Store) create(e walEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.jobs[e.ID]; dup {
+	s.awaitLocked(s.createLocked(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec,
+		State: Done, Cached: true, Artefact: owner}))
+}
+
+func (s *Store) createLocked(e walEntry) int64 {
+	if _, dup := s.stateLocked(e.ID); dup {
 		panic(fmt.Sprintf("store: job %q created twice", e.ID))
 	}
-	s.commit(e, true)
+	return s.writeLocked(e, true)
 }
 
 // Delete removes a record (a submission shed before it was ever queued).
+// One fsync covers the delete and a create still waiting for its own.
 func (s *Store) Delete(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.commit(walEntry{Op: "delete", ID: id}, true)
-	s.cond.Broadcast()
 }
 
 func (s *Store) deleteLocked(id string) {
@@ -173,6 +222,7 @@ func (s *Store) deleteLocked(id string) {
 			break
 		}
 	}
+	s.cond.Broadcast()
 }
 
 // Advance appends a non-terminal transition. Advancing a terminal record is
@@ -182,7 +232,7 @@ func (s *Store) deleteLocked(id string) {
 func (s *Store) Advance(id string, st State, note string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r, ok := s.jobs[id]; ok && !r.State.Terminal() {
+	if cur, ok := s.stateLocked(id); ok && !cur.Terminal() {
 		s.commit(walEntry{Op: "advance", ID: id, State: st, Note: note}, st.Terminal())
 	}
 }
@@ -196,8 +246,7 @@ func (s *Store) Advance(id string, st State, note string) {
 func (s *Store) Finish(id string, st State, errText, artefactID, note string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.jobs[id]
-	if !ok || r.State.Terminal() {
+	if cur, ok := s.stateLocked(id); !ok || cur.Terminal() {
 		return
 	}
 	e := walEntry{Op: "finish", ID: id, State: st, Error: errText, Artefact: artefactID, Note: note}

@@ -10,25 +10,50 @@ import (
 )
 
 // The write-ahead log is the whole durable store: every mutation appends
-// one JSON line to root/wal.jsonl before the mutating call returns, and
-// nothing else is ever written under the root. Entries a client can have
-// been told about — create (it holds the id), finish (it saw the terminal
-// state), delete — are fsync'd before the call returns. Non-terminal
-// advance entries are written without an fsync of their own: recovery
-// treats queued, admitted and running alike, so losing one changes nothing
-// it decides, and since fsync flushes every byte of the file the next synced
-// entry makes them durable too — after a kill -9 the log is complete, after
-// a power loss it is still a prefix of history. The finish entry of a job
-// that owns its artefact carries the files, so a record is never done
-// without its bytes. Open replays the log to rebuild ledger and artefacts;
-// a torn final line (the crash landed mid-append) is detected, dropped and
-// truncated away so the next append starts on a clean record boundary.
+// one JSON line to root/wal.jsonl, and nothing else is ever written under
+// the root. A job's artefact rides the finish entry of the job that owns
+// it, so a record is never done without its bytes. Open replays the log to
+// rebuild ledger and artefacts; a torn final line (the crash landed
+// mid-append) is detected, dropped and truncated away so the next append
+// starts on a clean record boundary.
+//
+// Written is not applied. A mutation first writes its entry under the
+// ledger mutex (stamp, marshal, write(2), the next log sequence number);
+// what readers see is the applied ledger, and an entry reaches it later:
+//
+//   - Synced ops — create, finish, delete: the entries a client can be
+//     told about — are applied only once durable. Get, Wait and List never
+//     show an unlogged create or terminal state: for these ops visible
+//     means durable.
+//   - An advance is written without an fsync of its own (recovery treats
+//     queued, admitted and running alike, so losing one changes nothing it
+//     decides). It is applied at once if nothing is pending, otherwise in
+//     log order behind the pending entries.
+//
+// Durability is a group commit. A caller waiting for its entry becomes the
+// leader if no fsync is in flight: it notes how far the log is written,
+// drops the mutex, fsyncs, retakes the mutex, marks everything up to that
+// point durable, applies it in log order and wakes the followers. A caller
+// that arrives during an fsync waits for it; if its entry was written after
+// that fsync started, it leads the next one. Since fsync flushes every byte
+// of the file, what survives a crash is always a prefix of the log that
+// ends at or after the last completed fsync — after a kill -9 the whole
+// log, after a power loss possibly with a torn line.
+//
+// Write-time decisions — Advance skips a terminal record, the first Finish
+// wins, a duplicate Create panics — read the logical state: the applied
+// ledger plus the short list of pending entries.
+//
+// A failed fsync is sticky and, until storage faults have a defined
+// behaviour of their own, a panic: the leader and every follower panic with
+// the same error, none returns as if its entry were durable, no entry
+// still pending is applied, and every later mutation panics too.
 
 // walFile is the ledger log's name under the store root.
 const walFile = "wal.jsonl"
 
 // logFile is what the store needs of the WAL handle: *os.File in
-// production, a stand-in that counts fsyncs under test.
+// production, a recorder or a failing stand-in under test.
 type logFile interface {
 	Write(p []byte) (int, error)
 	Sync() error
@@ -80,21 +105,34 @@ type Replay struct {
 	TornTail bool
 }
 
-// commit stamps, logs and applies one entry: the live path and replay
-// share applyLocked, so a replayed ledger cannot diverge from the one that
-// was running. Called with s.mu held.
-func (s *Store) commit(e walEntry, sync bool) {
-	e.At = time.Now().UTC()
-	s.appendWAL(e, sync)
-	s.applyLocked(e)
+// pendingEntry is a written entry waiting to be applied.
+type pendingEntry struct {
+	e    walEntry
+	lsn  int64
+	sync bool
 }
 
-// appendWAL writes one entry to the log and, for an entry a client can have
-// been told about, fsyncs it (which also makes every unsynced entry before
-// it durable). A nil s.wal (in-memory store) is a no-op.
-func (s *Store) appendWAL(e walEntry, sync bool) {
+// commit writes one entry and, for a synced op, returns once it is durable
+// and applied. Called with s.mu held.
+func (s *Store) commit(e walEntry, sync bool) {
+	lsn := s.writeLocked(e, sync)
+	if sync {
+		s.awaitLocked(lsn)
+	}
+}
+
+// writeLocked stamps and logs one entry and returns its log sequence
+// number. An in-memory store (nil s.wal) applies the entry at once, and so
+// does a log for an advance with nothing pending ahead of it; everything
+// else is queued for the group commit.
+func (s *Store) writeLocked(e walEntry, sync bool) int64 {
+	if s.failed != nil {
+		panic(s.failed.Error())
+	}
+	e.At = time.Now().UTC()
 	if s.wal == nil {
-		return
+		s.applyLocked(e)
+		return s.durable
 	}
 	buf, err := json.Marshal(e)
 	if err != nil {
@@ -104,12 +142,73 @@ func (s *Store) appendWAL(e walEntry, sync bool) {
 	if _, err := s.wal.Write(buf); err != nil {
 		panic(fmt.Sprintf("store: wal append: %v", err))
 	}
-	if !sync {
-		return
+	s.written++
+	if !sync && len(s.pending) == 0 {
+		s.applyLocked(e)
+	} else {
+		s.pending = append(s.pending, pendingEntry{e: e, lsn: s.written, sync: sync})
 	}
-	if err := s.wal.Sync(); err != nil {
-		panic(fmt.Sprintf("store: wal fsync: %v", err))
+	return s.written
+}
+
+// awaitLocked returns once entry lsn is durable and applied, leading an
+// fsync itself whenever none is in flight. Called with s.mu held; the
+// mutex is dropped for the fsync only.
+func (s *Store) awaitLocked(lsn int64) {
+	for s.durable < lsn {
+		if s.failed != nil {
+			panic(s.failed.Error())
+		}
+		if s.syncing {
+			s.synced.Wait()
+			continue
+		}
+		s.syncing = true
+		upto, wal := s.written, s.wal
+		s.mu.Unlock()
+		err := wal.Sync()
+		s.mu.Lock()
+		s.syncing = false
+		if err != nil {
+			s.failed = fmt.Errorf("store: wal fsync: %w", err)
+		} else {
+			s.durable = upto
+			s.applyDurableLocked()
+		}
+		s.synced.Broadcast()
 	}
+}
+
+// applyDurableLocked applies pending entries in log order up to the first
+// synced one that is not yet durable.
+func (s *Store) applyDurableLocked() {
+	n := 0
+	for _, p := range s.pending {
+		if p.sync && p.lsn > s.durable {
+			break
+		}
+		s.applyLocked(p.e)
+		n++
+	}
+	rest := copy(s.pending, s.pending[n:])
+	clear(s.pending[rest:])
+	s.pending = s.pending[:rest]
+}
+
+// stateLocked returns a record's logical state, the one it will have once
+// every written entry is applied: that of its last pending entry, else
+// that of the applied record. The second result is false for an unknown or
+// deleted record.
+func (s *Store) stateLocked(id string) (State, bool) {
+	for i := len(s.pending) - 1; i >= 0; i-- {
+		if e := &s.pending[i].e; e.ID == id {
+			return e.State, e.Op != "delete"
+		}
+	}
+	if r, ok := s.jobs[id]; ok {
+		return r.State, true
+	}
+	return "", false
 }
 
 // replayWAL reads root/wal.jsonl, applies every valid entry to the empty
@@ -177,9 +276,14 @@ func (s *Store) replayWAL() (Replay, error) {
 
 // applyLocked applies one WAL entry to the in-memory ledger, using the
 // logged timestamps so replayed records are verbatim copies of the
-// pre-crash history. Unknown ops and entries for unknown IDs are ignored
-// (forward compatibility over strictness: a ledger that loads with one
-// record fewer beats a daemon that cannot boot).
+// pre-crash history. An advance or finish for a record that is already
+// terminal is ignored here, on the live path and on replay alike, so a late
+// entry (a cancel racing a finish) cannot make them diverge. Unknown ops
+// and entries for unknown IDs are ignored (forward compatibility over
+// strictness: a ledger that loads with one record fewer beats a daemon that
+// cannot boot). Applying a done finish of a job that owns its artefact
+// calls the publish hook, in the same critical section that makes the done
+// state visible.
 func (s *Store) applyLocked(e walEntry) {
 	switch e.Op {
 	case "create":
@@ -192,11 +296,11 @@ func (s *Store) applyLocked(e walEntry) {
 		s.order = append(s.order, e.ID)
 		s.advanceLocked(r, e.State, e.Note, e.At)
 	case "advance":
-		if r, ok := s.jobs[e.ID]; ok {
+		if r, ok := s.jobs[e.ID]; ok && !r.State.Terminal() {
 			s.advanceLocked(r, e.State, e.Note, e.At)
 		}
 	case "finish":
-		if r, ok := s.jobs[e.ID]; ok {
+		if r, ok := s.jobs[e.ID]; ok && !r.State.Terminal() {
 			r.Error = e.Error
 			r.ArtefactID = e.Artefact
 			r.Cached = r.Cached || e.Cached
@@ -204,6 +308,9 @@ func (s *Store) applyLocked(e walEntry) {
 				s.artefacts[e.ID] = e.Files
 			}
 			s.advanceLocked(r, e.State, e.Note, e.At)
+			if e.State == Done && e.Artefact == e.ID && s.publish != nil {
+				s.publish(r.Key, e.ID)
+			}
 		}
 	case "cached":
 		if r, ok := s.jobs[e.ID]; ok {
