@@ -7,7 +7,8 @@ package main
 //
 //   - no submitted job is lost or duplicated across the kill;
 //   - jobs that completed before the kill replay verbatim, their artefacts
-//     byte-identical to a direct engine run;
+//     byte-identical to a direct engine run, and a repeat of one is
+//     answered from the rebuilt cache with the pre-kill run's id;
 //   - jobs the kill caught mid-flight are re-queued and finish, again
 //     byte-identical;
 //   - a job whose experiment panics fails cleanly with the recovered
@@ -331,6 +332,15 @@ func TestKill9RecoveryGate(t *testing.T) {
 		}
 		if !bytes.Equal(got, directArtefact(t, chaosTiny(i))) {
 			t.Fatalf("job %s: replayed artefact differs from a direct run", id)
+		}
+		// A repeat of it is answered from the rebuilt cache by the pre-kill
+		// run itself: same id, same bytes.
+		sub := httpSubmit(t, client, base2, chaosTiny(i))
+		if !sub.Cached || sub.State != string(store.Done) || sub.ID != id {
+			t.Fatalf("repeat of pre-kill job %s = %+v, want a cached answer naming it", id, sub)
+		}
+		if !bytes.Equal(httpArtefact(t, client, base2, sub.ID), got) {
+			t.Fatalf("repeat of pre-kill job %s: result differs from the replayed bytes", id)
 		}
 	}
 

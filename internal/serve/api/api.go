@@ -402,9 +402,18 @@ type Stats struct {
 	// jobs (submissions are rejected; /v1/readyz answers 503).
 	Ready bool `json:"ready"`
 
+	// Submitted counts submissions: every job handed to the scheduler
+	// (shed ones, retries and recovery re-queues included) plus every cache
+	// hit, which never reaches it. Shed counts those the full queue turned
+	// away.
 	Submitted int64 `json:"submitted"`
 	Shed      int64 `json:"shed"`
 
+	// Queued and Running are the scheduler's current backlog and running
+	// set. Done counts jobs that reached done: runs, and interrupted jobs
+	// recovery answered from the cache. A cache hit at submission creates
+	// no job and is counted in CacheHits only. Failed and Cancelled count
+	// the other terminal states.
 	Queued    int64 `json:"queued"`
 	Running   int64 `json:"running"`
 	Done      int64 `json:"done"`
@@ -418,6 +427,10 @@ type Stats struct {
 	Panics      int64 `json:"panics"`
 	Quarantined int   `json:"quarantined"`
 
+	// CacheHits counts lookups the result cache answered: submissions
+	// answered with the record of the run that owns the artefact, and
+	// interrupted jobs recovery finished from it. CacheMisses counts the
+	// lookups that found nothing; CacheEntries the keys held now.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`

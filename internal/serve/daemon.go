@@ -151,8 +151,8 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	// A key enters the result cache when the store applies its owner's done
 	// finish: once it and the artefact are durable, and in the same critical
 	// section that makes done visible, so whoever saw the owner done and
-	// resubmits gets the hit, and a hit is only ever logged behind the entry
-	// that holds its bytes.
+	// resubmits gets the hit, and a hit only ever names a run whose state and
+	// bytes are on disk.
 	st.SetPublish(d.cache.Put)
 	d.sched = scheduler.New(scheduler.Config{
 		SimWorkers: cfg.SimWorkers,
@@ -256,8 +256,9 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 }
 
 // Submit validates, canonicalizes and admits one spec. The returned record
-// reflects the submission outcome: a cache hit is already Done (no engine
-// invocation); everything else started Queued and is returned as the ledger
+// reflects the submission outcome: a cache hit returns the done record of
+// the run that owns the artefact, marked Cached (no engine invocation, no
+// new record); everything else started Queued and is returned as the ledger
 // holds it once its create is durable, which may be further along. A full
 // queue sheds with scheduler.ErrQueueFull; an unfinished recovery rejects
 // with ErrNotReady; a spec whose key tripped the panic circuit breaker is
@@ -283,17 +284,20 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	if shed {
 		return store.Record{}, fmt.Errorf("%w (key %.16s…)", ErrQuarantined, key)
 	}
-	id := fmt.Sprintf("job-%06d", d.seq.Add(1))
-
-	// Warm path: a previous run with this key owns an artefact; answer
-	// from the store without touching an engine.
+	// Warm path: a repeat is the run it repeats. A key is cached only once
+	// its owner's done finish, bytes included, is durable and applied, so
+	// the owner's record is the whole answer: no id is minted, nothing is
+	// logged, no fsync is awaited. An owner the ledger does not know (none
+	// today: records are never evicted) falls through to a fresh run;
+	// whatever evicts records must drop their cache entries with them.
 	if owner, ok := d.cache.Get(key); ok {
-		d.store.CreateCached(id, key, c.Class(), c.CanonicalJSON(), owner)
-		d.done.Add(1)
-		r, _ := d.store.Get(id)
-		return r, nil
+		if r, ok := d.store.Get(owner); ok {
+			r.Cached = true
+			return r, nil
+		}
 	}
 
+	id := fmt.Sprintf("job-%06d", d.seq.Add(1))
 	d.mu.Lock()
 	d.specs[id] = c
 	d.keys[id] = key
@@ -490,7 +494,7 @@ func (d *Daemon) Stats() api.Stats {
 	return api.Stats{
 		UptimeSec:       time.Since(d.start).Seconds(),
 		Ready:           d.ready.Load(),
-		Submitted:       ss.Submitted + d.cache.Hits(), // cache hits bypass the scheduler
+		Submitted:       ss.Submitted + d.cache.Hits(),
 		Shed:            ss.Shed,
 		Queued:          int64(ss.Queued),
 		Running:         int64(ss.Running),

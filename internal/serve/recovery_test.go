@@ -281,6 +281,77 @@ func TestOldFormatRootReRunsOwner(t *testing.T) {
 	}
 }
 
+// TestOldCachedCreateReplays opens a ledger written when a cache hit was a
+// record of its own, logged as one create born done and marked cached with
+// the owner in artefact_id. It still replays as a done cached record whose
+// artefact resolves through the owner; a new repeat of the spec is answered
+// with the owner's id and logs nothing.
+func TestOldCachedCreateReplays(t *testing.T) {
+	root := t.TempDir()
+	spec, key := mustCanon(t, tinySpec(4*units.KiB))
+	files, err := Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Create("job-000001", key, spec.Class(), spec.CanonicalJSON(), store.Queued)
+	st.Advance("job-000001", store.Running, "")
+	if err := st.PutArtefact("job-000001", files); err != nil {
+		t.Fatal(err)
+	}
+	st.Finish("job-000001", store.Done, "", "job-000001", "")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal := root + "/wal.jsonl"
+	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(f, `{"op":"create","id":"job-000002","key":%q,"class":"sim","spec":%s,"state":"done","artefact_id":"job-000001","cached":true,"at":"2026-01-02T03:04:05Z"}`+"\n",
+		key, spec.CanonicalJSON())
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := newTestDaemon(t, Config{StoreRoot: root})
+	defer d.Close()
+	awaitReady(t, d)
+	if rep := d.Store().Replay(); rep.Records != 2 || rep.Terminal != 2 || rep.MaxSeq != 2 {
+		t.Fatalf("replay = %+v", rep)
+	}
+	old, ok := d.Store().Get("job-000002")
+	if !ok || old.State != store.Done || !old.Cached || old.ArtefactID != "job-000001" {
+		t.Fatalf("old cached create replayed as %+v (found %v)", old, ok)
+	}
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/jobs/job-000002/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, files["result.json"]) {
+		t.Fatalf("old hit's result = %s %q, want the owner's bytes", resp.Status, got)
+	}
+
+	hit, err := d.Submit(tinySpec(4 * units.KiB))
+	if err != nil || !hit.Cached || hit.ID != "job-000001" {
+		t.Fatalf("repeat after replay = %+v, %v, want a hit on job-000001", hit, err)
+	}
+	if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a cache hit changed the log (%v)", err)
+	}
+}
+
 // TestReadyzGatesSubmissions pins readiness as distinct from liveness: a
 // recovering daemon answers healthz 200 but readyz 503 and rejects
 // submissions with ErrNotReady (HTTP 503).

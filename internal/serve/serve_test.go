@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -174,30 +172,29 @@ func TestCachedResubmitSkipsEngine(t *testing.T) {
 		t.Fatalf("first run = %+v", rec1)
 	}
 	hits := d.CacheHits()
+	jobs := len(d.Store().List(""))
 
-	// The resubmission must be answered from the cache: immediately done,
-	// no queued/running transitions, hit counter bumped, artefact served
-	// from the original run.
+	// A repeat is the run it repeats: the resubmission is answered with the
+	// first run's record, done and marked cached, the hit counter moves and
+	// the ledger does not grow.
 	rec2, err := d.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec2.Cached || rec2.State != store.Done || len(rec2.Transitions) != 1 {
-		t.Fatalf("cached resubmit = %+v", rec2)
+	if rec2.ID != rec1.ID || !rec2.Cached || rec2.State != store.Done || rec2.ArtefactID != rec1.ID {
+		t.Fatalf("cached resubmit = %+v, want the record of %s", rec2, rec1.ID)
 	}
 	if d.CacheHits() != hits+1 {
 		t.Fatalf("cache hits = %d, want %d", d.CacheHits(), hits+1)
 	}
-	if rec2.ArtefactID != rec1.ID {
-		t.Fatalf("cached record's artefact owner = %q, want %q", rec2.ArtefactID, rec1.ID)
+	if n := len(d.Store().List("")); n != jobs {
+		t.Fatalf("a cache hit grew the ledger from %d to %d records", jobs, n)
 	}
-	a1, err := d.Store().Artefact(rec1.ID, "result.json")
-	if err != nil {
-		t.Fatal(err)
+	if again, err := d.Submit(spec); err != nil || again.ID != rec1.ID || !again.Cached {
+		t.Fatalf("second resubmission = %+v, %v, want the record of %s", again, err, rec1.ID)
 	}
-	a2, err := d.Store().Artefact(rec2.ArtefactID, "result.json")
-	if err != nil || !bytes.Equal(a1, a2) {
-		t.Fatalf("cached artefact differs: %v", err)
+	if rec, _ := d.Store().Get(rec1.ID); rec.Cached {
+		t.Fatal("answering a hit marked the owner's ledger record cached")
 	}
 
 	// A semantically equal but differently spelled spec also hits.
@@ -210,68 +207,35 @@ func TestCachedResubmitSkipsEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec3.Cached {
-		t.Fatal("semantically equal spec missed the cache")
+	if !rec3.Cached || rec3.ID != rec1.ID {
+		t.Fatalf("semantically equal spec = %+v, want a hit on %s", rec3, rec1.ID)
 	}
 }
 
-// TestCacheHitNeverOutrunsOwnersFinish hammers a few specs from several
-// goroutines on a durable store and reads the log back: a submission may
-// only be acknowledged as a cache hit against an owner whose finish entry,
-// which carries the bytes, is already in the log ahead of it.
-func TestCacheHitNeverOutrunsOwnersFinish(t *testing.T) {
-	root := t.TempDir()
-	d := newTestDaemon(t, Config{SimWorkers: 2, QueueCap: 256, StoreRoot: root})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 25; round++ {
-				rec, err := d.Submit(tinySpec(int64(1+round) * units.KiB))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if rec = await(t, d, rec.ID); rec.State != store.Done {
-					t.Errorf("%s finished %s: %s", rec.ID, rec.State, rec.Error)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	log, err := os.ReadFile(filepath.Join(root, "wal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	finished := map[string]bool{}
-	hits := 0
-	for _, line := range bytes.Split(bytes.TrimSpace(log), []byte{'\n'}) {
-		var e struct {
-			Op, ID, State string
-			Cached        bool
-			Owner         string `json:"artefact_id"`
-			Files         map[string][]byte
+// TestStatsCountRunsAndHits pins what the counters of a fresh daemon mean:
+// submitted is the accepted runs plus the cache hits, and done counts runs
+// only, since a hit creates no job.
+func TestStatsCountRunsAndHits(t *testing.T) {
+	d := newTestDaemon(t, Config{SimWorkers: 2})
+	const runs, repeats = 3, 5
+	var ids []string
+	for i := 0; i < runs; i++ {
+		rec, err := d.Submit(tinySpec(int64(1+i) * units.KiB))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatalf("wal line %q: %v", line, err)
-		}
-		switch {
-		case e.Op == "finish" && e.State == "done" && e.Owner == e.ID && len(e.Files) > 0:
-			finished[e.ID] = true
-		case e.Op == "create" && e.Cached:
-			hits++
-			if !finished[e.Owner] {
-				t.Fatalf("%s acknowledged as a hit on %s before that owner's finish was logged", e.ID, e.Owner)
-			}
+		ids = append(ids, await(t, d, rec.ID).ID)
+	}
+	for i := 0; i < repeats; i++ {
+		rec, err := d.Submit(tinySpec(int64(1+i%runs) * units.KiB))
+		if err != nil || !rec.Cached || rec.ID != ids[i%runs] {
+			t.Fatalf("repeat %d = %+v, %v", i, rec, err)
 		}
 	}
-	if hits == 0 {
-		t.Fatal("100 submissions of 25 specs produced no cache hit")
+	st := d.Stats()
+	if st.Submitted != runs+st.CacheHits || st.CacheHits != repeats || st.Done != runs {
+		t.Fatalf("stats = submitted %d, cache hits %d, done %d; want %d, %d, %d",
+			st.Submitted, st.CacheHits, st.Done, runs+repeats, repeats, runs)
 	}
 }
 

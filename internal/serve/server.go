@@ -29,6 +29,9 @@ const maxSpecBytes = 1 << 20
 //	GET  /v1/stats                 daemon snapshot        -> 200 Stats
 //	GET  /v1/healthz               liveness               -> 200 "ok"
 //
+// A cache hit answers 200 with the id of the run that produced the bytes,
+// state done and cached true; it creates no job of its own, so GET
+// /v1/jobs lists runs only and /v1/stats counts repeats in cache_hits.
 // Shedding answers 429; draining answers 503.
 func Handler(d *Daemon) http.Handler {
 	mux := http.NewServeMux()

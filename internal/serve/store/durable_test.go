@@ -41,10 +41,11 @@ func awaitTerminal(st *store.Store, id string) (store.Record, error) {
 // TestDurablePointsPerJob pins what a job costs the disk, counted at the WAL
 // handle underneath a whole daemon: a cold job syncs twice (create, finish)
 // — once if its engine finished before the submitter led the create's
-// fsync, which then covered the finish too —, a cache hit once (its create
-// entry says it all), a shed submission once (its create and delete share
-// one group commit: the delete is written before anyone waits for the
-// create) — and the log is the only file the store ever writes.
+// fsync, which then covered the finish too —, a cache hit never (it answers
+// with its owner's record, whose finish is already durable, and writes no
+// line), a shed submission once (its create and delete share one group
+// commit: the delete is written before anyone waits for the create) — and
+// the log is the only file the store ever writes.
 func TestDurablePointsPerJob(t *testing.T) {
 	root := t.TempDir()
 	d, err := serve.NewDaemon(serve.Config{SimWorkers: 1, QueueCap: 1, StoreRoot: root})
@@ -81,11 +82,15 @@ func TestDurablePointsPerJob(t *testing.T) {
 	}
 	spent("a cold job", n)
 
+	before, _ := rec.Log()
 	hit, err := d.Submit(pingpong(4 * units.KiB))
-	if err != nil || !hit.Cached || hit.ArtefactID != cold.ID {
+	if err != nil || !hit.Cached || hit.ID != cold.ID {
 		t.Fatalf("resubmission = %+v, %v", hit, err)
 	}
-	spent("a cache hit", n+1)
+	spent("a cache hit", n)
+	if after, _ := rec.Log(); len(after) != len(before) {
+		t.Fatalf("a cache hit wrote %q to the log", after[len(before):])
+	}
 
 	// One worker and a backlog of one: a running blocker and a queued job
 	// fill the daemon, the third submission is shed.
@@ -97,18 +102,18 @@ func TestDurablePointsPerJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spent("two more creates", n+1+2)
+	spent("two more creates", n+2)
 	if _, err := d.Submit(pingpong(16 * units.KiB)); !errors.Is(err, scheduler.ErrQueueFull) {
 		t.Fatalf("overflow submission: %v", err)
 	}
-	spent("a shed submission", n+3+1)
+	spent("a shed submission", n+2+1)
 	// The queued job's cancel finishes it before Cancel returns, so its
 	// finish cannot share an fsync with the blocker's.
 	d.Cancel(queued.ID)
 	await(queued.ID)
 	d.Cancel(blocker.ID)
 	await(blocker.ID)
-	spent("two cancellations", n+4+2)
+	spent("two cancellations", n+3+2)
 
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -155,6 +160,91 @@ func TestDurablePointsConcurrentColdJobs(t *testing.T) {
 	}
 }
 
+// TestCacheHitDurableWhenAnswered hammers a few specs from several
+// goroutines on a durable store and notes, at each cache-hit reply, how far
+// the log was synced. A hit writes nothing, so everything it reports must
+// already be durable when it is answered: its owner is done, and the
+// owner's done finish, files included, lies inside the synced prefix. The
+// log holds no create of a hit.
+func TestCacheHitDurableWhenAnswered(t *testing.T) {
+	d, err := serve.NewDaemon(serve.Config{SimWorkers: 2, QueueCap: 256, StoreRoot: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rec := d.Store().RecordLog()
+	type answer struct {
+		synced int
+		r      store.Record
+	}
+	var mu sync.Mutex
+	var hits []answer
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				r, err := d.Submit(pingpong(int64(1+round) * units.KiB))
+				if err == nil && r.Cached {
+					a := answer{synced: rec.Synced(), r: r}
+					mu.Lock()
+					hits = append(hits, a)
+					mu.Unlock()
+					continue
+				}
+				if err == nil {
+					r, err = awaitTerminal(d.Store(), r.ID)
+				}
+				if err != nil || r.State != store.Done {
+					t.Errorf("%+v, %v", r, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	log, _ := rec.Log()
+	finishEnd := map[string]int{} // owner id -> log offset just past its done finish
+	off := 0
+	for _, line := range bytes.SplitAfter(log, []byte{'\n'}) {
+		if off += len(line); len(line) == 0 {
+			continue
+		}
+		var e struct {
+			walLine
+			Cached bool
+			Owner  string `json:"artefact_id"`
+			Files  map[string][]byte
+		}
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		switch {
+		case e.Op == "create" && (e.Cached || e.State == string(store.Done)):
+			t.Fatalf("the log holds a cache hit's create: %s", line)
+		case e.Op == "finish" && e.State == string(store.Done) && e.Owner == e.ID && len(e.Files) > 0:
+			finishEnd[e.ID] = off
+		}
+	}
+	for _, h := range hits {
+		end, ok := finishEnd[h.r.ID]
+		switch {
+		case h.r.State != store.Done || h.r.ArtefactID != h.r.ID:
+			t.Fatalf("hit answered with %+v, not a done run that owns its artefact", h.r)
+		case !ok:
+			t.Fatalf("hit answered with %s, whose done finish is not in the log", h.r.ID)
+		case end > h.synced:
+			t.Fatalf("hit answered with %s when the log was synced to %d; its finish ends at %d", h.r.ID, h.synced, end)
+		}
+	}
+	if len(hits) == 0 {
+		t.Fatal("100 submissions of 25 specs produced no cache hit")
+	}
+	t.Logf("%d cache hits, %d log bytes", len(hits), len(log))
+}
+
 // told is one thing a caller of the daemon was told, with the log offset
 // the last completed fsync had reached when it was told: from that offset
 // on, every crash must keep it.
@@ -179,10 +269,10 @@ type walLine struct {
 // synced when it was told. The log is then cut at every
 // synced offset, every line end and every byte of the unsynced tail, and
 // each cut is reopened. Whatever a caller was told by the cut's synced
-// offset must survive: no acknowledged id missing, no terminal state that
-// was seen missing, no done without its files, no hit without its owner's
-// finish — and the replay must equal the log's whole lines applied in
-// order.
+// offset must survive: no acknowledged id missing — a cache hit is
+// acknowledged under its owner's id, done —, no terminal state that was
+// seen missing, no done without its files — and the replay must equal the
+// log's whole lines applied in order.
 func TestGroupCommitCrashWall(t *testing.T) {
 	root := t.TempDir()
 	d, err := serve.NewDaemon(serve.Config{SimWorkers: 2, QueueCap: 4, StoreRoot: root})
@@ -213,8 +303,8 @@ func TestGroupCommitCrashWall(t *testing.T) {
 		}
 		return out, nil
 	}
-	// acked notes an acknowledged submission, seen the terminal state its
-	// caller then waited for.
+	// acked notes an acknowledged submission; a cache hit is acknowledged
+	// under its owner's id, already done.
 	acked := func(r store.Record) {
 		tell(told{id: r.ID})
 		if r.Cached {
@@ -363,30 +453,20 @@ func TestGroupCommitCrashWall(t *testing.T) {
 }
 
 // checkLogOrder asserts the order the whole log must keep: a job's create
-// comes before any other entry of it, and a cache hit's create comes after
-// its owner's finish.
+// comes before any other entry of it.
 func checkLogOrder(t *testing.T, wal []byte) {
 	t.Helper()
-	created, finished := map[string]bool{}, map[string]bool{}
+	created := map[string]bool{}
 	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte{'\n'}), []byte{'\n'}) {
-		var e struct {
-			walLine
-			Cached bool
-			Owner  string `json:"artefact_id"`
-		}
+		var e walLine
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
 		}
 		switch {
 		case e.Op == "create":
 			created[e.ID] = true
-			if e.Cached && !finished[e.Owner] {
-				t.Fatalf("hit %s logged before its owner %s finished", e.ID, e.Owner)
-			}
 		case !created[e.ID]:
 			t.Fatalf("%s %s logged before its create", e.Op, e.ID)
-		case e.Op == "finish" && e.State == string(store.Done) && e.Owner == e.ID:
-			finished[e.ID] = true
 		}
 	}
 }

@@ -3,9 +3,10 @@
 //
 //	queued → admitted → running → done | cancelled | failed
 //
-// (cache hits jump straight to done, and recovery may send an interrupted
-// job back to queued), with a timestamped transition log and a
-// monotonically increasing version the progress API long-polls on.
+// (recovery may send an interrupted job back to queued, or finish it from
+// the result cache; a cache hit at submission creates no record), with a
+// timestamped transition log and a monotonically increasing version the
+// progress API long-polls on.
 //
 // Records and artefacts live in memory. With a root directory configured
 // they are durable too: every mutation is appended to a write-ahead log (see
@@ -62,9 +63,12 @@ type Record struct {
 	// engine-cut jobs embeds the per-rank state dump and for panicked jobs
 	// the recovered stack.
 	Error string `json:"error,omitempty"`
-	// Cached marks a submission answered from the result cache; ArtefactID
-	// then names the job whose artefact serves this record (otherwise the
-	// record's own ID once done).
+	// Cached marks a record answered from the result cache: an interrupted
+	// job recovery finished from another run, or a cache hit an older
+	// version logged as a record of its own. ArtefactID then names the job
+	// whose artefact serves this record (otherwise the record's own ID once
+	// done). The daemon also sets Cached on the copy of the owner's record
+	// it returns for a cache hit.
 	Cached     bool   `json:"cached,omitempty"`
 	ArtefactID string `json:"artefact_id,omitempty"`
 }
@@ -182,28 +186,15 @@ func (s *Store) Create(id, key, class string, spec []byte, initial State) {
 func (s *Store) CreateAsync(id, key, class string, spec []byte, initial State) (durable func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lsn := s.createLocked(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: initial})
+	if _, dup := s.stateLocked(id); dup {
+		panic(fmt.Sprintf("store: job %q created twice", id))
+	}
+	lsn := s.writeLocked(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec, State: initial}, true)
 	return func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.awaitLocked(lsn)
 	}
-}
-
-// CreateCached opens a record that is born done: a submission answered from
-// the result cache by owner's artefact. One entry, one fsync.
-func (s *Store) CreateCached(id, key, class string, spec []byte, owner string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.awaitLocked(s.createLocked(walEntry{Op: "create", ID: id, Key: key, Class: class, Spec: spec,
-		State: Done, Cached: true, Artefact: owner}))
-}
-
-func (s *Store) createLocked(e walEntry) int64 {
-	if _, dup := s.stateLocked(e.ID); dup {
-		panic(fmt.Sprintf("store: job %q created twice", e.ID))
-	}
-	return s.writeLocked(e, true)
 }
 
 // Delete removes a record (a submission shed before it was ever queued).

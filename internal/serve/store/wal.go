@@ -62,7 +62,8 @@ type logFile interface {
 
 // walEntry is one logged mutation. Op selects which fields apply:
 //
-//	create  ID Key Class Spec State (initial) [Cached Artefact] At
+//	create  ID Key Class Spec State (initial) At
+//	        [State done, Cached, Artefact] (written by older versions only)
 //	advance ID State Note At
 //	finish  ID State Error Artefact [Cached | Files] Note At
 //	cached  ID Artefact At (written by older versions only)

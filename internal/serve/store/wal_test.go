@@ -218,8 +218,8 @@ func TestWaitOnReplayedTerminalReturnsImmediately(t *testing.T) {
 }
 
 // TestCrashPrefixWall enumerates every point a power loss can cut the log
-// at, instead of sampling one: the WAL of two interleaved cold jobs and a
-// cache hit on the first is truncated at every byte offset and reopened.
+// at, instead of sampling one: the WAL of two interleaved cold jobs and an
+// old-format cache hit on the first is truncated at every byte offset and reopened.
 // Whatever survives must open, hold every record whose create line is whole,
 // hand every unfinished record to recovery, and never show a done record
 // without its exact bytes — or any bytes for a record that is not done.
@@ -243,7 +243,13 @@ func TestCrashPrefixWall(t *testing.T) {
 	s.PutArtefact("job-000001", files["job-000001"])
 	s.PutArtefact("job-000002", files["job-000002"])
 	s.Finish("job-000001", Done, "", "job-000001", "")
-	s.CreateCached("job-000003", "key-a", "sim", spec, "job-000001")
+	// A cache hit as older versions logged it: a create born done, served
+	// by the owner's artefact. Nothing writes one any more; replay still
+	// reads it.
+	s.mu.Lock()
+	s.commit(walEntry{Op: "create", ID: "job-000003", Key: "key-a", Class: "sim", Spec: spec,
+		State: Done, Cached: true, Artefact: "job-000001"}, true)
+	s.mu.Unlock()
 	s.Finish("job-000002", Done, "", "job-000002", "")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
