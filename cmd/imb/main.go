@@ -1,20 +1,24 @@
 // Command imb runs a single IMB-style benchmark under one configuration —
-// the interactive counterpart of the figure sweeps in cmd/knemsim. Every
-// benchmark is written once against the engine-neutral comm interface, so
-// -engine switches the same workload between the deterministic simulator
-// (simulated time, modelled caches) and the real goroutine runtime
-// (wall-clock time). Besides PingPong and Alltoall it drives the concurrent
-// patterns (Multi-PingPong via -multi, Sendrecv, Exchange), which report bus
-// utilization and CPU busy seconds alongside throughput on the simulator.
-// The -engine/-lmt/-bench value sets, help text and validation are all
-// generated from the registries; unknown values exit non-zero with the
-// registered names.
+// the interactive counterpart of the figure sweeps in cmd/knemsim. It is a
+// front end for knemd's job spec: the flags become an api.Spec, which is
+// validated by the spec's own Canonicalize and run by serve.Execute, the
+// daemon's driver. So imb can run exactly what the daemon can, and each
+// table's header prints the spec's cache key: the id of the daemon
+// artefact that holds the same numbers.
+//
+// Every benchmark is written once against the engine-neutral comm
+// interface, so -engine switches the same workload between the
+// deterministic simulator (simulated time, modelled caches) and the real
+// goroutine runtime (wall-clock time). Besides PingPong and Alltoall it
+// drives the concurrent patterns (Multi-PingPong, Sendrecv, Exchange),
+// which report bus utilization and CPU busy seconds alongside throughput on
+// the simulator. Unknown flag values exit 2 with the registered names.
 //
 // Usage:
 //
 //	imb -bench pingpong -lmt knem -placement cross -min 64KiB -max 4MiB
 //	imb -engine rt -bench pingpong -rtmode eager      # same workload, real runtime
-//	imb -bench pingpong -multi 4 -placement cross     # 4 contending pairs
+//	imb -bench multi-pingpong -ranks 8 -placement cross  # 4 contending pairs
 //	imb -bench sendrecv -lmt cma -ranks 8             # periodic-chain exchange
 //	imb -engine rt -bench exchange -ranks 8           # both-neighbour, goroutines
 //	imb -bench alltoall -lmt knem-ioat -ranks 8
@@ -27,281 +31,184 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"slices"
 	"strings"
 
 	"knemesis/internal/comm"
 	"knemesis/internal/core"
-	"knemesis/internal/experiments"
 	"knemesis/internal/imb"
-	_ "knemesis/internal/mpi" // registers the "sim" engine
 	"knemesis/internal/perturb"
 	"knemesis/internal/profiling"
 	"knemesis/internal/rt"
+	"knemesis/internal/serve"
+	"knemesis/internal/serve/api"
 	"knemesis/internal/topo"
 	"knemesis/internal/units"
 )
 
-// benchNames lists the drivers in help order (pingpong/alltoall render the
-// single-stream table, sendrecv/exchange the concurrent bus/CPU table).
-var benchNames = []string{"pingpong", "sendrecv", "exchange", "alltoall"}
-
 func main() {
-	var (
-		engine     = flag.String("engine", "sim", strings.Join(comm.EngineNames(), "|"))
-		bench      = flag.String("bench", "pingpong", strings.Join(benchNames, "|"))
-		lmt        = flag.String("lmt", "default", strings.Join(core.SpecNames(), "|")+"|list (sim engine)")
-		rtmode     = flag.String("rtmode", "single-copy", strings.Join(rt.ModeNames(), "|")+" (rt engine)")
-		placement  = flag.String("placement", "cross", "shared|cross (pingpong on sim only)")
-		machine    = flag.String("machine", "e5345", "e5345|x5460|nehalem (sim only)")
-		topoName   = flag.String("topo", "", "multi-node cluster: a .dot file or "+strings.Join(topo.ClusterNames(), "|")+"|list")
-		topoPlace  = flag.String("topoplace", "block", "block|spread rank placement on -topo")
-		flatColl   = flag.Bool("flatcoll", false, "keep flat single-level collectives on -topo")
-		ranks      = flag.Int("ranks", 8, "rank count (sendrecv/exchange/alltoall)")
-		multi      = flag.Int("multi", 1, "concurrent PingPong pairs (pingpong only)")
-		minSize    = flag.String("min", "64KiB", "smallest message size")
-		maxSize    = flag.String("max", "4MiB", "largest message size")
-		eagerMax   = flag.String("eager", "", "override the rendezvous threshold (e.g. 4KiB)")
-		perturbL   = flag.String("perturb", "", "';'-separated fault/skew injections (e.g. 'slow-core;delayed-recv:mean=2e-6')|list")
-		seed       = flag.Uint64("seed", 1, "seed for the -perturb RNG streams")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	check(err)
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "imb: profile:", err)
-		}
-	}()
+// run is the testable entry point: a flag value the spec rejects returns 2
+// with the registered names on stderr, a failed run returns 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("imb", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		engine     = fs.String("engine", "sim", strings.Join(comm.EngineNames(), "|"))
+		bench      = fs.String("bench", "pingpong", strings.Join(api.BenchNames(), "|"))
+		lmt        = fs.String("lmt", "", strings.Join(core.SpecNames(), "|")+"|list (sim engine; default \"default\")")
+		rtmode     = fs.String("rtmode", "", strings.Join(rt.ModeNames(), "|")+" (rt engine; default single-copy)")
+		placement  = fs.String("placement", "cross", "shared|cross (the pingpong benches on sim)")
+		machine    = fs.String("machine", "", "e5345 (default)|x5460|nehalem (sim only)")
+		topoName   = fs.String("topo", "", "multi-node cluster: a .dot file or "+strings.Join(topo.ClusterNames(), "|")+"|list")
+		topoPlace  = fs.String("topoplace", "block", "block|spread rank placement on -topo")
+		flatColl   = fs.Bool("flatcoll", false, "keep flat single-level collectives on -topo")
+		ranks      = fs.Int("ranks", 8, "rank count (every bench but pingpong, which is one pair)")
+		minSize    = fs.String("min", "64KiB", "smallest message size")
+		maxSize    = fs.String("max", "4MiB", "largest message size")
+		eagerMax   = fs.String("eager", "", "override the rendezvous threshold (e.g. 4KiB)")
+		perturbL   = fs.String("perturb", "", "';'-separated fault/skew injections (e.g. 'slow-core;delayed-recv:mean=2e-6')|list")
+		seed       = fs.Uint64("seed", 1, "seed for the -perturb RNG streams")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usageErr := func(err error) int {
+		fmt.Fprintln(stderr, "imb:", err)
+		fs.Usage()
+		return 2
+	}
 
 	if *lmt == "list" {
 		for _, s := range core.Specs() {
-			fmt.Printf("%-16s %s\n", s.Name, s.Help)
+			fmt.Fprintf(stdout, "%-16s %s\n", s.Name, s.Help)
 		}
-		return
+		return 0
 	}
 	if *topoName == "list" {
 		for _, p := range topo.ClusterPresets() {
-			fmt.Printf("%-16s %s\n", p.Name, p.Help)
+			fmt.Fprintf(stdout, "%-16s %s\n", p.Name, p.Help)
 		}
-		return
+		return 0
 	}
 	if *perturbL == "list" {
 		for _, k := range perturb.Kinds() {
-			fmt.Printf("%-16s %s\n", k.Name, k.Help)
+			fmt.Fprintf(stdout, "%-16s %s\n", k.Name, k.Help)
 			for _, p := range k.Param {
 				if len(p.Enum) > 0 {
-					fmt.Printf("    %-12s %s (one of %s, default %s)\n",
+					fmt.Fprintf(stdout, "    %-12s %s (one of %s, default %s)\n",
 						p.Key, p.Help, strings.Join(p.Enum, "|"), p.Enum[0])
 					continue
 				}
-				fmt.Printf("    %-12s %s (default %v, range [%v, %v])\n",
+				fmt.Fprintf(stdout, "    %-12s %s (default %v, range [%v, %v])\n",
 					p.Key, p.Help, p.Def, p.Min, p.Max)
 			}
 		}
-		return
+		return 0
 	}
 
-	// Validate every registry-backed flag up front: unknown values exit
-	// non-zero with the registered names, nothing falls through silently.
-	if _, err := comm.LookupEngine(*engine); err != nil {
-		usageErr("unknown engine %q (have %s)", *engine, strings.Join(comm.EngineNames(), "|"))
-	}
-	if !slices.Contains(benchNames, *bench) {
-		usageErr("unknown bench %q (have %s)", *bench, strings.Join(benchNames, "|"))
-	}
-	if _, err := core.ParseSpec(*lmt); err != nil {
-		usageErr("unknown -lmt %q (have %s|list)", *lmt, strings.Join(core.SpecNames(), "|"))
-	}
-	if _, err := rt.ParseMode(*rtmode); err != nil {
-		usageErr("unknown -rtmode %q (have %s)", *rtmode, strings.Join(rt.ModeNames(), "|"))
-	}
-	if *placement != "shared" && *placement != "cross" {
-		usageErr("unknown -placement %q (have shared|cross)", *placement)
-	}
-	if *multi < 1 {
-		usageErr("-multi %d: need at least 1 pair", *multi)
-	}
-	if *topoPlace != "block" && *topoPlace != "spread" {
-		usageErr("unknown -topoplace %q (have block|spread)", *topoPlace)
-	}
-	cluster, err := resolveTopo(*topoName)
-	check(err)
-
-	m, err := experiments.MachineByName(*machine)
-	check(err)
 	lo, err := units.ParseSize(*minSize)
-	check(err)
+	if err != nil {
+		return usageErr(err)
+	}
 	hi, err := units.ParseSize(*maxSize)
-	check(err)
-	sizes := units.Pow2Sizes(lo, hi)
-
-	spec := comm.JobSpec{Machine: m, LMT: *lmt, RTMode: *rtmode}
-	if cluster != nil {
-		spec.Topology = cluster
-		spec.Placement = *topoPlace
-		spec.FlatCollectives = *flatColl
+	if err != nil {
+		return usageErr(err)
+	}
+	if lo < 1 || lo > hi {
+		return usageErr(fmt.Errorf("-min %s -max %s: need 1 <= min <= max", *minSize, *maxSize))
+	}
+	s := api.Spec{
+		Kind: api.KindComm, Engine: *engine, Bench: *bench, Ranks: *ranks,
+		Sizes: units.Pow2Sizes(lo, hi), Machine: *machine, LMT: *lmt, RTMode: *rtmode,
+		Perturb: *perturbL, Seed: *seed,
 	}
 	if *eagerMax != "" {
-		v, err := units.ParseSize(*eagerMax)
-		check(err)
-		spec.EagerMax = v
-	}
-	if *perturbL != "" {
-		specs, err := perturb.ParseList(*perturbL)
-		check(err)
-		spec.Perturbations = specs
-		spec.Seed = *seed
-	}
-
-	// -ranks only applies to the chain/collective benches; pingpong sizes
-	// itself from -multi (and, on sim, the placement helpers). With a
-	// cluster topology the cluster's core count governs, not the single
-	// machine preset.
-	checkRanks := func() {
-		if *ranks < 2 {
-			usageErr("-ranks %d: need at least 2", *ranks)
-		}
-		if cluster != nil {
-			if cap := cluster.Capacity(); *ranks > cap {
-				usageErr("cluster %s has %d cores, requested %d ranks", cluster.Name, cap, *ranks)
-			}
-			return
-		}
-		if *engine == "sim" && *ranks > m.Cores {
-			usageErr("machine has %d cores, requested %d ranks", m.Cores, *ranks)
+		if s.EagerMax, err = units.ParseSize(*eagerMax); err != nil {
+			return usageErr(err)
 		}
 	}
-
-	newJob := func() comm.Job {
-		j, err := comm.NewJob(*engine, spec)
-		check(err)
-		return j
+	if *bench == "pingpong" {
+		s.Ranks = 2
 	}
-
-	switch *bench {
-	case "pingpong":
-		spec.Ranks = 2 * *multi
-		if cluster != nil {
-			// Rank placement comes from -topoplace on the cluster; the
-			// single-machine cache-placement helpers don't apply.
-			if cap := cluster.Capacity(); spec.Ranks > cap {
-				usageErr("cluster %s has %d cores, requested %d ranks", cluster.Name, cap, spec.Ranks)
-			}
-		} else if *engine == "sim" {
-			cores, err := pairPlacement(m, *placement, *multi)
-			check(err)
-			spec.Cores = cores
+	switch {
+	case *topoName != "":
+		s.Topology, s.Placement, s.FlatColl = *topoName, *topoPlace, *flatColl
+		if src, err := os.ReadFile(*topoName); err == nil {
+			s.Topology = string(src) // the spec carries a .dot file's text, not its path
 		}
-		if *multi > 1 {
-			j := newJob()
-			res, err := imb.RunMultiPingPong(j, sizes)
-			check(err)
-			printMulti(res, *engine, j)
-			return
-		}
-		j := newJob()
-		res, err := imb.RunPingPong(j, sizes)
-		check(err)
-		printSolo(res, *engine, j)
-	case "sendrecv":
-		checkRanks()
-		spec.Ranks = *ranks
-		j := newJob()
-		res, err := imb.RunSendrecv(j, sizes)
-		check(err)
-		printMulti(res, *engine, j)
-	case "exchange":
-		checkRanks()
-		spec.Ranks = *ranks
-		j := newJob()
-		res, err := imb.RunExchange(j, sizes)
-		check(err)
-		printMulti(res, *engine, j)
-	case "alltoall":
-		checkRanks()
-		spec.Ranks = *ranks
-		j := newJob()
-		res, err := imb.RunAlltoall(j, sizes)
-		check(err)
-		printSolo(res, *engine, j)
+	case *engine == "sim" && (*bench == "pingpong" || *bench == "multi-pingpong"):
+		s.Placement = *placement
 	}
-}
-
-// resolveTopo turns the -topo value into a cluster: "" means single-node, a
-// value naming a readable file is parsed as DOT, anything else must be a
-// registered preset name.
-func resolveTopo(name string) (*topo.Cluster, error) {
-	if name == "" {
-		return nil, nil
-	}
-	if _, err := os.Stat(name); err == nil {
-		src, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := topo.ParseDOT(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		return cl, nil
-	}
-	return topo.LookupCluster(name)
-}
-
-// pairPlacement builds the core list for n PingPong pairs under a placement.
-func pairPlacement(m *topo.Machine, placement string, n int) ([]topo.CoreID, error) {
-	var pairs [][2]topo.CoreID
-	var err error
-	switch placement {
-	case "shared":
-		pairs, err = m.SharedCachePairs(n)
-	case "cross":
-		pairs, err = m.CrossDiePairs(n)
-	default:
-		return nil, fmt.Errorf("unknown placement %q (shared|cross)", placement)
-	}
+	spec, err := s.Canonicalize()
 	if err != nil {
-		return nil, err
+		return usageErr(err)
 	}
-	return topo.PairCores(pairs), nil
+
+	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(stderr, "imb:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(stderr, "imb: profile:", err)
+		}
+	}()
+	if err := execute(stdout, spec); err != nil {
+		fmt.Fprintln(stderr, "imb:", err)
+		return 1
+	}
+	return 0
 }
 
-func printSolo(res imb.Result, engine string, j comm.Job) {
-	fmt.Printf("# %s, engine %s, %s\n", res.Bench, engine, j.Describe())
-	fmt.Printf("%-10s %14s %14s %14s\n", "size", "time(us)", "MiB/s", "L2miss/op")
-	for _, pt := range res.Points {
-		fmt.Printf("%-10s %14.2f %14.0f %14d\n",
+// execute runs a canonical spec through the daemon's driver and prints its
+// result.json as a table: the concurrent benches (which report a rank
+// count) with bus and CPU columns, the single-stream ones with L2 misses.
+func execute(w io.Writer, spec api.Spec) error {
+	key, err := spec.CacheKey()
+	if err != nil {
+		return err
+	}
+	files, err := serve.Execute(context.Background(), spec, nil)
+	if err != nil {
+		return err
+	}
+	var artefact struct{ Result json.RawMessage }
+	if err := json.Unmarshal(files["result.json"], &artefact); err != nil {
+		return err
+	}
+	var multi imb.MultiResult
+	if err := json.Unmarshal(artefact.Result, &multi); err != nil {
+		return err
+	}
+	if multi.Ranks > 0 {
+		fmt.Fprintf(w, "# %s, %d ranks, engine %s, %s, key %s\n", multi.Bench, multi.Ranks, spec.Engine, multi.Label, key)
+		fmt.Fprintf(w, "%-10s %14s %14s %10s %14s\n", "size", "time(us)", "agg MiB/s", "bus util", "cpu busy(s)")
+		for _, pt := range multi.Points {
+			fmt.Fprintf(w, "%-10s %14.2f %14.0f %10.2f %14.4f\n",
+				units.FormatSize(pt.Size), pt.Time.Microseconds(), pt.Throughput, pt.BusUtil, pt.CPUBusySec)
+		}
+		return nil
+	}
+	var solo imb.Result
+	if err := json.Unmarshal(artefact.Result, &solo); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "# %s, engine %s, %s, key %s\n", solo.Bench, spec.Engine, solo.Label, key)
+	fmt.Fprintf(w, "%-10s %14s %14s %14s\n", "size", "time(us)", "MiB/s", "L2miss/op")
+	for _, pt := range solo.Points {
+		fmt.Fprintf(w, "%-10s %14.2f %14.0f %14d\n",
 			units.FormatSize(pt.Size), pt.Time.Microseconds(), pt.Throughput, pt.L2Misses)
 	}
-}
-
-func printMulti(res imb.MultiResult, engine string, j comm.Job) {
-	fmt.Printf("# %s, %d ranks, engine %s, %s\n", res.Bench, res.Ranks, engine, j.Describe())
-	fmt.Printf("%-10s %14s %14s %10s %14s\n", "size", "time(us)", "agg MiB/s", "bus util", "cpu busy(s)")
-	for _, pt := range res.Points {
-		fmt.Printf("%-10s %14.2f %14.0f %10.2f %14.4f\n",
-			units.FormatSize(pt.Size), pt.Time.Microseconds(), pt.Throughput, pt.BusUtil, pt.CPUBusySec)
-	}
-}
-
-// usageErr reports an invalid flag value with the registered alternatives
-// and exits non-zero.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "imb: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "imb:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -107,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.Render(stdout)
 		fmt.Fprintln(stdout)
 		if *outDir != "" {
-			if err := res.WriteFiles(*outDir); err != nil {
+			if err := writeFiles(*outDir, res); err != nil {
 				fmt.Fprintf(stderr, "knemsim: %s: %v\n", exp.ID, err)
 				return 1
 			}
@@ -117,4 +118,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
+}
+
+// writeFiles writes a result's artefact files into dir.
+func writeFiles(dir string, res experiments.Result) error {
+	files, err := res.Files()
+	if err != nil {
+		return err
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -209,10 +209,6 @@ type Job interface {
 	// Label names the job's transfer configuration for result rows
 	// (the LMT label on the simulator, the large-message mode on rt).
 	Label() string
-	// Describe is the one-line human context for table headers: the
-	// engine fills in whatever identifies the run (backend, machine,
-	// clock kind) so CLIs need no engine-specific knowledge.
-	Describe() string
 	// Run executes app on every rank concurrently and waits for all of
 	// them. It returns the first rank failure (deadlocks and panics
 	// included).

@@ -50,8 +50,10 @@ type AblationSet []AblationRow
 // Render writes the rows as text.
 func (rows AblationSet) Render(w io.Writer) { RenderAblation(w, rows) }
 
-// WriteFiles writes the rows' JSON artefact into dir.
-func (rows AblationSet) WriteFiles(dir string) error { return WriteJSON(dir, "ablation", rows) }
+// Files returns the rows' JSON artefact.
+func (rows AblationSet) Files() (map[string][]byte, error) {
+	return jsonFiles(map[string]any{"ablation": rows})
+}
 
 // ModelAblation quantifies the three model mechanisms DESIGN.md calls out as
 // load-bearing for the paper's headline results:

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"knemesis/internal/nas"
 	"knemesis/internal/topo"
@@ -63,35 +61,4 @@ func EnvByName(machine string, quick bool) (Env, error) {
 		return QuickEnv(m), nil
 	}
 	return DefaultEnv(m), nil
-}
-
-// ResultFiles collects a result's artefact files as bytes, by name: exactly
-// what Result.WriteFiles writes into a directory (it stages through a
-// temporary one), so service-stored artefacts are byte-identical to the
-// CLI's -out files.
-func ResultFiles(res Result) (map[string][]byte, error) {
-	dir, err := os.MkdirTemp("", "knemesis-artefact-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	if err := res.WriteFiles(dir); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(entries))
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		out[e.Name()] = buf
-	}
-	return out, nil
 }

@@ -15,6 +15,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -47,12 +48,18 @@ type Figure struct {
 // Render writes the figure as a fixed-width text table.
 func (f Figure) Render(w io.Writer) { RenderFigure(w, f) }
 
-// WriteFiles writes the figure's CSV and JSON artefacts into dir.
-func (f Figure) WriteFiles(dir string) error {
-	if err := WriteFigureCSV(dir, f); err != nil {
-		return err
+// Files returns the figure's CSV and JSON artefacts.
+func (f Figure) Files() (map[string][]byte, error) {
+	var csv bytes.Buffer
+	if err := WriteFigureCSV(&csv, f); err != nil {
+		return nil, err
 	}
-	return WriteJSON(dir, f.ID, f)
+	files, err := jsonFiles(map[string]any{f.ID: f})
+	if err != nil {
+		return nil, err
+	}
+	files[f.ID+".csv"] = csv.Bytes()
+	return files, nil
 }
 
 // Table is a reproduced paper table. It implements Result.
@@ -66,8 +73,8 @@ type Table struct {
 // Render writes the table as fixed-width text.
 func (t Table) Render(w io.Writer) { RenderTable(w, t) }
 
-// WriteFiles writes the table's JSON artefact into dir.
-func (t Table) WriteFiles(dir string) error { return WriteJSON(dir, t.ID, t) }
+// Files returns the table's JSON artefact.
+func (t Table) Files() (map[string][]byte, error) { return jsonFiles(map[string]any{t.ID: t}) }
 
 // DefaultPingPongSizes spans the x axis of Figures 3-6.
 func DefaultPingPongSizes() []int64 { return units.Pow2Sizes(64*units.KiB, 4*units.MiB) }
@@ -266,7 +273,9 @@ type table1Result struct {
 	NASRows []nas.Row
 }
 
-func (t table1Result) WriteFiles(dir string) error { return WriteJSON(dir, t.ID, t.NASRows) }
+func (t table1Result) Files() (map[string][]byte, error) {
+	return jsonFiles(map[string]any{t.ID: t.NASRows})
+}
 
 // table1 reproduces Table 1: NAS Parallel Benchmark execution times under
 // the four LMT configurations, with the default column calibrated to the

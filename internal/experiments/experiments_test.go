@@ -140,12 +140,14 @@ func TestRenderAndCSV(t *testing.T) {
 	if !strings.Contains(buf.String(), "128KiB") || !strings.Contains(buf.String(), "KNEM LMT") {
 		t.Fatalf("rendered figure incomplete:\n%s", buf.String())
 	}
-	dir := t.TempDir()
-	if err := WriteFigureCSV(dir, fig); err != nil {
+	files, err := fig.Files()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSON(dir, fig.ID, fig); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{fig.ID + ".csv", fig.ID + ".json"} {
+		if len(files[name]) == 0 {
+			t.Errorf("artefact %s missing or empty (have %d files)", name, len(files))
+		}
 	}
 }
 

@@ -63,8 +63,8 @@ type multipairResult struct {
 	MultiRows []MultipairRow
 }
 
-func (r multipairResult) WriteFiles(dir string) error {
-	return WriteJSON(dir, r.ID, r.MultiRows)
+func (r multipairResult) Files() (map[string][]byte, error) {
+	return jsonFiles(map[string]any{r.ID: r.MultiRows})
 }
 
 // multipairCase is one sharded stack simulation of the sweep.

@@ -54,11 +54,12 @@ func (env Env) workers() int {
 	return env.Workers
 }
 
-// Result is a runnable experiment's artefact: it renders as text and knows
-// how to write its CSV/JSON files.
+// Result is a runnable experiment's artefact: it renders as text and
+// returns its CSV/JSON files by name — the bytes knemsim -out writes and
+// the daemon stores.
 type Result interface {
 	Render(w io.Writer)
-	WriteFiles(dir string) error
+	Files() (map[string][]byte, error)
 }
 
 // Experiment is one entry of the paper-artefact registry.

@@ -135,9 +135,8 @@ func TestEveryExperimentRunsReduced(t *testing.T) {
 		if buf.Len() == 0 {
 			t.Errorf("%s: empty rendering", e.ID)
 		}
-		dir := t.TempDir()
-		if err := res.WriteFiles(dir); err != nil {
-			t.Errorf("%s: WriteFiles: %v", e.ID, err)
+		if files, err := res.Files(); err != nil || len(files) == 0 {
+			t.Errorf("%s: Files: %d files, %v", e.ID, len(files), err)
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -103,15 +101,10 @@ func RenderThresholds(w io.Writer, results []ThresholdResult) {
 	}
 }
 
-// WriteFigureCSV writes one CSV per figure: size,label,mibps,time_us,misses.
-func WriteFigureCSV(dir string, fig Figure) error {
-	f, err := os.Create(filepath.Join(dir, fig.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cw := csv.NewWriter(f)
-	defer cw.Flush()
+// WriteFigureCSV writes the figure as CSV: size,label,mibps,time_us,misses.
+// A failing writer surfaces as the error, including on the final flush.
+func WriteFigureCSV(w io.Writer, fig Figure) error {
+	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"size_bytes", "series", "throughput_mibps", "time_us", "l2_miss_lines"}); err != nil {
 		return err
 	}
@@ -129,14 +122,19 @@ func WriteFigureCSV(dir string, fig Figure) error {
 			}
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
-// WriteJSON marshals any experiment artefact to <dir>/<name>.json.
-func WriteJSON(dir, name string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
+// jsonFiles marshals each named artefact as the bytes of <name>.json.
+func jsonFiles(named map[string]any) (map[string][]byte, error) {
+	out := make(map[string][]byte, len(named))
+	for name, v := range named {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return nil, err
+		}
+		out[name+".json"] = append(data, '\n')
 	}
-	return os.WriteFile(filepath.Join(dir, name+".json"), append(data, '\n'), 0o644)
+	return out, nil
 }

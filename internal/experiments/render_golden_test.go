@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"knemesis/internal/imb"
@@ -100,14 +102,35 @@ func TestRenderGoldenThresholds(t *testing.T) {
 // The figure CSV artefact is golden-checked too: its schema is what external
 // plotting scripts consume.
 func TestRenderGoldenFigureCSV(t *testing.T) {
-	dir := t.TempDir()
-	fig := goldenFigure()
-	if err := WriteFigureCSV(dir, fig); err != nil {
+	var buf bytes.Buffer
+	if err := WriteFigureCSV(&buf, goldenFigure()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, fig.ID+".csv"))
-	if err != nil {
-		t.Fatal(err)
+	checkGolden(t, "figure_csv", buf.Bytes())
+}
+
+// failingWriter accepts n bytes, then fails every write, as a full disk
+// does.
+type failingWriter struct{ n int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errors.New("no space left on device")
 	}
-	checkGolden(t, "figure_csv", got)
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// A writer that fails must fail the CSV, not leave a truncated artefact
+// behind a nil error. The CSV is smaller than csv.Writer's buffer, so the
+// only write that reaches the writer is the final flush's.
+func TestWriteFigureCSVSurfacesWriterError(t *testing.T) {
+	for _, n := range []int{0, 40} {
+		err := WriteFigureCSV(&failingWriter{n: n}, goldenFigure())
+		if err == nil || !strings.Contains(err.Error(), "no space") {
+			t.Errorf("writer failing after %d bytes: err = %v, want the write error", n, err)
+		}
+	}
 }

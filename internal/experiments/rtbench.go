@@ -53,7 +53,9 @@ type rtResult struct {
 	RTRows []RTRow
 }
 
-func (r rtResult) WriteFiles(dir string) error { return WriteJSON(dir, r.ID, r.RTRows) }
+func (r rtResult) Files() (map[string][]byte, error) {
+	return jsonFiles(map[string]any{r.ID: r.RTRows})
+}
 
 // RTRows runs the sweep and returns its typed rows directly.
 func RTRows(env Env) ([]RTRow, error) {

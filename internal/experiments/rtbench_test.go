@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -88,20 +86,17 @@ func TestRTRowJSONSchemaGolden(t *testing.T) {
 	checkGolden(t, "rt_row", got)
 }
 
-// WriteFiles must emit the typed rows (not the rendered table) as rt.json.
+// Files must emit the typed rows (not the rendered table) as rt.json.
 func TestRTExperimentWritesTypedRows(t *testing.T) {
 	res, err := Run(context.Background(), "rt", rtTestEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := res.WriteFiles(dir); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "rt.json"))
+	files, err := res.Files()
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := files["rt.json"]
 	var rows []map[string]any
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatalf("rt.json is not a row array: %v", err)

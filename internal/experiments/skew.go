@@ -92,11 +92,8 @@ type skewResult struct {
 	RTRows   []SkewRTRow
 }
 
-func (r skewResult) WriteFiles(dir string) error {
-	if err := WriteJSON(dir, r.ID, r.SkewRows); err != nil {
-		return err
-	}
-	return WriteJSON(dir, "skew_rt", r.RTRows)
+func (r skewResult) Files() (map[string][]byte, error) {
+	return jsonFiles(map[string]any{r.ID: r.SkewRows, "skew_rt": r.RTRows})
 }
 
 // skewPingPong measures one forced-protocol PingPong under one arm's

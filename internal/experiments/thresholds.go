@@ -46,8 +46,10 @@ type ThresholdSet []ThresholdResult
 // Render writes the study as text.
 func (ts ThresholdSet) Render(w io.Writer) { RenderThresholds(w, ts) }
 
-// WriteFiles writes the study's JSON artefact into dir.
-func (ts ThresholdSet) WriteFiles(dir string) error { return WriteJSON(dir, "thresholds", ts) }
+// Files returns the study's JSON artefact.
+func (ts ThresholdSet) Files() (map[string][]byte, error) {
+	return jsonFiles(map[string]any{"thresholds": ts})
+}
 
 // Thresholds reproduces the §3.5 study: on the 4 MiB-cache machine the
 // offload threshold is ~1 MiB under a shared cache and ~2 MiB across dies,

@@ -61,8 +61,8 @@ type topologyResult struct {
 	TopoRows []TopologyRow
 }
 
-func (r topologyResult) WriteFiles(dir string) error {
-	return WriteJSON(dir, r.ID, r.TopoRows)
+func (r topologyResult) Files() (map[string][]byte, error) {
+	return jsonFiles(map[string]any{r.ID: r.TopoRows})
 }
 
 // topoReps is the measured repetition count per cell (the simulation is

@@ -115,19 +115,6 @@ func (j *simJob) anyStack() *core.Stack {
 	return j.st
 }
 
-func (j *simJob) Describe() string {
-	if j.cs != nil {
-		coll := "hierarchical"
-		if !j.hier {
-			coll = "flat"
-		}
-		return fmt.Sprintf("%s LMT, cluster %s (%d nodes, %d ranks, %s collectives), simulated time",
-			j.anyStack().Ch.LMTName(), j.cs.Topo.Name, len(j.cs.Nodes), j.w.Size, coll)
-	}
-	return fmt.Sprintf("%s LMT (backend %s), machine %s, simulated time",
-		j.st.Ch.LMTName(), j.st.Ch.BackendName(), j.st.M.Topo.Name)
-}
-
 // installPerturb installs the spec's perturbation set onto the simulated
 // hardware (no-op for an empty list).
 func (j *simJob) installPerturb(spec comm.JobSpec) error {

@@ -90,18 +90,6 @@ func (j *rtJob) World() *World { return j.w }
 func (j *rtJob) Size() int     { return j.w.Size() }
 func (j *rtJob) Label() string { return j.w.cfg.Large.String() }
 
-func (j *rtJob) Describe() string {
-	if nodes := j.w.nodeCount(); nodes > 1 {
-		coll := "hierarchical"
-		if !j.hier {
-			coll = "flat"
-		}
-		return fmt.Sprintf("%s mode, goroutine ranks on %d nodes (%s collectives), wall clock",
-			j.Label(), nodes, coll)
-	}
-	return fmt.Sprintf("%s mode, goroutine ranks, wall clock", j.Label())
-}
-
 func (j *rtJob) Run(app func(p comm.Peer)) error {
 	return j.RunCtx(context.Background(), app)
 }

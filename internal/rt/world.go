@@ -185,15 +185,6 @@ func (w *World) NodeOf(rank int) int {
 // crossNode reports whether two ranks live on different nodes.
 func (w *World) crossNode(a, b int) bool { return w.NodeOf(a) != w.NodeOf(b) }
 
-// nodeCount returns the number of distinct nodes in the placement.
-func (w *World) nodeCount() int {
-	seen := map[int]bool{}
-	for r := range w.ranks {
-		seen[w.NodeOf(r)] = true
-	}
-	return len(seen)
-}
-
 // copier is an offload worker: the kernel-thread / DMA-engine analogue.
 // Workers on the same rendezvous claim disjoint chunks, so the copy runs
 // as wide as the pool.

@@ -49,7 +49,7 @@ const (
 
 // BenchNames lists the comm-kind drivers, in help order.
 func BenchNames() []string {
-	return []string{"pingpong", "sendrecv", "exchange", "alltoall", "bcast", "allreduce"}
+	return []string{"pingpong", "multi-pingpong", "sendrecv", "exchange", "alltoall", "bcast", "allreduce"}
 }
 
 // rtExperiments names the registered experiments that exercise the real
@@ -76,8 +76,8 @@ type Spec struct {
 	LMT       string  `json:"lmt,omitempty"`       // sim backend preset, default "default"
 	RTMode    string  `json:"rtmode,omitempty"`    // rt large-message mode, default single-copy
 	EagerMax  int64   `json:"eager_max,omitempty"` // rendezvous threshold override
-	Topology  string  `json:"topology,omitempty"`  // cluster preset name ("" = single node)
-	Placement string  `json:"placement,omitempty"` // block (default) | spread
+	Topology  string  `json:"topology,omitempty"`  // cluster preset name or DOT text ("" = single node)
+	Placement string  `json:"placement,omitempty"` // shared (default) | cross; on a topology block (default) | spread
 	FlatColl  bool    `json:"flat_coll,omitempty"` // keep flat collectives on a topology
 	Perturb   string  `json:"perturb,omitempty"`   // ';'-separated perturbation specs
 	Seed      uint64  `json:"seed,omitempty"`      // perturbation RNG seed
@@ -180,6 +180,9 @@ func (s Spec) canonComm() (Spec, error) {
 	if c.Ranks < 2 {
 		return Spec{}, fmt.Errorf("api: ranks %d: need at least 2", c.Ranks)
 	}
+	if c.Bench == "multi-pingpong" && c.Ranks%2 != 0 {
+		return Spec{}, fmt.Errorf("api: multi-pingpong pairs ranks 2i and 2i+1, need an even count, have %d", c.Ranks)
+	}
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int64{64 * units.KiB}
 	}
@@ -191,11 +194,13 @@ func (s Spec) canonComm() (Spec, error) {
 			return Spec{}, fmt.Errorf("api: message size %d: need at least 1 byte", sz)
 		}
 	}
+	var m *topo.Machine // the simulated host; nil on rt
 	if c.Engine == "sim" {
 		if c.Machine == "" {
 			c.Machine = "e5345"
 		}
-		if _, err := experiments.MachineByName(c.Machine); err != nil {
+		var err error
+		if m, err = experiments.MachineByName(c.Machine); err != nil {
 			return Spec{}, err
 		}
 		if c.LMT == "" {
@@ -220,9 +225,12 @@ func (s Spec) canonComm() (Spec, error) {
 		return Spec{}, fmt.Errorf("api: negative eager_max")
 	}
 	if c.Topology != "" {
-		cl, err := topo.LookupCluster(c.Topology)
+		cl, err := cluster(c.Topology)
 		if err != nil {
 			return Spec{}, err
+		}
+		if isDOT(c.Topology) {
+			c.Topology = canonDOT(cl)
 		}
 		if c.Placement == "" {
 			c.Placement = "block"
@@ -234,14 +242,29 @@ func (s Spec) canonComm() (Spec, error) {
 			return Spec{}, fmt.Errorf("api: cluster %s has %d cores, requested %d ranks", cl.Name, cl.Capacity(), c.Ranks)
 		}
 	} else {
-		if c.Placement != "" || c.FlatColl {
-			return Spec{}, fmt.Errorf("api: placement/flat_coll need a topology")
+		if c.FlatColl {
+			return Spec{}, fmt.Errorf("api: flat_coll needs a topology")
 		}
-		if c.Engine == "sim" {
-			m, _ := experiments.MachineByName(c.Machine)
-			if c.Ranks > m.Cores {
-				return Spec{}, fmt.Errorf("api: machine %s has %d cores, requested %d ranks", c.Machine, m.Cores, c.Ranks)
+		if m != nil && c.Ranks > m.Cores {
+			return Spec{}, fmt.Errorf("api: machine %s has %d cores, requested %d ranks", c.Machine, m.Cores, c.Ranks)
+		}
+		switch c.Placement {
+		case "", "shared":
+			// The first ranks cores: pairs (0,1), (2,3), ... share a cache
+			// on every machine preset.
+			c.Placement = ""
+		case "cross":
+			if m == nil {
+				return Spec{}, fmt.Errorf("api: cross placement pins simulated cores, not %s ranks", c.Engine)
 			}
+			if c.Ranks%2 != 0 {
+				return Spec{}, fmt.Errorf("api: cross placement pairs ranks, need an even count, have %d", c.Ranks)
+			}
+			if _, err := m.CrossDiePairs(c.Ranks / 2); err != nil {
+				return Spec{}, err
+			}
+		default:
+			return Spec{}, fmt.Errorf("api: unknown placement %q (have shared|cross; block|spread need a topology)", c.Placement)
 		}
 	}
 	if c.Perturb != "" {
@@ -295,13 +318,19 @@ func (s Spec) ToComm() (comm.JobSpec, error) {
 		spec.Machine = m
 	}
 	if s.Topology != "" {
-		cl, err := topo.LookupCluster(s.Topology)
+		cl, err := cluster(s.Topology)
 		if err != nil {
 			return comm.JobSpec{}, err
 		}
 		spec.Topology = cl
 		spec.Placement = s.Placement
 		spec.FlatCollectives = s.FlatColl
+	} else if s.Placement == "cross" {
+		pairs, err := spec.Machine.CrossDiePairs(s.Ranks / 2)
+		if err != nil {
+			return comm.JobSpec{}, err
+		}
+		spec.Cores = topo.PairCores(pairs)
 	}
 	if s.Perturb != "" {
 		specs, err := perturb.ParseList(s.Perturb)
@@ -312,6 +341,34 @@ func (s Spec) ToComm() (comm.JobSpec, error) {
 		spec.Seed = s.Seed
 	}
 	return spec, nil
+}
+
+// isDOT reports whether a topology value is DOT text rather than a preset
+// name (no preset name holds a brace).
+func isDOT(topology string) bool { return strings.Contains(topology, "{") }
+
+// cluster resolves a topology value: DOT text is parsed, anything else must
+// name a registered preset. A file path is neither, so it is rejected: the
+// daemon never opens a path taken from a spec.
+func cluster(topology string) (*topo.Cluster, error) {
+	if isDOT(topology) {
+		return topo.ParseDOT(topology)
+	}
+	return topo.LookupCluster(topology)
+}
+
+// canonDOT is the canonical form of DOT topology text: the name of the
+// preset it renders identically to, else its RenderDOT form. The cache key
+// hashes RenderDOT either way; mapping to the name also keeps the canonical
+// spec, and so the artefact that embeds it, one per key.
+func canonDOT(cl *topo.Cluster) string {
+	dot := topo.RenderDOT(cl)
+	for _, p := range topo.ClusterPresets() {
+		if topo.RenderDOT(p.Build()) == dot {
+			return p.Name
+		}
+	}
+	return dot
 }
 
 // CanonicalJSON marshals a canonical spec deterministically (fixed struct

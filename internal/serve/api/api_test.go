@@ -3,6 +3,8 @@ package api
 import (
 	"strings"
 	"testing"
+
+	"knemesis/internal/topo"
 )
 
 // mustKey canonicalizes a spec and derives its cache key.
@@ -52,6 +54,37 @@ func TestCacheKeySemanticEquality(t *testing.T) {
 	if mustKey(t, s1) != mustKey(t, s2) {
 		t.Fatal("JSON field order split the cache key")
 	}
+
+	fatTree, err := topo.LookupCluster("fat-tree-16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dot = `graph pair { a [cores=4]; b [cores=4]; a -- b [latency="1us", bandwidth="1.25e9"]; }`
+	for name, pair := range map[string][2]Spec{
+		"shared is the default placement": {
+			{Kind: KindComm},
+			{Kind: KindComm, Placement: "shared"},
+		},
+		"DOT text differing in whitespace": {
+			{Kind: KindComm, Bench: "alltoall", Ranks: 8, Topology: dot},
+			{Kind: KindComm, Bench: "alltoall", Ranks: 8, Topology: "graph pair {\n  a [cores=4];\n\tb [cores=4];\n" +
+				"  a -- b [latency=\"1us\",\n    bandwidth=\"1.25e9\"];\n}\n"},
+		},
+		"DOT text of a preset": {
+			{Kind: KindComm, Bench: "sendrecv", Ranks: 16, Topology: "fat-tree-16", Placement: "spread"},
+			{Kind: KindComm, Bench: "sendrecv", Ranks: 16, Topology: topo.RenderDOT(fatTree), Placement: "spread"},
+		},
+	} {
+		if mustKey(t, pair[0]) != mustKey(t, pair[1]) {
+			t.Errorf("%s: the cache key split", name)
+		}
+		// One key, one canonical spec: the artefact embeds it.
+		ca, _ := pair[0].Canonicalize()
+		cb, _ := pair[1].Canonicalize()
+		if a, b := ca.CanonicalJSON(), cb.CanonicalJSON(); string(a) != string(b) {
+			t.Errorf("%s: canonical specs differ:\n  %s\n  %s", name, a, b)
+		}
+	}
 }
 
 func TestCacheKeySensitivity(t *testing.T) {
@@ -69,6 +102,8 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"engine":   {Kind: KindComm, Engine: "rt"},
 		"expt":     {Kind: KindExperiment, Experiment: "fig3"},
 		"deadline": {Kind: KindComm, DeadlineSec: 3},
+		"cross":    {Kind: KindComm, Placement: "cross"},
+		"multi":    {Kind: KindComm, Bench: "multi-pingpong"},
 	} {
 		keys[name] = mustKey(t, s)
 	}
@@ -150,9 +185,19 @@ func TestCanonicalizeRejections(t *testing.T) {
 		"too many ranks":   {Kind: KindComm, Ranks: 64},
 		"bad perturb":      {Kind: KindComm, Perturb: "gremlins"},
 		"neg deadline":     {Kind: KindComm, DeadlineSec: -1},
+		"odd multi":        {Kind: KindComm, Bench: "multi-pingpong", Ranks: 3},
+		"rt cross":         {Kind: KindComm, Engine: "rt", Placement: "cross"},
+		"nehalem cross":    {Kind: KindComm, Machine: "nehalem", Placement: "cross"},
+		"odd cross":        {Kind: KindComm, Bench: "sendrecv", Ranks: 3, Placement: "cross"},
+		"topology cross":   {Kind: KindComm, Topology: "two-node", Placement: "cross"},
+		"bad DOT":          {Kind: KindComm, Topology: "graph x { a -- }"},
+		// A path names no preset and holds no DOT text; it must not be read.
+		"DOT path": {Kind: KindComm, Topology: "../../../examples/topologies/two-node.dot"},
 	} {
 		if _, err := s.Canonicalize(); err == nil {
 			t.Errorf("%s: accepted %+v", name, s)
+		} else if name == "DOT path" && !strings.Contains(err.Error(), "unknown cluster preset") {
+			t.Errorf("%s: %v, want an unknown-preset error", name, err)
 		}
 	}
 }
@@ -175,5 +220,39 @@ func TestSeedNormalization(t *testing.T) {
 	p2 := mustKey(t, Spec{Kind: KindComm, Perturb: "noisy-rank:rate=10", Seed: 2})
 	if p1 == p2 {
 		t.Fatal("perturbation seed did not split the cache key")
+	}
+}
+
+// TestCacheKeysPinned holds the cache keys of existing specs to their
+// recorded hex values. A change that moves any of them orphans every
+// artefact the daemon has stored under the old key: either it is a bug, or
+// CodeVersion must be bumped on purpose and these values re-recorded.
+func TestCacheKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		key  string
+	}{
+		{"comm defaults", Spec{Kind: KindComm},
+			"e99111728327ea5be2764d7a597226dd98fc12ab6faf58bbb39d19a187a6db4b"},
+		{"knem", Spec{Kind: KindComm, LMT: "knem", Sizes: []int64{4096, 1 << 20}},
+			"bd1dea35b0601b00c5fd223edf055888d225d96b6fbf6c62d08005042625467d"},
+		{"knem-ioat", Spec{Kind: KindComm, LMT: "knem-ioat", Sizes: []int64{1 << 20}},
+			"28aa9351c8b6925cbfc80a74852c931cc75e275fd01020c24e7e959494471db9"},
+		{"fat-tree spread", Spec{Kind: KindComm, Bench: "sendrecv", Ranks: 16,
+			Topology: "fat-tree-16", Placement: "spread"},
+			"c46833d9292b93faf79af15b1874a6147e79bef22fff0d2efffa3a5467f7a967"},
+		{"rt eager", Spec{Kind: KindComm, Engine: "rt", RTMode: "eager"},
+			"b0612b082e59e4933e29e20cbdf7b1e46800396f5465f2a1f8ed283058a368b8"},
+		{"perturbed", Spec{Kind: KindComm, Perturb: "slow-core;delayed-recv:mean=2e-6", Seed: 7},
+			"a5b39db7c373ca3e4cbc1d16ff7033f05a18c10dff2d7641378cfe0a0fd5a865"},
+		{"bcast on x5460", Spec{Kind: KindComm, Bench: "bcast", Ranks: 4, Machine: "x5460"},
+			"249582be0b737935be6527b37e6e679b0ec6c16e92187a89c58f565b9d63f575"},
+		{"experiment", Spec{Kind: KindExperiment, Experiment: "fig4", Quick: true},
+			"f1e2d04429ebcd2988097a7005772b5c40b95f60a9a38783f798846642651487"},
+	} {
+		if got := mustKey(t, tc.spec); got != tc.key {
+			t.Errorf("%s: key %s, pinned %s", tc.name, got, tc.key)
+		}
 	}
 }

@@ -32,8 +32,8 @@ var flakyCalls atomic.Int64
 type testResult struct{ name string }
 
 func (r testResult) Render(w io.Writer) { fmt.Fprintf(w, "%s ok\n", r.name) }
-func (r testResult) WriteFiles(dir string) error {
-	return os.WriteFile(dir+"/result.json", []byte(`{"experiment":"`+r.name+`"}`+"\n"), 0o644)
+func (r testResult) Files() (map[string][]byte, error) {
+	return map[string][]byte{"result.json": []byte(`{"experiment":"` + r.name + `"}` + "\n")}, nil
 }
 
 func init() {

@@ -91,7 +91,7 @@ func executeExperiment(ctx context.Context, spec api.Spec) (map[string][]byte, e
 	if err != nil {
 		return nil, err
 	}
-	return experiments.ResultFiles(res)
+	return res.Files()
 }
 
 // commResult is the artefact schema of a comm-kind job: the canonical spec
@@ -127,6 +127,8 @@ func executeComm(ctx context.Context, spec api.Spec, probe *rtProbe) (map[string
 	switch spec.Bench {
 	case "pingpong":
 		table, err = imb.RunPingPong(cj, spec.Sizes)
+	case "multi-pingpong":
+		table, err = imb.RunMultiPingPong(cj, spec.Sizes)
 	case "sendrecv":
 		table, err = imb.RunSendrecv(cj, spec.Sizes)
 	case "exchange":
