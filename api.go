@@ -67,12 +67,8 @@ type (
 var (
 	// NewJob builds a job on the named engine ("sim", "rt").
 	NewJob = comm.NewJob
-	// Engines lists every registered engine in presentation order.
+	// Engines is the engine registry (Lookup, All, Names).
 	Engines = comm.Engines
-	// EngineNames lists the registered engine names.
-	EngineNames = comm.EngineNames
-	// LookupEngine resolves an engine name with a listing error.
-	LookupEngine = comm.LookupEngine
 	// NewSimJob wraps an already-built simulated stack as a job.
 	NewSimJob = mpi.NewSimJob
 
@@ -159,15 +155,14 @@ const (
 // Backend registry access: the enumeration the CLIs and embedders use
 // instead of hand-maintained switches.
 var (
-	// LMTNames lists every registered backend in paper-table order.
-	LMTNames = core.Names
+	// LMTBackends is the backend registry (Lookup, All, Names), in
+	// paper-table order.
+	LMTBackends = core.Backends
 	// LMTSpecs lists every named preset (backend x variant).
 	LMTSpecs = core.Specs
 	// ParseLMT resolves a preset name (e.g. "knem-ioat-auto", "cma")
 	// into options.
 	ParseLMT = core.ParseSpec
-	// LookupLMT returns the registry entry for a backend name.
-	LookupLMT = core.Lookup
 )
 
 // NewStack builds a simulated node on machine m with one MPI rank pinned to
@@ -223,9 +218,8 @@ var (
 	// returns its typed rows.
 	RTBenchRows = experiments.RTRows
 
-	// Experiment registry access.
+	// Experiments is the experiment registry (Lookup, All, Names).
 	Experiments   = experiments.Experiments
-	ExperimentIDs = experiments.ExperimentIDs
 	RunExperiment = experiments.Run
 	// DefaultExperimentEnv is the paper's full-scale setup on a machine.
 	DefaultExperimentEnv = experiments.DefaultEnv

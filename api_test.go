@@ -71,8 +71,8 @@ func TestFacadeExperimentEntryPoints(t *testing.T) {
 // The facade exposes both registries: backend names/presets and the
 // experiment index, all generated rather than hand-maintained.
 func TestFacadeRegistries(t *testing.T) {
-	names := LMTNames()
-	if len(names) < 5 || names[0] != DefaultLMT {
+	names := LMTBackends.Names()
+	if len(names) < 5 || names[0] != string(DefaultLMT) {
 		t.Fatalf("LMT names = %v", names)
 	}
 	opt, err := ParseLMT("cma")
@@ -82,10 +82,10 @@ func TestFacadeRegistries(t *testing.T) {
 	if opt.Kind != CMALMT {
 		t.Fatalf("ParseLMT(cma).Kind = %q", opt.Kind)
 	}
-	if _, err := LookupLMT(CMALMT); err != nil {
+	if _, err := LMTBackends.Lookup(string(CMALMT)); err != nil {
 		t.Fatal(err)
 	}
-	ids := ExperimentIDs()
+	ids := Experiments.Names()
 	if len(ids) == 0 || ids[0] != "fig3" {
 		t.Fatalf("experiment ids = %v", ids)
 	}

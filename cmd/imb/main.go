@@ -61,13 +61,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("imb", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engine     = fs.String("engine", "sim", strings.Join(comm.EngineNames(), "|"))
-		bench      = fs.String("bench", "pingpong", strings.Join(api.BenchNames(), "|"))
+		engine     = fs.String("engine", "sim", strings.Join(comm.Engines.Names(), "|"))
+		bench      = fs.String("bench", "pingpong", strings.Join(imb.Benches.Names(), "|"))
 		lmt        = fs.String("lmt", "", strings.Join(core.SpecNames(), "|")+"|list (sim engine; default \"default\")")
 		rtmode     = fs.String("rtmode", "", strings.Join(rt.ModeNames(), "|")+" (rt engine; default single-copy)")
 		placement  = fs.String("placement", "cross", "shared|cross (the pingpong benches on sim)")
-		machine    = fs.String("machine", "", "e5345 (default)|x5460|nehalem (sim only)")
-		topoName   = fs.String("topo", "", "multi-node cluster: a .dot file or "+strings.Join(topo.ClusterNames(), "|")+"|list")
+		machine    = fs.String("machine", "", machineHelp())
+		topoName   = fs.String("topo", "", "multi-node cluster: a .dot file or "+strings.Join(topo.Clusters.Names(), "|")+"|list")
 		topoPlace  = fs.String("topoplace", "block", "block|spread rank placement on -topo")
 		flatColl   = fs.Bool("flatcoll", false, "keep flat single-level collectives on -topo")
 		ranks      = fs.Int("ranks", 8, "rank count (every bench but pingpong, which is one pair)")
@@ -83,7 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	usageErr := func(err error) int {
-		fmt.Fprintln(stderr, "imb:", err)
+		// The bench registry's errors already carry this command's name.
+		fmt.Fprintln(stderr, "imb:", strings.TrimPrefix(err.Error(), "imb: "))
 		fs.Usage()
 		return 2
 	}
@@ -95,13 +96,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *topoName == "list" {
-		for _, p := range topo.ClusterPresets() {
+		for _, p := range topo.Clusters.All() {
 			fmt.Fprintf(stdout, "%-16s %s\n", p.Name, p.Help)
 		}
 		return 0
 	}
 	if *perturbL == "list" {
-		for _, k := range perturb.Kinds() {
+		for _, k := range perturb.Kinds.All() {
 			fmt.Fprintf(stdout, "%-16s %s\n", k.Name, k.Help)
 			for _, p := range k.Param {
 				if len(p.Enum) > 0 {
@@ -169,6 +170,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// machineHelp lists the machine presets, the first being the spec's
+// default.
+func machineHelp() string {
+	names := topo.Machines.Names()
+	return names[0] + " (default)|" + strings.Join(names[1:], "|") + " (sim only)"
 }
 
 // execute runs a canonical spec through the daemon's driver and prints its

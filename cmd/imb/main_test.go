@@ -19,8 +19,8 @@ func TestBadFlagValuesExit2(t *testing.T) {
 		args []string
 		want []string // substrings stderr must contain
 	}{
-		{[]string{"-engine", "mpi"}, comm.EngineNames()},
-		{[]string{"-bench", "barrier"}, api.BenchNames()},
+		{[]string{"-engine", "mpi"}, comm.Engines.Names()},
+		{[]string{"-bench", "barrier"}, imb.Benches.Names()},
 		{[]string{"-lmt", "zerocopy"}, core.SpecNames()},
 		{[]string{"-placement", "diagonal"}, []string{"shared", "cross"}},
 		{[]string{"-bench", "alltoall", "-ranks", "1"}, []string{"need at least 2"}},

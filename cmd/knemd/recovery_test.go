@@ -68,7 +68,7 @@ func chaosChild() {
 }
 
 func init() {
-	experiments.RegisterExperiment(experiments.Experiment{
+	experiments.Experiments.Register(experiments.Experiment{
 		ID: "test-chaos-panic", Title: "chaos gate: panics every run", Order: 99,
 		Run: func(ctx context.Context, env experiments.Env) (experiments.Result, error) {
 			panic("chaos experiment detonated")

@@ -26,6 +26,7 @@ import (
 
 	"knemesis/internal/experiments"
 	"knemesis/internal/profiling"
+	"knemesis/internal/topo"
 )
 
 func main() {
@@ -36,12 +37,12 @@ func main() {
 // machine) return 2 with the registered names on stderr, runtime failures
 // return 1.
 func run(args []string, stdout, stderr io.Writer) int {
-	ids := experiments.ExperimentIDs()
+	ids := experiments.Experiments.Names()
 	fs := flag.NewFlagSet("knemsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		experiment = fs.String("experiment", "all", strings.Join(ids, "|")+"|all")
-		machine    = fs.String("machine", "e5345", strings.Join(experiments.MachineNames(), "|"))
+		machine    = fs.String("machine", "e5345", strings.Join(topo.Machines.Names(), "|"))
 		outDir     = fs.String("out", "", "directory for CSV/JSON artefacts (optional)")
 		quick      = fs.Bool("quick", false, "reduced sizes and scaled NAS kernels")
 		workers    = fs.Int("j", experiments.DefaultWorkers(),
@@ -57,12 +58,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Validate the registry-backed flags up front: unknown values exit 2
 	// with the registered names, matching imb's strict validation.
 	if *experiment != "all" {
-		if _, err := experiments.LookupExperiment(*experiment); err != nil {
+		if _, err := experiments.Experiments.Lookup(*experiment); err != nil {
 			fmt.Fprintln(stderr, "knemsim:", err)
 			return 2
 		}
 	}
-	m, err := experiments.MachineByName(*machine)
+	m, err := topo.LookupMachine(*machine)
 	if err != nil {
 		fmt.Fprintln(stderr, "knemsim:", err)
 		return 2
@@ -92,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	env.Workers = *workers
 
-	for _, exp := range experiments.Experiments() {
+	for _, exp := range experiments.Experiments.All() {
 		if *experiment != "all" && *experiment != exp.ID {
 			continue
 		}

@@ -20,7 +20,7 @@ func TestUnknownExperimentExits2ListingNames(t *testing.T) {
 	if !strings.Contains(msg, "no-such-experiment") {
 		t.Errorf("stderr does not name the rejected value: %s", msg)
 	}
-	for _, id := range experiments.ExperimentIDs() {
+	for _, id := range experiments.Experiments.Names() {
 		if !strings.Contains(msg, id) {
 			t.Errorf("stderr does not list registered experiment %q: %s", id, msg)
 		}

@@ -34,7 +34,7 @@ func chaosTargets(short bool) []struct{ engine, rtmode string } {
 }
 
 func TestConformanceUnderChaos(t *testing.T) {
-	for _, kind := range perturb.Kinds() {
+	for _, kind := range perturb.Kinds.All() {
 		kind := kind
 		spec := perturb.MustParse(kind.Name) // every kind at its defaults
 		t.Run(kind.Name, func(t *testing.T) {
@@ -115,7 +115,7 @@ func TestConformanceUnderLinkChaosMultiNode(t *testing.T) {
 // still deliver content exactly.
 func TestConformanceUnderStackedChaos(t *testing.T) {
 	var specs []perturb.Spec
-	for _, kind := range perturb.Kinds() {
+	for _, kind := range perturb.Kinds.All() {
 		specs = append(specs, perturb.MustParse(kind.Name))
 	}
 	cl, err := topo.LookupCluster("two-node")

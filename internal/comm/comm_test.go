@@ -1,77 +1,9 @@
 package comm
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
-
-// Registry unit tests use fake engines (the real sim/rt registrations are
-// covered by the external conformance suite, which may share this test
-// binary — so nothing here asserts the full EngineNames list).
-
-func TestRegisterEngineValidation(t *testing.T) {
-	mustPanic := func(name string, e Engine) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: RegisterEngine did not panic", name)
-			}
-		}()
-		RegisterEngine(e)
-	}
-	mustPanic("empty name", Engine{NewJob: func(JobSpec) (Job, error) { return nil, nil }})
-	mustPanic("nil factory", Engine{Name: "test-nil-factory"})
-
-	RegisterEngine(Engine{
-		Name: "test-dup", Order: 99,
-		NewJob: func(JobSpec) (Job, error) { return nil, nil },
-	})
-	mustPanic("duplicate", Engine{
-		Name:   "test-dup",
-		NewJob: func(JobSpec) (Job, error) { return nil, nil },
-	})
-}
-
-func TestLookupAndOrdering(t *testing.T) {
-	RegisterEngine(Engine{Name: "test-z", Order: 101, NewJob: func(JobSpec) (Job, error) { return nil, nil }})
-	RegisterEngine(Engine{Name: "test-a", Order: 100, NewJob: func(JobSpec) (Job, error) { return nil, nil }})
-
-	if _, err := LookupEngine("test-a"); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LookupEngine("test-missing")
-	if err == nil || !strings.Contains(err.Error(), "test-a") {
-		t.Fatalf("lookup error %v should list registered names", err)
-	}
-
-	names := EngineNames()
-	ia, iz := indexOf(names, "test-a"), indexOf(names, "test-z")
-	if ia < 0 || iz < 0 || ia > iz {
-		t.Fatalf("EngineNames() = %v: Order not respected", names)
-	}
-}
-
-func TestNewJobRejectsBadRanks(t *testing.T) {
-	RegisterEngine(Engine{Name: "test-ranks", Order: 102, NewJob: func(JobSpec) (Job, error) {
-		t.Error("factory called for invalid spec")
-		return nil, nil
-	}})
-	for _, ranks := range []int{0, -1} {
-		if _, err := NewJob("test-ranks", JobSpec{Ranks: ranks}); err == nil {
-			t.Errorf("NewJob with %d ranks accepted", ranks)
-		}
-	}
-}
-
-func indexOf(list []string, v string) int {
-	for i, s := range list {
-		if s == v {
-			return i
-		}
-	}
-	return -1
-}
 
 // Usage.Sub must produce window deltas with the utilization recomputed
 // over the window, tolerating snapshots of different core counts.

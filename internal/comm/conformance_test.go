@@ -3,6 +3,8 @@ package comm_test
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -53,9 +55,7 @@ func conformanceCases() []confCase {
 	}
 }
 
-// realEngines are the shipped engines; the registry unit tests add fake
-// entries to the shared registry, so the conformance suite names its
-// targets explicitly.
+// realEngines are the shipped engines, the whole engine registry.
 var realEngines = []string{"sim", "rt"}
 
 // confDeadline is the per-case watchdog: a hung case fails within it,
@@ -645,14 +645,14 @@ func TestConcurrentSamePairTransfersEveryBackend(t *testing.T) {
 	}
 }
 
-// The registry surfaces both engines with stable names and help text.
+// The registry holds exactly the two shipped engines, in this order, with
+// help text.
 func TestEngineRegistrySurface(t *testing.T) {
-	names := comm.EngineNames()
-	if len(names) < 2 || names[0] != "sim" || names[1] != "rt" {
-		t.Fatalf("EngineNames() = %v, want [sim rt ...]", names)
+	if names := comm.Engines.Names(); !slices.Equal(names, realEngines) {
+		t.Fatalf("Engines.Names() = %v, want %v", names, realEngines)
 	}
 	for _, want := range realEngines {
-		e, err := comm.LookupEngine(want)
+		e, err := comm.Engines.Lookup(want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -660,12 +660,25 @@ func TestEngineRegistrySurface(t *testing.T) {
 			t.Errorf("engine %q has no help text", e.Name)
 		}
 	}
-	if _, err := comm.LookupEngine("no-such-engine"); err == nil {
-		t.Fatal("LookupEngine of unknown engine did not error")
+	if _, err := comm.Engines.Lookup("no-such-engine"); err == nil {
+		t.Fatal("Engines.Lookup of unknown engine did not error")
 	} else {
 		for _, want := range realEngines {
 			if !bytes.Contains([]byte(err.Error()), []byte(want)) {
 				t.Fatalf("lookup error %q does not list engine %q", err, want)
+			}
+		}
+	}
+}
+
+// NewJob rejects a rank count below 1 itself, before any engine's factory
+// sees the spec: the error is comm's, on every engine.
+func TestNewJobRejectsBadRanks(t *testing.T) {
+	for _, engine := range realEngines {
+		for _, ranks := range []int{0, -1} {
+			_, err := comm.NewJob(engine, comm.JobSpec{Ranks: ranks})
+			if err == nil || !strings.HasPrefix(err.Error(), "comm: job needs at least 1 rank") {
+				t.Errorf("%s: NewJob with %d ranks: %v, want comm's rank check", engine, ranks, err)
 			}
 		}
 	}

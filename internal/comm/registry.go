@@ -2,10 +2,9 @@ package comm
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"knemesis/internal/perturb"
+	"knemesis/internal/registry"
 	"knemesis/internal/topo"
 )
 
@@ -81,69 +80,18 @@ type Engine struct {
 	Name string
 	// Help is one line for flag help text.
 	Help string
-	// Order positions the engine in Engines().
+	// Order positions the engine in Engines.
 	Order int
 	// NewJob builds a single-use job for the spec.
 	NewJob func(spec JobSpec) (Job, error)
 }
 
-var engRegistry = map[string]Engine{}
-
-// RegisterEngine adds an engine; duplicate or incomplete registrations are
-// init-time programmer errors.
-func RegisterEngine(e Engine) {
-	if e.Name == "" {
-		panic("comm: RegisterEngine with empty name")
-	}
-	if e.NewJob == nil {
-		panic(fmt.Sprintf("comm: RegisterEngine(%q) with nil NewJob", e.Name))
-	}
-	if _, dup := engRegistry[e.Name]; dup {
-		panic(fmt.Sprintf("comm: engine %q registered twice", e.Name))
-	}
-	engRegistry[e.Name] = e
-}
-
-// LookupEngine returns the engine registered under name; the error lists
-// the registered names.
-func LookupEngine(name string) (Engine, error) {
-	e, ok := engRegistry[name]
-	if !ok {
-		return Engine{}, fmt.Errorf("comm: unknown engine %q (have %s)",
-			name, strings.Join(EngineNames(), "|"))
-	}
-	return e, nil
-}
-
-// Engines returns every registered engine in presentation order.
-func Engines() []Engine {
-	out := make([]Engine, 0, len(engRegistry))
-	for _, e := range engRegistry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// EngineNames returns the registered names in presentation order, for flag
-// help text and validation.
-func EngineNames() []string {
-	engs := Engines()
-	out := make([]string, len(engs))
-	for i, e := range engs {
-		out[i] = e.Name
-	}
-	return out
-}
+// Engines is the engine registry, in presentation order.
+var Engines = registry.New("comm", "engine", func(e Engine) (string, int) { return e.Name, e.Order })
 
 // NewJob builds a job on the named engine.
 func NewJob(engine string, spec JobSpec) (Job, error) {
-	e, err := LookupEngine(engine)
+	e, err := Engines.Lookup(engine)
 	if err != nil {
 		return nil, err
 	}

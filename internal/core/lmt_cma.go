@@ -7,13 +7,13 @@ import (
 )
 
 func init() {
-	Register(CMALMT, Info{
+	Backends.Register(&Backend{Name: CMALMT, Info: Info{
 		Summary:     "Cross Memory Attach (process_vm_readv) single copy, no module needed",
 		Order:       4,
 		NeedsKernel: true,
-	}, func(ch *nemesis.Channel, opt Options) nemesis.LMT {
+	}, New: func(ch *nemesis.Channel, opt Options) nemesis.LMT {
 		return newCMALMT(ch)
-	})
+	}})
 }
 
 // cmaLMT transfers large messages with Linux Cross Memory Attach: the RTS

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	Register(KnemLMT, Info{
+	Backends.Register(&Backend{Name: KnemLMT, Info: Info{
 		Summary:   "KNEM kernel-module single copy, optionally I/OAT-offloaded (§3.2-3.4)",
 		Order:     3,
 		NeedsKNEM: true,
@@ -25,9 +25,9 @@ func init() {
 					o.ForceKnemMode = &md
 				}},
 		},
-	}, func(ch *nemesis.Channel, opt Options) nemesis.LMT {
+	}, New: func(ch *nemesis.Channel, opt Options) nemesis.LMT {
 		return newKnemLMT(ch, opt)
-	})
+	}})
 }
 
 // knemNeedsDMA reports whether the configuration will submit I/OAT work:

@@ -20,12 +20,12 @@ const (
 )
 
 func init() {
-	Register(DefaultLMT, Info{
+	Backends.Register(&Backend{Name: DefaultLMT, Info: Info{
 		Summary: "shared-memory double-buffering (two copies, §2)",
 		Order:   0,
-	}, func(ch *nemesis.Channel, opt Options) nemesis.LMT {
+	}, New: func(ch *nemesis.Channel, opt Options) nemesis.LMT {
 		return newShmLMT(ch)
-	})
+	}})
 }
 
 // copyRing is the per-connection shared-memory copy buffer. It implements

@@ -11,20 +11,20 @@ import (
 )
 
 func init() {
-	Register(VmspliceLMT, Info{
+	Backends.Register(&Backend{Name: VmspliceLMT, Info: Info{
 		Summary:     "single copy through a kernel pipe via vmsplice (§3.1)",
 		Order:       1,
 		NeedsKernel: true,
-	}, func(ch *nemesis.Channel, opt Options) nemesis.LMT {
+	}, New: func(ch *nemesis.Channel, opt Options) nemesis.LMT {
 		return newVmspliceLMT(ch, false)
-	})
-	Register(VmspliceWritevLMT, Info{
+	}})
+	Backends.Register(&Backend{Name: VmspliceWritevLMT, Info: Info{
 		Summary:     "vmsplice backend forced to copy through writev (Fig. 3 control)",
 		Order:       2,
 		NeedsKernel: true,
-	}, func(ch *nemesis.Channel, opt Options) nemesis.LMT {
+	}, New: func(ch *nemesis.Channel, opt Options) nemesis.LMT {
 		return newVmspliceLMT(ch, true)
-	})
+	}})
 }
 
 // vmspliceLMT transfers large messages through a per-connection Unix pipe

@@ -13,7 +13,7 @@
 // together with the cache-aware policy of §3.5 that decides when to offload
 // copies to the DMA engine (the DMAmin threshold).
 //
-// Backends live in a named registry (Register / Lookup / Names): each entry
+// Backends live in one registry.Registry (Backends): each entry
 // declares its capability requirements (kernel substrate, KNEM module, DMA
 // hardware) which the factory checks centrally, and the option presets the
 // CLIs expose. Adding a backend is one file with an init() — no switch
@@ -102,7 +102,7 @@ func (o Options) withDefaults() Options {
 // backend's registered label function.
 func (o Options) Label() string {
 	o = o.withDefaults()
-	if b, err := Lookup(o.Kind); err == nil {
+	if b, err := Backends.Lookup(string(o.Kind)); err == nil {
 		return b.label(o)
 	}
 	return o.Kind.String()
@@ -114,7 +114,7 @@ func (o Options) Label() string {
 // with the check's error if the channel lacks them (a wiring bug).
 func FactoryFor(opt Options) (func(*nemesis.Channel) nemesis.LMT, error) {
 	opt = opt.withDefaults()
-	b, err := Lookup(opt.Kind)
+	b, err := Backends.Lookup(string(opt.Kind))
 	if err != nil {
 		return nil, err
 	}

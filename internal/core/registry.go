@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"knemesis/internal/nemesis"
+	"knemesis/internal/registry"
 )
 
 // Info describes a registered backend: help text, paper ordering, the
@@ -54,47 +54,17 @@ type Backend struct {
 	New  func(ch *nemesis.Channel, opt Options) nemesis.LMT
 }
 
-var registry = map[Kind]*Backend{}
-
-// Register adds a backend under name. It panics on an empty name, a nil
-// constructor or a duplicate registration — all programmer errors at init
-// time.
-func Register(name Kind, info Info, ctor func(ch *nemesis.Channel, opt Options) nemesis.LMT) {
-	if name == "" {
-		panic("core: Register with empty backend name")
-	}
-	if ctor == nil {
-		panic(fmt.Sprintf("core: Register(%q) with nil constructor", name))
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("core: backend %q registered twice", name))
-	}
-	registry[name] = &Backend{Name: name, Info: info, New: ctor}
-}
-
-// Lookup returns the backend registered under name.
-func Lookup(name Kind) (*Backend, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown LMT backend %q (have %s)",
-			name, strings.Join(kindStrings(Names()), "|"))
-	}
-	return b, nil
-}
+// Backends is the LMT backend registry, in paper-table order.
+var Backends = registry.New("core", "LMT backend", func(b *Backend) (string, int) {
+	return string(b.Name), b.Info.Order
+})
 
 // Names returns every registered backend name in paper-table order.
 func Names() []Kind {
-	out := make([]Kind, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	var out []Kind
+	for _, b := range Backends.All() {
+		out = append(out, b.Name)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		bi, bj := registry[out[i]], registry[out[j]]
-		if bi.Info.Order != bj.Info.Order {
-			return bi.Info.Order < bj.Info.Order
-		}
-		return out[i] < out[j]
-	})
 	return out
 }
 
@@ -137,18 +107,17 @@ type Spec struct {
 // of -lmt help text and validation.
 func Specs() []Spec {
 	var out []Spec
-	for _, name := range Names() {
-		b := registry[name]
+	for _, b := range Backends.All() {
 		variants := b.Info.Variants
 		if len(variants) == 0 {
 			variants = []Variant{{}}
 		}
 		for _, v := range variants {
-			specName := string(name)
+			specName := string(b.Name)
 			if v.Suffix != "" {
 				specName += "-" + v.Suffix
 			}
-			opt := Options{Kind: name}
+			opt := Options{Kind: b.Name}
 			if v.Apply != nil {
 				v.Apply(&opt)
 			}
@@ -181,12 +150,4 @@ func ParseSpec(name string) (Options, error) {
 	}
 	return Options{}, fmt.Errorf("core: unknown LMT %q (have %s)",
 		name, strings.Join(SpecNames(), "|"))
-}
-
-func kindStrings(ks []Kind) []string {
-	out := make([]string, len(ks))
-	for i, k := range ks {
-		out[i] = string(k)
-	}
-	return out
 }

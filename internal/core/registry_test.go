@@ -25,19 +25,19 @@ func TestRegistryPaperOrderAndRoundTrip(t *testing.T) {
 		if name != want[i] {
 			t.Errorf("Names()[%d] = %q, want %q", i, name, want[i])
 		}
-		b, err := Lookup(name)
+		b, err := Backends.Lookup(string(name))
 		if err != nil {
-			t.Fatalf("Lookup(Names()[%d]=%q): %v", i, name, err)
+			t.Fatalf("Backends.Lookup(Names()[%d]=%q): %v", i, name, err)
 		}
 		if b.Name != name {
-			t.Errorf("Lookup(%q).Name = %q", name, b.Name)
+			t.Errorf("Backends.Lookup(%q).Name = %q", name, b.Name)
 		}
 		if b.Info.Summary == "" {
 			t.Errorf("%q has no summary", name)
 		}
 	}
-	if _, err := Lookup("no-such-backend"); err == nil {
-		t.Error("Lookup of unknown backend did not error")
+	if _, err := Backends.Lookup("no-such-backend"); err == nil {
+		t.Error("Backends.Lookup of unknown backend did not error")
 	}
 }
 
@@ -177,15 +177,6 @@ func TestFactoryForUnknownBackend(t *testing.T) {
 	if _, err := FactoryFor(Options{Kind: "warp-drive"}); err == nil {
 		t.Error("FactoryFor with unknown backend did not error")
 	}
-}
-
-func TestDuplicateRegisterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register(DefaultLMT, Info{}, func(ch *nemesis.Channel, opt Options) nemesis.LMT { return nil })
 }
 
 // StandardOptions must keep matching the paper's Table 1 columns, in order.

@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "ablation", Order: 11,
 		Title: "model-mechanism ablation behind the headline results",
 		Run: func(ctx context.Context, env Env) (Result, error) {
@@ -26,7 +26,7 @@ func init() {
 			return rows, nil
 		},
 	})
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "collective-aware", Order: 12,
 		Title: "§6 collective-aware DMAmin policy on Alltoall",
 		Run: func(ctx context.Context, env Env) (Result, error) {

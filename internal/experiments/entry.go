@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"knemesis/internal/nas"
 	"knemesis/internal/topo"
 	"knemesis/internal/units"
@@ -14,24 +12,6 @@ import (
 // cmd/knemsim and the knemd experiment service share these, which is what
 // makes a daemon-produced artefact byte-identical to a direct CLI run of
 // the same spec.
-
-// MachineNames lists the machine presets accepted by MachineByName, in
-// flag-help order.
-func MachineNames() []string { return []string{"e5345", "x5460", "nehalem"} }
-
-// MachineByName resolves a machine preset name.
-func MachineByName(name string) (*topo.Machine, error) {
-	switch name {
-	case "e5345":
-		return topo.XeonE5345(), nil
-	case "x5460":
-		return topo.XeonX5460(), nil
-	case "nehalem":
-		return topo.NehalemStyle(), nil
-	default:
-		return nil, fmt.Errorf("unknown machine %q (e5345|x5460|nehalem)", name)
-	}
-}
 
 // QuickEnv returns the reduced-scale evaluation setup on m: the -quick
 // sweep of cmd/knemsim (a handful of sizes per axis, scaled NAS kernels).
@@ -53,7 +33,7 @@ func EnvByName(machine string, quick bool) (Env, error) {
 	if machine == "" {
 		machine = "e5345"
 	}
-	m, err := MachineByName(machine)
+	m, err := topo.LookupMachine(machine)
 	if err != nil {
 		return Env{}, err
 	}

@@ -2,8 +2,8 @@
 // evaluation section (§4): Figures 3-7, Tables 1-2 and the §3.5 threshold
 // study, each as a typed result that can be rendered as text, CSV or JSON.
 //
-// Experiments live in a declarative registry (RegisterExperiment /
-// LookupExperiment / Experiments): every entry maps an ID to a Run function
+// Experiments live in a declarative registry (the Experiments
+// registry.Registry): every entry maps an ID to a Run function
 // over a common Env, which is how cmd/knemsim enumerates, validates and
 // executes them with no hand-maintained switch. Independent stack
 // simulations inside each experiment are sharded across a worker pool
@@ -83,37 +83,37 @@ func DefaultPingPongSizes() []int64 { return units.Pow2Sizes(64*units.KiB, 4*uni
 func DefaultAlltoallSizes() []int64 { return units.Pow2Sizes(4*units.KiB, 4*units.MiB) }
 
 func init() {
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "fig3", Order: 3,
 		Title: "PingPong: vmsplice vs writev vs default, both placements",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return fig3(ctx, env) },
 	})
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "fig4", Order: 4,
 		Title: "PingPong throughput, 2 processes sharing an L2",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return fig4(ctx, env) },
 	})
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "fig5", Order: 5,
 		Title: "PingPong throughput, 2 processes on different dies",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return fig5(ctx, env) },
 	})
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "fig6", Order: 6,
 		Title: "KNEM synchronous vs asynchronous receive modes",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return fig6(ctx, env) },
 	})
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "fig7", Order: 7,
 		Title: "Alltoall aggregated throughput, 8 local processes",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return fig7(ctx, env) },
 	})
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "table1", Order: 8,
 		Title: "NAS Parallel Benchmark execution times",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return table1(ctx, env) },
 	})
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "table2", Order: 9,
 		Title: "L2 cache misses per workload and backend",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return table2(ctx, env) },

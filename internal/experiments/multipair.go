@@ -26,7 +26,7 @@ import (
 // and scale essentially linearly.
 
 func init() {
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "multipair", Order: 10,
 		Title: "Multi-PingPong contention: N concurrent pairs x backend x placement",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return multipair(ctx, env) },

@@ -11,7 +11,7 @@ import (
 )
 
 func TestMultipairRegistered(t *testing.T) {
-	if _, err := LookupExperiment("multipair"); err != nil {
+	if _, err := Experiments.Lookup("multipair"); err != nil {
 		t.Fatal(err)
 	}
 }

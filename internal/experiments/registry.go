@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"knemesis/internal/nas"
+	"knemesis/internal/registry"
 	"knemesis/internal/topo"
 )
 
@@ -68,7 +66,7 @@ type Experiment struct {
 	ID string
 	// Title is one line of help text.
 	Title string
-	// Order positions the experiment in Experiments() — the order the
+	// Order positions the experiment in Experiments — the order the
 	// paper presents them.
 	Order int
 	// Run regenerates the artefact for env. Cancelling ctx (or letting its
@@ -78,63 +76,13 @@ type Experiment struct {
 	Run func(ctx context.Context, env Env) (Result, error)
 }
 
-var expRegistry = map[string]Experiment{}
-
-// RegisterExperiment adds an experiment to the registry; duplicate or
-// anonymous registrations are init-time programmer errors.
-func RegisterExperiment(e Experiment) {
-	if e.ID == "" {
-		panic("experiments: RegisterExperiment with empty ID")
-	}
-	if e.Run == nil {
-		panic(fmt.Sprintf("experiments: RegisterExperiment(%q) with nil Run", e.ID))
-	}
-	if _, dup := expRegistry[e.ID]; dup {
-		panic(fmt.Sprintf("experiments: experiment %q registered twice", e.ID))
-	}
-	expRegistry[e.ID] = e
-}
-
-// LookupExperiment returns the experiment registered under id.
-func LookupExperiment(id string) (Experiment, error) {
-	e, ok := expRegistry[id]
-	if !ok {
-		return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %s)",
-			id, strings.Join(ExperimentIDs(), "|"))
-	}
-	return e, nil
-}
-
-// Experiments returns every registered experiment in presentation order.
-func Experiments() []Experiment {
-	out := make([]Experiment, 0, len(expRegistry))
-	for _, e := range expRegistry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// ExperimentIDs returns the registered IDs in presentation order, for flag
-// help text and validation.
-func ExperimentIDs() []string {
-	exps := Experiments()
-	out := make([]string, len(exps))
-	for i, e := range exps {
-		out[i] = e.ID
-	}
-	return out
-}
+// Experiments is the paper-artefact registry, in presentation order.
+var Experiments = registry.New("experiments", "experiment", func(e Experiment) (string, int) { return e.ID, e.Order })
 
 // Run regenerates the artefact of the experiment registered under id,
 // preemptible through ctx.
 func Run(ctx context.Context, id string, env Env) (Result, error) {
-	e, err := LookupExperiment(id)
+	e, err := Experiments.Lookup(id)
 	if err != nil {
 		return nil, err
 	}

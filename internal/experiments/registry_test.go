@@ -14,20 +14,20 @@ import (
 func TestExperimentRegistryRoundTrip(t *testing.T) {
 	want := []string{"fig3", "fig4", "fig5", "fig6", "fig7", "table1", "table2",
 		"multipair", "thresholds", "ablation", "collective-aware", "rt", "topology", "skew"}
-	ids := ExperimentIDs()
+	ids := Experiments.Names()
 	if len(ids) != len(want) {
 		t.Fatalf("registered experiments = %v, want %v", ids, want)
 	}
 	for i, id := range ids {
 		if id != want[i] {
-			t.Errorf("ExperimentIDs()[%d] = %q, want %q", i, id, want[i])
+			t.Errorf("Experiments.Names()[%d] = %q, want %q", i, id, want[i])
 		}
-		e, err := LookupExperiment(id)
+		e, err := Experiments.Lookup(id)
 		if err != nil {
-			t.Fatalf("LookupExperiment(%q): %v", id, err)
+			t.Fatalf("Experiments.Lookup(%q): %v", id, err)
 		}
 		if e.ID != id {
-			t.Errorf("LookupExperiment(%q).ID = %q", id, e.ID)
+			t.Errorf("Experiments.Lookup(%q).ID = %q", id, e.ID)
 		}
 		if e.Title == "" {
 			t.Errorf("%q has no title", id)
@@ -36,21 +36,12 @@ func TestExperimentRegistryRoundTrip(t *testing.T) {
 			t.Errorf("%q has no Run", id)
 		}
 	}
-	if _, err := LookupExperiment("fig99"); err == nil {
-		t.Error("LookupExperiment of unknown id did not error")
+	if _, err := Experiments.Lookup("fig99"); err == nil {
+		t.Error("Experiments.Lookup of unknown id did not error")
 	}
 	if _, err := Run(context.Background(), "fig99", Env{}); err == nil {
 		t.Error("Run of unknown id did not error")
 	}
-}
-
-func TestDuplicateExperimentPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate RegisterExperiment did not panic")
-		}
-	}()
-	RegisterExperiment(Experiment{ID: "fig4", Run: func(context.Context, Env) (Result, error) { return nil, nil }})
 }
 
 func TestForEachOrderAndErrors(t *testing.T) {
@@ -125,7 +116,7 @@ func TestEveryExperimentRunsReduced(t *testing.T) {
 		t.Skip("full registry sweep skipped in -short mode")
 	}
 	env := reducedEnv()
-	for _, e := range Experiments() {
+	for _, e := range Experiments.All() {
 		res, err := e.Run(context.Background(), env)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)

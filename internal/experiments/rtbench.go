@@ -23,7 +23,7 @@ import (
 // stacks do not distort the timings.
 
 func init() {
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "rt", Order: 13,
 		Title: "Real-runtime IMB rows (wall clock): PingPong + Sendrecv per large-message mode",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return rtBench(ctx, env) },

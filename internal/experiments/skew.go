@@ -24,7 +24,7 @@ import (
 // hit rate (wall-clock behaviour: shape-tested, never golden-pinned).
 
 func init() {
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "skew", Order: 15,
 		Title: "Robustness under skew: perturbed PingPong, eager vs rendezvous",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return skew(ctx, env) },

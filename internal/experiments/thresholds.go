@@ -15,7 +15,7 @@ import (
 )
 
 func init() {
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "thresholds", Order: 10,
 		Title: "DMAmin formula vs measured I/OAT crossover (§3.5)",
 		Run: func(ctx context.Context, env Env) (Result, error) {

@@ -21,7 +21,7 @@ import (
 // binomial/recursive-doubling algorithms.
 
 func init() {
-	RegisterExperiment(Experiment{
+	Experiments.Register(Experiment{
 		ID: "topology", Order: 14,
 		Title: "Multi-node clusters: hierarchical vs flat collectives x topology preset",
 		Run:   func(ctx context.Context, env Env) (Result, error) { return topology(ctx, env) },

@@ -23,7 +23,7 @@ import (
 // are bit-identical to the old direct entry points.
 
 func init() {
-	comm.RegisterEngine(comm.Engine{
+	comm.Engines.Register(comm.Engine{
 		Name:  "sim",
 		Help:  "deterministic simulator of the paper's testbed (modelled caches, bus, KNEM, I/OAT)",
 		Order: 1,

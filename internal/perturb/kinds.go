@@ -22,7 +22,7 @@ const maxRank = 4096
 const satBusPeriod = 50 * sim.Microsecond
 
 func init() {
-	Register(Kind{
+	Kinds.Register(Kind{
 		Name: "slow-core", Order: 1,
 		Help: "scale one rank's core compute rate by factor",
 		Param: []Param{
@@ -49,7 +49,7 @@ func init() {
 		},
 	})
 
-	Register(Kind{
+	Kinds.Register(Kind{
 		Name: "sat-bus", Order: 2,
 		Help: "background load on every machine's memory bus",
 		Param: []Param{
@@ -100,7 +100,7 @@ func init() {
 		},
 	})
 
-	Register(Kind{
+	Kinds.Register(Kind{
 		Name: "noisy-rank", Order: 3,
 		Help: "compute+traffic bursts on one rank's core, optionally MMPP-modulated",
 		Param: []Param{
@@ -161,7 +161,7 @@ func init() {
 		},
 	})
 
-	Register(Kind{
+	Kinds.Register(Kind{
 		Name: "delayed-recv", Order: 4,
 		Help: "defer receive posting by a sampled delay",
 		Param: []Param{
@@ -190,7 +190,7 @@ func init() {
 		},
 	})
 
-	Register(Kind{
+	Kinds.Register(Kind{
 		Name: "link-degrade", Order: 5,
 		Help: "scale every network link's bandwidth by factor",
 		Param: []Param{
@@ -213,7 +213,7 @@ func init() {
 		},
 	})
 
-	Register(Kind{
+	Kinds.Register(Kind{
 		Name: "link-jitter", Order: 6,
 		Help: "exponential delivery jitter on every network message",
 		Param: []Param{
@@ -255,7 +255,7 @@ func init() {
 		},
 	})
 
-	Register(Kind{
+	Kinds.Register(Kind{
 		Name: "link-flap", Order: 7,
 		Help: "periodically collapse link bandwidth to factor and restore it",
 		Param: []Param{

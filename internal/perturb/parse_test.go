@@ -7,7 +7,7 @@ import "testing"
 // re-parse from its canonical form to the same canonical form (the CLI
 // round-trips specs through String for logging and artefact metadata).
 func FuzzParseSpec(f *testing.F) {
-	for _, k := range KindNames() {
+	for _, k := range Kinds.Names() {
 		f.Add(k)
 	}
 	f.Add("slow-core:factor=0.3,rank=2")

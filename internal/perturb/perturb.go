@@ -23,6 +23,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"knemesis/internal/registry"
 )
 
 // Spec is one parsed perturbation: a registered kind name plus its
@@ -104,61 +106,15 @@ type Param struct {
 type Kind struct {
 	Name  string
 	Help  string
-	Order int // presentation order in Kinds()
+	Order int // presentation order in Kinds
 	Param []Param
 
 	Sim func(t *SimTarget, set *SimSet, in Inst) error
 	RT  func(pl *RTPlan, in Inst) error
 }
 
-var registry = map[string]Kind{}
-
-// Register adds a perturbation kind; duplicate or anonymous registrations
-// are init-time programmer errors.
-func Register(k Kind) {
-	if k.Name == "" {
-		panic("perturb: Register with empty name")
-	}
-	if _, dup := registry[k.Name]; dup {
-		panic(fmt.Sprintf("perturb: kind %q registered twice", k.Name))
-	}
-	registry[k.Name] = k
-}
-
-// Lookup returns the kind registered under name.
-func Lookup(name string) (Kind, error) {
-	k, ok := registry[name]
-	if !ok {
-		return Kind{}, fmt.Errorf("perturb: unknown kind %q (have %s)",
-			name, strings.Join(KindNames(), "|"))
-	}
-	return k, nil
-}
-
-// Kinds returns every registered kind in presentation order.
-func Kinds() []Kind {
-	out := make([]Kind, 0, len(registry))
-	for _, k := range registry {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// KindNames returns the registered names in presentation order.
-func KindNames() []string {
-	kinds := Kinds()
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		out[i] = k.Name
-	}
-	return out
-}
+// Kinds is the perturbation kind registry, in presentation order.
+var Kinds = registry.New("perturb", "kind", func(k Kind) (string, int) { return k.Name, k.Order })
 
 // Inst is one validated perturbation instance bound to a job: the spec,
 // the job seed and the spec's stream index (its position in the job's
@@ -196,7 +152,7 @@ func (in Inst) S(key string) string {
 // resolve validates sp against its kind's parameter table and returns the
 // resolved instance values.
 func resolve(sp Spec) (Inst, error) {
-	k, err := Lookup(sp.Kind)
+	k, err := Kinds.Lookup(sp.Kind)
 	if err != nil {
 		return Inst{}, err
 	}

@@ -12,10 +12,10 @@ import (
 func TestRegistrySurface(t *testing.T) {
 	want := []string{"slow-core", "sat-bus", "noisy-rank", "delayed-recv",
 		"link-degrade", "link-jitter", "link-flap"}
-	if got := KindNames(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("KindNames() = %v, want %v", got, want)
+	if got := Kinds.Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Kinds.Names() = %v, want %v", got, want)
 	}
-	for _, k := range Kinds() {
+	for _, k := range Kinds.All() {
 		if k.Help == "" {
 			t.Errorf("kind %q has no help text", k.Name)
 		}
@@ -29,7 +29,7 @@ func TestRegistrySurface(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Lookup("no-such-kind"); err == nil {
+	if _, err := Kinds.Lookup("no-such-kind"); err == nil {
 		t.Error("Lookup of unknown kind did not error")
 	} else if !strings.Contains(err.Error(), "slow-core") {
 		t.Errorf("lookup error does not list the registered kinds: %v", err)

@@ -16,7 +16,7 @@ import (
 // were deleted in favour of them.
 
 func init() {
-	comm.RegisterEngine(comm.Engine{
+	comm.Engines.Register(comm.Engine{
 		Name:  "rt",
 		Help:  "real goroutine runtime (wall-clock time, native single-copy rendezvous)",
 		Order: 2,

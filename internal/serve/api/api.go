@@ -21,6 +21,7 @@ import (
 	"knemesis/internal/comm"
 	"knemesis/internal/core"
 	"knemesis/internal/experiments"
+	"knemesis/internal/imb"
 	"knemesis/internal/perturb"
 	"knemesis/internal/rt"
 	"knemesis/internal/topo"
@@ -46,11 +47,6 @@ const (
 	ClassSim = "sim" // fan out across the bounded worker pool
 	ClassRT  = "rt"  // one rt job at a time; no core reserved, sim jobs may run beside it
 )
-
-// BenchNames lists the comm-kind drivers, in help order.
-func BenchNames() []string {
-	return []string{"pingpong", "multi-pingpong", "sendrecv", "exchange", "alltoall", "bcast", "allreduce"}
-}
 
 // rtExperiments names the registered experiments that exercise the real
 // runtime: their wall-clock rows are only honest on quiet cores, so they
@@ -127,13 +123,13 @@ func (s Spec) Canonicalize() (Spec, error) {
 
 func (s Spec) canonExperiment() (Spec, error) {
 	c := s
-	if _, err := experiments.LookupExperiment(c.Experiment); err != nil {
+	if _, err := experiments.Experiments.Lookup(c.Experiment); err != nil {
 		return Spec{}, err
 	}
 	if c.Machine == "" {
 		c.Machine = "e5345"
 	}
-	if _, err := experiments.MachineByName(c.Machine); err != nil {
+	if _, err := topo.LookupMachine(c.Machine); err != nil {
 		return Spec{}, err
 	}
 	// The comm field group is inert on an experiment job; a spec that sets
@@ -165,14 +161,14 @@ func (s Spec) canonComm() (Spec, error) {
 	if c.Engine == "" {
 		c.Engine = "sim"
 	}
-	if _, err := comm.LookupEngine(c.Engine); err != nil {
+	if _, err := comm.Engines.Lookup(c.Engine); err != nil {
 		return Spec{}, err
 	}
 	if c.Bench == "" {
 		c.Bench = "pingpong"
 	}
-	if !slices.Contains(BenchNames(), c.Bench) {
-		return Spec{}, fmt.Errorf("api: unknown bench %q (have %s)", c.Bench, strings.Join(BenchNames(), "|"))
+	if _, err := imb.Benches.Lookup(c.Bench); err != nil {
+		return Spec{}, err
 	}
 	if c.Ranks == 0 {
 		c.Ranks = 2
@@ -200,7 +196,7 @@ func (s Spec) canonComm() (Spec, error) {
 			c.Machine = "e5345"
 		}
 		var err error
-		if m, err = experiments.MachineByName(c.Machine); err != nil {
+		if m, err = topo.LookupMachine(c.Machine); err != nil {
 			return Spec{}, err
 		}
 		if c.LMT == "" {
@@ -311,7 +307,7 @@ func (s Spec) ToComm() (comm.JobSpec, error) {
 		RTMode:   s.RTMode,
 	}
 	if s.Engine == "sim" {
-		m, err := experiments.MachineByName(s.Machine)
+		m, err := topo.LookupMachine(s.Machine)
 		if err != nil {
 			return comm.JobSpec{}, err
 		}
@@ -363,7 +359,7 @@ func cluster(topology string) (*topo.Cluster, error) {
 // spec, and so the artefact that embeds it, one per key.
 func canonDOT(cl *topo.Cluster) string {
 	dot := topo.RenderDOT(cl)
-	for _, p := range topo.ClusterPresets() {
+	for _, p := range topo.Clusters.All() {
 		if topo.RenderDOT(p.Build()) == dot {
 			return p.Name
 		}

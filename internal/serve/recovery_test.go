@@ -37,13 +37,13 @@ func (r testResult) Files() (map[string][]byte, error) {
 }
 
 func init() {
-	experiments.RegisterExperiment(experiments.Experiment{
+	experiments.Experiments.Register(experiments.Experiment{
 		ID: "test-panic-always", Title: "serve test: panics every run", Order: 99,
 		Run: func(ctx context.Context, env experiments.Env) (experiments.Result, error) {
 			panic("test-panic-always detonated")
 		},
 	})
-	experiments.RegisterExperiment(experiments.Experiment{
+	experiments.Experiments.Register(experiments.Experiment{
 		ID: "test-flaky-once", Title: "serve test: panics on the first run only", Order: 99,
 		Run: func(ctx context.Context, env experiments.Env) (experiments.Result, error) {
 			if flakyCalls.Add(1) == 1 {
@@ -54,7 +54,7 @@ func init() {
 	})
 	// A perturbation that makes one rank of a sim job panic on its own
 	// simulated process, mid-run, at its first receive.
-	perturb.Register(perturb.Kind{
+	perturb.Kinds.Register(perturb.Kind{
 		Name: "test-rank-panic", Help: "serve test: rank 1 panics at its first receive", Order: 99,
 		Sim: func(t *perturb.SimTarget, set *perturb.SimSet, in perturb.Inst) error {
 			set.RecvDelay = func(rank int, op uint64) sim.Time {

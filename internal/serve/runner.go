@@ -113,7 +113,11 @@ func executeComm(ctx context.Context, spec api.Spec, probe *rtProbe) (map[string
 	// the artefact either: cached repeats with a different deadline would
 	// otherwise diverge byte-wise from a direct run.
 	spec.DeadlineSec = 0
-	eng, err := comm.LookupEngine(spec.Engine)
+	eng, err := comm.Engines.Lookup(spec.Engine)
+	if err != nil {
+		return nil, err
+	}
+	bench, err := imb.Benches.Lookup(spec.Bench)
 	if err != nil {
 		return nil, err
 	}
@@ -121,27 +125,7 @@ func executeComm(ctx context.Context, spec api.Spec, probe *rtProbe) (map[string
 	if err != nil {
 		return nil, err
 	}
-	cj := comm.WithContext(ctx, job)
-
-	var table interface{}
-	switch spec.Bench {
-	case "pingpong":
-		table, err = imb.RunPingPong(cj, spec.Sizes)
-	case "multi-pingpong":
-		table, err = imb.RunMultiPingPong(cj, spec.Sizes)
-	case "sendrecv":
-		table, err = imb.RunSendrecv(cj, spec.Sizes)
-	case "exchange":
-		table, err = imb.RunExchange(cj, spec.Sizes)
-	case "alltoall":
-		table, err = imb.RunAlltoall(cj, spec.Sizes)
-	case "bcast":
-		table, err = imb.RunBcast(cj, spec.Sizes)
-	case "allreduce":
-		table, err = imb.RunAllreduce(cj, spec.Sizes)
-	default:
-		return nil, fmt.Errorf("serve: unknown bench %q", spec.Bench)
-	}
+	table, err := bench.Run(comm.WithContext(ctx, job), spec.Sizes)
 
 	// Shutdown hygiene on the real runtime: whether the run completed or
 	// was cut, a quiesced world must have returned every envelope it

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"knemesis/internal/registry"
 	"knemesis/internal/sim"
 	"knemesis/internal/units"
 )
@@ -405,58 +406,31 @@ func TwoNode(coresPerNode int, lat sim.Time, bw float64) *Cluster {
 type ClusterPreset struct {
 	Name  string
 	Help  string
+	Order int
 	Build func() *Cluster
 }
 
-var clusterRegistry []ClusterPreset
-
-// RegisterCluster adds a named cluster preset; duplicates panic (init-time
-// programmer error).
-func RegisterCluster(p ClusterPreset) {
-	if p.Name == "" || p.Build == nil {
-		panic("topo: RegisterCluster with empty name or nil builder")
-	}
-	for _, q := range clusterRegistry {
-		if q.Name == p.Name {
-			panic(fmt.Sprintf("topo: cluster preset %q registered twice", p.Name))
-		}
-	}
-	clusterRegistry = append(clusterRegistry, p)
-}
-
-// ClusterPresets returns every registered preset in registration order.
-func ClusterPresets() []ClusterPreset {
-	return append([]ClusterPreset(nil), clusterRegistry...)
-}
-
-// ClusterNames returns the registered preset names in registration order.
-func ClusterNames() []string {
-	out := make([]string, len(clusterRegistry))
-	for i, p := range clusterRegistry {
-		out[i] = p.Name
-	}
-	return out
-}
+// Clusters is the cluster preset registry, in listing order.
+var Clusters = registry.New("topo", "cluster preset", func(p ClusterPreset) (string, int) { return p.Name, p.Order })
 
 // LookupCluster builds the named preset; the error lists the registered
 // names.
 func LookupCluster(name string) (*Cluster, error) {
-	for _, p := range clusterRegistry {
-		if p.Name == name {
-			return p.Build(), nil
-		}
+	p, err := Clusters.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("topo: unknown cluster preset %q (have %v)", name, ClusterNames())
+	return p.Build(), nil
 }
 
 func init() {
 	gbit := 1.25e9 // 10 Gb/s in bytes/second
-	RegisterCluster(ClusterPreset{
-		Name: "two-node", Help: "2 hosts x 8 cores, one 10Gb cable",
+	Clusters.Register(ClusterPreset{
+		Name: "two-node", Order: 10, Help: "2 hosts x 8 cores, one 10Gb cable",
 		Build: func() *Cluster { return TwoNode(8, 1*sim.Microsecond, gbit) },
 	})
-	RegisterCluster(ClusterPreset{
-		Name: "four-node", Help: "4 hosts x 4 cores on one switch",
+	Clusters.Register(ClusterPreset{
+		Name: "four-node", Order: 20, Help: "4 hosts x 4 cores on one switch",
 		Build: func() *Cluster {
 			c := &Cluster{Name: "four-node", Nodes: []Node{{Name: "sw"}}}
 			for i := 0; i < 4; i++ {
@@ -469,8 +443,8 @@ func init() {
 			return c
 		},
 	})
-	RegisterCluster(ClusterPreset{
-		Name: "asym-4", Help: "4 hosts in a line with asymmetric link speeds",
+	Clusters.Register(ClusterPreset{
+		Name: "asym-4", Order: 30, Help: "4 hosts in a line with asymmetric link speeds",
 		Build: func() *Cluster {
 			c := &Cluster{Name: "asym-4"}
 			for i := 0; i < 4; i++ {
@@ -487,15 +461,15 @@ func init() {
 			return c
 		},
 	})
-	RegisterCluster(ClusterPreset{
-		Name: "fat-tree-16", Help: "2-spine/2-leaf fat tree, 4 hosts x 4 cores",
+	Clusters.Register(ClusterPreset{
+		Name: "fat-tree-16", Order: 40, Help: "2-spine/2-leaf fat tree, 4 hosts x 4 cores",
 		Build: func() *Cluster {
 			return FatTree(2, 2, 2, 4,
 				1*sim.Microsecond, 2*gbit, 2*sim.Microsecond, 4*gbit)
 		},
 	})
-	RegisterCluster(ClusterPreset{
-		Name: "dragonfly-24", Help: "3-group dragonfly, 6 hosts x 4 cores",
+	Clusters.Register(ClusterPreset{
+		Name: "dragonfly-24", Order: 50, Help: "3-group dragonfly, 6 hosts x 4 cores",
 		Build: func() *Cluster {
 			return Dragonfly(3, 2, 4,
 				1*sim.Microsecond, 2*gbit, 4*sim.Microsecond, gbit)

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"knemesis/internal/sim"
@@ -86,7 +87,7 @@ func TestClusterPathRouting(t *testing.T) {
 }
 
 func TestClusterCapacityAndMinLatency(t *testing.T) {
-	for _, p := range ClusterPresets() {
+	for _, p := range Clusters.All() {
 		c := p.Build()
 		if got := c.Capacity(); got < 2 {
 			t.Fatalf("%s capacity %d", p.Name, got)
@@ -120,5 +121,27 @@ func TestNodeMachineValidates(t *testing.T) {
 func TestLookupClusterUnknown(t *testing.T) {
 	if _, err := LookupCluster("no-such-cluster"); err == nil {
 		t.Fatal("unknown preset must error")
+	}
+}
+
+// The cluster presets list in Order, not registration order: imb -topo
+// list and every unknown-preset error read this order.
+func TestClusterPresetOrder(t *testing.T) {
+	want := []string{"two-node", "four-node", "asym-4", "fat-tree-16", "dragonfly-24"}
+	if got := Clusters.Names(); !slices.Equal(got, want) {
+		t.Fatalf("Clusters.Names() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		c, err := LookupCluster(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Name != name {
+			t.Errorf("LookupCluster(%q).Name = %q", name, c.Name)
+		}
+	}
+	_, err := LookupCluster("nope")
+	if want := `topo: unknown cluster preset "nope" (have two-node|four-node|asym-4|fat-tree-16|dragonfly-24)`; err == nil || err.Error() != want {
+		t.Errorf("LookupCluster(nope) error = %v, want %s", err, want)
 	}
 }

@@ -174,7 +174,7 @@ func TestRenderDOTRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, c)
-	for _, p := range ClusterPresets() {
+	for _, p := range Clusters.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			c := p.Build()
 			if err := c.Validate(); err != nil {

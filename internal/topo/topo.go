@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"knemesis/internal/cache"
+	"knemesis/internal/registry"
 	"knemesis/internal/sim"
 	"knemesis/internal/units"
 )
@@ -222,6 +223,33 @@ func NehalemStyle() *Machine {
 	m.Params.BusBandwidth = 25e9 // integrated memory controller
 	m.Params.DMABandwidth = 8e9
 	return m
+}
+
+// MachinePreset is one named, buildable machine: a -machine flag value or
+// a spec's "machine".
+type MachinePreset struct {
+	Name  string
+	Order int
+	Build func() *Machine
+}
+
+// Machines is the machine preset registry, in flag-help order.
+var Machines = registry.New("topo", "machine", func(p MachinePreset) (string, int) { return p.Name, p.Order })
+
+func init() {
+	Machines.Register(MachinePreset{Name: "e5345", Order: 0, Build: XeonE5345})
+	Machines.Register(MachinePreset{Name: "x5460", Order: 1, Build: XeonX5460})
+	Machines.Register(MachinePreset{Name: "nehalem", Order: 2, Build: NehalemStyle})
+}
+
+// LookupMachine builds the named machine preset; the error lists the
+// registered names.
+func LookupMachine(name string) (*Machine, error) {
+	p, err := Machines.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return p.Build(), nil
 }
 
 // Validate checks structural invariants: every core in exactly one domain,

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,28 @@ func TestPresetsValidate(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", m.Name, err)
 		}
+	}
+}
+
+// The machine presets list in this order everywhere a name is chosen:
+// imb's and knemsim's -machine help and every unknown-machine error.
+func TestMachinePresetOrder(t *testing.T) {
+	want := []string{"e5345", "x5460", "nehalem"}
+	if got := Machines.Names(); !slices.Equal(got, want) {
+		t.Fatalf("Machines.Names() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		m, err := LookupMachine(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	_, err := LookupMachine("pentium-2")
+	if want := `topo: unknown machine "pentium-2" (have e5345|x5460|nehalem)`; err == nil || err.Error() != want {
+		t.Errorf("LookupMachine(pentium-2) error = %v, want %s", err, want)
 	}
 }
 
