@@ -158,8 +158,9 @@ var (
 	// LMTBackends is the backend registry (Lookup, All, Names), in
 	// paper-table order.
 	LMTBackends = core.Backends
-	// LMTSpecs lists every named preset (backend x variant).
-	LMTSpecs = core.Specs
+	// LMTSpecs is the preset registry (every backend x variant), in
+	// paper-table order.
+	LMTSpecs = core.Presets
 	// ParseLMT resolves a preset name (e.g. "knem-ioat-auto", "cma")
 	// into options.
 	ParseLMT = core.ParseSpec
@@ -201,16 +202,6 @@ type (
 
 // Benchmarks and experiments.
 var (
-	// PingPong runs the IMB PingPong sweep on a stack.
-	//
-	// Alltoall runs the IMB Alltoall sweep on a stack.
-	//
-	// MultiPingPong runs N concurrent PingPong pairs on a stack.
-	//
-	// Sendrecv runs the IMB periodic-chain Sendrecv pattern on a stack.
-	//
-	// Exchange runs the IMB both-neighbour Exchange pattern on a stack.
-	//
 	// Multipair runs the N-pair contention sweep over every registered
 	// backend and placement (the "multipair" experiment).
 	Multipair = experiments.Multipair

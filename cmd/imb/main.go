@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		engine     = fs.String("engine", "sim", strings.Join(comm.Engines.Names(), "|"))
 		bench      = fs.String("bench", "pingpong", strings.Join(imb.Benches.Names(), "|"))
-		lmt        = fs.String("lmt", "", strings.Join(core.SpecNames(), "|")+"|list (sim engine; default \"default\")")
+		lmt        = fs.String("lmt", "", strings.Join(core.Presets.Names(), "|")+"|list (sim engine; default \"default\")")
 		rtmode     = fs.String("rtmode", "", strings.Join(rt.ModeNames(), "|")+" (rt engine; default single-copy)")
 		placement  = fs.String("placement", "cross", "shared|cross (the pingpong benches on sim)")
 		machine    = fs.String("machine", "", machineHelp())
@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *lmt == "list" {
-		for _, s := range core.Specs() {
+		for _, s := range core.Presets.All() {
 			fmt.Fprintf(stdout, "%-16s %s\n", s.Name, s.Help)
 		}
 		return 0

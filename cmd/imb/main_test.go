@@ -21,7 +21,7 @@ func TestBadFlagValuesExit2(t *testing.T) {
 	}{
 		{[]string{"-engine", "mpi"}, comm.Engines.Names()},
 		{[]string{"-bench", "barrier"}, imb.Benches.Names()},
-		{[]string{"-lmt", "zerocopy"}, core.SpecNames()},
+		{[]string{"-lmt", "zerocopy"}, core.Presets.Names()},
 		{[]string{"-placement", "diagonal"}, []string{"shared", "cross"}},
 		{[]string{"-bench", "alltoall", "-ranks", "1"}, []string{"need at least 2"}},
 		{[]string{"-bench", "alltoall", "-ranks", "99"}, []string{"8 cores"}},

@@ -63,11 +63,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	m, err := topo.LookupMachine(*machine)
+	env, err := experiments.EnvByName(*machine, *quick)
 	if err != nil {
 		fmt.Fprintln(stderr, "knemsim:", err)
 		return 2
 	}
+	env.Workers = *workers
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -87,19 +88,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	env := experiments.DefaultEnv(m)
-	if *quick {
-		env = experiments.QuickEnv(m)
-	}
-	env.Workers = *workers
-
 	for _, exp := range experiments.Experiments.All() {
 		if *experiment != "all" && *experiment != exp.ID {
 			continue
 		}
 		start := time.Now()
 		if *verbose {
-			fmt.Fprintf(stderr, "running %s on %s...\n", exp.ID, m.Name)
+			fmt.Fprintf(stderr, "running %s on %s...\n", exp.ID, env.Machine.Name)
 		}
 		res, err := exp.Run(context.Background(), env)
 		if err != nil {

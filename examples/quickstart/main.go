@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("engine sim: %s, cores %d and %d (no shared cache), simulated time\n", machine.Name, c0, c1)
 	// Every registered -lmt preset, straight from the backend registry: a
 	// newly registered backend appears here with no example change.
-	for _, spec := range knemesis.LMTSpecs() {
+	for _, spec := range knemesis.LMTSpecs.All() {
 		job, err := knemesis.NewJob("sim", knemesis.JobSpec{
 			Ranks:   2,
 			Machine: machine,

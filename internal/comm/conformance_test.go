@@ -623,7 +623,7 @@ func collectives(t *testing.T, c comm.Peer) {
 func TestConcurrentSamePairTransfersEveryBackend(t *testing.T) {
 	type variant struct{ engine, lmt, rtmode string }
 	var variants []variant
-	for _, name := range core.SpecNames() {
+	for _, name := range core.Presets.Names() {
 		variants = append(variants, variant{engine: "sim", lmt: name})
 	}
 	for _, mode := range rt.ModeNames() {

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	Backends.Register(&Backend{Name: CMALMT, Info: Info{
+	register(&Backend{Name: CMALMT, Info: Info{
 		Summary:     "Cross Memory Attach (process_vm_readv) single copy, no module needed",
 		Order:       4,
 		NeedsKernel: true,

@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	Backends.Register(&Backend{Name: KnemLMT, Info: Info{
+	register(&Backend{Name: KnemLMT, Info: Info{
 		Summary:   "KNEM kernel-module single copy, optionally I/OAT-offloaded (§3.2-3.4)",
 		Order:     3,
 		NeedsKNEM: true,

@@ -20,7 +20,7 @@ const (
 )
 
 func init() {
-	Backends.Register(&Backend{Name: DefaultLMT, Info: Info{
+	register(&Backend{Name: DefaultLMT, Info: Info{
 		Summary: "shared-memory double-buffering (two copies, §2)",
 		Order:   0,
 	}, New: func(ch *nemesis.Channel, opt Options) nemesis.LMT {

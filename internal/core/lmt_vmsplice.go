@@ -11,14 +11,14 @@ import (
 )
 
 func init() {
-	Backends.Register(&Backend{Name: VmspliceLMT, Info: Info{
+	register(&Backend{Name: VmspliceLMT, Info: Info{
 		Summary:     "single copy through a kernel pipe via vmsplice (§3.1)",
 		Order:       1,
 		NeedsKernel: true,
 	}, New: func(ch *nemesis.Channel, opt Options) nemesis.LMT {
 		return newVmspliceLMT(ch, false)
 	}})
-	Backends.Register(&Backend{Name: VmspliceWritevLMT, Info: Info{
+	register(&Backend{Name: VmspliceWritevLMT, Info: Info{
 		Summary:     "vmsplice backend forced to copy through writev (Fig. 3 control)",
 		Order:       2,
 		NeedsKernel: true,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"knemesis/internal/nemesis"
 	"knemesis/internal/registry"
@@ -101,53 +100,42 @@ type Spec struct {
 	Name    string
 	Help    string
 	Options Options
+	order   int // backend order x 100 + variant index
 }
 
-// Specs enumerates every named preset in paper order — the generated source
-// of -lmt help text and validation.
-func Specs() []Spec {
-	var out []Spec
-	for _, b := range Backends.All() {
-		variants := b.Info.Variants
-		if len(variants) == 0 {
-			variants = []Variant{{}}
-		}
-		for _, v := range variants {
-			specName := string(b.Name)
-			if v.Suffix != "" {
-				specName += "-" + v.Suffix
-			}
-			opt := Options{Kind: b.Name}
-			if v.Apply != nil {
-				v.Apply(&opt)
-			}
-			help := v.Help
-			if help == "" {
-				help = b.Info.Summary
-			}
-			out = append(out, Spec{Name: specName, Help: help, Options: opt})
-		}
-	}
-	return out
-}
+// Presets is the -lmt preset registry (every backend x variant) in paper
+// order: the generated source of -lmt help text and validation.
+var Presets = registry.New("core", "LMT", func(s Spec) (string, int) {
+	return s.Name, s.order
+})
 
-// SpecNames returns every preset name, for flag help text.
-func SpecNames() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
+// register adds a backend to Backends and its variants to Presets; every
+// backend file's init calls it.
+func register(b *Backend) {
+	Backends.Register(b)
+	variants := b.Info.Variants
+	if len(variants) == 0 {
+		variants = []Variant{{}}
 	}
-	return out
+	for i, v := range variants {
+		name := string(b.Name)
+		if v.Suffix != "" {
+			name += "-" + v.Suffix
+		}
+		opt := Options{Kind: b.Name}
+		if v.Apply != nil {
+			v.Apply(&opt)
+		}
+		help := v.Help
+		if help == "" {
+			help = b.Info.Summary
+		}
+		Presets.Register(Spec{Name: name, Help: help, Options: opt, order: b.Info.Order*100 + i})
+	}
 }
 
 // ParseSpec resolves a -lmt style preset name into Options.
 func ParseSpec(name string) (Options, error) {
-	for _, s := range Specs() {
-		if s.Name == name {
-			return s.Options, nil
-		}
-	}
-	return Options{}, fmt.Errorf("core: unknown LMT %q (have %s)",
-		name, strings.Join(SpecNames(), "|"))
+	s, err := Presets.Lookup(name)
+	return s.Options, err
 }

@@ -42,7 +42,7 @@ func TestRegistryPaperOrderAndRoundTrip(t *testing.T) {
 }
 
 func TestSpecsParseRoundTrip(t *testing.T) {
-	specs := Specs()
+	specs := Presets.All()
 	if len(specs) == 0 {
 		t.Fatal("no specs")
 	}
@@ -63,7 +63,7 @@ func TestSpecsParseRoundTrip(t *testing.T) {
 	for _, name := range []string{"default", "vmsplice", "vmsplice-writev", "knem",
 		"knem-ioat", "knem-ioat-auto", "knem-async", "cma"} {
 		if !seen[name] {
-			t.Errorf("spec %q missing (have %v)", name, SpecNames())
+			t.Errorf("spec %q missing (have %v)", name, Presets.Names())
 		}
 	}
 	if _, err := ParseSpec("bogus"); err == nil {
@@ -76,7 +76,7 @@ func TestSpecsParseRoundTrip(t *testing.T) {
 func TestEverySpecDeliversOnFullStack(t *testing.T) {
 	m := topo.XeonE5345()
 	c0, c1 := m.PairDifferentDies()
-	for _, spec := range Specs() {
+	for _, spec := range Presets.All() {
 		st := NewStack(m, []topo.CoreID{c0, c1}, spec.Options, nemesis.Config{})
 		if got := st.Ch.BackendName(); got != string(spec.Options.Kind.String()) {
 			t.Errorf("%s: channel backend name %q, want %q", spec.Name, got, spec.Options.Kind)
@@ -234,7 +234,7 @@ func TestDMAMinForEdgeCases(t *testing.T) {
 }
 
 // optionsEqual compares presets by value, following the ForceKnemMode
-// pointer (fresh per Specs() call, so struct equality would be wrong).
+// pointer, so equal presets built apart compare equal.
 func optionsEqual(a, b Options) bool {
 	if a.Kind != b.Kind || a.IOAT != b.IOAT ||
 		a.BusyPollQuantum != b.BusyPollQuantum || a.CollectiveAware != b.CollectiveAware {
@@ -252,7 +252,7 @@ func optionsEqual(a, b Options) bool {
 // variations of a valid name are rejected rather than fuzzily matched.
 func TestSpecsParseRoundTripProperty(t *testing.T) {
 	byKind := map[Kind]int{}
-	for _, s := range Specs() {
+	for _, s := range Presets.All() {
 		opt, err := ParseSpec(s.Name)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", s.Name, err)
@@ -281,7 +281,7 @@ func TestSpecsParseRoundTripProperty(t *testing.T) {
 // errors, or returns the exact preset registered under that name — never a
 // "nearby" preset and never a panic.
 func FuzzParseSpec(f *testing.F) {
-	for _, s := range Specs() {
+	for _, s := range Presets.All() {
 		f.Add(s.Name)
 		f.Add(s.Name + "x")
 		f.Add("X" + s.Name)
@@ -291,7 +291,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("knem-")
 	f.Add("\x00default")
 	known := map[string]Options{}
-	for _, s := range Specs() {
+	for _, s := range Presets.All() {
 		known[s.Name] = s.Options
 	}
 	f.Fuzz(func(t *testing.T, name string) {

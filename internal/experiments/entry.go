@@ -28,11 +28,9 @@ func QuickEnv(m *topo.Machine) Env {
 	return env
 }
 
-// EnvByName builds the Env for a (machine preset, quick) description.
+// EnvByName builds the Env for a (machine preset, quick) description: the
+// one Env builder behind cmd/knemsim and the daemon's experiment jobs.
 func EnvByName(machine string, quick bool) (Env, error) {
-	if machine == "" {
-		machine = "e5345"
-	}
 	m, err := topo.LookupMachine(machine)
 	if err != nil {
 		return Env{}, err

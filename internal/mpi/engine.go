@@ -82,8 +82,9 @@ type simJob struct {
 	hier bool // wrap peers with the hierarchical collectives
 }
 
-// NewSimJob wraps an existing simulated stack as an engine-neutral job —
-// the bridge the deprecated stack-based benchmark entry points use.
+// NewSimJob wraps an existing simulated stack as an engine-neutral job: the
+// bridge from a hand-built stack (the experiments build their own) to the
+// comm drivers.
 func NewSimJob(st *core.Stack) comm.Job {
 	return &simJob{st: st, w: NewWorld(st)}
 }

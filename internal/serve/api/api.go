@@ -269,11 +269,13 @@ func (s Spec) canonComm() (Spec, error) {
 			return Spec{}, err
 		}
 		c.Perturb = perturb.FormatList(specs) // canonical: sorted param keys
-		if c.Seed == 0 {
-			c.Seed = 1
-		}
-	} else {
+	}
+	// Decided on the canonical list, so a blank one (" ", ";") reads as no
+	// perturbation and canonicalizing again changes nothing.
+	if c.Perturb == "" {
 		c.Seed = 0 // inert without perturbations
+	} else if c.Seed == 0 {
+		c.Seed = 1
 	}
 	if c.DeadlineSec < 0 {
 		return Spec{}, fmt.Errorf("api: negative deadline_sec")
@@ -295,7 +297,9 @@ func (s Spec) Class() string {
 }
 
 // ToComm materializes a canonical comm-kind spec into the engine-neutral
-// comm.JobSpec it executes as.
+// comm.JobSpec it executes as: names resolve to the machine, cluster and
+// perturbation values the engines take. It plays no part in the cache key,
+// which hashes the canonical spec itself.
 func (s Spec) ToComm() (comm.JobSpec, error) {
 	if s.Kind != KindComm {
 		return comm.JobSpec{}, fmt.Errorf("api: ToComm on a %s spec", s.Kind)
@@ -354,9 +358,9 @@ func cluster(topology string) (*topo.Cluster, error) {
 }
 
 // canonDOT is the canonical form of DOT topology text: the name of the
-// preset it renders identically to, else its RenderDOT form. The cache key
-// hashes RenderDOT either way; mapping to the name also keeps the canonical
-// spec, and so the artefact that embeds it, one per key.
+// preset it renders identically to, else its RenderDOT form. One cluster
+// thus has one canonical spec, and so one cache key, however its DOT text
+// was spelled.
 func canonDOT(cl *topo.Cluster) string {
 	dot := topo.RenderDOT(cl)
 	for _, p := range topo.Clusters.All() {
@@ -378,39 +382,17 @@ func (s Spec) CanonicalJSON() []byte {
 	return buf
 }
 
-// CacheKey derives the result-cache key of a canonical spec:
-// (canonical spec hash, engine, code version). Comm-kind specs hash
-// through comm.JobSpec.Fingerprint, so the deeper canonicalization there
-// (machine resolution, topology round-trip form) is shared; experiment
-// specs hash their canonical JSON. The deadline never enters the key.
+// CacheKey derives the result-cache key of a canonical spec: sha256 over
+// CodeVersion, a 0 byte and the spec's CanonicalJSON with the deadline
+// zeroed. Every other spec field enters the key by construction, so equal
+// keys mean equal canonical specs, and so equal specs embedded in the
+// artefacts. The deadline never enters the key. The error is always nil.
 func (s Spec) CacheKey() (string, error) {
+	s.DeadlineSec = 0
 	h := sha256.New()
-	put := func(parts ...string) {
-		for _, p := range parts {
-			h.Write([]byte(p))
-			h.Write([]byte{0})
-		}
-	}
-	put(CodeVersion, s.Kind)
-	switch s.Kind {
-	case KindExperiment:
-		put("experiments") // the engines an experiment drives are its own business
-		key := s
-		key.DeadlineSec = 0
-		put(string(key.CanonicalJSON()))
-	case KindComm:
-		cs, err := s.ToComm()
-		if err != nil {
-			return "", err
-		}
-		sizes := make([]string, len(s.Sizes))
-		for i, sz := range s.Sizes {
-			sizes[i] = fmt.Sprintf("%d", sz)
-		}
-		put(s.Engine, s.Bench, strings.Join(sizes, ","), cs.Fingerprint())
-	default:
-		return "", fmt.Errorf("api: cache key on unknown kind %q", s.Kind)
-	}
+	h.Write([]byte(CodeVersion))
+	h.Write([]byte{0})
+	h.Write(s.CanonicalJSON())
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 

@@ -1,6 +1,8 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -104,6 +106,9 @@ func TestCacheKeySensitivity(t *testing.T) {
 		"deadline": {Kind: KindComm, DeadlineSec: 3},
 		"cross":    {Kind: KindComm, Placement: "cross"},
 		"multi":    {Kind: KindComm, Bench: "multi-pingpong"},
+		"rtmode":   {Kind: KindComm, Engine: "rt", RTMode: "eager"},
+		"flatcoll": {Kind: KindComm, Topology: "two-node", FlatColl: true},
+		"spread":   {Kind: KindComm, Topology: "two-node", Placement: "spread"},
 	} {
 		keys[name] = mustKey(t, s)
 	}
@@ -221,38 +226,102 @@ func TestSeedNormalization(t *testing.T) {
 	if p1 == p2 {
 		t.Fatal("perturbation seed did not split the cache key")
 	}
+	// A blank perturbation list is no perturbation: same canonical spec,
+	// seed zeroed, same key.
+	none, err := Spec{Kind: KindComm}.Canonicalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blank := range []string{" ", ";"} {
+		c, err := Spec{Kind: KindComm, Perturb: blank}.Canonicalize()
+		if err != nil {
+			t.Fatalf("perturb %q: %v", blank, err)
+		}
+		if a, b := c.CanonicalJSON(), none.CanonicalJSON(); string(a) != string(b) {
+			t.Errorf("perturb %q: canonical spec %s, want %s", blank, a, b)
+		}
+		if mustKey(t, c) != mustKey(t, none) {
+			t.Errorf("perturb %q split the cache key", blank)
+		}
+	}
 }
 
 // TestCacheKeysPinned holds the cache keys of existing specs to their
 // recorded hex values. A change that moves any of them orphans every
 // artefact the daemon has stored under the old key: either it is a bug, or
-// CodeVersion must be bumped on purpose and these values re-recorded.
+// it is on purpose and these values are re-recorded. Two reasons count as
+// on purpose: CodeVersion was bumped, or the key format itself changed
+// (what CacheKey hashes, not what a spec canonicalizes to).
 func TestCacheKeysPinned(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec Spec
-		key  string
-	}{
-		{"comm defaults", Spec{Kind: KindComm},
-			"e99111728327ea5be2764d7a597226dd98fc12ab6faf58bbb39d19a187a6db4b"},
-		{"knem", Spec{Kind: KindComm, LMT: "knem", Sizes: []int64{4096, 1 << 20}},
-			"bd1dea35b0601b00c5fd223edf055888d225d96b6fbf6c62d08005042625467d"},
-		{"knem-ioat", Spec{Kind: KindComm, LMT: "knem-ioat", Sizes: []int64{1 << 20}},
-			"28aa9351c8b6925cbfc80a74852c931cc75e275fd01020c24e7e959494471db9"},
-		{"fat-tree spread", Spec{Kind: KindComm, Bench: "sendrecv", Ranks: 16,
-			Topology: "fat-tree-16", Placement: "spread"},
-			"c46833d9292b93faf79af15b1874a6147e79bef22fff0d2efffa3a5467f7a967"},
-		{"rt eager", Spec{Kind: KindComm, Engine: "rt", RTMode: "eager"},
-			"b0612b082e59e4933e29e20cbdf7b1e46800396f5465f2a1f8ed283058a368b8"},
-		{"perturbed", Spec{Kind: KindComm, Perturb: "slow-core;delayed-recv:mean=2e-6", Seed: 7},
-			"a5b39db7c373ca3e4cbc1d16ff7033f05a18c10dff2d7641378cfe0a0fd5a865"},
-		{"bcast on x5460", Spec{Kind: KindComm, Bench: "bcast", Ranks: 4, Machine: "x5460"},
-			"249582be0b737935be6527b37e6e679b0ec6c16e92187a89c58f565b9d63f575"},
-		{"experiment", Spec{Kind: KindExperiment, Experiment: "fig4", Quick: true},
-			"f1e2d04429ebcd2988097a7005772b5c40b95f60a9a38783f798846642651487"},
-	} {
+	for _, tc := range pinned {
 		if got := mustKey(t, tc.spec); got != tc.key {
 			t.Errorf("%s: key %s, pinned %s", tc.name, got, tc.key)
 		}
 	}
+}
+
+// pinned is TestCacheKeysPinned's table: eight specs and their keys.
+var pinned = []struct {
+	name string
+	spec Spec
+	key  string
+}{
+	{"comm defaults", Spec{Kind: KindComm},
+		"d0c452cb49d2b5f369d89a2faa53a7b209c1d4f47ff6001e03792e9f3e7de018"},
+	{"knem", Spec{Kind: KindComm, LMT: "knem", Sizes: []int64{4096, 1 << 20}},
+		"16a11687394d1ccd0cdc5451af3c95d8a5905bdce9010a07ed507341e33d523d"},
+	{"knem-ioat", Spec{Kind: KindComm, LMT: "knem-ioat", Sizes: []int64{1 << 20}},
+		"5552e7eda9fa64bed0ab188daf20b2bee5a7bae67367fe9c711b157d2de6b213"},
+	{"fat-tree spread", Spec{Kind: KindComm, Bench: "sendrecv", Ranks: 16,
+		Topology: "fat-tree-16", Placement: "spread"},
+		"6a95ea89d2485dc1622a95c83e73e91b0e0256ece93d66e0812b0caff9a911d8"},
+	{"rt eager", Spec{Kind: KindComm, Engine: "rt", RTMode: "eager"},
+		"76af65591f3b35b76264bed7ba2ec37cce6975a0edffeb2dbaecd9551676ea71"},
+	{"perturbed", Spec{Kind: KindComm, Perturb: "slow-core;delayed-recv:mean=2e-6", Seed: 7},
+		"c28c6f08309525436b03930211cb587a9b0356b93639cb2ad2d8f278d7085452"},
+	{"bcast on x5460", Spec{Kind: KindComm, Bench: "bcast", Ranks: 4, Machine: "x5460"},
+		"5c2f93b3c208a35432860604736e3122580d6195c2a2c93411501b6542056318"},
+	{"experiment", Spec{Kind: KindExperiment, Experiment: "fig4", Quick: true},
+		"fc1389b0d8c75647d9ba25540754c3880266de79216b6a9c39f2a02caf05fa83"},
+}
+
+// FuzzCanonicalize holds Canonicalize to being a fixed point: whatever it
+// accepts, decoding its canonical JSON and canonicalizing again gives
+// byte-identical JSON and the same cache key. Crash recovery relies on it:
+// it re-canonicalizes a logged spec and runs it under the logged key.
+func FuzzCanonicalize(f *testing.F) {
+	for _, tc := range pinned {
+		data, err := json.Marshal(tc.spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"kind":"comm","bench":"alltoall","ranks":8,` +
+		`"topology":"graph pair { a [cores=4]; b [cores=4]; a -- b [latency=\"1us\", bandwidth=\"1.25e9\"]; }"}`))
+	f.Add([]byte(`{"kind":"comm","bench":"multi-pingpong","ranks":4,"placement":"cross"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err != nil {
+			return
+		}
+		c, err := s.Canonicalize()
+		if err != nil {
+			return
+		}
+		back, err := Decode(c.CanonicalJSON())
+		if err != nil {
+			t.Fatalf("canonical JSON %s does not decode: %v", c.CanonicalJSON(), err)
+		}
+		again, err := back.Canonicalize()
+		if err != nil {
+			t.Fatalf("canonical spec %s is rejected: %v", c.CanonicalJSON(), err)
+		}
+		if a, b := c.CanonicalJSON(), again.CanonicalJSON(); !bytes.Equal(a, b) {
+			t.Fatalf("canonicalizing twice moved the spec:\n  %s\n  %s", a, b)
+		}
+		if k1, k2 := mustKey(t, c), mustKey(t, again); k1 != k2 {
+			t.Fatalf("canonicalizing twice moved the key: %s vs %s", k1, k2)
+		}
+	})
 }
