@@ -29,16 +29,11 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8077", "serve address")
-		storeRoot  = flag.String("store", "", "ledger directory holding wal.jsonl, records and artefacts (empty = in memory only)")
+		storeRoot  = flag.String("store", "", "ledger directory holding wal.jsonl, the whole store (empty = in memory only)")
 		simWorkers = flag.Int("sim-workers", runtime.GOMAXPROCS(0), "concurrently running sim jobs")
 		queueCap   = flag.Int("queue-cap", 256, "backlog cap before submissions are shed (429)")
 		cacheSize  = flag.Int("cache", 256, "result cache entries")
 		deadline   = flag.Duration("deadline", 2*time.Minute, "default per-job deadline")
-
-		recovery        = flag.String("recovery", serve.RecoveryRequeue, "crash-recovery policy for interrupted jobs (requeue|fail)")
-		retryMax        = flag.Int("retry-max", 2, "transparent retries of transiently failed jobs (negative disables)")
-		retryBackoff    = flag.Duration("retry-backoff", 200*time.Millisecond, "base of the exponential retry backoff")
-		quarantineAfter = flag.Int("quarantine-after", 3, "panics per spec before its key is quarantined (negative disables)")
 	)
 	flag.Parse()
 
@@ -48,11 +43,6 @@ func main() {
 		CacheSize:  *cacheSize,
 		Deadline:   *deadline,
 		StoreRoot:  *storeRoot,
-
-		Recovery:        *recovery,
-		RetryMax:        *retryMax,
-		RetryBackoff:    *retryBackoff,
-		QuarantineAfter: *quarantineAfter,
 	}
 	if err := serveForever(cfg, *addr); err != nil {
 		fmt.Fprintln(os.Stderr, "knemd:", err)

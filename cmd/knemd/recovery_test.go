@@ -56,10 +56,9 @@ func TestMain(m *testing.M) {
 // SIGTERM test lets it drain and return.
 func chaosChild() {
 	cfg := serve.Config{
-		SimWorkers:   2,
-		QueueCap:     512,
-		StoreRoot:    os.Getenv("KNEMD_CHAOS_STORE"),
-		RetryBackoff: 20 * time.Millisecond,
+		SimWorkers: 2,
+		QueueCap:   512,
+		StoreRoot:  os.Getenv("KNEMD_CHAOS_STORE"),
 	}
 	if err := serveForever(cfg, "127.0.0.1:0"); err != nil {
 		fmt.Fprintln(os.Stderr, "chaos child:", err)

@@ -16,8 +16,8 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // PanicError is a panic recovered at a job boundary — an experiment case
 // here, or a whole service job in knemd's runner — converted into an
 // ordinary error carrying the recovered value and the stack at panic time.
-// The daemon classifies it as transient (retryable) and quarantines specs
-// that produce it repeatedly.
+// The daemon fails the job with it, once, and quarantines specs that
+// produce it repeatedly.
 type PanicError struct {
 	Value string // fmt.Sprint of the recovered value
 	Stack string // debug.Stack() at recovery

@@ -438,9 +438,8 @@ type Stats struct {
 	Ready bool `json:"ready"`
 
 	// Submitted counts submissions: every job handed to the scheduler
-	// (shed ones, retries and recovery re-queues included) plus every cache
-	// hit, which never reaches it. Shed counts those the full queue turned
-	// away.
+	// (shed ones and recovery re-queues included) plus every cache hit,
+	// which never reaches it. Shed counts those the full queue turned away.
 	Submitted int64 `json:"submitted"`
 	Shed      int64 `json:"shed"`
 
@@ -455,10 +454,9 @@ type Stats struct {
 	Failed    int64 `json:"failed"`
 	Cancelled int64 `json:"cancelled"`
 
-	// Retries counts transiently failed runs re-queued with backoff;
-	// Panics counts runner panics converted into job failures;
-	// Quarantined counts cache keys shed by the panic circuit breaker.
-	Retries     int64 `json:"retries"`
+	// Panics counts runner panics converted into job failures, one per
+	// failed run; Quarantined counts cache keys the panic circuit breaker
+	// sheds on submit after repeated panics across submissions.
 	Panics      int64 `json:"panics"`
 	Quarantined int   `json:"quarantined"`
 

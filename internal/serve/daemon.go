@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,17 +15,10 @@ import (
 	"knemesis/internal/serve/store"
 )
 
-// Recovery policies for jobs a crash caught mid-flight (queued, admitted or
-// running in the replayed ledger).
-const (
-	// RecoveryRequeue re-submits interrupted jobs (answering from the
-	// rebuilt result cache when a completed run with the same key
-	// survived). The default.
-	RecoveryRequeue = "requeue"
-	// RecoveryFail marks interrupted jobs failed with a crash-interrupted
-	// note and does not re-run them.
-	RecoveryFail = "fail"
-)
+// quarantineAfter is how many panics a cache key may cause, across
+// submissions, before its spec is shed with ErrQuarantined. A run is
+// deterministic, so each submission of a panicking spec panics once.
+const quarantineAfter = 3
 
 // Submission errors beyond the scheduler's own.
 var (
@@ -46,21 +38,6 @@ type Config struct {
 	CacheSize  int           // result-cache entries (default 256)
 	Deadline   time.Duration // default per-job deadline (default 2m)
 	StoreRoot  string        // WAL directory ("" = in memory only)
-
-	// Recovery selects what happens to jobs the replayed WAL shows as
-	// interrupted: RecoveryRequeue (default) or RecoveryFail.
-	Recovery string
-	// RetryMax bounds transparent retries of transiently failed jobs
-	// (deadline, panic, crash-interrupted re-runs). 0 selects the default
-	// of 2; negative disables retries.
-	RetryMax int
-	// RetryBackoff is the base of the exponential retry backoff
-	// (base << attempt-1). 0 selects the default of 200ms.
-	RetryBackoff time.Duration
-	// QuarantineAfter is how many panics a cache key may cause before its
-	// spec is shed with ErrQuarantined. 0 selects the default of 3;
-	// negative disables the circuit breaker.
-	QuarantineAfter int
 }
 
 func (cfg Config) withDefaults() Config {
@@ -69,18 +46,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2 * time.Minute
-	}
-	if cfg.Recovery == "" {
-		cfg.Recovery = RecoveryRequeue
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 200 * time.Millisecond
-	}
-	if cfg.QuarantineAfter == 0 {
-		cfg.QuarantineAfter = 3
 	}
 	return cfg
 }
@@ -100,50 +65,38 @@ type Daemon struct {
 	readyc chan struct{} // closed when recovery completes
 
 	mu          sync.Mutex
-	specs       map[string]api.Spec    // id -> canonical spec, for the runner
-	keys        map[string]string      // id -> cache key, for retry/quarantine
-	attempts    map[string]int         // id -> retries consumed
-	timers      map[string]*time.Timer // id -> pending retry backoff
-	panicCount  map[string]int         // cache key -> panics observed
-	quarantined map[string]bool        // cache key -> shed on submit
+	keys        map[string]string // id -> cache key, for the quarantine breaker
+	panicCount  map[string]int    // cache key -> panics; shed at quarantineAfter
+	quarantined int               // keys that reached quarantineAfter
 	recov       api.RecoveryStats
 
 	done      atomic.Int64
 	failed    atomic.Int64
 	cancelled atomic.Int64
-	retries   atomic.Int64
 	panics    atomic.Int64
 	draining  atomic.Bool
 }
 
 // NewDaemon builds a daemon from cfg. With a StoreRoot configured, the
 // ledger WAL is replayed before this returns (terminal jobs and their
-// artefacts reappear verbatim); resolving interrupted jobs — re-queueing or
-// crash-failing them per cfg.Recovery — runs in the background, and the
-// daemon rejects new submissions with ErrNotReady until it completes.
+// artefacts reappear verbatim); resolving interrupted jobs — re-queueing
+// them, see recoverReplay — runs in the background, and the daemon rejects
+// new submissions with ErrNotReady until it completes.
 func NewDaemon(cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Recovery != RecoveryRequeue && cfg.Recovery != RecoveryFail {
-		return nil, fmt.Errorf("serve: unknown recovery policy %q (have %s|%s)",
-			cfg.Recovery, RecoveryRequeue, RecoveryFail)
-	}
 	t0 := time.Now()
 	st, rep, err := store.Open(cfg.StoreRoot)
 	if err != nil {
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:         cfg,
-		store:       st,
-		cache:       cache.New(cfg.CacheSize),
-		start:       time.Now(),
-		readyc:      make(chan struct{}),
-		specs:       make(map[string]api.Spec),
-		keys:        make(map[string]string),
-		attempts:    make(map[string]int),
-		timers:      make(map[string]*time.Timer),
-		panicCount:  make(map[string]int),
-		quarantined: make(map[string]bool),
+		cfg:        cfg,
+		store:      st,
+		cache:      cache.New(cfg.CacheSize),
+		start:      time.Now(),
+		readyc:     make(chan struct{}),
+		keys:       make(map[string]string),
+		panicCount: make(map[string]int),
 	}
 	// Resume the ID sequence above every replayed job so recovered and new
 	// records can never collide.
@@ -194,8 +147,9 @@ func (d *Daemon) finishRecovery(rs api.RecoveryStats) {
 
 // recoverReplay resolves what the replayed WAL left behind: the result
 // cache is rebuilt from completed runs (so resubmits of pre-crash work
-// still hit), then every interrupted job is re-queued — or answered from
-// the rebuilt cache, or crash-failed, per the recovery policy.
+// still hit), then every interrupted job is answered from the rebuilt cache
+// or re-queued. A job is crash-failed only when its spec no longer
+// canonicalizes or the scheduler rejects the re-queue.
 func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 	rs := api.RecoveryStats{
 		ReplayEntries: rep.Entries,
@@ -220,10 +174,6 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 			d.store.Finish(id, store.Failed, why, "", "crash-interrupted")
 			rs.CrashFailed++
 		}
-		if d.cfg.Recovery == RecoveryFail {
-			crashFail("crash-interrupted: the daemon went down mid-run")
-			continue
-		}
 		spec, err := api.Decode(rec.Spec)
 		var c api.Spec
 		if err == nil {
@@ -240,12 +190,11 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 			continue
 		}
 		d.mu.Lock()
-		d.specs[id] = c
 		d.keys[id] = rec.Key
 		d.mu.Unlock()
 		d.store.Advance(id, store.Queued, "crash-recovered: re-queued")
 		if err := d.dispatch(id, c); err != nil {
-			d.clearJob(id)
+			d.forgetJob(id)
 			crashFail(fmt.Sprintf("crash-interrupted: re-queue rejected: %v", err))
 			continue
 		}
@@ -261,8 +210,9 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 // new record); everything else started Queued and is returned as the ledger
 // holds it once its create is durable, which may be further along. A full
 // queue sheds with scheduler.ErrQueueFull; an unfinished recovery rejects
-// with ErrNotReady; a spec whose key tripped the panic circuit breaker is
-// shed with ErrQuarantined.
+// with ErrNotReady; a spec whose key panicked quarantineAfter times is shed
+// with ErrQuarantined. A failed run is never cached: resubmitting its spec
+// starts a new job.
 func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	if d.draining.Load() {
 		return store.Record{}, scheduler.ErrDraining
@@ -279,7 +229,7 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 		return store.Record{}, err
 	}
 	d.mu.Lock()
-	shed := d.quarantined[key]
+	shed := d.panicCount[key] >= quarantineAfter
 	d.mu.Unlock()
 	if shed {
 		return store.Record{}, fmt.Errorf("%w (key %.16s…)", ErrQuarantined, key)
@@ -299,7 +249,6 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 
 	id := fmt.Sprintf("job-%06d", d.seq.Add(1))
 	d.mu.Lock()
-	d.specs[id] = c
 	d.keys[id] = key
 	d.mu.Unlock()
 	durable := d.store.CreateAsync(id, key, c.Class(), c.CanonicalJSON(), store.Queued)
@@ -308,7 +257,7 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 		// Shed: the record never ran, remove it so the ledger only holds
 		// admitted history. The delete's fsync covers the create too.
 		d.store.Delete(id)
-		d.clearJob(id)
+		d.forgetJob(id)
 		return store.Record{}, err
 	}
 	// The job may start before its create is durable; it is acknowledged
@@ -318,8 +267,9 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	return r, nil
 }
 
-// dispatch hands one canonical spec to the scheduler (initial submission,
-// crash-recovery re-queue and retry all funnel through here).
+// dispatch hands one canonical spec to the scheduler (initial submission
+// and crash-recovery re-queue both funnel through here). The caller records
+// the job's key in d.keys first.
 func (d *Daemon) dispatch(id string, c api.Spec) error {
 	return d.sched.Submit(scheduler.Job{
 		ID:       id,
@@ -340,147 +290,62 @@ func (d *Daemon) runJob(ctx context.Context, id string, spec api.Spec) error {
 	return nil
 }
 
-// clearJob forgets a job's runner-side state.
-func (d *Daemon) clearJob(id string) {
+// forgetJob drops a job's key and returns it.
+func (d *Daemon) forgetJob(id string) string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.specs, id)
+	key := d.keys[id]
 	delete(d.keys, id)
-	delete(d.attempts, id)
+	return key
 }
 
-// onFinish maps a scheduler completion onto the ledger.
+// onFinish maps a scheduler completion onto the ledger. Every outcome is
+// final: a run is deterministic, so one that failed would fail again, and
+// a deadline cut is the client's budget spent.
 func (d *Daemon) onFinish(id string, err error, cancelRequested bool) {
+	key := d.forgetJob(id)
 	switch {
 	case err == nil:
-		d.clearJob(id)
 		d.done.Add(1)
 		d.store.Finish(id, store.Done, "", id, "") // publishes the key, see NewDaemon
 	case cancelRequested:
-		d.clearJob(id)
 		d.cancelled.Add(1)
 		d.store.Finish(id, store.Cancelled, err.Error(), "", "")
 	default:
-		d.failJob(id, err)
-	}
-}
-
-// transientErr reports whether a failure is worth retrying: a deadline cut
-// (the machine may simply have been busy) or a recovered panic (isolated to
-// the job; a repeat offender trips the quarantine breaker instead).
-func transientErr(err error) bool {
-	var pe *experiments.PanicError
-	return errors.Is(err, context.DeadlineExceeded) || errors.As(err, &pe)
-}
-
-// firstLine compresses an error for a transition note: a panic error's
-// first line is "panic: <value>", the stack stays in the terminal record's
-// Error field only.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// failJob resolves a non-cancel failure: transient errors within the retry
-// budget re-queue with exponential backoff; everything else is terminal.
-// Panics additionally feed the per-key quarantine circuit breaker.
-func (d *Daemon) failJob(id string, err error) {
-	var pe *experiments.PanicError
-	isPanic := errors.As(err, &pe)
-	if isPanic {
-		d.panics.Add(1)
-	}
-
-	d.mu.Lock()
-	c, hasSpec := d.specs[id]
-	key := d.keys[id]
-	nowQuarantined := false
-	if isPanic && d.cfg.QuarantineAfter > 0 && key != "" {
-		d.panicCount[key]++
-		if d.panicCount[key] >= d.cfg.QuarantineAfter && !d.quarantined[key] {
-			d.quarantined[key] = true
-			nowQuarantined = true
-		}
-	}
-	retry := hasSpec && !d.draining.Load() && transientErr(err) &&
-		!d.quarantined[key] && d.attempts[id] < d.cfg.RetryMax
-	if retry {
-		d.attempts[id]++
-		n := d.attempts[id]
-		backoff := d.cfg.RetryBackoff << (n - 1)
-		d.timers[id] = time.AfterFunc(backoff, func() { d.retryNow(id, c) })
-		d.mu.Unlock()
-		d.retries.Add(1)
-		d.store.Advance(id, store.Queued,
-			fmt.Sprintf("retry %d/%d in %s: %s", n, d.cfg.RetryMax, backoff, firstLine(err.Error())))
-		return
-	}
-	d.mu.Unlock()
-	d.clearJob(id)
-	d.failed.Add(1)
-	note := ""
-	switch {
-	case nowQuarantined:
-		note = "panicked; spec quarantined"
-	case isPanic:
-		note = "panicked"
-	}
-	d.store.Finish(id, store.Failed, err.Error(), "", note)
-}
-
-// retryNow fires when a retry backoff expires: re-dispatch unless the job
-// was cancelled or the daemon started draining in the meantime.
-func (d *Daemon) retryNow(id string, c api.Spec) {
-	d.mu.Lock()
-	if _, pending := d.timers[id]; !pending {
-		d.mu.Unlock()
-		return // cancelled or drained while waiting
-	}
-	delete(d.timers, id)
-	d.mu.Unlock()
-	if err := d.dispatch(id, c); err != nil {
-		d.clearJob(id)
+		note := d.notePanic(key, err)
 		d.failed.Add(1)
-		d.store.Finish(id, store.Failed, err.Error(), "", "retry re-queue rejected")
+		d.store.Finish(id, store.Failed, err.Error(), "", note)
 	}
 }
 
-// Cancel cancels a job: queued jobs finish immediately as cancelled,
-// running comm jobs have their engine context cut, and a job parked on a
-// retry backoff is cancelled without re-running. False for unknown or
-// already-finished jobs.
-func (d *Daemon) Cancel(id string) bool {
+// notePanic feeds a failure that is a recovered panic to the per-key
+// quarantine breaker, before the failure is visible, and returns the note
+// for the job's terminal transition ("" for any other error).
+func (d *Daemon) notePanic(key string, err error) string {
+	var pe *experiments.PanicError
+	if !errors.As(err, &pe) {
+		return ""
+	}
+	d.panics.Add(1)
 	d.mu.Lock()
-	if t, pending := d.timers[id]; pending {
-		delete(d.timers, id)
-		d.mu.Unlock()
-		t.Stop()
-		d.clearJob(id)
-		d.cancelled.Add(1)
-		d.store.Finish(id, store.Cancelled, context.Canceled.Error(), "", "cancelled while awaiting retry")
-		return true
+	defer d.mu.Unlock()
+	d.panicCount[key]++
+	if d.panicCount[key] != quarantineAfter {
+		return "panicked"
 	}
-	d.mu.Unlock()
-	return d.sched.Cancel(id)
+	d.quarantined++
+	return "panicked; spec quarantined"
 }
 
-// Drain performs a graceful shutdown: submissions are rejected, retry
-// backoffs are cancelled, queued jobs are cancelled, running jobs finish
-// (or are cut when ctx expires).
+// Cancel cancels a job: a queued job finishes at once as cancelled, a
+// running comm job has its engine context cut. False for unknown or
+// already-finished jobs.
+func (d *Daemon) Cancel(id string) bool { return d.sched.Cancel(id) }
+
+// Drain performs a graceful shutdown: submissions are rejected, queued jobs
+// are cancelled, running jobs finish (or are cut when ctx expires).
 func (d *Daemon) Drain(ctx context.Context) {
 	d.draining.Store(true)
-	d.mu.Lock()
-	pending := d.timers
-	d.timers = make(map[string]*time.Timer)
-	d.mu.Unlock()
-	for id, t := range pending {
-		t.Stop()
-		d.clearJob(id)
-		d.cancelled.Add(1)
-		d.store.Finish(id, store.Cancelled, context.Canceled.Error(), "", "cancelled while awaiting retry")
-	}
 	d.sched.Drain(ctx)
 }
 
@@ -489,7 +354,7 @@ func (d *Daemon) Stats() api.Stats {
 	ss := d.sched.Stats()
 	d.mu.Lock()
 	recov := d.recov
-	quarantined := len(d.quarantined)
+	quarantined := d.quarantined
 	d.mu.Unlock()
 	return api.Stats{
 		UptimeSec:       time.Since(d.start).Seconds(),
@@ -501,7 +366,6 @@ func (d *Daemon) Stats() api.Stats {
 		Done:            d.done.Load(),
 		Failed:          d.failed.Load(),
 		Cancelled:       d.cancelled.Load(),
-		Retries:         d.retries.Load(),
 		Panics:          d.panics.Load(),
 		Quarantined:     quarantined,
 		CacheHits:       d.cache.Hits(),

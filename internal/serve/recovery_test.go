@@ -192,32 +192,31 @@ func TestCrashRecoveryRequeueAndCacheAnswer(t *testing.T) {
 	}
 }
 
-func TestCrashRecoveryFailPolicy(t *testing.T) {
+// TestCrashRecoveryFailsUncanonicalizableSpec covers the one way recovery
+// gives up on an interrupted job: its logged spec names an experiment this
+// build no longer registers, so it cannot be re-queued and is crash-failed.
+func TestCrashRecoveryFailsUncanonicalizableSpec(t *testing.T) {
 	root := t.TempDir()
-	spec, key := mustCanon(t, tinySpec(4*units.KiB))
 	st, _, err := store.Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Create("job-000001", key, spec.Class(), spec.CanonicalJSON(), store.Queued)
+	gone := []byte(`{"kind":"experiment","experiment":"test-no-longer-registered"}`)
+	st.Create("job-000001", "0123456789abcdef", "sim", gone, store.Queued)
 	st.Advance("job-000001", store.Running, "")
 	st.Close()
 
-	d := newTestDaemon(t, Config{StoreRoot: root, Recovery: RecoveryFail})
+	d := newTestDaemon(t, Config{StoreRoot: root})
 	defer d.Close()
 	awaitReady(t, d)
 
 	rec, _ := d.Store().Get("job-000001")
-	if rec.State != store.Failed || !strings.Contains(rec.Error, "crash-interrupted") {
-		t.Fatalf("fail-policy job = %+v", rec)
+	if rec.State != store.Failed ||
+		!strings.Contains(rec.Error, "crash-interrupted: replayed spec no longer canonicalizes") {
+		t.Fatalf("uncanonicalizable interrupted job = %+v", rec)
 	}
 	if stats := d.Stats(); stats.Recovery.CrashFailed != 1 || stats.Recovery.Requeued != 0 {
 		t.Fatalf("recovery stats = %+v", stats.Recovery)
-	}
-
-	// The policy must be spelled correctly, not silently defaulted.
-	if _, err := NewDaemon(Config{Recovery: "retry-everything"}); err == nil {
-		t.Fatal("bogus recovery policy accepted")
 	}
 }
 
@@ -401,36 +400,43 @@ func TestReadyzGatesSubmissions(t *testing.T) {
 	}
 }
 
-// TestPanicRetriedThenSucceeds drives a spec whose first execution panics:
-// the panic must be isolated to the job, retried with backoff and the retry
-// must succeed, leaving the whole story on the ledger trail.
-func TestPanicRetriedThenSucceeds(t *testing.T) {
+// TestPanicFailsItsJobOnce drives a spec whose first execution panics:
+// the panic is isolated to the job, which fails at once and is not re-run.
+// A failure is never cached, so resubmitting the spec starts a new job.
+func TestPanicFailsItsJobOnce(t *testing.T) {
 	flakyCalls.Store(0)
-	d := newTestDaemon(t, Config{SimWorkers: 1, RetryBackoff: time.Millisecond})
-	rec, err := d.Submit(api.Spec{Kind: api.KindExperiment, Experiment: "test-flaky-once"})
+	d := newTestDaemon(t, Config{SimWorkers: 1})
+	spec := api.Spec{Kind: api.KindExperiment, Experiment: "test-flaky-once"}
+	rec, err := d.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec = await(t, d, rec.ID)
-	if rec.State != store.Done {
+	if rec.State != store.Failed || !strings.Contains(rec.Error, "panic: transient flake") {
 		t.Fatalf("flaky job finished %s: %s", rec.State, rec.Error)
 	}
-	retried := false
-	for _, tr := range rec.Transitions {
-		if strings.Contains(tr.Note, "retry 1/") && strings.Contains(tr.Note, "panic: transient flake") {
-			retried = true
-		}
+	if note := rec.Transitions[len(rec.Transitions)-1].Note; note != "panicked" {
+		t.Fatalf("terminal note = %q", note)
 	}
-	if !retried {
-		t.Fatalf("no retry transition on the ledger: %+v", rec.Transitions)
+	if calls := flakyCalls.Load(); calls != 1 {
+		t.Fatalf("the failed job ran %d times", calls)
 	}
-	stats := d.Stats()
-	if stats.Retries < 1 || stats.Panics < 1 || stats.Quarantined != 0 {
-		t.Fatalf("stats = retries %d, panics %d, quarantined %d", stats.Retries, stats.Panics, stats.Quarantined)
+	if stats := d.Stats(); stats.Panics != 1 || stats.Quarantined != 0 {
+		t.Fatalf("stats = panics %d, quarantined %d", stats.Panics, stats.Quarantined)
 	}
-	// The artefact of the successful retry is served normally.
-	if _, err := d.Store().Artefact(rec.ID, "result.json"); err != nil {
-		t.Fatalf("retried job has no artefact: %v", err)
+
+	again, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID == rec.ID || again.Cached {
+		t.Fatalf("resubmission = %+v, want a new job", again)
+	}
+	if again = await(t, d, again.ID); again.State != store.Done {
+		t.Fatalf("resubmitted job finished %s: %s", again.State, again.Error)
+	}
+	if _, err := d.Store().Artefact(again.ID, "result.json"); err != nil {
+		t.Fatalf("resubmitted job has no artefact: %v", err)
 	}
 }
 
@@ -453,7 +459,7 @@ func TestSimRankPanicFailsOnlyItsJob(t *testing.T) {
 		t.Fatalf("failure does not name the rank, its value and where it panicked: %s", pe.Value)
 	}
 
-	d := newTestDaemon(t, Config{SimWorkers: 2, RetryMax: -1})
+	d := newTestDaemon(t, Config{SimWorkers: 2})
 	defer d.Close()
 	slow, err := d.Submit(slowSpec())
 	if err != nil {
@@ -471,38 +477,43 @@ func TestSimRankPanicFailsOnlyItsJob(t *testing.T) {
 	}
 }
 
-// TestRepeatedPanicsQuarantineSpec is the circuit breaker: a spec that
-// panics on every attempt exhausts its retry budget, is failed with the
-// recovered stack, and its cache key is quarantined — further submissions
-// are shed with ErrQuarantined (HTTP 422) while the daemon keeps serving
-// other work.
+// TestRepeatedPanicsQuarantineSpec is the circuit breaker: each submission
+// of a spec that panics on every run fails once with the recovered stack;
+// the third panic quarantines its cache key, so a fourth submission is shed
+// with ErrQuarantined (HTTP 422) while the daemon keeps serving other work.
+// It runs on a WAL store, where a job can start, and panic, before its
+// create is durable.
 func TestRepeatedPanicsQuarantineSpec(t *testing.T) {
-	d := newTestDaemon(t, Config{SimWorkers: 1, RetryBackoff: time.Millisecond})
+	d := newTestDaemon(t, Config{SimWorkers: 1, StoreRoot: t.TempDir()})
+	defer d.Close()
 	srv := httptest.NewServer(Handler(d))
 	defer srv.Close()
 
 	spec := api.Spec{Kind: api.KindExperiment, Experiment: "test-panic-always"}
-	rec, err := d.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	for i := 1; i <= quarantineAfter; i++ {
+		rec, err := d.Submit(spec)
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		rec = await(t, d, rec.ID)
+		if rec.State != store.Failed {
+			t.Fatalf("panicking job %d finished %s", i, rec.State)
+		}
+		if !strings.Contains(rec.Error, "panic: test-panic-always detonated") ||
+			!strings.Contains(rec.Error, "goroutine") {
+			t.Fatalf("failure does not carry the recovered panic and stack: %s", rec.Error)
+		}
+		want := "panicked"
+		if i == quarantineAfter {
+			want = "panicked; spec quarantined"
+		}
+		if note := rec.Transitions[len(rec.Transitions)-1].Note; note != want {
+			t.Fatalf("submission %d: terminal note = %q, want %q", i, note, want)
+		}
 	}
-	rec = await(t, d, rec.ID)
-	if rec.State != store.Failed {
-		t.Fatalf("panicking job finished %s", rec.State)
-	}
-	if !strings.Contains(rec.Error, "panic: test-panic-always detonated") ||
-		!strings.Contains(rec.Error, "goroutine") {
-		t.Fatalf("failure does not carry the recovered panic and stack: %s", rec.Error)
-	}
-	last := rec.Transitions[len(rec.Transitions)-1]
-	if last.Note != "panicked; spec quarantined" {
-		t.Fatalf("terminal note = %q", last.Note)
-	}
-	// Default budget: 1 initial attempt + 2 retries = 3 panics = the
-	// default quarantine threshold.
 	stats := d.Stats()
-	if stats.Panics != 3 || stats.Retries != 2 || stats.Quarantined != 1 {
-		t.Fatalf("stats = panics %d, retries %d, quarantined %d", stats.Panics, stats.Retries, stats.Quarantined)
+	if stats.Panics != quarantineAfter || stats.Failed != quarantineAfter || stats.Quarantined != 1 {
+		t.Fatalf("stats = panics %d, failed %d, quarantined %d", stats.Panics, stats.Failed, stats.Quarantined)
 	}
 
 	// The breaker is open: in-process and over HTTP.
@@ -529,10 +540,10 @@ func TestRepeatedPanicsQuarantineSpec(t *testing.T) {
 	}
 }
 
-// TestDeadlineRetriesAndRetryDisable pins deadline cuts as transient (they
-// retry within the budget) and RetryMax<0 as a hard off switch.
-func TestDeadlineRetriesAndRetryDisable(t *testing.T) {
-	d := newTestDaemon(t, Config{SimWorkers: 1, RetryMax: 1, RetryBackoff: time.Millisecond})
+// TestDeadlineCutIsFinal pins a deadline cut as terminal: the job runs
+// once, fails with the context's error and is never re-queued.
+func TestDeadlineCutIsFinal(t *testing.T) {
+	d := newTestDaemon(t, Config{SimWorkers: 1})
 	spec := slowSpec()
 	spec.DeadlineSec = 0.05
 	rec, err := d.Submit(spec)
@@ -540,67 +551,15 @@ func TestDeadlineRetriesAndRetryDisable(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec = await(t, d, rec.ID)
-	if rec.State != store.Failed {
-		t.Fatalf("deadline job finished %s", rec.State)
+	if rec.State != store.Failed || !strings.Contains(rec.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("deadline job finished %s: %s", rec.State, rec.Error)
 	}
-	retried := false
+	var states []store.State
 	for _, tr := range rec.Transitions {
-		if strings.Contains(tr.Note, "retry 1/1") {
-			retried = true
-		}
+		states = append(states, tr.State)
 	}
-	if !retried {
-		t.Fatalf("deadline cut was not retried: %+v", rec.Transitions)
-	}
-
-	d2 := newTestDaemon(t, Config{SimWorkers: 1, RetryMax: -1})
-	rec2, err := d2.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2 = await(t, d2, rec2.ID)
-	if rec2.State != store.Failed {
-		t.Fatalf("no-retry deadline job finished %s", rec2.State)
-	}
-	for _, tr := range rec2.Transitions {
-		if strings.Contains(tr.Note, "retry") {
-			t.Fatalf("RetryMax<0 still retried: %+v", rec2.Transitions)
-		}
-	}
-}
-
-// TestCancelWhileAwaitingRetry covers the retry-parking window: a job
-// sitting on its backoff timer is cancellable without ever re-running.
-func TestCancelWhileAwaitingRetry(t *testing.T) {
-	flakyCalls.Store(0)
-	d := newTestDaemon(t, Config{SimWorkers: 1, RetryBackoff: time.Hour})
-	rec, err := d.Submit(api.Spec{Kind: api.KindExperiment, Experiment: "test-flaky-once"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the first attempt to panic and park on the (1h) backoff.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		r, _ := d.Store().Get(rec.ID)
-		if len(r.Transitions) > 0 && strings.Contains(r.Transitions[len(r.Transitions)-1].Note, "retry 1/") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never parked on its retry backoff: %+v", r.Transitions)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !d.Cancel(rec.ID) {
-		t.Fatal("Cancel of a retry-parked job = false")
-	}
-	got := await(t, d, rec.ID)
-	if got.State != store.Cancelled {
-		t.Fatalf("retry-parked job finished %s", got.State)
-	}
-	if note := got.Transitions[len(got.Transitions)-1].Note; note != "cancelled while awaiting retry" {
-		t.Fatalf("terminal note = %q", note)
-	}
-	if calls := flakyCalls.Load(); calls != 1 {
-		t.Fatalf("cancelled retry still re-ran the experiment (%d calls)", calls)
+	want := []store.State{store.Queued, store.Admitted, store.Running, store.Failed}
+	if fmt.Sprint(states) != fmt.Sprint(want) {
+		t.Fatalf("deadline job went through %v, want %v", states, want)
 	}
 }
