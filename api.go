@@ -237,7 +237,8 @@ type (
 	RTWorld = rt.World
 	// RTRank is one rank's handle.
 	RTRank = rt.Rank
-	// RTConfig tunes thresholds and the large-message strategy.
+	// RTConfig tunes thresholds and the large-message strategy. Its zero
+	// value is the single-copy rendezvous (Large == RTSingleCopy).
 	RTConfig = rt.Config
 )
 

@@ -100,6 +100,29 @@ func TestFacadeRegistries(t *testing.T) {
 	}
 }
 
+// The zero RTConfig is the single-copy rendezvous: a 4 MiB message takes
+// one rendezvous and no eager cells.
+func TestFacadeRTConfigDefaultsToSingleCopy(t *testing.T) {
+	const size = 4 << 20
+	if (RTConfig{}).Large != RTSingleCopy {
+		t.Fatalf("RTConfig{}.Large = %v, want %v", RTConfig{}.Large, RTSingleCopy)
+	}
+	w := NewRTWorld(2, RTConfig{})
+	err := w.Run(func(r *RTRank) {
+		if r.ID() == 0 {
+			r.Send(1, 0, make([]byte, size))
+		} else {
+			r.Recv(0, 0, make([]byte, size))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rndv, eager, moved := w.RndvMsgs.Load(), w.EagerMsgs.Load(), w.BytesMoved.Load(); rndv != 1 || eager != 0 || moved != size {
+		t.Errorf("rndv=%d eager=%d moved=%d; want 1, 0, %d", rndv, eager, moved, size)
+	}
+}
+
 func TestFacadeRealRuntime(t *testing.T) {
 	w := NewRTWorld(2, RTConfig{Large: RTSingleCopy})
 	payload := make([]byte, 1<<20)

@@ -54,11 +54,13 @@ func init() {
 	})
 }
 
-// ModeNames lists the large-message strategies in definition order (the
-// CLIs' -rtmode values).
+// ModeNames lists the large-message strategies in the CLIs' -rtmode order,
+// two copies before one before offloaded (not the constants' order, which
+// puts the SingleCopy default first).
 func ModeNames() []string { return []string{"eager", "single-copy", "offload"} }
 
-// ParseMode resolves a strategy name ("" selects the SingleCopy default).
+// ParseMode resolves a strategy name ("" selects SingleCopy, the zero
+// LargeMode).
 func ParseMode(name string) (LargeMode, error) {
 	switch name {
 	case "", SingleCopy.String():

@@ -186,8 +186,8 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v", name, mode)
 		}
 	}
-	if mode, err := ParseMode(""); err != nil || mode != SingleCopy {
-		t.Errorf("ParseMode(\"\") = %v, %v; want SingleCopy default", mode, err)
+	if mode, err := ParseMode(""); err != nil || mode != LargeMode(0) || mode.String() != "single-copy" {
+		t.Errorf("ParseMode(\"\") = %v, %v; want single-copy, the zero LargeMode", mode, err)
 	}
 	if _, err := ParseMode("dma"); err == nil {
 		t.Error("ParseMode of unknown name did not error")

@@ -368,6 +368,30 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// A zero Config moves a large message once: one rendezvous, no eager cell
+// stream, and the payload counted once.
+func TestZeroConfigIsSingleCopy(t *testing.T) {
+	const size = 4 << 20
+	w := NewWorld(2, Config{})
+	err := w.Run(func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 0, pattern(7, size))
+			return
+		}
+		buf := make([]byte, size)
+		r.Recv(0, 0, buf)
+		if !bytes.Equal(buf, pattern(7, size)) {
+			t.Error("4 MiB payload corrupted")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rndv, eager, moved := w.RndvMsgs.Load(), w.EagerMsgs.Load(), w.BytesMoved.Load(); rndv != 1 || eager != 0 || moved != size {
+		t.Errorf("rndv=%d eager=%d moved=%d; want 1, 0, %d", rndv, eager, moved, size)
+	}
+}
+
 func TestManyRanksStress(t *testing.T) {
 	const n = 8
 	w := NewWorld(n, Config{Large: Offload, RndvThreshold: 8192})

@@ -11,18 +11,19 @@ import (
 )
 
 // LargeMode selects the large-message strategy, mirroring the paper's LMT
-// choices in Go-native form.
+// choices in Go-native form. The zero value is SingleCopy, so a zero Config
+// moves a large message once.
 type LargeMode int
 
 const (
-	// Eager forces every message through the two-copy cell path (the
-	// baseline double-buffering analogue); oversized messages are
-	// pipelined through CellBytes segments.
-	Eager LargeMode = iota
 	// SingleCopy performs rendezvous: the receiver (helped by the waiting
 	// sender) copies straight from the sender's buffer in chunks — what
 	// KNEM/vmsplice achieve via the kernel.
-	SingleCopy
+	SingleCopy LargeMode = iota
+	// Eager forces every message through the two-copy cell path (the
+	// baseline double-buffering analogue); oversized messages are
+	// pipelined through CellBytes segments.
+	Eager
 	// Offload performs rendezvous with the chunked copy executed by the
 	// copier pool, freeing the receiver to overlap — the asynchronous
 	// KNEM/I/OAT analogue.
@@ -47,7 +48,8 @@ func (m LargeMode) String() string {
 type Config struct {
 	// RndvThreshold is the eager/rendezvous switch (default 64 KiB).
 	RndvThreshold int
-	// Large selects the rendezvous strategy (default SingleCopy).
+	// Large selects the rendezvous strategy; the zero value is
+	// SingleCopy.
 	Large LargeMode
 	// Copiers sizes the offload worker pool (default NumCPU/4, min 1).
 	Copiers int
