@@ -2,9 +2,10 @@
 // JobSpec envelopes (see internal/serve/api) over HTTP/JSON, schedules
 // them through the class-aware admission controller — sim jobs fan out
 // across a bounded worker pool, rt jobs run one at a time (no core is
-// reserved; sim jobs may run beside one) — answers repeated submissions
-// from the result cache, and persists typed JSON artefacts with a
-// long-pollable progress ledger.
+// reserved; sim jobs may run beside one) — answers a repeated submission
+// with the run that already produced its artefact, and persists typed JSON
+// artefacts with a long-pollable progress ledger, which is also the result
+// cache: it holds every run for the life of the process.
 //
 //	knemd -addr 127.0.0.1:8077 -store /var/lib/knemd
 //	curl -d '{"kind":"comm","bench":"pingpong"}' http://127.0.0.1:8077/v1/jobs
@@ -32,7 +33,6 @@ func main() {
 		storeRoot  = flag.String("store", "", "ledger directory holding wal.jsonl, the whole store (empty = in memory only)")
 		simWorkers = flag.Int("sim-workers", runtime.GOMAXPROCS(0), "concurrently running sim jobs")
 		queueCap   = flag.Int("queue-cap", 256, "backlog cap before submissions are shed (429)")
-		cacheSize  = flag.Int("cache", 256, "result cache entries")
 		deadline   = flag.Duration("deadline", 2*time.Minute, "default per-job deadline")
 	)
 	flag.Parse()
@@ -40,7 +40,6 @@ func main() {
 	cfg := serve.Config{
 		SimWorkers: *simWorkers,
 		QueueCap:   *queueCap,
-		CacheSize:  *cacheSize,
 		Deadline:   *deadline,
 		StoreRoot:  *storeRoot,
 	}

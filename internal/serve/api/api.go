@@ -463,7 +463,7 @@ type Stats struct {
 	// CacheHits counts lookups the result cache answered: submissions
 	// answered with the record of the run that owns the artefact, and
 	// interrupted jobs recovery finished from it. CacheMisses counts the
-	// lookups that found nothing; CacheEntries the keys held now.
+	// lookups that found nothing; CacheEntries the keys that have an owner.
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`

@@ -1,8 +1,7 @@
-// Package cache is the knemd result cache: a bounded LRU mapping a cache
-// key — (canonical spec hash, engine, code version), see serve/api — to
-// the artefact-owning job ID, with hit/miss counters. A hit lets the
-// daemon answer a repeat submission from the artefact store without
-// invoking an engine.
+// Package cache is a bounded LRU from a cache key to a job ID, with
+// hit/miss counters. It was knemd's result cache; the daemon no longer uses
+// it (the ledger in serve/store holds every run and is the cache), and it
+// stays only as the subject of the benchmark's serve.cache.get_ns probe.
 package cache
 
 import (

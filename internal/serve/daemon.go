@@ -10,7 +10,6 @@ import (
 
 	"knemesis/internal/experiments"
 	"knemesis/internal/serve/api"
-	"knemesis/internal/serve/cache"
 	"knemesis/internal/serve/scheduler"
 	"knemesis/internal/serve/store"
 )
@@ -35,15 +34,11 @@ var (
 type Config struct {
 	SimWorkers int           // concurrently running sim jobs (default 4)
 	QueueCap   int           // backlog cap before shedding (default 64)
-	CacheSize  int           // result-cache entries (default 256)
 	Deadline   time.Duration // default per-job deadline (default 2m)
 	StoreRoot  string        // WAL directory ("" = in memory only)
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 256
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2 * time.Minute
 	}
@@ -54,7 +49,6 @@ func (cfg Config) withDefaults() Config {
 type Daemon struct {
 	cfg   Config
 	store *store.Store
-	cache *cache.LRU
 	sched *scheduler.Scheduler
 	probe rtProbe
 
@@ -70,6 +64,8 @@ type Daemon struct {
 	quarantined int               // keys that reached quarantineAfter
 	recov       api.RecoveryStats
 
+	hits      atomic.Int64 // lookups answered by an owner
+	misses    atomic.Int64
 	done      atomic.Int64
 	failed    atomic.Int64
 	cancelled atomic.Int64
@@ -92,7 +88,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:        cfg,
 		store:      st,
-		cache:      cache.New(cfg.CacheSize),
 		start:      time.Now(),
 		readyc:     make(chan struct{}),
 		keys:       make(map[string]string),
@@ -101,12 +96,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	// Resume the ID sequence above every replayed job so recovered and new
 	// records can never collide.
 	d.seq.Store(rep.MaxSeq)
-	// A key enters the result cache when the store applies its owner's done
-	// finish: once it and the artefact are durable, and in the same critical
-	// section that makes done visible, so whoever saw the owner done and
-	// resubmits gets the hit, and a hit only ever names a run whose state and
-	// bytes are on disk.
-	st.SetPublish(d.cache.Put)
 	d.sched = scheduler.New(scheduler.Config{
 		SimWorkers: cfg.SimWorkers,
 		QueueCap:   cfg.QueueCap,
@@ -145,24 +134,15 @@ func (d *Daemon) finishRecovery(rs api.RecoveryStats) {
 	close(d.readyc)
 }
 
-// recoverReplay resolves what the replayed WAL left behind: the result
-// cache is rebuilt from completed runs (so resubmits of pre-crash work
-// still hit), then every interrupted job is answered from the rebuilt cache
-// or re-queued. A job is crash-failed only when its spec no longer
+// recoverReplay resolves the jobs the replayed WAL left interrupted: each
+// is answered by its key's owner, which replay restored with the ledger, or
+// re-queued. A job is crash-failed only when its spec no longer
 // canonicalizes or the scheduler rejects the re-queue.
 func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 	rs := api.RecoveryStats{
 		ReplayEntries: rep.Entries,
 		ReplayRecords: rep.Records,
 		TornTail:      rep.TornTail,
-	}
-	// Rebuild the cache in submission order so the earliest completed run
-	// of a key owns its artefact, matching what the pre-crash cache held.
-	for _, rec := range d.store.List(store.Done) {
-		if rec.Cached || rec.ArtefactID != rec.ID {
-			continue
-		}
-		d.cache.Put(rec.Key, rec.ID)
 	}
 	for _, id := range rep.Interrupted {
 		rec, ok := d.store.Get(id)
@@ -183,9 +163,9 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 			crashFail(fmt.Sprintf("crash-interrupted: replayed spec no longer canonicalizes: %v", err))
 			continue
 		}
-		if owner, ok := d.cache.Get(rec.Key); ok {
+		if owner, ok := d.lookup(rec.Key); ok {
 			d.done.Add(1)
-			d.store.Finish(id, store.Done, "", owner, "crash-recovered: answered from the rebuilt cache")
+			d.store.Finish(id, store.Done, "", owner.ID, "crash-recovered: answered from the key's owner")
 			rs.CachedAnswered++
 			continue
 		}
@@ -234,17 +214,12 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	if shed {
 		return store.Record{}, fmt.Errorf("%w (key %.16s…)", ErrQuarantined, key)
 	}
-	// Warm path: a repeat is the run it repeats. A key is cached only once
-	// its owner's done finish, bytes included, is durable and applied, so
-	// the owner's record is the whole answer: no id is minted, nothing is
-	// logged, no fsync is awaited. An owner the ledger does not know (none
-	// today: records are never evicted) falls through to a fresh run;
-	// whatever evicts records must drop their cache entries with them.
-	if owner, ok := d.cache.Get(key); ok {
-		if r, ok := d.store.Get(owner); ok {
-			r.Cached = true
-			return r, nil
-		}
+	// Warm path: a repeat is the run it repeats. A key has an owner only
+	// once the owner's done finish, bytes included, is durable and applied,
+	// so the owner's record is the whole answer: no id is minted, nothing is
+	// logged, no fsync is awaited.
+	if r, ok := d.lookup(key); ok {
+		return r, nil
 	}
 
 	id := fmt.Sprintf("job-%06d", d.seq.Add(1))
@@ -265,6 +240,19 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	durable()
 	r, _ := d.store.Get(id)
 	return r, nil
+}
+
+// lookup returns the record owning key's artefact, marked Cached, and
+// counts the hit or miss.
+func (d *Daemon) lookup(key string) (store.Record, bool) {
+	r, ok := d.store.Owner(key)
+	if !ok {
+		d.misses.Add(1)
+		return store.Record{}, false
+	}
+	d.hits.Add(1)
+	r.Cached = true
+	return r, true
 }
 
 // dispatch hands one canonical spec to the scheduler (initial submission
@@ -307,7 +295,7 @@ func (d *Daemon) onFinish(id string, err error, cancelRequested bool) {
 	switch {
 	case err == nil:
 		d.done.Add(1)
-		d.store.Finish(id, store.Done, "", id, "") // publishes the key, see NewDaemon
+		d.store.Finish(id, store.Done, "", id, "") // the key's owner, unless one finished first
 	case cancelRequested:
 		d.cancelled.Add(1)
 		d.store.Finish(id, store.Cancelled, err.Error(), "", "")
@@ -359,7 +347,7 @@ func (d *Daemon) Stats() api.Stats {
 	return api.Stats{
 		UptimeSec:       time.Since(d.start).Seconds(),
 		Ready:           d.ready.Load(),
-		Submitted:       ss.Submitted + d.cache.Hits(),
+		Submitted:       ss.Submitted + d.hits.Load(),
 		Shed:            ss.Shed,
 		Queued:          int64(ss.Queued),
 		Running:         int64(ss.Running),
@@ -368,14 +356,11 @@ func (d *Daemon) Stats() api.Stats {
 		Cancelled:       d.cancelled.Load(),
 		Panics:          d.panics.Load(),
 		Quarantined:     quarantined,
-		CacheHits:       d.cache.Hits(),
-		CacheMisses:     d.cache.Misses(),
-		CacheEntries:    d.cache.Len(),
+		CacheHits:       d.hits.Load(),
+		CacheMisses:     d.misses.Load(),
+		CacheEntries:    d.store.Owners(),
 		RTMaxObserved:   d.probe.max.Load(),
 		RTAuditFailures: d.probe.audits.Load(),
 		Recovery:        recov,
 	}
 }
-
-// CacheHits exposes the lifetime cache hit count (asserted by tests).
-func (d *Daemon) CacheHits() int64 { return d.cache.Hits() }

@@ -192,6 +192,42 @@ func TestCrashRecoveryRequeueAndCacheAnswer(t *testing.T) {
 	}
 }
 
+// TestOwnerStableAcrossRestart pins which of two completed runs of one key
+// owns it: the one whose done finish was applied first, whatever order the
+// runs were created in, and the same one after a restart replays the log.
+func TestOwnerStableAcrossRestart(t *testing.T) {
+	root := t.TempDir()
+	spec, key := mustCanon(t, tinySpec(4*units.KiB))
+	files, err := Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newTestDaemon(t, Config{StoreRoot: root})
+	for _, id := range []string{"job-000101", "job-000102"} {
+		d.Store().Create(id, key, spec.Class(), spec.CanonicalJSON(), store.Queued)
+		if err := d.Store().PutArtefact(id, files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Store().Finish("job-000102", store.Done, "", "job-000102", "")
+	d.Store().Finish("job-000101", store.Done, "", "job-000101", "")
+	live, err := d.Submit(tinySpec(4 * units.KiB))
+	if err != nil || !live.Cached || live.ID != "job-000102" {
+		t.Fatalf("live repeat = %s (cached %v), %v, want a hit on job-000102, the first finished", live.ID, live.Cached, err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = newTestDaemon(t, Config{StoreRoot: root})
+	defer d.Close()
+	awaitReady(t, d)
+	again, err := d.Submit(tinySpec(4 * units.KiB))
+	if err != nil || !again.Cached || again.ID != live.ID {
+		t.Fatalf("repeat after restart = %s (cached %v), %v, want a hit on %s", again.ID, again.Cached, err, live.ID)
+	}
+}
+
 // TestCrashRecoveryFailsUncanonicalizableSpec covers the one way recovery
 // gives up on an interrupted job: its logged spec names an experiment this
 // build no longer registers, so it cannot be re-queued and is crash-failed.

@@ -1,8 +1,9 @@
 // Package serve is the knemd experiment service: an always-on daemon
 // accepting canonical JobSpec envelopes (serve/api) over HTTP/JSON,
 // admitting them through the class-aware scheduler (serve/scheduler),
-// answering repeats from the result cache (serve/cache) and persisting
-// typed JSON artefacts with a long-pollable progress ledger (serve/store).
+// answering repeats with the run that owns their artefact and persisting
+// typed JSON artefacts with a long-pollable progress ledger (serve/store),
+// which is also the result cache.
 // See DESIGN.md, "Experiment service".
 package serve
 

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,7 +172,7 @@ func TestCachedResubmitSkipsEngine(t *testing.T) {
 	if rec1.State != store.Done || rec1.Cached {
 		t.Fatalf("first run = %+v", rec1)
 	}
-	hits := d.CacheHits()
+	hits := d.Stats().CacheHits
 	jobs := len(d.Store().List(""))
 
 	// A repeat is the run it repeats: the resubmission is answered with the
@@ -184,8 +185,8 @@ func TestCachedResubmitSkipsEngine(t *testing.T) {
 	if rec2.ID != rec1.ID || !rec2.Cached || rec2.State != store.Done || rec2.ArtefactID != rec1.ID {
 		t.Fatalf("cached resubmit = %+v, want the record of %s", rec2, rec1.ID)
 	}
-	if d.CacheHits() != hits+1 {
-		t.Fatalf("cache hits = %d, want %d", d.CacheHits(), hits+1)
+	if d.Stats().CacheHits != hits+1 {
+		t.Fatalf("cache hits = %d, want %d", d.Stats().CacheHits, hits+1)
 	}
 	if n := len(d.Store().List("")); n != jobs {
 		t.Fatalf("a cache hit grew the ledger from %d to %d records", jobs, n)
@@ -247,7 +248,7 @@ func TestConcurrentSimSubmissionsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
-	d := newTestDaemon(t, Config{SimWorkers: 8, QueueCap: n + 8, CacheSize: n + 8})
+	d := newTestDaemon(t, Config{SimWorkers: 8, QueueCap: n + 8})
 	srv := httptest.NewServer(Handler(d))
 	defer srv.Close()
 	client := &http.Client{Timeout: 5 * time.Minute}
@@ -308,7 +309,7 @@ func TestConcurrentSimSubmissionsByteIdentical(t *testing.T) {
 			t.Fatalf("job %d: daemon artefact diverges from direct run", i)
 		}
 	}
-	if hits := d.CacheHits(); hits != 0 {
+	if hits := d.Stats().CacheHits; hits != 0 {
 		t.Fatalf("distinct specs produced %d cache hits", hits)
 	}
 }
@@ -511,7 +512,10 @@ func TestQueueFullSheds429(t *testing.T) {
 }
 
 // TestConcurrentHammer exercises submit/cancel/status/list concurrently —
-// run under -race in CI, it is the data-race gate on the daemon surface.
+// run under -race in CI, it is the data-race gate on the daemon surface —
+// and then checks the result cache's accounting: every submission that
+// reached the lookup is one hit or one miss, and the cache holds one entry
+// per key some run completed.
 func TestConcurrentHammer(t *testing.T) {
 	d := newTestDaemon(t, Config{SimWorkers: 4, QueueCap: 256})
 	srv := httptest.NewServer(Handler(d))
@@ -523,6 +527,7 @@ func TestConcurrentHammer(t *testing.T) {
 	if testing.Short() {
 		per = 4
 	}
+	var looked atomic.Int64 // submissions answered 200, 202 or 429
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -538,6 +543,10 @@ func TestConcurrentHammer(t *testing.T) {
 				var sub api.SubmitResult
 				json.NewDecoder(resp.Body).Decode(&sub)
 				resp.Body.Close()
+				switch resp.StatusCode {
+				case http.StatusOK, http.StatusAccepted, http.StatusTooManyRequests:
+					looked.Add(1)
+				}
 				switch {
 				case resp.StatusCode == http.StatusTooManyRequests:
 					continue
@@ -582,5 +591,51 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if st.RTMaxObserved > 1 {
 		t.Fatalf("rt overlap during hammer: %d", st.RTMaxObserved)
+	}
+	if st.CacheHits+st.CacheMisses != looked.Load() {
+		t.Fatalf("cache hits %d + misses %d != %d submissions that reached the lookup",
+			st.CacheHits, st.CacheMisses, looked.Load())
+	}
+	owned := make(map[string]bool)
+	for _, rec := range d.Store().List(store.Done) {
+		if rec.ArtefactID == rec.ID {
+			owned[rec.Key] = true
+		}
+	}
+	if st.CacheEntries != len(owned) {
+		t.Fatalf("cache entries = %d, want %d: one per key a run completed", st.CacheEntries, len(owned))
+	}
+}
+
+// TestEveryRepeatHitsBeyondOldCapacity gives more keys owners than the
+// 256 entries the result cache once held: the ledger is the cache and
+// bounds nothing of its own, so every repeat is a hit on its owner and the
+// ledger does not grow.
+func TestEveryRepeatHitsBeyondOldCapacity(t *testing.T) {
+	const n = 300
+	d := newTestDaemon(t, Config{})
+	spec := func(i int) api.Spec { return tinySpec(units.KiB + int64(i)*64) }
+	owners := make([]string, n)
+	for i := range owners {
+		c, key := mustCanon(t, spec(i))
+		owners[i] = fmt.Sprintf("job-%06d", 1001+i)
+		d.Store().Create(owners[i], key, c.Class(), c.CanonicalJSON(), store.Queued)
+		if err := d.Store().PutArtefact(owners[i], map[string][]byte{"result.json": []byte(key)}); err != nil {
+			t.Fatal(err)
+		}
+		d.Store().Finish(owners[i], store.Done, "", owners[i], "")
+	}
+	for i, owner := range owners {
+		rec, err := d.Submit(spec(i))
+		if err != nil || !rec.Cached || rec.ID != owner {
+			t.Fatalf("repeat %d = %s (cached %v), %v, want a hit on %s", i, rec.ID, rec.Cached, err, owner)
+		}
+	}
+	if got := len(d.Store().List("")); got != n {
+		t.Fatalf("repeats grew the ledger from %d to %d records", n, got)
+	}
+	if st := d.Stats(); st.CacheEntries != n || st.CacheHits != n || st.CacheMisses != 0 {
+		t.Fatalf("stats = %d entries, %d hits, %d misses; want %d, %d, 0",
+			st.CacheEntries, st.CacheHits, st.CacheMisses, n, n)
 	}
 }

@@ -4,9 +4,13 @@
 //	queued → admitted → running → done | cancelled | failed
 //
 // (recovery may send an interrupted job back to queued, or finish it from
-// the result cache; a cache hit at submission creates no record), with a
-// timestamped transition log and a monotonically increasing version the
-// progress API long-polls on.
+// another run's artefact; a cache hit at submission creates no record),
+// with a timestamped transition log and a monotonically increasing version
+// the progress API long-polls on.
+//
+// The ledger is also the result cache: the first applied done finish of a
+// job that owns its artefact makes that job the owner of its cache key
+// (Owner), live and on replay alike.
 //
 // Records and artefacts live in memory. With a root directory configured
 // they are durable too: every mutation is appended to a write-ahead log (see
@@ -85,6 +89,7 @@ type Store struct {
 	order []string // submission order, for List
 
 	artefacts map[string]map[string][]byte // job id -> file name -> bytes
+	owners    map[string]string            // cache key -> owning job id, see Owner
 
 	// Group commit (wal.go): entries written but not yet applied, in log
 	// order; the sequence numbers of the last written and the last durable
@@ -96,8 +101,6 @@ type Store struct {
 	syncing bool
 	failed  error
 	synced  *sync.Cond
-
-	publish func(key, id string) // see SetPublish
 
 	replay Replay
 }
@@ -113,7 +116,8 @@ func New(root string) (*Store, error) {
 // if present, is replayed: the returned summary tells the caller what was
 // reconstructed and which jobs a crash caught mid-flight.
 func Open(root string) (*Store, Replay, error) {
-	s := &Store{root: root, jobs: make(map[string]*Record), artefacts: make(map[string]map[string][]byte)}
+	s := &Store{root: root, jobs: make(map[string]*Record),
+		artefacts: make(map[string]map[string][]byte), owners: make(map[string]string)}
 	s.cond = sync.NewCond(&s.mu)
 	s.synced = sync.NewCond(&s.mu)
 	if root == "" {
@@ -142,16 +146,26 @@ func Open(root string) (*Store, Replay, error) {
 // Replay returns the summary of what Open reconstructed.
 func (s *Store) Replay() Replay { return s.replay }
 
-// SetPublish installs the hook the store calls, under its own lock, when it
-// applies the done finish of a job that owns its artefact: the moment that
-// done state, durable with the bytes, becomes visible. Anyone who saw the
-// job done therefore finds whatever the hook did already done. fn runs
-// under the store's lock, so it must neither block nor call the store. Set
-// it before the first Finish; replay in Open does not call it.
-func (s *Store) SetPublish(fn func(key, id string)) {
+// Owner returns a deep copy of the record owning key's artefact: the job
+// whose done finish, bytes included, was the first of that key to be
+// applied. A key gains its owner in the critical section that makes the
+// owner's done state visible, so whoever saw the owner done finds it here,
+// and an owner is always durable.
+func (s *Store) Owner(key string) (Record, bool) {
 	s.mu.Lock()
-	s.publish = fn
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	r, ok := s.jobs[s.owners[key]]
+	if !ok {
+		return Record{}, false
+	}
+	return r.clone(), true
+}
+
+// Owners returns the number of keys with an owner.
+func (s *Store) Owners() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.owners)
 }
 
 // Close makes everything written durable and releases the WAL handle. The

@@ -282,9 +282,9 @@ func (s *Store) replayWAL() (Replay, error) {
 // entry (a cancel racing a finish) cannot make them diverge. Unknown ops
 // and entries for unknown IDs are ignored (forward compatibility over
 // strictness: a ledger that loads with one record fewer beats a daemon that
-// cannot boot). Applying a done finish of a job that owns its artefact
-// calls the publish hook, in the same critical section that makes the done
-// state visible.
+// cannot boot). Applying the first done finish of a key's artefact owner
+// records it in the owner index, in the same critical section that makes
+// the done state visible.
 func (s *Store) applyLocked(e walEntry) {
 	switch e.Op {
 	case "create":
@@ -309,8 +309,8 @@ func (s *Store) applyLocked(e walEntry) {
 				s.artefacts[e.ID] = e.Files
 			}
 			s.advanceLocked(r, e.State, e.Note, e.At)
-			if e.State == Done && e.Artefact == e.ID && s.publish != nil {
-				s.publish(r.Key, e.ID)
+			if _, owned := s.owners[r.Key]; e.State == Done && e.Artefact == e.ID && !owned {
+				s.owners[r.Key] = e.ID
 			}
 		}
 	case "cached":
