@@ -11,7 +11,7 @@ import (
 // This is the property the PR 5 fast path exists for — the Go allocator is
 // no longer on the message path, just as Nemesis keeps malloc out of its.
 //
-// Sizes cover both small-message paths: ≤ FastboxBytes rides the per-pair
+// Sizes cover both small-message paths: ≤ fastboxBytes rides the per-pair
 // fastbox, larger eager sizes ride pooled envelopes through the shared
 // queue (64 KiB is the largest default-eager payload).
 func TestEagerPingPongZeroAlloc(t *testing.T) {

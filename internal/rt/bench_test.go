@@ -7,42 +7,9 @@ import (
 	"testing"
 )
 
-// BenchmarkQueue measures the lock-free MPSC queue under concurrent
-// producers (the Nemesis enqueue path).
-func BenchmarkQueue(b *testing.B) {
-	for _, producers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("producers-%d", producers), func(b *testing.B) {
-			q := NewQueue[int]()
-			var wg sync.WaitGroup
-			per := b.N / producers
-			if per == 0 {
-				per = 1
-			}
-			b.ResetTimer()
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						q.Push(i)
-					}
-				}()
-			}
-			popped := 0
-			for popped < per*producers {
-				if _, ok := q.Pop(); ok {
-					popped++
-				}
-			}
-			wg.Wait()
-		})
-	}
-}
-
 // BenchmarkMsgQueue measures the intrusive envelope queue in its real
 // usage pattern: envelopes cycle between each producer's free pool and the
-// consumer's receive queue, allocation-free (compare BenchmarkQueue, whose
-// generic variant allocates a node per push).
+// consumer's receive queue, allocation-free.
 func BenchmarkMsgQueue(b *testing.B) {
 	for _, producers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("producers-%d", producers), func(b *testing.B) {

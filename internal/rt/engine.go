@@ -26,11 +26,6 @@ func init() {
 				return nil, err
 			}
 			cfg := Config{Large: mode, RndvThreshold: int(spec.EagerMax)}
-			if cfg.RndvThreshold > defaultCellBytes {
-				// withDefaults clamps the threshold to the cell size, so
-				// an above-default EagerMax must grow the cells with it.
-				cfg.CellBytes = cfg.RndvThreshold
-			}
 			pl, err := spec.Place(spec.Ranks)
 			if err != nil {
 				return nil, err

@@ -8,53 +8,56 @@ import (
 	"knemesis/internal/comm"
 )
 
-// Config.withDefaults boundary behaviour: zero fields take the documented
-// defaults, the rendezvous threshold is clamped to the cell size, and
-// explicit values survive.
+// NewWorld's derivations at the boundaries: a zero threshold takes the
+// 64 KiB default, the cells are max(64 KiB, threshold), the copier pool is
+// max(1, NumCPU/4) and the sender copy is on exactly when GOMAXPROCS > 1.
 func TestConfigWithDefaults(t *testing.T) {
 	const k64 = 64 * 1024
 	cases := []struct {
-		name              string
-		in                Config
-		wantThresh        int
-		wantCells         int
-		wantCopiersAtMin1 bool // Copiers derived from NumCPU (>= 1)
+		name       string
+		in         Config
+		wantThresh int
+		wantCells  int
 	}{
-		{"all-zero", Config{}, k64, k64, true},
-		{"threshold-below-cell", Config{RndvThreshold: 1024}, 1024, k64, true},
-		{"threshold-at-cell", Config{RndvThreshold: k64}, k64, k64, true},
-		{"threshold-above-cell-clamps", Config{RndvThreshold: 2 * k64}, k64, k64, true},
-		{"custom-cell-raises-clamp", Config{RndvThreshold: 2 * k64, CellBytes: 4 * k64}, 2 * k64, 4 * k64, true},
-		{"tiny-cell-clamps-threshold", Config{RndvThreshold: 512, CellBytes: 256}, 256, 256, true},
-		{"explicit-copiers", Config{Copiers: 7}, k64, k64, false},
+		{"all-zero", Config{}, k64, k64},
+		{"threshold-below-cell", Config{RndvThreshold: 1024}, 1024, k64},
+		{"threshold-at-cell", Config{RndvThreshold: k64}, k64, k64},
+		{"threshold-above-64KiB-grows-cells", Config{RndvThreshold: 2 * k64}, 2 * k64, 2 * k64},
+		{"negative-threshold-keeps-default-cells", Config{RndvThreshold: -1}, -1, k64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.in.withDefaults()
-			if got.RndvThreshold != tc.wantThresh {
-				t.Errorf("RndvThreshold = %d, want %d", got.RndvThreshold, tc.wantThresh)
+			w := NewWorld(2, tc.in)
+			defer w.Close()
+			if w.cfg.RndvThreshold != tc.wantThresh {
+				t.Errorf("RndvThreshold = %d, want %d", w.cfg.RndvThreshold, tc.wantThresh)
 			}
-			if got.CellBytes != tc.wantCells {
-				t.Errorf("CellBytes = %d, want %d", got.CellBytes, tc.wantCells)
+			if w.cellBytes != tc.wantCells {
+				t.Errorf("cellBytes = %d, want %d", w.cellBytes, tc.wantCells)
 			}
-			if tc.wantCopiersAtMin1 {
-				want := runtime.NumCPU() / 4
-				if want < 1 {
-					want = 1
-				}
-				if got.Copiers != want {
-					t.Errorf("Copiers = %d, want %d", got.Copiers, want)
-				}
-			} else if got.Copiers != tc.in.Copiers {
-				t.Errorf("Copiers = %d, want explicit %d", got.Copiers, tc.in.Copiers)
+			if want := max(1, runtime.NumCPU()/4); w.copiers != want {
+				t.Errorf("copiers = %d, want %d", w.copiers, want)
+			}
+			if want := runtime.GOMAXPROCS(0) > 1; w.senderCopy != want {
+				t.Errorf("senderCopy = %v at GOMAXPROCS=%d", w.senderCopy, runtime.GOMAXPROCS(0))
 			}
 		})
 	}
 }
 
-// The threshold actually routes messages: at the clamped boundary a
-// message of exactly the threshold stays eager, one byte more goes
-// rendezvous.
+// On a single P a helping rendezvous sender would only steal the processor
+// from the receiver doing the copy, so a world built there leaves it off.
+func TestSenderCopyOffOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := NewWorld(2, Config{})
+	defer w.Close()
+	if w.senderCopy {
+		t.Error("a world built at GOMAXPROCS=1 has the sender copy on")
+	}
+}
+
+// The threshold actually routes messages: a message of exactly the
+// threshold stays eager, one byte more goes rendezvous.
 func TestThresholdBoundaryRouting(t *testing.T) {
 	const thresh = 4096
 	w := NewWorld(2, Config{RndvThreshold: thresh, Large: SingleCopy})
@@ -77,8 +80,7 @@ func TestThresholdBoundaryRouting(t *testing.T) {
 }
 
 // An above-default JobSpec.EagerMax must actually route above-default
-// messages eagerly (the engine grows the cell size with the threshold;
-// without that, withDefaults would silently clamp it back to 64 KiB).
+// messages eagerly: the world grows its cells with the threshold.
 func TestEngineHonoursLargeEagerMax(t *testing.T) {
 	job, err := comm.NewJob("rt", comm.JobSpec{Ranks: 2, RTMode: "single-copy", EagerMax: 256 * 1024})
 	if err != nil {

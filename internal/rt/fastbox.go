@@ -2,11 +2,10 @@ package rt
 
 import "sync/atomic"
 
-// defaultFastboxBytes is the largest message the per-pair fastboxes carry
-// when the Config leaves FastboxBytes zero. Small, like the paper's
-// fastboxes: the win is skipping the shared queue and the envelope for the
-// latency-critical sizes, not moving bulk data.
-const defaultFastboxBytes = 1024
+// fastboxBytes is the largest message the per-pair fastboxes carry. Small,
+// like the paper's fastboxes: the win is skipping the shared queue and the
+// envelope for the latency-critical sizes, not moving bulk data.
+const fastboxBytes = 1024
 
 // fastbox is a single-slot mailbox for one ordered (sender, receiver)
 // pair, the rt analogue of Nemesis' cache-line-sized fastboxes. state is a

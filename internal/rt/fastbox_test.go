@@ -2,6 +2,7 @@ package rt
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -57,44 +58,37 @@ func TestFastboxOverflowFallsBackToQueueInOrder(t *testing.T) {
 	}
 }
 
-// With fastboxes disabled every eager message must take the shared queue;
-// with them enabled, a lock-step ping-pong should use them for every
-// message (the slot is always free when the sender arrives).
+// A lock-step ping-pong uses the fastbox for every message: the slot is
+// always free when the sender arrives.
 func TestFastboxConfigKnob(t *testing.T) {
-	run := func(cfg Config) *World {
-		w := NewWorld(2, cfg)
-		err := w.Run(func(r *Rank) {
-			buf := make([]byte, 128)
-			for i := 0; i < 10; i++ {
-				if r.ID() == 0 {
-					r.Send(1, 0, buf)
-					r.Recv(1, 0, buf)
-				} else {
-					r.Recv(0, 0, buf)
-					r.Send(0, 0, buf)
-				}
+	w := NewWorld(2, Config{})
+	err := w.Run(func(r *Rank) {
+		buf := make([]byte, 128)
+		for i := 0; i < 10; i++ {
+			if r.ID() == 0 {
+				r.Send(1, 0, buf)
+				r.Recv(1, 0, buf)
+			} else {
+				r.Recv(0, 0, buf)
+				r.Send(0, 0, buf)
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		return w
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w := run(Config{FastboxBytes: -1}); w.FastboxMsgs.Load() != 0 {
-		t.Errorf("disabled fastboxes still carried %d messages", w.FastboxMsgs.Load())
-	}
-	if w := run(Config{}); w.FastboxMsgs.Load() != 20 {
-		t.Errorf("lock-step ping-pong used the fastbox for %d of 20 messages", w.FastboxMsgs.Load())
+	if n := w.FastboxMsgs.Load(); n != 20 {
+		t.Errorf("lock-step ping-pong used the fastbox for %d of 20 messages", n)
 	}
 }
 
-// The envelope pool must only ever hold exactly-CellBytes cells: transient
+// The envelope pool must only ever hold exactly-cellBytes cells: transient
 // oversized buffers (unexpected stream reassembly) are dropped at release,
 // never pooled — the fix for the seed's cell-pool pollution, enforced
 // structurally and checked here.
 func TestEnvelopePoolKeepsOnlyCellSizedBuffers(t *testing.T) {
-	const cell = 4096
-	w := NewWorld(2, Config{Large: Eager, CellBytes: cell, RndvThreshold: cell})
+	const cell = defaultCellBytes
+	w := NewWorld(2, Config{Large: Eager})
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 0, pattern(1, 10*cell)) // streamed oversized eager
@@ -127,15 +121,20 @@ func TestEnvelopePoolKeepsOnlyCellSizedBuffers(t *testing.T) {
 	}
 }
 
-// Forced dual-copy (SenderCopy=1 regardless of GOMAXPROCS): the waiting
-// sender claims chunks alongside the receiver; the transfer must stay
-// intact for single transfers and concurrent same-pair transfers.
+// Forced dual-copy (a world built with two Ps, whatever GOMAXPROCS the
+// test runs at): the waiting sender claims chunks alongside the receiver;
+// the transfer must stay intact for single transfers and concurrent
+// same-pair transfers.
 func TestDualCopyRendezvousForced(t *testing.T) {
 	for _, mode := range []LargeMode{SingleCopy, Offload} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			const n = 3 * 1024 * 1024
-			w := NewWorld(2, Config{Large: mode, SenderCopy: 1, CellBytes: 64 * 1024})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+			w := NewWorld(2, Config{Large: mode})
+			if !w.senderCopy {
+				t.Error("a world built at GOMAXPROCS=2 has the sender copy off")
+			}
 			err := w.Run(func(r *Rank) {
 				if r.ID() == 0 {
 					r.Send(1, 0, pattern(1, n))
@@ -217,25 +216,26 @@ func TestRecycledRequestStatusCleared(t *testing.T) {
 // Oversized eager messages that arrive unexpected reassemble fully and are
 // then matchable by exact and wildcard receives in arrival order.
 func TestOversizedEagerUnexpectedAndWildcard(t *testing.T) {
-	const cell = 8192
-	w := NewWorld(2, Config{Large: Eager, CellBytes: cell, RndvThreshold: cell})
+	const cell = defaultCellBytes
+	const n7, n8 = 25 * cell / 2, 25 * cell / 4 // 12.5 and 6.25 cells
+	w := NewWorld(2, Config{Large: Eager})
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			r.Send(1, 7, pattern(7, 100*1024))
-			r.Send(1, 8, pattern(8, 50*1024))
+			r.Send(1, 7, pattern(7, n7))
+			r.Send(1, 8, pattern(8, n8))
 			r.Send(1, 9, nil) // handshake: everything above is in flight
 		} else {
 			r.Recv(0, 9, nil) // drains the streams into the unexpected queue
-			buf := make([]byte, 100*1024)
+			buf := make([]byte, n7)
 			st := r.Recv(AnySource, AnyTag, buf)
-			if st.Tag != 7 || st.N != 100*1024 {
+			if st.Tag != 7 || st.N != n7 {
 				t.Fatalf("wildcard got %+v, want the first-arrived tag-7 stream", st)
 			}
 			if !bytes.Equal(buf[:st.N], pattern(7, st.N)) {
 				t.Error("tag-7 stream corrupted")
 			}
-			st = r.Recv(0, 8, buf[:50*1024])
-			if st.N != 50*1024 || !bytes.Equal(buf[:st.N], pattern(8, st.N)) {
+			st = r.Recv(0, 8, buf[:n8])
+			if st.N != n8 || !bytes.Equal(buf[:st.N], pattern(8, st.N)) {
 				t.Errorf("tag-8 stream corrupted (status %+v)", st)
 			}
 		}
@@ -249,9 +249,8 @@ func TestOversizedEagerUnexpectedAndWildcard(t *testing.T) {
 // over the stream mid-flight: the sender's cell window throttles it after
 // streamWindow segments, so the receiver provably matches an open stream.
 func TestOversizedEagerMatchedMidStream(t *testing.T) {
-	const cell = 4096
-	const n = 40 * cell // far beyond streamWindow cells
-	w := NewWorld(2, Config{Large: Eager, CellBytes: cell, RndvThreshold: cell})
+	const n = 40 * defaultCellBytes // far beyond streamWindow cells
+	w := NewWorld(2, Config{Large: Eager})
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 3, pattern(3, n))

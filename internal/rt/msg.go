@@ -8,7 +8,7 @@ const (
 	// mEager is a complete eager payload carried in the envelope's cell.
 	mEager msgKind = iota
 	// mEagerHead opens a cell-streamed oversized eager message (Eager
-	// mode): this envelope carries the first CellBytes segment and the
+	// mode): this envelope carries the first cell-sized segment and the
 	// total length; mEagerCont envelopes carry the rest. The paper's
 	// double-buffering path: large transfers pipelined through fixed
 	// cells instead of one transient full-size buffer.
@@ -34,7 +34,7 @@ type message struct {
 	seg  int    // payload bytes carried by this envelope
 	seq  uint64 // per-(src,dst) sequence, merges fastbox and queue FIFO
 
-	cell []byte // envelope-owned pooled storage, cap exactly CellBytes
+	cell []byte // envelope-owned pooled storage, cap exactly World.cellBytes
 	data []byte // payload view: cell[:seg], or a transient oversized buffer
 	rv   *rendezvous
 
@@ -59,9 +59,9 @@ func (r *Rank) getMsg() *message {
 }
 
 // cellBuf returns the envelope's cell, allocating it on first use. Cells
-// are always exactly CellBytes: oversized payloads never enter the pool
-// (they ride in message.data and are dropped by release), so recycling
-// cannot bloat it.
+// are always exactly World.cellBytes: oversized payloads never enter the
+// pool (they ride in message.data and are dropped by release), so
+// recycling cannot bloat it.
 func (m *message) cellBuf(cellBytes int) []byte {
 	if cap(m.cell) < cellBytes {
 		m.cell = make([]byte, cellBytes)

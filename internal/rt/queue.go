@@ -16,83 +16,11 @@ package rt
 
 import "sync/atomic"
 
-// qnode is a queue node of the generic queue. Nodes are heap-allocated per
-// push; the envelope path uses the intrusive msgQueue below instead.
-type qnode[T any] struct {
-	next  atomic.Pointer[qnode[T]]
-	value T
-}
-
-// Queue is an intrusive MPSC queue (Vyukov's algorithm, the same shape as
-// the Nemesis lock-free queue): Push is wait-free for any number of
-// producers; Pop must be called by a single consumer.
-type Queue[T any] struct {
-	head atomic.Pointer[qnode[T]] // producers swap the head
-	tail *qnode[T]                // consumer-owned
-	stub qnode[T]
-}
-
-// NewQueue returns an empty queue.
-func NewQueue[T any]() *Queue[T] {
-	q := &Queue[T]{}
-	q.head.Store(&q.stub)
-	q.tail = &q.stub
-	return q
-}
-
-// Push enqueues v. Safe for concurrent producers.
-func (q *Queue[T]) Push(v T) {
-	n := &qnode[T]{value: v}
-	prev := q.head.Swap(n)
-	prev.next.Store(n)
-}
-
-// Pop dequeues the oldest value. Single consumer only. It returns false
-// when the queue is observably empty (a concurrent Push may be mid-flight;
-// callers poll or park, exactly like a Nemesis progress loop).
-func (q *Queue[T]) Pop() (T, bool) {
-	var zero T
-	tail := q.tail
-	next := tail.next.Load()
-	if tail == &q.stub {
-		if next == nil {
-			return zero, false
-		}
-		q.tail = next
-		tail = next
-		next = tail.next.Load()
-	}
-	if next != nil {
-		q.tail = next
-		v := tail.value
-		tail.value = zero // release payload references
-		return v, true
-	}
-	// tail is the last visible node: re-push the stub to detect the end.
-	if q.head.Load() != tail {
-		return zero, false // a push is in flight; try again later
-	}
-	q.stub.next.Store(nil)
-	prev := q.head.Swap(&q.stub)
-	prev.next.Store(&q.stub)
-	next = tail.next.Load()
-	if next != nil {
-		q.tail = next
-		v := tail.value
-		tail.value = zero
-		return v, true
-	}
-	return zero, false
-}
-
-// Empty reports whether the queue appears empty to the consumer.
-func (q *Queue[T]) Empty() bool {
-	return q.tail == &q.stub && q.tail.next.Load() == nil && q.head.Load() == q.tail
-}
-
-// msgQueue is the intrusive variant of Queue specialized to message
-// envelopes: the MPSC link lives inside the message itself (message.qnext),
-// so Push allocates nothing — the property Nemesis gets from placing queue
+// msgQueue is an intrusive MPSC queue of message envelopes (Vyukov's
+// algorithm, the same shape as the Nemesis lock-free queue): Push is
+// wait-free for any number of producers; Pop must be called by a single
+// consumer. The link lives inside the message itself (message.qnext), so
+// Push allocates nothing — the property Nemesis gets from placing queue
 // links in its shared-memory cells. The same link threads a rank's envelope
 // free pool, because an envelope is never in both queues at once.
 type msgQueue struct {
@@ -116,7 +44,8 @@ func (q *msgQueue) Push(m *message) {
 }
 
 // Pop dequeues the oldest envelope, or nil when the queue is observably
-// empty. Single consumer only. Unlike the generic queue, the returned node
+// empty (a concurrent Push may be mid-flight; callers poll or park, exactly
+// like a Nemesis progress loop). Single consumer only. The returned node
 // leaves the queue entirely (the embedded stub is re-pushed to close the
 // tail), so the envelope is immediately reusable.
 func (q *msgQueue) Pop() *message {

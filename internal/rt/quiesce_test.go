@@ -87,7 +87,7 @@ func TestQuiesceAfterCancelledRun(t *testing.T) {
 // every envelope.
 func TestQuiesceReclaimsPendingUnexpected(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	w := NewWorld(2, Config{Large: Eager, RndvThreshold: 8 * 1024, CellBytes: 8 * 1024})
+	w := NewWorld(2, Config{Large: Eager})
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	err := w.RunCtx(ctx, func(r *Rank) {
@@ -98,8 +98,8 @@ func TestQuiesceReclaimsPendingUnexpected(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				r.Send(1, 3, make([]byte, 512))
 			}
-			r.Send(1, 4, make([]byte, 64*1024)) // streams through 8 cells
-			r.Recv(1, 9, make([]byte, 16))      // never sent: park
+			r.Send(1, 4, make([]byte, 8*defaultCellBytes)) // streams through 8 cells
+			r.Recv(1, 9, make([]byte, 16))                 // never sent: park
 		case 1:
 			// Sink one message so rank 1 has drained some arrivals into its
 			// unexpected queue, then park without posting the rest.

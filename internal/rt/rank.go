@@ -109,10 +109,8 @@ func newRank(w *World, rank, n int) *Rank {
 	r.q.init()
 	r.freeq.init()
 	r.inbox = make([]fastbox, n)
-	if fb := w.cfg.FastboxBytes; fb > 0 {
-		for i := range r.inbox {
-			r.inbox[i].data = make([]byte, fb)
-		}
+	for i := range r.inbox {
+		r.inbox[i].data = make([]byte, fastboxBytes)
 	}
 	r.sendSeq = make([]uint64, n)
 	r.recvSeq = make([]uint64, n)
@@ -244,7 +242,7 @@ func (r *Rank) hasPending() bool {
 func (r *Rank) park(req *Request) {
 	r.sleeping.Store(true)
 	if r.hasPending() || req.completed() ||
-		(r.w.cfg.SenderCopy > 0 && req.rv != nil && req.isSend && req.rv.helpRemaining()) {
+		(r.w.senderCopy && req.rv != nil && req.isSend && req.rv.helpRemaining()) {
 		r.sleeping.Store(false)
 		return
 	}
@@ -315,7 +313,7 @@ func (r *Rank) pollFastbox(src int) bool {
 	}
 	m := r.getMsg()
 	m.kind, m.src, m.tag, m.n, m.seg = mEager, src, tag, n, n
-	cell := m.cellBuf(r.w.cfg.CellBytes)
+	cell := m.cellBuf(r.w.cellBytes)
 	copy(cell[:n], fb.data[:n])
 	fb.state.Store(st + 1)
 	m.data = cell[:n]
@@ -368,7 +366,7 @@ func (r *Rank) dispatch(m *message) {
 // addUnexpected registers an arrival with no posted match. An oversized
 // stream head grows a transient full-size buffer that the continuation
 // segments fill; it is dropped at delivery (release never pools it), so
-// the cell pool only ever holds exactly-CellBytes cells.
+// the cell pool only ever holds exactly-cellBytes cells.
 func (r *Rank) addUnexpected(m *message) {
 	if m.kind == mEagerHead {
 		buf := make([]byte, m.n)
@@ -434,7 +432,7 @@ func (r *Rank) deliver(m *message, req *Request) {
 		if r.w.cfg.Large == Offload {
 			// Fan the chunk schedule out to the copier pool; completion
 			// wakes both sides, and the receiver is free to overlap.
-			jobs := int64(r.w.cfg.Copiers)
+			jobs := int64(r.w.copiers)
 			if jobs > rv.nchunks {
 				jobs = rv.nchunks
 			}
@@ -482,7 +480,7 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 		r.w.EagerMsgs.Add(1)
 		r.w.BytesMoved.Add(int64(len(buf)))
 		seq := r.sendSeq[dst]
-		if !cross && cfg.FastboxBytes > 0 && len(buf) <= cfg.FastboxBytes &&
+		if !cross && len(buf) <= fastboxBytes &&
 			target.inbox[r.rank].trySend(seq, tag, buf) {
 			r.sendSeq[dst] = seq + 1
 			r.w.FastboxMsgs.Add(1)
@@ -490,10 +488,10 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 			req.ready.Store(true)
 			return req
 		}
-		if len(buf) <= cfg.CellBytes {
+		if len(buf) <= r.w.cellBytes {
 			m := r.getMsg()
 			m.kind, m.src, m.tag, m.n, m.seg, m.seq = mEager, r.rank, tag, len(buf), len(buf), seq
-			cell := m.cellBuf(cfg.CellBytes)
+			cell := m.cellBuf(r.w.cellBytes)
 			copy(cell[:len(buf)], buf)
 			m.data = cell[:len(buf)]
 			r.sendSeq[dst] = seq + 1
@@ -513,10 +511,7 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 		kind := mEagerHead
 		window := streamWindow
 		for off := 0; off < len(buf); {
-			seg := len(buf) - off
-			if seg > cfg.CellBytes {
-				seg = cfg.CellBytes
-			}
+			seg := min(len(buf)-off, r.w.cellBytes)
 			m := r.freeq.Pop()
 			if m == nil {
 				if window > 0 {
@@ -535,7 +530,7 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 			m.kind, m.src, m.tag, m.n, m.seg = kind, r.rank, tag, len(buf), seg
 			m.seq = r.sendSeq[dst]
 			r.sendSeq[dst]++
-			cell := m.cellBuf(cfg.CellBytes)
+			cell := m.cellBuf(r.w.cellBytes)
 			copy(cell[:seg], buf[off:off+seg])
 			m.data = cell[:seg]
 			target.push(m)
@@ -615,7 +610,7 @@ func (r *Rank) Wait(req *Request) Status {
 			// A rendezvous waiter either claims chunks (dual-copy on)
 			// or parks outright: yield-spinning would only steal the
 			// processor from whoever is doing the copy.
-			if r.w.cfg.SenderCopy > 0 && req.isSend && rv.helpRemaining() {
+			if r.w.senderCopy && req.isSend && rv.helpRemaining() {
 				rv.claimCopy()
 				spins = 0
 				continue

@@ -5,7 +5,7 @@ import "sync/atomic"
 // rendezvous describes one large transfer. Because ranks share the address
 // space, copiers move data straight from the sender's buffer to the
 // receiver's — the single-copy transfer the paper needs a kernel module
-// for. The copy is pipelined: the transfer is split into CellBytes chunks
+// for. The copy is pipelined: the transfer is split into cell-multiple chunks
 // claimed through an atomic cursor, so the receiver, the sender (which
 // helps while it waits — the dual-copy that doubles bandwidth when both
 // sides have a core) and any offload copiers work on disjoint chunks
@@ -33,7 +33,7 @@ const rvChunkCells = 4
 // zero-byte transfer gets one (empty) chunk: completion is signalled by
 // the claimer that finishes the last chunk, so there must be at least one.
 func newRendezvous(w *World, sender, receiver int, buf []byte) *rendezvous {
-	chunk := int64(w.cfg.CellBytes) * rvChunkCells
+	chunk := int64(w.cellBytes) * rvChunkCells
 	nchunks := (int64(len(buf)) + chunk - 1) / chunk
 	if nchunks == 0 {
 		nchunks = 1
@@ -51,7 +51,7 @@ func newRendezvous(w *World, sender, receiver int, buf []byte) *rendezvous {
 func (rv *rendezvous) publishCTS(dst []byte) {
 	rv.dst = dst
 	rv.cts.Store(true)
-	if rv.world.cfg.SenderCopy > 0 {
+	if rv.world.senderCopy {
 		rv.world.ranks[rv.sender].wakeUp()
 	}
 }

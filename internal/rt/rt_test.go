@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -55,29 +55,39 @@ func pattern(seed, n int) []byte {
 	return b
 }
 
+// msgQueue is the MPSC queue every rank's receive queue and envelope pool
+// run on. Drained sequentially it is FIFO, and a drained queue is empty
+// and reusable (Pop re-pushes the stub to close the tail).
 func TestQueueSequential(t *testing.T) {
-	q := NewQueue[int]()
-	if _, ok := q.Pop(); ok {
-		t.Fatal("empty queue popped a value")
+	q := &msgQueue{}
+	q.init()
+	if m := q.Pop(); m != nil {
+		t.Fatal("empty queue popped an envelope")
 	}
-	for i := 0; i < 100; i++ {
-		q.Push(i)
-	}
-	for i := 0; i < 100; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = (%d,%v)", i, v, ok)
+	for round := 0; round < 2; round++ {
+		msgs := make([]*message, 100)
+		for i := range msgs {
+			msgs[i] = &message{seq: uint64(i)}
+			q.Push(msgs[i])
 		}
-	}
-	if !q.Empty() {
-		t.Fatal("queue not empty after draining")
+		for i, want := range msgs {
+			if m := q.Pop(); m != want {
+				t.Fatalf("round %d pop %d = %v, want seq %d", round, i, m, i)
+			}
+		}
+		if !q.Empty() || q.Pop() != nil {
+			t.Fatalf("round %d: queue not empty after draining", round)
+		}
 	}
 }
 
+// Eight producers push concurrently: the single consumer sees every
+// envelope exactly once and each producer's envelopes in push order.
 func TestQueueConcurrentProducers(t *testing.T) {
 	const producers = 8
 	const perProducer = 10000
-	q := NewQueue[int]()
+	q := &msgQueue{}
+	q.init()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		p := p
@@ -85,46 +95,31 @@ func TestQueueConcurrentProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				q.Push(p*perProducer + i)
+				q.Push(&message{src: p, seq: uint64(i)})
 			}
 		}()
 	}
-	seen := make([]bool, producers*perProducer)
-	lastPer := make([]int, producers) // per-producer FIFO check
-	for i := range lastPer {
-		lastPer[i] = -1
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	count := 0
-	for count < producers*perProducer {
-		v, ok := q.Pop()
-		if !ok {
-			select {
-			case <-done:
-				// producers finished; drain what remains
-				if v2, ok2 := q.Pop(); ok2 {
-					v, ok = v2, true
-				} else if count < producers*perProducer {
-					continue
-				}
-			default:
-				continue
-			}
-		}
-		if !ok {
+	seen := make(map[*message]bool, producers*perProducer)
+	next := make([]uint64, producers) // per-producer FIFO check
+	for count := 0; count < producers*perProducer; {
+		m := q.Pop()
+		if m == nil {
+			runtime.Gosched() // empty, or a push is mid-flight
 			continue
 		}
-		if seen[v] {
-			t.Fatalf("value %d popped twice", v)
+		if seen[m] {
+			t.Fatalf("envelope (%d, %d) popped twice", m.src, m.seq)
 		}
-		seen[v] = true
-		p, i := v/perProducer, v%perProducer
-		if i <= lastPer[p] {
-			t.Fatalf("producer %d out of order: %d after %d", p, i, lastPer[p])
+		seen[m] = true
+		if m.seq != next[m.src] {
+			t.Fatalf("producer %d out of order: %d, want %d", m.src, m.seq, next[m.src])
 		}
-		lastPer[p] = i
+		next[m.src]++
 		count++
+	}
+	wg.Wait()
+	if m := q.Pop(); m != nil {
+		t.Fatalf("extra envelope (%d, %d) after all pushes were popped", m.src, m.seq)
 	}
 }
 

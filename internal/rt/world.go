@@ -22,7 +22,7 @@ const (
 	SingleCopy LargeMode = iota
 	// Eager forces every message through the two-copy cell path (the
 	// baseline double-buffering analogue); oversized messages are
-	// pipelined through CellBytes segments.
+	// pipelined through cell-sized segments.
 	Eager
 	// Offload performs rendezvous with the chunked copy executed by the
 	// copier pool, freeing the receiver to overlap — the asynchronous
@@ -47,25 +47,11 @@ func (m LargeMode) String() string {
 // Config tunes a World.
 type Config struct {
 	// RndvThreshold is the eager/rendezvous switch (default 64 KiB).
+	// The eager cells grow with it: they are max(64 KiB, RndvThreshold).
 	RndvThreshold int
 	// Large selects the rendezvous strategy; the zero value is
 	// SingleCopy.
 	Large LargeMode
-	// Copiers sizes the offload worker pool (default NumCPU/4, min 1).
-	Copiers int
-	// CellBytes sizes eager copy cells and rendezvous copy chunks
-	// (default 64 KiB).
-	CellBytes int
-	// FastboxBytes caps the per-pair single-slot fastbox payload
-	// (default 1 KiB, clamped to CellBytes; negative disables the
-	// fastboxes so every message takes the shared queue).
-	FastboxBytes int
-	// SenderCopy controls the dual-copy half of the pipelined
-	// rendezvous — a waiting sender claiming chunks alongside the
-	// receiver: 0 resolves to 1 when GOMAXPROCS > 1 and to -1 on a
-	// single-P runtime (where the "help" is pure scheduling
-	// interference), 1 forces it on, -1 forces it off.
-	SenderCopy int
 	// NodeOf maps each rank to its cluster node (nil or empty = one
 	// node). Cross-node pairs model a network path: the per-pair
 	// fastboxes and the single-copy rendezvous are shared-memory fast
@@ -85,50 +71,20 @@ type Config struct {
 	CrossDelay func(bytes int) time.Duration
 }
 
-// defaultCellBytes sizes eager copy cells (and so the default rendezvous
-// threshold) when the Config leaves them zero.
+// defaultCellBytes is the smallest eager copy cell, and so the default
+// rendezvous threshold.
 const defaultCellBytes = 64 * 1024
-
-func (c Config) withDefaults() Config {
-	if c.RndvThreshold == 0 {
-		c.RndvThreshold = defaultCellBytes
-	}
-	if c.CellBytes == 0 {
-		c.CellBytes = defaultCellBytes
-	}
-	if c.RndvThreshold > c.CellBytes {
-		c.RndvThreshold = c.CellBytes
-	}
-	switch {
-	case c.FastboxBytes == 0:
-		c.FastboxBytes = defaultFastboxBytes
-	case c.FastboxBytes < 0:
-		c.FastboxBytes = 0 // disabled
-	}
-	if c.FastboxBytes > c.CellBytes {
-		c.FastboxBytes = c.CellBytes
-	}
-	if c.SenderCopy == 0 {
-		if runtime.GOMAXPROCS(0) > 1 {
-			c.SenderCopy = 1
-		} else {
-			c.SenderCopy = -1
-		}
-	}
-	if c.Copiers == 0 {
-		c.Copiers = runtime.NumCPU() / 4
-		if c.Copiers < 1 {
-			c.Copiers = 1
-		}
-	}
-	return c
-}
 
 // World is one job of n ranks.
 type World struct {
 	cfg   Config
 	ranks []*Rank
 	start time.Time // wall-clock base for the engine-neutral Clock
+
+	// Derived by NewWorld from the threshold and the host, not configured.
+	cellBytes  int  // eager cell capacity: max(64 KiB, RndvThreshold)
+	copiers    int  // offload pool width: max(1, NumCPU/4)
+	senderCopy bool // a waiting rendezvous sender claims chunks: GOMAXPROCS > 1
 
 	copyq   chan copyJob
 	copyWG  sync.WaitGroup
@@ -152,7 +108,11 @@ type copyJob struct {
 	rv *rendezvous
 }
 
-// NewWorld creates a world of n ranks.
+// NewWorld creates a world of n ranks. It derives the cell size from the
+// threshold, so an eager message of any threshold fits one cell; the
+// copier pool from the core count; and the sender's rendezvous copy from
+// GOMAXPROCS, because on a single P a helping sender only steals the
+// processor from the receiver doing the copy.
 func NewWorld(n int, cfg Config) *World {
 	if n <= 0 {
 		panic("rt: world needs at least one rank")
@@ -160,13 +120,19 @@ func NewWorld(n int, cfg Config) *World {
 	if len(cfg.NodeOf) > 0 && len(cfg.NodeOf) != n {
 		panic(fmt.Sprintf("rt: NodeOf has %d entries for %d ranks", len(cfg.NodeOf), n))
 	}
-	cfg = cfg.withDefaults()
+	if cfg.RndvThreshold == 0 {
+		cfg.RndvThreshold = defaultCellBytes
+	}
 	w := &World{cfg: cfg, copyq: make(chan copyJob, 128),
-		cancelc: make(chan struct{}), start: time.Now()}
+		cancelc: make(chan struct{}), start: time.Now(),
+		cellBytes:  max(defaultCellBytes, cfg.RndvThreshold),
+		copiers:    max(1, runtime.NumCPU()/4),
+		senderCopy: runtime.GOMAXPROCS(0) > 1,
+	}
 	for r := 0; r < n; r++ {
 		w.ranks = append(w.ranks, newRank(w, r, n))
 	}
-	for i := 0; i < cfg.Copiers; i++ {
+	for i := 0; i < w.copiers; i++ {
 		w.copyWG.Add(1)
 		go w.copier()
 	}

@@ -15,7 +15,8 @@ import (
 // it, so a record is never done without its bytes. Open replays the log to
 // rebuild ledger and artefacts; a torn final line (the crash landed
 // mid-append) is detected, dropped and truncated away so the next append
-// starts on a clean record boundary.
+// starts on a clean record boundary. A bad line before the last valid one
+// is corruption, not a tear: Open fails and truncates nothing.
 //
 // Written is not applied. A mutation first writes its entry under the
 // ledger mutex (stamp, marshal, write(2), the next log sequence number);
@@ -213,7 +214,10 @@ func (s *Store) stateLocked(id string) (State, bool) {
 }
 
 // replayWAL reads root/wal.jsonl, applies every valid entry to the empty
-// store and truncates a torn tail. Returns the replay summary.
+// store and truncates a torn tail: an unterminated last line, or a bad line
+// with no valid entry after it. A bad line followed by a valid entry is an
+// error that names the entry and its byte offset, and the file is left
+// untouched. Returns the replay summary.
 func (s *Store) replayWAL() (Replay, error) {
 	var rep Replay
 	path := filepath.Join(s.root, walFile)
@@ -225,7 +229,7 @@ func (s *Store) replayWAL() (Replay, error) {
 	}
 
 	good := 0 // byte offset of the end of the last valid line
-	for off := 0; off < len(buf); {
+	for off, n := 0, 1; off < len(buf); n++ {
 		nl := bytes.IndexByte(buf[off:], '\n')
 		if nl < 0 {
 			rep.TornTail = true // no terminator: the append was cut mid-line
@@ -235,8 +239,13 @@ func (s *Store) replayWAL() (Replay, error) {
 		var e walEntry
 		if len(bytes.TrimSpace(line)) != 0 {
 			if err := json.Unmarshal(line, &e); err != nil {
-				// An unparseable line and everything after it is
-				// unreliable; recover the valid prefix.
+				// A crash cuts only the last append. A bad line with a
+				// valid entry after it is corruption, not a torn tail:
+				// truncating would drop acknowledged entries, so refuse
+				// to open and leave the file as it is.
+				if validEntryIn(buf[off+nl+1:]) {
+					return rep, fmt.Errorf("store: wal entry %d at byte %d is corrupt and valid entries follow it: %w", n, off, err)
+				}
 				rep.TornTail = true
 				break
 			}
@@ -273,6 +282,17 @@ func (s *Store) replayWAL() (Replay, error) {
 		}
 	}
 	return rep, nil
+}
+
+// validEntryIn reports whether any line of buf parses as a WAL entry.
+func validEntryIn(buf []byte) bool {
+	for _, line := range bytes.Split(buf, []byte{'\n'}) {
+		var e walEntry
+		if len(bytes.TrimSpace(line)) != 0 && json.Unmarshal(line, &e) == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // applyLocked applies one WAL entry to the in-memory ledger, using the

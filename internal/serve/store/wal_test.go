@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -164,6 +166,69 @@ func TestWALTornTailTruncatedAndRecovered(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep2.Interrupted, []string{"job-000004"}) {
 		t.Fatalf("interrupted = %v", rep2.Interrupted)
+	}
+}
+
+// A bad line with valid entries after it is corruption, not a torn tail:
+// Open must refuse the log, name the entry and its byte offset, and leave
+// the file byte for byte as it was, instead of truncating away the
+// acknowledged jobs behind it.
+func TestWALCorruptEntryBeforeValidOnesRefusesToOpen(t *testing.T) {
+	root := t.TempDir()
+	seedLedger(t, root)
+	path := filepath.Join(root, walFile)
+	wal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := bytes.IndexByte(wal, '\n') + 1 // entry 2 starts after entry 1
+	wal[off] ^= 0xff
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, _, err := Open(root)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a log with a corrupt entry before valid ones")
+	}
+	for _, want := range []string{"entry 2", fmt.Sprintf("byte %d", off)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(after, wal) {
+		t.Fatalf("a refused log was modified (%d vs %d bytes, err %v)", len(after), len(wal), err)
+	}
+}
+
+// A bad last line, even a terminated one, has nothing valid after it: it
+// is a torn tail, dropped and truncated away as a crash's partial append.
+func TestWALCorruptLastEntryIsTorn(t *testing.T) {
+	root := t.TempDir()
+	seedLedger(t, root)
+	path := filepath.Join(root, walFile)
+	wal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(wal[:len(wal)-1], '\n') + 1
+	wal[last] ^= 0xff
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, rep, err := Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !rep.TornTail || rep.Records != 3 {
+		t.Fatalf("replay = %+v, want a torn tail and 3 records", rep)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, wal[:last]) {
+		t.Fatalf("torn last entry not truncated (%d vs %d bytes, err %v)", len(after), last, err)
 	}
 }
 
