@@ -190,7 +190,8 @@ type (
 func NewWorld(st *Stack) *World { return mpi.NewWorld(st) }
 
 // Experiment registry types: every paper artefact is a registered
-// Experiment run against an Env; see cmd/knemsim for the CLI.
+// Experiment run against an Env, and RunExperiment is the one way to run
+// one (cmd/knemsim and knemd's experiment jobs call the same function).
 type (
 	// Experiment is one entry of the paper-artefact registry.
 	Experiment = experiments.Experiment
@@ -200,31 +201,16 @@ type (
 	ExperimentResult = experiments.Result
 )
 
-// Benchmarks and experiments.
+// Experiments.
 var (
-	// Multipair runs the N-pair contention sweep over every registered
-	// backend and placement (the "multipair" experiment).
-	Multipair = experiments.Multipair
-	// RTBenchRows runs the real-runtime sweep (the "rt" experiment) and
-	// returns its typed rows.
-	RTBenchRows = experiments.RTRows
-
 	// Experiments is the experiment registry (Lookup, All, Names).
-	Experiments   = experiments.Experiments
+	Experiments = experiments.Experiments
+	// RunExperiment runs a registered experiment (Figs. 3-7, Tables 1-2,
+	// the §3.5 thresholds study, ...) against an Env; its Result renders
+	// as text and returns the artefact files.
 	RunExperiment = experiments.Run
 	// DefaultExperimentEnv is the paper's full-scale setup on a machine.
 	DefaultExperimentEnv = experiments.DefaultEnv
-
-	// Figure and table generators (paper §4), kept as direct entry
-	// points; each is a thin wrapper over its registry entry.
-	Fig3       = experiments.Fig3
-	Fig4       = experiments.Fig4
-	Fig5       = experiments.Fig5
-	Fig6       = experiments.Fig6
-	Fig7       = experiments.Fig7
-	Table1     = experiments.Table1
-	Table2     = experiments.Table2
-	Thresholds = experiments.Thresholds
 
 	// NASKernels lists the Table 1 proxy suite.
 	NASKernels = nas.Kernels

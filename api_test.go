@@ -1,7 +1,10 @@
 package knemesis
 
 import (
+	"bytes"
 	"context"
+	"regexp"
+	"strings"
 	"testing"
 
 	"knemesis/internal/mem"
@@ -46,16 +49,19 @@ func TestFacadeStandardOptions(t *testing.T) {
 }
 
 func TestFacadeExperimentEntryPoints(t *testing.T) {
-	fig, err := Fig4(XeonE5345(), []int64{128 * units.KiB})
+	ctx := context.Background()
+	res, err := RunExperiment(ctx, "fig4", ExperimentEnv{Machine: XeonE5345(), PingSizes: []int64{128 * units.KiB}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The paper's four curves plus the CMA backend.
-	if len(fig.Series) != 5 {
-		t.Fatalf("fig4 series = %d, want 5", len(fig.Series))
-	}
-	if got := fig.Series[4].Label; got != "CMA LMT" {
-		t.Fatalf("extra fig4 curve = %q, want CMA LMT", got)
+	// The paper's four curves plus the CMA backend, one column each.
+	var buf bytes.Buffer
+	res.Render(&buf)
+	lines := strings.Split(buf.String(), "\n")
+	header := regexp.MustCompile(`\s{2,}`).Split(lines[2], -1)
+	want := []string{"size", "default LMT", "vmsplice LMT", "KNEM LMT", "KNEM LMT with I/OAT", "CMA LMT"}
+	if strings.Join(header, "|") != strings.Join(want, "|") {
+		t.Fatalf("fig4 columns = %q, want %q", header, want)
 	}
 	if ks := NASKernels(); len(ks) != 8 {
 		t.Fatalf("NAS kernels = %d", len(ks))
@@ -63,7 +69,7 @@ func TestFacadeExperimentEntryPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("threshold sweep skipped in -short mode")
 	}
-	if _, err := Thresholds(); err != nil {
+	if _, err := RunExperiment(ctx, "thresholds", ExperimentEnv{}); err != nil {
 		t.Fatal(err)
 	}
 }

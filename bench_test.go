@@ -4,6 +4,7 @@
 package knemesis
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -165,7 +166,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2IS(b *testing.B) {
 	k := nas.ISSized(1<<20, 3, 8)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(topo.XeonE5345(), k); err != nil {
+		if _, err := experiments.Run(context.Background(), "table2", experiments.Env{Machine: topo.XeonE5345(), ISKernel: k}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,7 +175,7 @@ func BenchmarkTable2IS(b *testing.B) {
 // BenchmarkThresholds regenerates the §3.5 crossover study.
 func BenchmarkThresholds(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Thresholds(); err != nil {
+		if _, err := experiments.Run(context.Background(), "thresholds", experiments.Env{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,11 @@
 // Command knemsim regenerates the paper's evaluation artefacts (Figures
 // 3-7, Tables 1-2, the §3.5 threshold study and the model ablations) on the
-// simulator. The experiment set, its help text and its validation all come
-// from the experiments registry — adding an experiment there adds it here.
-// An unknown -experiment or -machine exits 2 listing the registered names
-// (the same strict registry validation as cmd/imb); runtime failures exit 1.
+// simulator. knemsim is a front end for knemd's job spec: each selected
+// experiment becomes one experiment-kind api.Spec, validated by
+// Canonicalize, so an unknown -experiment or -machine exits 2 with the
+// registry's own error listing the registered names; runtime failures exit
+// 1. Every rendered block starts with "# key <hex>", the cache key of the
+// knemd job whose artefacts equal the files -out writes.
 //
 // Usage:
 //
@@ -26,6 +28,7 @@ import (
 
 	"knemesis/internal/experiments"
 	"knemesis/internal/profiling"
+	"knemesis/internal/serve/api"
 	"knemesis/internal/topo"
 )
 
@@ -33,9 +36,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable entry point: flag-value errors (unknown experiment or
-// machine) return 2 with the registered names on stderr, runtime failures
-// return 1.
+// run is the testable entry point: a spec Canonicalize rejects (unknown
+// experiment or machine) returns 2 with the registered names on stderr,
+// runtime failures return 1.
 func run(args []string, stdout, stderr io.Writer) int {
 	ids := experiments.Experiments.Names()
 	fs := flag.NewFlagSet("knemsim", flag.ContinueOnError)
@@ -55,20 +58,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Validate the registry-backed flags up front: unknown values exit 2
-	// with the registered names, matching imb's strict validation.
+	// Validate every selected experiment's spec up front: unknown values
+	// exit 2 before anything runs.
+	selected := ids
 	if *experiment != "all" {
-		if _, err := experiments.Experiments.Lookup(*experiment); err != nil {
+		selected = []string{*experiment}
+	}
+	specs := make([]api.Spec, len(selected))
+	for i, id := range selected {
+		spec, err := api.Spec{Kind: api.KindExperiment, Experiment: id, Machine: *machine, Quick: *quick}.Canonicalize()
+		if err != nil {
 			fmt.Fprintln(stderr, "knemsim:", err)
 			return 2
 		}
+		specs[i] = spec
 	}
-	env, err := experiments.EnvByName(*machine, *quick)
-	if err != nil {
-		fmt.Fprintln(stderr, "knemsim:", err)
-		return 2
-	}
-	env.Workers = *workers
 
 	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -88,29 +92,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	for _, exp := range experiments.Experiments.All() {
-		if *experiment != "all" && *experiment != exp.ID {
-			continue
-		}
+	for _, spec := range specs {
 		start := time.Now()
-		if *verbose {
-			fmt.Fprintf(stderr, "running %s on %s...\n", exp.ID, env.Machine.Name)
-		}
-		res, err := exp.Run(context.Background(), env)
+		key, err := spec.CacheKey()
 		if err != nil {
-			fmt.Fprintf(stderr, "knemsim: %s: %v\n", exp.ID, err)
+			fmt.Fprintln(stderr, "knemsim:", err)
 			return 1
 		}
+		env, err := experiments.EnvByName(spec.Machine, spec.Quick)
+		if err != nil {
+			fmt.Fprintln(stderr, "knemsim:", err)
+			return 1
+		}
+		env.Workers = *workers
+		if *verbose {
+			fmt.Fprintf(stderr, "running %s on %s...\n", spec.Experiment, env.Machine.Name)
+		}
+		res, err := experiments.Run(context.Background(), spec.Experiment, env)
+		if err != nil {
+			fmt.Fprintf(stderr, "knemsim: %s: %v\n", spec.Experiment, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "# key %s\n", key)
 		res.Render(stdout)
 		fmt.Fprintln(stdout)
 		if *outDir != "" {
 			if err := writeFiles(*outDir, res); err != nil {
-				fmt.Fprintf(stderr, "knemsim: %s: %v\n", exp.ID, err)
+				fmt.Fprintf(stderr, "knemsim: %s: %v\n", spec.Experiment, err)
 				return 1
 			}
 		}
 		if *verbose {
-			fmt.Fprintf(stderr, "%s done in %v\n", exp.ID, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "%s done in %v\n", spec.Experiment, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	return 0

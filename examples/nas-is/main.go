@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
 	"knemesis/internal/experiments"
 	"knemesis/internal/nas"
@@ -22,22 +24,13 @@ func main() {
 	fmt.Println("through Alltoallv, counting-sorted and globally verified.")
 	fmt.Println()
 
-	tab, rows, err := experiments.Table1(machine, []nas.Kernel{kernel})
+	res, err := experiments.Run(context.Background(), "table1", experiments.Env{Machine: machine, Kernels: []nas.Kernel{kernel}})
 	if err != nil {
 		panic(err)
 	}
-	_ = rows
-	experiments.RenderTable(fmtWriter{}, tab)
+	res.Render(os.Stdout)
 
 	fmt.Println("\nPaper (full class B): default 2.34 s -> KNEM+I/OAT 1.86 s, +25.8%.")
 	fmt.Println("The simulated default column is calibrated; the other columns are")
 	fmt.Println("model predictions (see EXPERIMENTS.md).")
-}
-
-// fmtWriter adapts fmt printing to io.Writer without importing os twice.
-type fmtWriter struct{}
-
-func (fmtWriter) Write(p []byte) (int, error) {
-	fmt.Print(string(p))
-	return len(p), nil
 }

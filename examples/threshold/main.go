@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -25,12 +26,12 @@ func main() {
 	}
 
 	fmt.Println("Measured crossover (first size where I/OAT beats the kernel copy):")
-	results, err := experiments.Thresholds()
+	res, err := experiments.Run(context.Background(), "thresholds", experiments.Env{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	experiments.RenderThresholds(os.Stdout, results)
+	res.Render(os.Stdout)
 	fmt.Println()
 	fmt.Println("Paper calibration points: 1MiB shared / 2MiB unshared on the 4MiB-L2")
 	fmt.Println("host; the 6MiB-L2 host raises thresholds by 50%.")

@@ -6,12 +6,11 @@ import (
 	"knemesis/internal/units"
 )
 
-// The programmatic run entry points: everything a caller needs to execute a
-// registered experiment from a name-only description (machine preset name,
-// quick flag) and collect the exact artefact bytes the CLI would write.
-// cmd/knemsim and the knemd experiment service share these, which is what
-// makes a daemon-produced artefact byte-identical to a direct CLI run of
-// the same spec.
+// The Env builders behind a canonical experiment spec: a name-only
+// description (machine preset name, quick flag) becomes the Env that Run
+// executes. cmd/knemsim and the knemd experiment service make the same two
+// calls, EnvByName then Run, on the same canonical spec, which is what
+// makes a daemon-produced artefact byte-identical to a direct CLI run.
 
 // QuickEnv returns the reduced-scale evaluation setup on m: the -quick
 // sweep of cmd/knemsim (a handful of sizes per axis, scaled NAS kernels).

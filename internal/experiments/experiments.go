@@ -3,12 +3,13 @@
 // study, each as a typed result that can be rendered as text, CSV or JSON.
 //
 // Experiments live in a declarative registry (the Experiments
-// registry.Registry): every entry maps an ID to a Run function
-// over a common Env, which is how cmd/knemsim enumerates, validates and
-// executes them with no hand-maintained switch. Independent stack
-// simulations inside each experiment are sharded across a worker pool
-// (Env.Workers); results are byte-identical to a serial run because every
-// stack is a self-contained deterministic simulation.
+// registry.Registry): every entry maps an ID to a Run function over a
+// common Env. Run(ctx, id, env) is the only entry point; cmd/knemsim and
+// the knemd experiment service both reach it from a canonical job spec
+// through EnvByName. Independent stack simulations inside each experiment
+// are sharded across a worker pool (Env.Workers); results are
+// byte-identical to a serial run because every stack is a self-contained
+// deterministic simulation.
 //
 // The per-experiment index in DESIGN.md maps each entry here to the paper
 // artefact it reproduces; EXPERIMENTS.md records paper-vs-measured.
@@ -401,43 +402,6 @@ func table2(ctx context.Context, env Env) (Table, error) {
 	}
 	tab.Rows = append(tab.Rows, isRow)
 	return tab, nil
-}
-
-// Fig3 reproduces Figure 3 on machine t (library entry point; the registry
-// entry "fig3" is the declarative equivalent).
-func Fig3(t *topo.Machine, sizes []int64) (Figure, error) {
-	return fig3(context.Background(), Env{Machine: t, PingSizes: sizes})
-}
-
-// Fig4 reproduces Figure 4 on machine t.
-func Fig4(t *topo.Machine, sizes []int64) (Figure, error) {
-	return fig4(context.Background(), Env{Machine: t, PingSizes: sizes})
-}
-
-// Fig5 reproduces Figure 5 on machine t.
-func Fig5(t *topo.Machine, sizes []int64) (Figure, error) {
-	return fig5(context.Background(), Env{Machine: t, PingSizes: sizes})
-}
-
-// Fig6 reproduces Figure 6 on machine t.
-func Fig6(t *topo.Machine, sizes []int64) (Figure, error) {
-	return fig6(context.Background(), Env{Machine: t, PingSizes: sizes})
-}
-
-// Fig7 reproduces Figure 7 on machine t.
-func Fig7(t *topo.Machine, sizes []int64) (Figure, error) {
-	return fig7(context.Background(), Env{Machine: t, A2ASizes: sizes})
-}
-
-// Table1 reproduces Table 1 for the given kernels on machine t.
-func Table1(t *topo.Machine, kernels []nas.Kernel) (Table, []nas.Row, error) {
-	res, err := table1(context.Background(), Env{Machine: t, Kernels: kernels})
-	return res.Table, res.NASRows, err
-}
-
-// Table2 reproduces Table 2 with the given IS kernel on machine t.
-func Table2(t *topo.Machine, isKernel nas.Kernel) (Table, error) {
-	return table2(context.Background(), Env{Machine: t, ISKernel: isKernel})
 }
 
 // formatCount renders counts the way the paper does (91, 45k, 11.25M).

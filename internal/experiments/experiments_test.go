@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func reducedEnv() Env {
 }
 
 func TestFig3SmallSweep(t *testing.T) {
-	fig, err := Fig3(topo.XeonE5345(), smallSizes)
+	fig, err := fig3(context.Background(), Env{Machine: topo.XeonE5345(), PingSizes: smallSizes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,23 +44,23 @@ func TestFig3SmallSweep(t *testing.T) {
 
 func TestFig4Fig5Shapes(t *testing.T) {
 	m := topo.XeonE5345()
-	fig4, err := Fig4(m, smallSizes)
+	f4, err := fig4(context.Background(), Env{Machine: m, PingSizes: smallSizes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig5, err := Fig5(m, smallSizes)
+	f5, err := fig5(context.Background(), Env{Machine: m, PingSizes: smallSizes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cross-die: KNEM far above default (paper: >3x at 1MiB).
-	knem5 := seriesByLabel(t, fig5, "KNEM LMT").Points[1].Throughput
-	def5 := seriesByLabel(t, fig5, "default LMT").Points[1].Throughput
+	knem5 := seriesByLabel(t, f5, "KNEM LMT").Points[1].Throughput
+	def5 := seriesByLabel(t, f5, "default LMT").Points[1].Throughput
 	if knem5 < 2*def5 {
 		t.Errorf("fig5: knem %.0f should be >= 2x default %.0f", knem5, def5)
 	}
 	// Shared cache: default competitive with KNEM.
-	knem4 := seriesByLabel(t, fig4, "KNEM LMT").Points[0].Throughput
-	def4 := seriesByLabel(t, fig4, "default LMT").Points[0].Throughput
+	knem4 := seriesByLabel(t, f4, "KNEM LMT").Points[0].Throughput
+	def4 := seriesByLabel(t, f4, "default LMT").Points[0].Throughput
 	if def4 < 0.6*knem4 {
 		t.Errorf("fig4: default %.0f should stay near knem %.0f under a shared cache", def4, knem4)
 	}
@@ -70,7 +71,7 @@ func TestFig4Fig5Shapes(t *testing.T) {
 }
 
 func TestFig6AsyncShape(t *testing.T) {
-	fig, err := Fig6(topo.XeonE5345(), smallSizes)
+	fig, err := fig6(context.Background(), Env{Machine: topo.XeonE5345(), PingSizes: smallSizes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestFig6AsyncShape(t *testing.T) {
 }
 
 func TestFig7SmallSweep(t *testing.T) {
-	fig, err := Fig7(topo.XeonE5345(), []int64{32 * units.KiB, 256 * units.KiB})
+	fig, err := fig7(context.Background(), Env{Machine: topo.XeonE5345(), A2ASizes: []int64{32 * units.KiB, 256 * units.KiB}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,15 +96,15 @@ func TestFig7SmallSweep(t *testing.T) {
 }
 
 func TestTable1SmallRun(t *testing.T) {
-	tab, rows, err := Table1(topo.XeonE5345(), []nas.Kernel{nas.MG().Scaled(4), nas.ISSized(1<<18, 2, 8)})
+	tab, err := table1(context.Background(), Env{Machine: topo.XeonE5345(), Kernels: []nas.Kernel{nas.MG().Scaled(4), nas.ISSized(1<<18, 2, 8)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 2 || len(rows) != 2 {
+	if len(tab.Rows) != 2 || len(tab.NASRows) != 2 {
 		t.Fatalf("table1 rows = %d, want 2", len(tab.Rows))
 	}
 	var buf bytes.Buffer
-	RenderTable(&buf, tab)
+	RenderTable(&buf, tab.Table)
 	if !strings.Contains(buf.String(), "mg.B.8") {
 		t.Fatalf("rendered table missing kernel name:\n%s", buf.String())
 	}
@@ -113,7 +114,7 @@ func TestTable2SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4MiB miss-count rows skipped in -short mode")
 	}
-	tab, err := Table2(topo.XeonE5345(), nas.ISSized(1<<18, 2, 8))
+	tab, err := table2(context.Background(), Env{Machine: topo.XeonE5345(), ISKernel: nas.ISSized(1<<18, 2, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestTable2SmallRun(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	fig, err := Fig4(topo.XeonE5345(), smallSizes)
+	fig, err := fig4(context.Background(), Env{Machine: topo.XeonE5345(), PingSizes: smallSizes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,10 +180,3 @@ func multipair(ctx context.Context, env Env) (multipairResult, error) {
 	}
 	return res, nil
 }
-
-// Multipair runs the contention sweep on machine t (library entry point; the
-// registry entry "multipair" is the declarative equivalent).
-func Multipair(t *topo.Machine, sizes []int64) ([]MultipairRow, error) {
-	res, err := multipair(context.Background(), Env{Machine: t, MultiSizes: sizes})
-	return res.MultiRows, err
-}

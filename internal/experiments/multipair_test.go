@@ -28,16 +28,23 @@ func multipairRow(t *testing.T, rows []MultipairRow, backend, placement string, 
 	return MultipairRow{}
 }
 
+// multipairRows runs the contention sweep on m at one size.
+func multipairRows(t *testing.T, m *topo.Machine, size int64) []MultipairRow {
+	t.Helper()
+	res, err := multipair(context.Background(), Env{Machine: m, MultiSizes: []int64{size}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.MultiRows
+}
+
 // The headline contention result (ISSUE 2): at 1 MiB with 4 cross-die pairs
 // the default two-copy LMT saturates the shared bus and collapses below 2x
 // its solo aggregate, while the single-copy KNEM and CMA backends stay
 // cache-resident and keep scaling above 3x.
 func TestMultipairContentionCrossover(t *testing.T) {
 	size := int64(1 * units.MiB)
-	rows, err := Multipair(topo.XeonE5345(), []int64{size})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := multipairRows(t, topo.XeonE5345(), size)
 	def := multipairRow(t, rows, "default", "cross", 4, size)
 	if def.ScaleVsSolo >= 2.0 {
 		t.Errorf("default LMT at 4 cross-die pairs scales %.2fx, want < 2x (bus collapse)", def.ScaleVsSolo)
@@ -92,19 +99,13 @@ func TestMultipairCoverageAndWorkerDeterminism(t *testing.T) {
 // X5460 caps at 2 pairs either way, and the single-domain Nehalem preset has
 // no cross-die placement at all.
 func TestMultipairSkipsImpossiblePlacements(t *testing.T) {
-	rows, err := Multipair(topo.XeonX5460(), []int64{128 * units.KiB})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := multipairRows(t, topo.XeonX5460(), 128*units.KiB)
 	for _, r := range rows {
 		if r.Pairs > 2 {
 			t.Errorf("x5460 hosted %d pairs (%s/%s), impossible on 4 cores", r.Pairs, r.Backend, r.Placement)
 		}
 	}
-	rows, err = Multipair(topo.NehalemStyle(), []int64{128 * units.KiB})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows = multipairRows(t, topo.NehalemStyle(), 128*units.KiB)
 	for _, r := range rows {
 		if r.Placement == "cross" {
 			t.Errorf("nehalem preset produced a cross-die row (%s, %d pairs)", r.Backend, r.Pairs)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -65,7 +66,7 @@ func pinnedSimValues(t *testing.T) map[string]float64 {
 	t.Helper()
 	got := map[string]float64{}
 
-	set, err := Thresholds()
+	set, err := thresholds(context.Background(), DefaultWorkers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,7 @@ func pinnedSimValues(t *testing.T) map[string]float64 {
 		got[fmt.Sprintf("thresholds crossover-bytes:%s/%s", r.Machine, r.Placement)] = float64(r.MeasuredCrossover)
 	}
 
-	rows, err := Multipair(topo.XeonE5345(), []int64{1 * units.MiB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for _, r := range multipairRows(t, topo.XeonE5345(), 1*units.MiB) {
 		got[fmt.Sprintf("multipair aggMiB/s:%s/%s/%dpair", r.Backend, r.Placement, r.Pairs)] = r.AggMiBps
 	}
 

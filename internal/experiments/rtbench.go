@@ -57,15 +57,6 @@ func (r rtResult) Files() (map[string][]byte, error) {
 	return jsonFiles(map[string]any{r.ID: r.RTRows})
 }
 
-// RTRows runs the sweep and returns its typed rows directly.
-func RTRows(env Env) ([]RTRow, error) {
-	res, err := rtBench(context.Background(), env)
-	if err != nil {
-		return nil, err
-	}
-	return res.RTRows, nil
-}
-
 func rtBench(ctx context.Context, env Env) (rtResult, error) {
 	res := rtResult{Table: Table{
 		ID:     "rt",

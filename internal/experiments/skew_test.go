@@ -3,13 +3,25 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 )
 
-// runSkew runs the registry experiment at the given pool width.
+// skewJ1 is the one -j1 run of the registry experiment that the golden,
+// shape and determinism tests share.
+var skewJ1 = sync.OnceValues(func() (Result, error) {
+	return Run(context.Background(), "skew", Env{Workers: 1})
+})
+
+// runSkew runs the registry experiment at the given pool width; width 1
+// reads the shared skewJ1 run.
 func runSkew(t *testing.T, workers int) skewResult {
 	t.Helper()
-	res, err := Run(context.Background(), "skew", Env{Workers: workers})
+	run := skewJ1
+	if workers != 1 {
+		run = func() (Result, error) { return Run(context.Background(), "skew", Env{Workers: workers}) }
+	}
+	res, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +58,10 @@ func TestSkewParallelDeterminism(t *testing.T) {
 
 // The experiment's point, asserted not just rendered: every perturbation
 // arm slows at least one forced protocol versus the clean baseline, and
-// the rt fastbox rows carry real traffic with a sane hit rate.
+// the rt fastbox rows carry real traffic with a sane hit rate. It reads the
+// -j1 run; TestSkewParallelDeterminism proves a wider pool renders the same.
 func TestSkewShape(t *testing.T) {
-	res := runSkew(t, 0)
+	res := runSkew(t, 1)
 	sizes := DefaultSkewSizes()
 	if want := len(SkewArms()) * len(sizes); len(res.SkewRows) != want {
 		t.Fatalf("got %d sim rows, want %d", len(res.SkewRows), want)

@@ -51,11 +51,9 @@ func (ts ThresholdSet) Files() (map[string][]byte, error) {
 	return jsonFiles(map[string]any{"thresholds": ts})
 }
 
-// Thresholds reproduces the §3.5 study: on the 4 MiB-cache machine the
+// thresholds reproduces the §3.5 study: on the 4 MiB-cache machine the
 // offload threshold is ~1 MiB under a shared cache and ~2 MiB across dies,
 // and a 6 MiB cache raises it by 50%.
-func Thresholds() (ThresholdSet, error) { return thresholds(context.Background(), DefaultWorkers()) }
-
 func thresholds(ctx context.Context, workers int) (ThresholdSet, error) {
 	type place struct {
 		name   string

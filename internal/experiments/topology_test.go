@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"knemesis/internal/sim"
@@ -10,11 +11,21 @@ import (
 	"knemesis/internal/units"
 )
 
+// topologyJ1 is the one -j1 run of the registry experiment that the golden
+// and determinism tests share.
+var topologyJ1 = sync.OnceValues(func() (Result, error) {
+	return Run(context.Background(), "topology", Env{Workers: 1})
+})
+
 // renderTopology runs the registry experiment at the given pool width and
-// returns the rendered table bytes.
+// returns the rendered table bytes; width 1 reads the shared topologyJ1 run.
 func renderTopology(t *testing.T, workers int) []byte {
 	t.Helper()
-	res, err := Run(context.Background(), "topology", Env{Workers: workers})
+	run := topologyJ1
+	if workers != 1 {
+		run = func() (Result, error) { return Run(context.Background(), "topology", Env{Workers: workers}) }
+	}
+	res, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}

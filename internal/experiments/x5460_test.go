@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"knemesis/internal/topo"
@@ -17,23 +18,23 @@ func TestX5460SimilarBehaviour(t *testing.T) {
 	m := topo.XeonX5460()
 	sizes := []int64{256 * units.KiB, 1 * units.MiB}
 
-	fig5, err := Fig5(m, sizes)
+	f5, err := fig5(context.Background(), Env{Machine: m, PingSizes: sizes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def := seriesByLabel(t, fig5, "default LMT").Points[1].Throughput
-	vms := seriesByLabel(t, fig5, "vmsplice LMT").Points[1].Throughput
-	knm := seriesByLabel(t, fig5, "KNEM LMT").Points[1].Throughput
+	def := seriesByLabel(t, f5, "default LMT").Points[1].Throughput
+	vms := seriesByLabel(t, f5, "vmsplice LMT").Points[1].Throughput
+	knm := seriesByLabel(t, f5, "KNEM LMT").Points[1].Throughput
 	if !(knm > vms && vms > def) {
 		t.Errorf("x5460 cross-die ordering broken: knem=%.0f vmsplice=%.0f default=%.0f", knm, vms, def)
 	}
 
-	fig4, err := Fig4(m, sizes)
+	f4, err := fig4(context.Background(), Env{Machine: m, PingSizes: sizes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def4 := seriesByLabel(t, fig4, "default LMT").Points[0].Throughput
-	knm4 := seriesByLabel(t, fig4, "KNEM LMT").Points[0].Throughput
+	def4 := seriesByLabel(t, f4, "default LMT").Points[0].Throughput
+	knm4 := seriesByLabel(t, f4, "KNEM LMT").Points[0].Throughput
 	if def4 < 0.6*knm4 {
 		t.Errorf("x5460 shared cache: default %.0f should stay near knem %.0f", def4, knm4)
 	}

@@ -8,8 +8,7 @@
 // Every driver is written once against the engine-neutral comm interface
 // and therefore runs unchanged on any registered engine: the simulator
 // reports simulated time and modelled cache misses, the real runtime
-// reports wall-clock time. The stack-based entry points (PingPong,
-// Alltoall, ...) are deprecated wrappers that bind the sim engine.
+// reports wall-clock time.
 package imb
 
 import (
@@ -171,9 +170,3 @@ func RunAlltoall(j comm.Job, sizes []int64) (Result, error) {
 	}
 	return res, nil
 }
-
-// PingPong runs the sweep on a simulated stack.
-//
-
-// Alltoall runs the sweep on a simulated stack.
-//

@@ -160,8 +160,7 @@ type rtPeer struct {
 	r *Rank
 }
 
-// peer returns the rank's engine-neutral handle; the deprecated collective
-// wrappers below share it (and the rank's collective tag sequence).
+// peer returns the rank's engine-neutral handle.
 func (r *Rank) peer() *rtPeer { return &rtPeer{r: r} }
 
 func (p *rtPeer) Rank() int                   { return p.r.rank }
