@@ -135,12 +135,15 @@ func BenchmarkRTStreamBW(b *testing.B) {
 	}
 }
 
-// BenchmarkRTPingPong measures real goroutine ping-pong throughput per
-// strategy and size: the Go-native analogue of Figures 4/5. The crossover
-// between eager (two copies) and single-copy rendezvous appears around the
-// cell size, echoing the paper's threshold discussion.
+// BenchmarkRTPingPong measures real goroutine ping-pong round trips per
+// strategy at sizes either side of the paper's §3.5 threshold: the
+// Go-native analogue of Figures 4/5. On a host whose DMAmin is 1 MiB (2 MiB
+// L2 per core) the 256 KiB to 1 MiB rows take the parked-sender path and
+// the 2 and 4 MiB rows the CTS spin; the single-copy rows are DESIGN §6's
+// per-size table, and offload against single-copy is the crossover the
+// simulator's threshold predicts.
 func BenchmarkRTPingPong(b *testing.B) {
-	sizes := []int{4 * 1024, 64 * 1024, 1 << 20, 4 << 20}
+	sizes := []int{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20}
 	for _, mode := range []LargeMode{Eager, SingleCopy, Offload} {
 		for _, size := range sizes {
 			mode, size := mode, size

@@ -2,6 +2,8 @@ package rt
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -40,6 +42,31 @@ func TestConfigWithDefaults(t *testing.T) {
 			}
 			if want := runtime.GOMAXPROCS(0) > 1; w.senderCopy != want {
 				t.Errorf("senderCopy = %v at GOMAXPROCS=%d", w.senderCopy, runtime.GOMAXPROCS(0))
+			}
+			wantSpin := math.MaxInt
+			if runtime.GOMAXPROCS(0) > 1 { // each of the two ranks has a P
+				wantSpin = hostDMAMin()
+			}
+			if w.spinMin != wantSpin {
+				t.Errorf("spinMin = %d at GOMAXPROCS=%d, want %d", w.spinMin, runtime.GOMAXPROCS(0), wantSpin)
+			}
+		})
+	}
+	// The CTS spin needs a P per rank, and the sender copy it feeds: a
+	// world with more ranks than Ps, or on one P, parks at every size.
+	for _, c := range []struct{ ranks, procs, want int }{
+		{2, 2, hostDMAMin()},
+		{3, 3, hostDMAMin()},
+		{3, 2, math.MaxInt},
+		{3, 1, math.MaxInt},
+		{1, 1, math.MaxInt},
+	} {
+		t.Run(fmt.Sprintf("spinMin-%d-ranks-%d-procs", c.ranks, c.procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			w := NewWorld(c.ranks, Config{})
+			defer w.Close()
+			if w.spinMin != c.want {
+				t.Errorf("spinMin = %d, want %d", w.spinMin, c.want)
 			}
 		})
 	}

@@ -607,12 +607,19 @@ func (r *Rank) Wait(req *Request) Status {
 			return st
 		}
 		if rv := req.rv; rv != nil {
-			// A rendezvous waiter either claims chunks (dual-copy on)
-			// or parks outright: yield-spinning would only steal the
-			// processor from whoever is doing the copy.
+			// A rendezvous waiter claims chunks (dual-copy on). Before
+			// CTS, a sender above DMAmin yield-spins so that it joins the
+			// copy as soon as the receiver publishes it. At or below
+			// DMAmin it parks, which leaves most of a copy that size to
+			// the receiver, whose cache will read the data; every waiter
+			// parks once no chunk is left to claim.
 			if r.w.senderCopy && req.isSend && rv.helpRemaining() {
 				rv.claimCopy()
 				spins = 0
+				continue
+			}
+			if req.isSend && len(rv.src) > r.w.spinMin && !rv.cts.Load() {
+				runtime.Gosched()
 				continue
 			}
 			r.park(req)

@@ -9,7 +9,9 @@ import "sync/atomic"
 // claimed through an atomic cursor, so the receiver, the sender (which
 // helps while it waits — the dual-copy that doubles bandwidth when both
 // sides have a core) and any offload copiers work on disjoint chunks
-// concurrently, replacing the old monolithic blocking copy.
+// concurrently. The sender joins at CTS when the transfer is larger than
+// the world's spinMin (the host's DMAmin), because it spins for CTS; at or
+// below that it parks, and joins only if it wakes before the chunks run out.
 type rendezvous struct {
 	src       []byte
 	dst       []byte // published by the receiver at CTS time

@@ -3,11 +3,15 @@ package rt
 import (
 	"context"
 	"fmt"
+	"math"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"knemesis/internal/topo"
 )
 
 // LargeMode selects the large-message strategy, mirroring the paper's LMT
@@ -85,6 +89,7 @@ type World struct {
 	cellBytes  int  // eager cell capacity: max(64 KiB, RndvThreshold)
 	copiers    int  // offload pool width: max(1, NumCPU/4)
 	senderCopy bool // a waiting rendezvous sender claims chunks: GOMAXPROCS > 1
+	spinMin    int  // a larger rendezvous send spins for CTS: the host's DMAmin
 
 	copyq   chan copyJob
 	copyWG  sync.WaitGroup
@@ -108,11 +113,25 @@ type copyJob struct {
 	rv *rendezvous
 }
 
+// hostDMAMin is the paper's §3.5 threshold for this host, DMAmin = L2 /
+// (2 x CPUs sharing it), read from sysfs once per process; math.MaxInt
+// when sysfs does not describe an L2.
+var hostDMAMin = sync.OnceValue(func() int {
+	size, sharers, ok := topo.ReadL2(os.DirFS("/sys/devices/system/cpu"))
+	if !ok {
+		return math.MaxInt
+	}
+	return int(topo.DMAMinOf(size, sharers))
+})
+
 // NewWorld creates a world of n ranks. It derives the cell size from the
 // threshold, so an eager message of any threshold fits one cell; the
-// copier pool from the core count; and the sender's rendezvous copy from
+// copier pool from the core count; the sender's rendezvous copy from
 // GOMAXPROCS, because on a single P a helping sender only steals the
-// processor from the receiver doing the copy.
+// processor from the receiver doing the copy; and spinMin, the size above
+// which a rendezvous sender spins for CTS instead of parking, from the
+// host's DMAmin. The spin needs the sender copy on and a P for every rank:
+// with fewer Ps than ranks a spinner takes the P another rank would run on.
 func NewWorld(n int, cfg Config) *World {
 	if n <= 0 {
 		panic("rt: world needs at least one rank")
@@ -128,6 +147,10 @@ func NewWorld(n int, cfg Config) *World {
 		cellBytes:  max(defaultCellBytes, cfg.RndvThreshold),
 		copiers:    max(1, runtime.NumCPU()/4),
 		senderCopy: runtime.GOMAXPROCS(0) > 1,
+		spinMin:    math.MaxInt,
+	}
+	if w.senderCopy && n <= runtime.GOMAXPROCS(0) {
+		w.spinMin = hostDMAMin()
 	}
 	for r := 0; r < n; r++ {
 		w.ranks = append(w.ranks, newRank(w, r, n))

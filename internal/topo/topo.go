@@ -413,10 +413,7 @@ func (m *Machine) AllCores() []CoreID {
 // compete for the receiver's largest cache (1 when the peers do not share a
 // cache, 2 when a communicating pair shares one L2, and so on).
 func (m *Machine) DMAMin(processesUsingCache int) int64 {
-	if processesUsingCache < 1 {
-		processesUsingCache = 1
-	}
-	return m.L2SizeBytes / (2 * int64(processesUsingCache))
+	return DMAMinOf(m.L2SizeBytes, processesUsingCache)
 }
 
 // DMAMinArch is the architecture-only variant of the threshold: assuming one
@@ -425,5 +422,12 @@ func (m *Machine) DMAMin(processesUsingCache int) int64 {
 //
 //	DMAmin = CacheSize / (2 x CoresSharingTheCache).
 func (m *Machine) DMAMinArch(c CoreID) int64 {
-	return m.L2SizeBytes / (2 * int64(m.CoresSharingL2(c)))
+	return DMAMinOf(m.L2SizeBytes, m.CoresSharingL2(c))
+}
+
+// DMAMinOf is the §3.5 formula itself, cacheBytes / (2 x sharers), for any
+// cache: the simulated machines' and the host's (rt reads the latter from
+// sysfs through ReadL2). Fewer than one sharer counts as one.
+func DMAMinOf(cacheBytes int64, sharers int) int64 {
+	return cacheBytes / (2 * int64(max(1, sharers)))
 }

@@ -1,9 +1,11 @@
 package topo
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+	"testing/fstest"
 
 	"knemesis/internal/units"
 )
@@ -77,6 +79,89 @@ func TestDMAMinPaperValues(t *testing.T) {
 	if got, want := x.DMAMin(2), e.DMAMin(2)*3/2; got != want {
 		t.Errorf("X5460 DMAMin(2) = %s, want +50%% = %s",
 			units.FormatSize(got), units.FormatSize(want))
+	}
+	// Both methods are DMAMinOf over the machine's L2.
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"E5345 DMAMin(2)", e.DMAMin(2), DMAMinOf(4*units.MiB, 2)},
+		{"E5345 DMAMin(1)", e.DMAMin(1), DMAMinOf(4*units.MiB, 1)},
+		{"E5345 DMAMin(0)", e.DMAMin(0), DMAMinOf(4*units.MiB, 0)},
+		{"E5345 DMAMinArch(0)", e.DMAMinArch(0), DMAMinOf(4*units.MiB, 2)},
+		{"X5460 DMAMin(2)", x.DMAMin(2), DMAMinOf(6*units.MiB, 2)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, DMAMinOf gives %s", c.name,
+				units.FormatSize(c.got), units.FormatSize(c.want))
+		}
+	}
+}
+
+// ReadL2 over sysfs layouts: the level-2 cache that is not an instruction
+// cache, its size and its sharer count, or not-ok for anything it cannot
+// read. dmamin is DMAMinOf(size, sharers), the value rt derives.
+func TestReadL2(t *testing.T) {
+	// cache builds a sysfs tree whose index<i> directories describe the
+	// given caches, each as {level, type, size, shared_cpu_list}.
+	cache := func(caches ...[4]string) fstest.MapFS {
+		fsys := fstest.MapFS{}
+		for i, c := range caches {
+			dir := fmt.Sprintf("cpu0/cache/index%d/", i)
+			for j, name := range []string{"level", "type", "size", "shared_cpu_list"} {
+				fsys[dir+name] = &fstest.MapFile{Data: []byte(c[j] + "\n")}
+			}
+		}
+		return fsys
+	}
+	l1d := [4]string{"1", "Data", "48K", "0"}
+	l1i := [4]string{"1", "Instruction", "32K", "0"}
+	l3 := [4]string{"3", "Unified", "107520K", "0-1"}
+	cases := []struct {
+		name    string
+		fsys    fstest.MapFS
+		size    int64
+		sharers int
+		dmamin  int64
+	}{
+		{"private-2MiB", cache(l1d, l1i, [4]string{"2", "Unified", "2048K", "0"}, l3),
+			2 * units.MiB, 1, 1 * units.MiB},
+		{"E5345-pair", cache(l1d, l1i, [4]string{"2", "Unified", "4096K", "0-1"}),
+			4 * units.MiB, 2, 1 * units.MiB},
+		{"M-suffix", cache([4]string{"2", "Unified", "6M", "0-1"}),
+			6 * units.MiB, 2, 1536 * units.KiB},
+		{"list", cache([4]string{"2", "Data", "1024K", "0,2"}),
+			1 * units.MiB, 2, 256 * units.KiB},
+		{"range-of-4", cache([4]string{"2", "Unified", "8192K", "0-3"}),
+			8 * units.MiB, 4, 1 * units.MiB},
+		{"instruction-l2-skipped", cache([4]string{"2", "Instruction", "1024K", "0"},
+			[4]string{"2", "Data", "2048K", "0"}),
+			2 * units.MiB, 1, 1 * units.MiB},
+		{"instruction-only-l2", cache(l1d, [4]string{"2", "Instruction", "1024K", "0"}), 0, 0, 0},
+		{"no-l2", cache(l1d, l1i, l3), 0, 0, 0},
+		{"missing-tree", fstest.MapFS{}, 0, 0, 0},
+		{"malformed-size", cache([4]string{"2", "Unified", "lots", "0"}), 0, 0, 0},
+		{"zero-size", cache([4]string{"2", "Unified", "0K", "0"}), 0, 0, 0},
+		{"malformed-list", cache([4]string{"2", "Unified", "2048K", "1-0"}), 0, 0, 0},
+		{"empty-list", cache([4]string{"2", "Unified", "2048K", ""}), 0, 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			size, sharers, ok := ReadL2(c.fsys)
+			if want := c.size > 0; ok != want {
+				t.Fatalf("ok = %v, want %v (size %d, sharers %d)", ok, want, size, sharers)
+			}
+			if !ok {
+				return
+			}
+			if size != c.size || sharers != c.sharers {
+				t.Errorf("ReadL2 = (%s, %d), want (%s, %d)", units.FormatSize(size), sharers,
+					units.FormatSize(c.size), c.sharers)
+			}
+			if got := DMAMinOf(size, sharers); got != c.dmamin {
+				t.Errorf("DMAMinOf = %s, want %s", units.FormatSize(got), units.FormatSize(c.dmamin))
+			}
+		})
 	}
 }
 
