@@ -46,9 +46,6 @@ func ReadL2(fsys fs.FS) (sizeBytes int64, sharers int, ok bool) {
 // countCPUList counts the CPUs in a sysfs cpulist such as "0", "0-1" or
 // "0,2-3".
 func countCPUList(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
 	n := 0
 	for _, part := range strings.Split(s, ",") {
 		lo, hi, isRange := strings.Cut(part, "-")
