@@ -13,20 +13,20 @@ const fastboxBytes = 1024
 // fill), odd means full (only the receiving rank may drain), and each
 // transition increments it. seq carries the message's position in the
 // pair's send order so the receiver can merge fastbox arrivals with
-// shared-queue arrivals without breaking FIFO. The padding keeps the
-// flag's cache line out of the neighbouring boxes' lines.
+// shared-queue arrivals without breaking FIFO.
+//
+// The header shares the flag's cache line and the payload is inline and
+// starts in that same line, so a small message moves only the lines it
+// fills. The struct is a whole number of 64-byte lines (1088 bytes, pinned
+// by TestFastboxLineAligned), so adjacent boxes in a rank's inbox never
+// share one.
 type fastbox struct {
 	state atomic.Uint32 // even: free, odd: full
-	_     [60]byte
-
-	seq  uint64
-	tag  int
-	n    int
-	data []byte
-	// Round the struct to 192 bytes (a multiple of the 64-byte line) so
-	// adjacent boxes in a rank's inbox slice never share a cache line —
-	// TestFastboxLineAligned pins the size.
-	_ [80]byte
+	tag   int32         // checkTag bounds tags to 32 bits
+	seq   uint64
+	n     int
+	data  [fastboxBytes]byte
+	_     [40]byte
 }
 
 // trySend deposits one message if the slot is free. Only the sending
@@ -37,9 +37,9 @@ func (fb *fastbox) trySend(seq uint64, tag int, buf []byte) bool {
 		return false // still occupied: fall back to the shared queue
 	}
 	fb.seq = seq
-	fb.tag = tag
+	fb.tag = int32(tag)
 	fb.n = len(buf)
-	copy(fb.data, buf)
+	copy(fb.data[:], buf)
 	fb.state.Store(st + 1)
 	return true
 }

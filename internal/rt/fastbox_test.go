@@ -2,19 +2,72 @@ package rt
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 	"unsafe"
 )
 
-// The fastbox padding only isolates neighbouring boxes if the struct size
-// is a whole number of cache lines — otherwise one box's state word shares
-// a line with the previous box's payload fields and two senders
-// false-share it.
+// A small message should move only the cache lines it fills. The box is a
+// whole number of 64-byte lines, so one box's state word never shares a
+// line with the previous box's payload and two senders never false-share
+// it; the header sits in the flag's line, and the payload is inline (no
+// pointer to chase to a second allocation) and starts in that line too.
+// Every sender also loads the receiver's sleeping flag, so the flag must
+// not share a line with the owner-written fields around it (reqFree and
+// the matching queues before it, the rank's counters after it), wherever
+// the allocator places the Rank.
 func TestFastboxLineAligned(t *testing.T) {
-	if size := unsafe.Sizeof(fastbox{}); size%64 != 0 {
+	var fb fastbox
+	if size := unsafe.Sizeof(fb); size%64 != 0 {
 		t.Errorf("fastbox is %d bytes, not a multiple of the 64-byte cache line", size)
+	}
+	for name, off := range map[string]uintptr{
+		"state": unsafe.Offsetof(fb.state),
+		"tag":   unsafe.Offsetof(fb.tag),
+		"seq":   unsafe.Offsetof(fb.seq),
+		"n":     unsafe.Offsetof(fb.n),
+		"data":  unsafe.Offsetof(fb.data),
+	} {
+		if off >= 64 {
+			t.Errorf("fastbox.%s starts at byte %d, outside the flag's cache line", name, off)
+		}
+	}
+	typ := reflect.TypeFor[fastbox]()
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Interface, reflect.String, reflect.Func:
+			t.Errorf("fastbox.%s is a %s: the payload must be inline", f.Name, f.Type.Kind())
+		}
+	}
+	// A pointer-free inbox gets no malloc header and every size class
+	// above 1 KiB is whole lines, so the inbox starts on a line boundary
+	// and the whole-line size keeps every box on lines of its own.
+	for n := 1; n <= 8; n++ {
+		inbox := make([]fastbox, n)
+		if p := uintptr(unsafe.Pointer(&inbox[0])); p%64 != 0 {
+			t.Errorf("a %d-box inbox starts at %#x, not on a cache line", n, p)
+		}
+	}
+
+	typ = reflect.TypeFor[Rank]()
+	f, ok := typ.FieldByName("sleeping")
+	if !ok {
+		t.Fatal("Rank has no sleeping field")
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		g := typ.Field(i)
+		if g.Name == "_" || g.Name == "sleeping" {
+			continue
+		}
+		if g.Offset < f.Offset {
+			if gap := f.Offset - (g.Offset + g.Type.Size()); gap < 64 {
+				t.Errorf("Rank.%s ends %d bytes before sleeping, want >= 64", g.Name, gap)
+			}
+		} else if gap := g.Offset - (f.Offset + f.Type.Size()); gap < 64 {
+			t.Errorf("Rank.%s starts %d bytes after sleeping, want >= 64", g.Name, gap)
+		}
 	}
 }
 

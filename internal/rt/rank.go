@@ -85,10 +85,20 @@ type Rank struct {
 	unexp   unexpQ
 	reqFree []*Request
 
+	// sleeping is loaded by every sender to this rank, so it sits on a
+	// cache line of its own, away from the owner-written fields around it.
+	_        [64]byte
 	sleeping atomic.Bool
+	_        [64]byte
 	wake     chan struct{}
 
 	collSeq int
+
+	// Message counters, owner goroutine only: RunCtx folds them into the
+	// World's stats once the ranks have joined. The sender counts its
+	// eager, fastbox, cross-node and rendezvous messages and its eager
+	// bytes; the receiver counts a rendezvous's bytes when it matches.
+	eagerMsgs, fastboxMsgs, netMsgs, rndvMsgs, bytesMoved int64
 
 	// recvOps counts posted receives: the delayed-recv perturbation's
 	// deterministic per-op RNG counter (owner goroutine only).
@@ -109,9 +119,6 @@ func newRank(w *World, rank, n int) *Rank {
 	r.q.init()
 	r.freeq.init()
 	r.inbox = make([]fastbox, n)
-	for i := range r.inbox {
-		r.inbox[i].data = make([]byte, fastboxBytes)
-	}
 	r.sendSeq = make([]uint64, n)
 	r.recvSeq = make([]uint64, n)
 	r.streams = make([]stream, n)
@@ -299,7 +306,7 @@ func (r *Rank) pollFastbox(src int) bool {
 	if st&1 == 0 || fb.seq != r.recvSeq[src] {
 		return false
 	}
-	tag, n := fb.tag, fb.n
+	tag, n := int(fb.tag), fb.n
 	r.recvSeq[src]++
 	if req := r.matchPosted(src, tag); req != nil {
 		if n > len(req.dst) {
@@ -426,7 +433,7 @@ func (r *Rank) deliver(m *message, req *Request) {
 		}
 	case mRTS:
 		rv := m.rv
-		r.w.BytesMoved.Add(int64(m.n))
+		r.bytesMoved += int64(m.n)
 		req.rv = rv
 		rv.publishCTS(req.dst[:m.n])
 		if r.w.cfg.Large == Offload {
@@ -469,7 +476,7 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 	// stream through eager cells, one copy per end, like a NIC ring.
 	cross := r.w.crossNode(r.rank, dst)
 	if cross {
-		r.w.NetMsgs.Add(1)
+		r.netMsgs++
 		if d := cfg.CrossDelay; d != nil {
 			if dd := d(len(buf)); dd > 0 {
 				r.sleep(dd)
@@ -477,13 +484,13 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 		}
 	}
 	if cfg.Large == Eager || cross || len(buf) <= cfg.RndvThreshold {
-		r.w.EagerMsgs.Add(1)
-		r.w.BytesMoved.Add(int64(len(buf)))
+		r.eagerMsgs++
+		r.bytesMoved += int64(len(buf))
 		seq := r.sendSeq[dst]
 		if !cross && len(buf) <= fastboxBytes &&
 			target.inbox[r.rank].trySend(seq, tag, buf) {
 			r.sendSeq[dst] = seq + 1
-			r.w.FastboxMsgs.Add(1)
+			r.fastboxMsgs++
 			target.wakeUp()
 			req.ready.Store(true)
 			return req
@@ -542,7 +549,7 @@ func (r *Rank) Isend(dst, tag int, buf []byte) *Request {
 	}
 	// Rendezvous: the buffer stays pinned (referenced) until the chunked
 	// copy completes.
-	r.w.RndvMsgs.Add(1)
+	r.rndvMsgs++
 	rv := newRendezvous(r.w, r.rank, dst, buf)
 	req.rv = rv
 	m := r.getMsg()

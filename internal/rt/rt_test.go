@@ -2,12 +2,15 @@ package rt
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"knemesis/internal/comm"
 )
@@ -360,6 +363,92 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if w.EagerMsgs.Load() < 1 || w.RndvMsgs.Load() != 1 {
 		t.Fatalf("eager=%d rndv=%d", w.EagerMsgs.Load(), w.RndvMsgs.Load())
+	}
+}
+
+// The message counters are owner-only per rank and folded into the World
+// once the ranks join. One run mixes every path: a fastbox hit, two sends
+// that find the box full and take the queue, a rendezvous (whose bytes the
+// receiver counts) and cross-node sends both ways, one of them above the
+// rendezvous threshold (a network pair streams it eagerly). A run cut by
+// its deadline still reports exactly the messages sent: counted once, not
+// lost with the cancelled ranks and not doubled.
+func TestWorldCountsFoldedAtJoin(t *testing.T) {
+	const small, rndv, netSmall, netLarge = 64, 128 << 10, 100, 200 << 10
+	w := NewWorld(3, Config{NodeOf: []int{0, 0, 1}})
+	sent := make(chan struct{})
+	err := w.Run(func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			// Rank 1 drains nothing until sent closes, so the first
+			// message takes the empty fastbox and the next two the queue.
+			for i := 0; i < 3; i++ {
+				r.Send(1, i, pattern(i, small))
+			}
+			close(sent)
+			r.Send(1, 3, pattern(3, rndv))
+			r.Send(2, 0, pattern(4, netLarge))
+			r.Recv(2, 1, make([]byte, netSmall))
+		case 1:
+			<-sent
+			buf := make([]byte, rndv)
+			for i := 0; i < 3; i++ {
+				if st := r.Recv(0, i, buf); st.N != small || !bytes.Equal(buf[:small], pattern(i, small)) {
+					t.Errorf("small message %d corrupted (status %+v)", i, st)
+				}
+			}
+			if r.Recv(0, 3, buf); !bytes.Equal(buf, pattern(3, rndv)) {
+				t.Error("rendezvous payload corrupted")
+			}
+		case 2:
+			buf := make([]byte, netLarge)
+			if r.Recv(0, 0, buf); !bytes.Equal(buf, pattern(4, netLarge)) {
+				t.Error("cross-node payload corrupted")
+			}
+			r.Send(0, 1, pattern(5, netSmall))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"EagerMsgs", w.EagerMsgs.Load(), 5},
+		{"FastboxMsgs", w.FastboxMsgs.Load(), 1},
+		{"NetMsgs", w.NetMsgs.Load(), 2},
+		{"RndvMsgs", w.RndvMsgs.Load(), 1},
+		{"BytesMoved", w.BytesMoved.Load(), 3*small + rndv + netLarge + netSmall},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+
+	const k = 5
+	w = NewWorld(2, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	err = w.RunCtx(ctx, func(r *Rank) {
+		buf := make([]byte, small)
+		if r.ID() == 0 {
+			for i := 0; i < k; i++ {
+				r.Send(1, 0, buf)
+			}
+			r.Recv(1, 0, buf) // never sent: the deadline cuts the run
+		} else {
+			r.Recv(0, 1, buf) // never sent either
+		}
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunCtx returned %v, want the deadline", err)
+	}
+	if got := w.EagerMsgs.Load(); got != k {
+		t.Errorf("cut run: EagerMsgs = %d, want %d", got, k)
+	}
+	if got := w.BytesMoved.Load(); got != k*small {
+		t.Errorf("cut run: BytesMoved = %d, want %d", got, k*small)
 	}
 }
 

@@ -100,7 +100,7 @@ type World struct {
 	cancelc   chan struct{}
 	cancelled atomic.Bool
 
-	// Stats (atomic; read after Run returns).
+	// Stats (per-rank, folded at join; read after Run returns).
 	EagerMsgs   atomic.Int64
 	RndvMsgs    atomic.Int64
 	FastboxMsgs atomic.Int64 // eager messages that took a fastbox
@@ -247,6 +247,7 @@ func (w *World) RunCtx(ctx context.Context, app func(r *Rank)) error {
 	unhook()
 	w.Close()
 	w.reclaim()
+	w.foldStats()
 	select {
 	case p := <-panics:
 		return fmt.Errorf("rt: %v", p)
@@ -284,6 +285,20 @@ func (w *World) reclaim() {
 		r.posted = postQ{exact: make(map[uint64]*postBucket)}
 		r.unexpN.Store(0)
 		r.postedN.Store(0)
+	}
+}
+
+// foldStats adds every rank's message counters into the World's stats and
+// zeroes them, so each message is counted once however the run ended.
+// Single-threaded, like reclaim.
+func (w *World) foldStats() {
+	for _, r := range w.ranks {
+		w.EagerMsgs.Add(r.eagerMsgs)
+		w.FastboxMsgs.Add(r.fastboxMsgs)
+		w.NetMsgs.Add(r.netMsgs)
+		w.RndvMsgs.Add(r.rndvMsgs)
+		w.BytesMoved.Add(r.bytesMoved)
+		r.eagerMsgs, r.fastboxMsgs, r.netMsgs, r.rndvMsgs, r.bytesMoved = 0, 0, 0, 0, 0
 	}
 }
 
