@@ -3,9 +3,10 @@
 // messages through Nemesis-style lock-free queues; large messages either
 // go eagerly (two copies, the double-buffering analogue), by single-copy
 // rendezvous (what KNEM needs a kernel module for, free here because
-// goroutines share an address space), or offloaded to a copier pool (the
-// kernel-thread / I/OAT analogue). The sweep itself is the same IMB
-// PingPong driver the simulator figures use — only the engine differs.
+// goroutines share an address space), or offloaded to copy goroutines
+// started per transfer (the kernel-thread analogue). The sweep itself is
+// the same IMB PingPong driver the simulator figures use — only the engine
+// differs.
 package main
 
 import (

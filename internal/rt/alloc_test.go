@@ -19,7 +19,6 @@ func TestEagerPingPongZeroAlloc(t *testing.T) {
 		size := size
 		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
 			w := NewWorld(2, Config{Large: SingleCopy})
-			defer w.Close()
 			start := make(chan struct{})
 			done := make(chan struct{})
 			go func() {

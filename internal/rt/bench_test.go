@@ -68,7 +68,6 @@ func BenchmarkRTMsgRate(b *testing.B) {
 		size := size
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			w := NewWorld(2, Config{})
-			defer w.Close()
 			buf0 := make([]byte, size)
 			buf1 := make([]byte, size)
 			var wg sync.WaitGroup
@@ -100,14 +99,13 @@ func BenchmarkRTMsgRate(b *testing.B) {
 // BenchmarkRTStreamBW measures large-message bandwidth per mode: a
 // unidirectional stream of 4 MiB messages (MB/s is payload moved, once).
 // Eager exercises the bounded cell pipeline, single-copy the chunked
-// dual-copy rendezvous, offload the copier pool.
+// dual-copy rendezvous, offload the per-transfer copy goroutines.
 func BenchmarkRTStreamBW(b *testing.B) {
 	const size = 4 << 20
 	for _, mode := range []LargeMode{Eager, SingleCopy, Offload} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
 			w := NewWorld(2, Config{Large: mode})
-			defer w.Close()
 			buf0 := make([]byte, size)
 			buf1 := make([]byte, size)
 			var wg sync.WaitGroup
@@ -149,7 +147,6 @@ func BenchmarkRTPingPong(b *testing.B) {
 			mode, size := mode, size
 			b.Run(fmt.Sprintf("%s/%d", mode, size), func(b *testing.B) {
 				w := NewWorld(2, Config{Large: mode})
-				defer w.Close()
 				buf0 := make([]byte, size)
 				buf1 := make([]byte, size)
 				var wg sync.WaitGroup
@@ -186,7 +183,6 @@ func BenchmarkRTAlltoall(b *testing.B) {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
 			w := NewWorld(n, Config{Large: mode})
-			defer w.Close()
 			b.SetBytes(int64(n * (n - 1) * block))
 			var wg sync.WaitGroup
 			b.ResetTimer()

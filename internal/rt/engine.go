@@ -77,7 +77,7 @@ type rtJob struct {
 }
 
 // NewJob wraps a world as an engine-neutral job. Like the world's own Run,
-// the job is single-use: Run shuts the copier pool down when it returns.
+// its Run returns once every goroutine the run started has exited.
 func NewJob(w *World) comm.Job { return &rtJob{w: w} }
 
 // World exposes the underlying runtime world (the hook tests and

@@ -11,8 +11,9 @@ import (
 )
 
 // NewWorld's derivations at the boundaries: a zero threshold takes the
-// 64 KiB default, the cells are max(64 KiB, threshold), the copier pool is
-// max(1, NumCPU/4) and the sender copy is on exactly when GOMAXPROCS > 1.
+// 64 KiB default, the cells are max(64 KiB, threshold), an offload copy
+// runs max(1, NumCPU/4) goroutines wide and the sender copy is on exactly
+// when GOMAXPROCS > 1.
 func TestConfigWithDefaults(t *testing.T) {
 	const k64 = 64 * 1024
 	cases := []struct {
@@ -30,7 +31,6 @@ func TestConfigWithDefaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := NewWorld(2, tc.in)
-			defer w.Close()
 			if w.cfg.RndvThreshold != tc.wantThresh {
 				t.Errorf("RndvThreshold = %d, want %d", w.cfg.RndvThreshold, tc.wantThresh)
 			}
@@ -64,7 +64,6 @@ func TestConfigWithDefaults(t *testing.T) {
 		t.Run(fmt.Sprintf("spinMin-%d-ranks-%d-procs", c.ranks, c.procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 			w := NewWorld(c.ranks, Config{})
-			defer w.Close()
 			if w.spinMin != c.want {
 				t.Errorf("spinMin = %d, want %d", w.spinMin, c.want)
 			}
@@ -77,7 +76,6 @@ func TestConfigWithDefaults(t *testing.T) {
 func TestSenderCopyOffOnOneP(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w := NewWorld(2, Config{})
-	defer w.Close()
 	if w.senderCopy {
 		t.Error("a world built at GOMAXPROCS=1 has the sender copy on")
 	}

@@ -3,9 +3,9 @@
 // per-pair single-slot fastboxes that bypass the shared queue entirely;
 // small messages travel eagerly through pooled envelopes whose copy cells
 // they own (the double-copy path, allocation-free in steady state); large
-// messages use a rendezvous in which the receiver, the sender, and — under
-// Offload — workers playing the role of KNEM's kernel thread / I/OAT
-// engine claim fixed-size chunks of the transfer concurrently. Because
+// messages use a rendezvous in which the receiver (under Offload,
+// per-transfer copy goroutines playing the role of KNEM's kernel thread)
+// and the sender claim fixed-size chunks of the transfer concurrently. Because
 // goroutines share one address space, the single-copy transfer needs no
 // kernel assistance here: rt is the paper's design transplanted to where
 // Go can express it natively.

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -77,6 +78,53 @@ func TestQuiesceAfterCancelledRun(t *testing.T) {
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled run returned %v", err)
+	}
+	auditQuiesced(t, w)
+	waitGoroutines(t, baseline)
+}
+
+// A world owns no goroutine until it runs: NewWorld starts none in any
+// mode, so a world that is never run needs no shutdown.
+func TestNewWorldStartsNoGoroutines(t *testing.T) {
+	for _, mode := range []LargeMode{Eager, SingleCopy, Offload} {
+		before := runtime.NumGoroutine()
+		NewWorld(2, Config{Large: mode})
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%v: NewWorld started %d goroutines", mode, after-before)
+		}
+	}
+}
+
+// An Offload stream of multi-MiB messages cut by its deadline, most
+// likely while its copy goroutines are copying: the cancelled ranks unwind,
+// but RunCtx returns only after the copy goroutines have exited. The
+// sender alternates two uniform buffers, so a copy still running, or one
+// cut half way, would leave the receive buffer mixed; the race detector
+// also flags a copy goroutine write that RunCtx's return does not order.
+func TestCancelledOffloadWaitsForCopy(t *testing.T) {
+	const n = 4 << 20
+	src := [2][]byte{bytes.Repeat([]byte{1}, n), bytes.Repeat([]byte{2}, n)}
+	dst := make([]byte, n)
+	baseline := runtime.NumGoroutine()
+	w := NewWorld(2, Config{Large: Offload})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	err := w.RunCtx(ctx, func(r *Rank) {
+		for i := 0; ; i++ {
+			if r.ID() == 0 {
+				r.Send(1, 1, src[i%2])
+			} else {
+				r.Recv(0, 1, dst)
+			}
+		}
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	for off := 0; off < n; off += 4096 {
+		if dst[off] != dst[0] {
+			t.Fatalf("receive buffer mixed: byte %d is %d, byte 0 is %d", off, dst[off], dst[0])
+		}
 	}
 	auditQuiesced(t, w)
 	waitGoroutines(t, baseline)

@@ -437,14 +437,14 @@ func (r *Rank) deliver(m *message, req *Request) {
 		req.rv = rv
 		rv.publishCTS(req.dst[:m.n])
 		if r.w.cfg.Large == Offload {
-			// Fan the chunk schedule out to the copier pool; completion
-			// wakes both sides, and the receiver is free to overlap.
-			jobs := int64(r.w.copiers)
-			if jobs > rv.nchunks {
-				jobs = rv.nchunks
-			}
-			for i := int64(0); i < jobs; i++ {
-				r.w.copyq <- copyJob{rv: rv}
+			// Copy goroutines claim the chunks and exit; completion wakes
+			// both sides, and the receiver is free to overlap.
+			for range min(int64(r.w.copiers), rv.nchunks) {
+				r.w.copyWG.Add(1)
+				go func() {
+					defer r.w.copyWG.Done()
+					rv.claimCopy()
+				}()
 			}
 		} else {
 			rv.claimCopy()

@@ -3,15 +3,16 @@ package rt
 import "sync/atomic"
 
 // rendezvous describes one large transfer. Because ranks share the address
-// space, copiers move data straight from the sender's buffer to the
+// space, the data moves straight from the sender's buffer to the
 // receiver's — the single-copy transfer the paper needs a kernel module
 // for. The copy is pipelined: the transfer is split into cell-multiple chunks
-// claimed through an atomic cursor, so the receiver, the sender (which
-// helps while it waits — the dual-copy that doubles bandwidth when both
-// sides have a core) and any offload copiers work on disjoint chunks
-// concurrently. The sender joins at CTS when the transfer is larger than
-// the world's spinMin (the host's DMAmin), because it spins for CTS; at or
-// below that it parks, and joins only if it wakes before the chunks run out.
+// claimed through an atomic cursor, so the receiver (under Offload, the
+// copy goroutines it starts at CTS) and the sender (which helps while it
+// waits — the dual-copy that doubles bandwidth when both sides have a
+// core) work on disjoint chunks concurrently. The sender joins at CTS
+// when the transfer is larger than the world's spinMin (the host's
+// DMAmin), because it spins for CTS; at or below that it parks, and joins
+// only if it wakes before the chunks run out.
 type rendezvous struct {
 	src       []byte
 	dst       []byte // published by the receiver at CTS time
@@ -28,7 +29,7 @@ type rendezvous struct {
 
 // rvChunkCells sets the rendezvous copy-chunk size in cells: coarser than
 // the eager cells (fewer cursor operations on the copy path) while still
-// fine enough that a handful of copiers share a multi-megabyte transfer.
+// fine enough that a handful of claimers share a multi-megabyte transfer.
 const rvChunkCells = 4
 
 // newRendezvous sizes the chunk schedule for a transfer of buf. Even a
@@ -47,7 +48,7 @@ func newRendezvous(w *World, sender, receiver int, buf []byte) *rendezvous {
 	}
 }
 
-// publishCTS exposes the receive buffer to all copiers; with dual-copy on
+// publishCTS exposes the receive buffer to every claimer; with dual-copy on
 // it also wakes the sender so it can start claiming chunks (without it the
 // sender sleeps until completion).
 func (rv *rendezvous) publishCTS(dst []byte) {

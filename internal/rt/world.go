@@ -28,9 +28,9 @@ const (
 	// baseline double-buffering analogue); oversized messages are
 	// pipelined through cell-sized segments.
 	Eager
-	// Offload performs rendezvous with the chunked copy executed by the
-	// copier pool, freeing the receiver to overlap — the asynchronous
-	// KNEM/I/OAT analogue.
+	// Offload performs rendezvous with the chunked copy executed by
+	// copy goroutines the receiver starts at CTS, freeing it to overlap —
+	// the asynchronous KNEM analogue.
 	Offload
 )
 
@@ -87,13 +87,13 @@ type World struct {
 
 	// Derived by NewWorld from the threshold and the host, not configured.
 	cellBytes  int  // eager cell capacity: max(64 KiB, RndvThreshold)
-	copiers    int  // offload pool width: max(1, NumCPU/4)
+	copiers    int  // offload copy goroutines per rendezvous: max(1, NumCPU/4)
 	senderCopy bool // a waiting rendezvous sender claims chunks: GOMAXPROCS > 1
 	spinMin    int  // a larger rendezvous send spins for CTS: the host's DMAmin
 
-	copyq   chan copyJob
-	copyWG  sync.WaitGroup
-	stopped atomic.Bool
+	// copyWG counts running offload copy goroutines. Each Add happens on
+	// a rank goroutine before it returns, so before RunCtx's Wait.
+	copyWG sync.WaitGroup
 
 	// Cancellation: Cancel closes cancelc; ranks observe it at their
 	// parking and spin points and unwind via cancelPanic.
@@ -106,11 +106,6 @@ type World struct {
 	FastboxMsgs atomic.Int64 // eager messages that took a fastbox
 	NetMsgs     atomic.Int64 // messages between ranks on different nodes
 	BytesMoved  atomic.Int64
-}
-
-// copyJob hands a rendezvous chunk schedule to an offload copier.
-type copyJob struct {
-	rv *rendezvous
 }
 
 // hostDMAMin is the paper's §3.5 threshold for this host, DMAmin = L2 /
@@ -126,7 +121,7 @@ var hostDMAMin = sync.OnceValue(func() int {
 
 // NewWorld creates a world of n ranks. It derives the cell size from the
 // threshold, so an eager message of any threshold fits one cell; the
-// copier pool from the core count; the sender's rendezvous copy from
+// offload copy width from the core count; the sender's rendezvous copy from
 // GOMAXPROCS, because on a single P a helping sender only steals the
 // processor from the receiver doing the copy; and spinMin, the size above
 // which a rendezvous sender spins for CTS instead of parking, from the
@@ -142,7 +137,7 @@ func NewWorld(n int, cfg Config) *World {
 	if cfg.RndvThreshold == 0 {
 		cfg.RndvThreshold = defaultCellBytes
 	}
-	w := &World{cfg: cfg, copyq: make(chan copyJob, 128),
+	w := &World{cfg: cfg,
 		cancelc: make(chan struct{}), start: time.Now(),
 		cellBytes:  max(defaultCellBytes, cfg.RndvThreshold),
 		copiers:    max(1, runtime.NumCPU()/4),
@@ -154,10 +149,6 @@ func NewWorld(n int, cfg Config) *World {
 	}
 	for r := 0; r < n; r++ {
 		w.ranks = append(w.ranks, newRank(w, r, n))
-	}
-	for i := 0; i < w.copiers; i++ {
-		w.copyWG.Add(1)
-		go w.copier()
 	}
 	return w
 }
@@ -176,16 +167,6 @@ func (w *World) NodeOf(rank int) int {
 // crossNode reports whether two ranks live on different nodes.
 func (w *World) crossNode(a, b int) bool { return w.NodeOf(a) != w.NodeOf(b) }
 
-// copier is an offload worker: the kernel-thread / DMA-engine analogue.
-// Workers on the same rendezvous claim disjoint chunks, so the copy runs
-// as wide as the pool.
-func (w *World) copier() {
-	defer w.copyWG.Done()
-	for job := range w.copyq {
-		job.rv.claimCopy()
-	}
-}
-
 // cancelPanic unwinds a cancelled rank's stack: the parking and spinning
 // points panic it when the world is cancelled, and RunCtx's per-rank
 // recover swallows exactly this type (anything else is a real failure).
@@ -201,8 +182,9 @@ func (w *World) Cancel() {
 	}
 }
 
-// Run executes app on every rank concurrently and waits for all of them,
-// then shuts the world down. It returns the first panic as an error.
+// Run executes app on every rank concurrently and waits for all of them
+// and for every copy goroutine they started. It returns the first panic
+// as an error.
 func (w *World) Run(app func(r *Rank)) error {
 	return w.RunCtx(context.Background(), app)
 }
@@ -212,8 +194,9 @@ func (w *World) Run(app func(r *Rank)) error {
 // returns an error wrapping ctx's error plus that state dump. A rank
 // panicking for any other reason also cancels its peers, so one crashed
 // rank unwinds the whole job instead of deadlocking it. A run that
-// completes before cancellation returns exactly as Run. Either way the
-// world is shut down and its pooled envelopes reclaimed on return.
+// completes before cancellation returns exactly as Run. Either way every
+// goroutine the run started has exited and the world's pooled envelopes
+// are reclaimed on return.
 func (w *World) RunCtx(ctx context.Context, app func(r *Rank)) error {
 	var dumpMu sync.Mutex
 	var dump string
@@ -245,7 +228,7 @@ func (w *World) RunCtx(ctx context.Context, app func(r *Rank)) error {
 	}
 	wg.Wait()
 	unhook()
-	w.Close()
+	w.copyWG.Wait()
 	w.reclaim()
 	w.foldStats()
 	select {
@@ -357,14 +340,6 @@ func (w *World) StateDump() string {
 			r.rank, r.postedN.Load(), r.unexpN.Load(), parkReasonName(r.parkReason.Load()))
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// Close stops the copier pool. Idempotent; Run calls it automatically.
-func (w *World) Close() {
-	if w.stopped.CompareAndSwap(false, true) {
-		close(w.copyq)
-		w.copyWG.Wait()
-	}
 }
 
 // Rank returns rank r's handle (for use by that rank's goroutine only).
