@@ -149,9 +149,9 @@ func TestStateDumperCapability(t *testing.T) {
 }
 
 // Goroutine quiescence: after a cancelled rt run returns, every goroutine
-// the job started — ranks, offload copy goroutines, injectors — is gone. Counted with
-// retries: the runtime needs a few scheduler passes to retire exiting
-// goroutines.
+// the job started — ranks, offload copy goroutines, injectors — is gone.
+// Counted with retries: the runtime needs a few scheduler passes to retire
+// exiting goroutines.
 func TestCancelQuiescenceRT(t *testing.T) {
 	before := runtime.NumGoroutine()
 	job, err := comm.NewJob("rt", comm.JobSpec{Ranks: 4})
