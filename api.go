@@ -24,7 +24,9 @@
 //
 // This facade re-exports the stable entry points; the implementation lives
 // under internal/ (see DESIGN.md for the package map and "How to add an
-// engine").
+// engine"). The package examples print the paper's headline shapes (Figs.
+// 5 and 7, the §3.5 thresholds, Table 1's IS row) with their output pinned,
+// so `go test` fails when a printed number moves.
 package knemesis
 
 import (

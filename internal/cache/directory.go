@@ -74,10 +74,14 @@ type DirPage [DirPageBlocks]DirEntry
 // Entry returns the mutable entry for block, which must lie in the page.
 func (p *DirPage) Entry(block uint64) *DirEntry { return &p[block&(DirPageBlocks-1)] }
 
+// MaxDomains is the most cache domains a Directory tracks: the width of
+// its presence mask.
+const MaxDomains = 64
+
 // NewDirectory returns an empty directory over the given number of cache
-// domains (at most 64, the presence-mask width).
+// domains (at most MaxDomains).
 func NewDirectory(domains int) *Directory {
-	if domains < 1 || domains > 64 {
+	if domains < 1 || domains > MaxDomains {
 		panic("cache: directory needs 1..64 domains")
 	}
 	return &Directory{domains: domains, pages: make(map[uint64]*DirPage)}

@@ -77,7 +77,7 @@ func NewClusterStack(eng *sim.Engine, pl *topo.Placement, opt Options, chCfg nem
 		m := hw.NewOn(eng, mt)
 		cores := make([]topo.CoreID, len(ranks))
 		for i, r := range ranks {
-			cores[i] = m.Topo.AllCores()[pl.CoreOf[r]]
+			cores[i] = pl.CoreOf[r]
 		}
 		s := newStackOn(m, cores, ranks, opt, chCfg)
 		cs.Nodes = append(cs.Nodes, s)

@@ -237,6 +237,15 @@ func (s Spec) canonComm() (Spec, error) {
 		if c.Ranks > cl.Capacity() {
 			return Spec{}, fmt.Errorf("api: cluster %s has %d cores, requested %d ranks", cl.Name, cl.Capacity(), c.Ranks)
 		}
+		if c.Engine == "sim" {
+			// The simulator builds a topo.NodeMachine per used host; refuse
+			// every host it cannot model before any machine is built.
+			for _, n := range cl.Nodes {
+				if n.Cores > topo.MaxNodeCores {
+					return Spec{}, fmt.Errorf("api: host %s of cluster %s has %d cores, the simulator models at most %d", n.Name, cl.Name, n.Cores, topo.MaxNodeCores)
+				}
+			}
+		}
 	} else {
 		if c.FlatColl {
 			return Spec{}, fmt.Errorf("api: flat_coll needs a topology")

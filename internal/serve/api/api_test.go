@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -203,6 +204,36 @@ func TestCanonicalizeRejections(t *testing.T) {
 			t.Errorf("%s: accepted %+v", name, s)
 		} else if name == "DOT path" && !strings.Contains(err.Error(), "unknown cluster preset") {
 			t.Errorf("%s: %v, want an unknown-preset error", name, err)
+		}
+	}
+}
+
+// The simulator pairs a host's cores into L2 domains and tracks at most 64
+// of them, so a sim spec naming a larger host is refused up front; rt
+// builds no machine and takes the same topology.
+func TestCanonicalizeSimHostLimit(t *testing.T) {
+	dot := func(cores int) string {
+		return fmt.Sprintf(`graph big { n0 [cores=%d]; n1 [cores=2]; n0 -- n1 [latency="1us", bandwidth="1.25e9"]; }`, cores)
+	}
+	for _, tc := range []struct {
+		engine string
+		cores  int
+		ok     bool
+	}{
+		{"sim", 128, true},
+		{"sim", 129, false},
+		{"sim", 130, false},
+		{"sim", 2000000000, false},
+		{"rt", 130, true},
+	} {
+		_, err := Spec{Kind: KindComm, Engine: tc.engine, Topology: dot(tc.cores)}.Canonicalize()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s, %d-core host: %v", tc.engine, tc.cores, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s, %d-core host: accepted", tc.engine, tc.cores)
+		case !tc.ok && !strings.Contains(err.Error(), "host n0 of cluster big"):
+			t.Errorf("%s, %d-core host: %v, want the host named", tc.engine, tc.cores, err)
 		}
 	}
 }

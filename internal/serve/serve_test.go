@@ -511,6 +511,30 @@ func TestQueueFullSheds429(t *testing.T) {
 	await(t, d, blocker.ID)
 }
 
+// A sim spec whose topology holds a host the simulator cannot model is a
+// bad request: refused before it reaches a runner, so it neither panics
+// nor leaves a record.
+func TestOversizedSimHostIsBadRequest(t *testing.T) {
+	d := newTestDaemon(t, Config{SimWorkers: 1})
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+
+	spec := api.Spec{Kind: api.KindComm, Topology: `graph big { n0 [cores=130]; }`}
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "simulator models at most 128") {
+		t.Fatalf("submit = %s %s, want 400 naming the limit", resp.Status, msg)
+	}
+	if n := len(d.Store().List("")); n != 0 {
+		t.Fatalf("ledger has %d records after a refused spec, want 0", n)
+	}
+}
+
 // TestConcurrentHammer exercises submit/cancel/status/list concurrently —
 // run under -race in CI, it is the data-race gate on the daemon surface —
 // and then checks the result cache's accounting: every submission that

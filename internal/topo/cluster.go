@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"knemesis/internal/cache"
 	"knemesis/internal/registry"
 	"knemesis/internal/sim"
 	"knemesis/internal/units"
@@ -309,10 +310,16 @@ func (pl *Placement) UsedHosts() []int {
 	return out
 }
 
+// MaxNodeCores is the largest host NodeMachine builds a valid machine for:
+// it pairs cores into L2 domains, and the coherence directory tracks at
+// most cache.MaxDomains of them.
+const MaxNodeCores = 2 * cache.MaxDomains
+
 // NodeMachine builds the per-host machine description used when a cluster
 // node has no explicit preset: cores cores paired into shared-L2 domains
 // (an odd trailing core gets a private L2), 4 MiB L2s and the calibrated
-// default cost model — the E5345 geometry generalized to any core count.
+// default cost model — the E5345 geometry generalized to any core count up
+// to MaxNodeCores (above it the machine fails Validate).
 func NodeMachine(cores int) *Machine {
 	if cores < 1 {
 		panic(fmt.Sprintf("topo: NodeMachine with %d cores", cores))

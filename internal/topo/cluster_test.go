@@ -107,13 +107,20 @@ func TestClusterCapacityAndMinLatency(t *testing.T) {
 }
 
 func TestNodeMachineValidates(t *testing.T) {
-	for _, cores := range []int{1, 2, 3, 4, 7, 16} {
+	for _, cores := range []int{1, 2, 3, 4, 7, 16, 128} {
 		m := NodeMachine(cores)
 		if err := m.Validate(); err != nil {
 			t.Fatalf("NodeMachine(%d): %v", cores, err)
 		}
 		if len(m.AllCores()) != cores {
 			t.Fatalf("NodeMachine(%d) has %d cores", cores, len(m.AllCores()))
+		}
+	}
+	// 129 cores make a 65th L2 domain, one more than the coherence
+	// directory tracks: Validate must refuse it, so hw.New never builds it.
+	for _, cores := range []int{129, 130} {
+		if err := NodeMachine(cores).Validate(); err == nil {
+			t.Errorf("NodeMachine(%d) validated with %d L2 domains", cores, len(NodeMachine(cores).L2Domains))
 		}
 	}
 }

@@ -193,6 +193,7 @@ func FuzzParseDOT(f *testing.F) {
 	f.Add(RenderDOT(TwoNode(4, sim.Microsecond, 1e9)))
 	f.Add(`digraph { a -> b; }`)
 	f.Add(`graph "{" { "]" [cores=1]; }`)
+	f.Add(`graph big { n0 [cores=130]; n1 [cores=128]; n0 -- n1 [latency="1us", bandwidth="1.25e9"]; }`)
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := ParseDOT(src)
 		if err != nil {
@@ -201,6 +202,15 @@ func FuzzParseDOT(f *testing.F) {
 		// Anything accepted must validate and round-trip exactly.
 		if err := c.Validate(); err != nil {
 			t.Fatalf("ParseDOT returned an invalid cluster: %v", err)
+		}
+		// Every host the simulator takes (the api refuses larger ones)
+		// builds a valid machine.
+		for _, n := range c.Nodes {
+			if n.Cores > 0 && n.Cores <= MaxNodeCores {
+				if err := NodeMachine(n.Cores).Validate(); err != nil {
+					t.Fatalf("host %s: %v", n.Name, err)
+				}
+			}
 		}
 		rendered := RenderDOT(c)
 		back, err := ParseDOT(rendered)

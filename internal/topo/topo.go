@@ -253,10 +253,14 @@ func LookupMachine(name string) (*Machine, error) {
 }
 
 // Validate checks structural invariants: every core in exactly one domain,
-// positive sizes, power-of-two block/page sizes.
+// no more domains than the coherence directory tracks, positive sizes,
+// power-of-two block/page sizes.
 func (m *Machine) Validate() error {
 	if m.Cores <= 0 {
 		return fmt.Errorf("topo: %s: no cores", m.Name)
+	}
+	if len(m.L2Domains) > cache.MaxDomains {
+		return fmt.Errorf("topo: %s: %d L2 domains above the coherence directory's limit of %d", m.Name, len(m.L2Domains), cache.MaxDomains)
 	}
 	seen := make(map[CoreID]bool)
 	for _, dom := range m.L2Domains {
