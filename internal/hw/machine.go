@@ -145,14 +145,14 @@ type Utilization struct {
 func (m *Machine) UtilizationReport() Utilization {
 	u := Utilization{
 		Elapsed:        m.Eng.Now(),
-		BusBytesServed: m.Bus.Served,
+		BusBytesServed: m.Bus.Served(),
 		BusCapacityBps: m.Topo.Params.BusBandwidth,
 	}
 	if secs := u.Elapsed.Seconds(); secs > 0 {
-		u.BusUtilization = m.Bus.Served / (m.Topo.Params.BusBandwidth * secs)
+		u.BusUtilization = u.BusBytesServed / (m.Topo.Params.BusBandwidth * secs)
 	}
 	for _, c := range m.Cores {
-		u.CoreBusySec = append(u.CoreBusySec, c.CPU.Served)
+		u.CoreBusySec = append(u.CoreBusySec, c.CPU.Served())
 	}
 	return u
 }

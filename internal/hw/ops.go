@@ -173,6 +173,22 @@ func (m *Machine) LocalDelay(p *sim.Proc, coreID topo.CoreID, d sim.Time) {
 	m.Cores[coreID].Busy(p, d)
 }
 
+// BusyPoll spins core coreID on a completion flag in quanta of d CPU time
+// until done reports true; done must flip only in an event that broadcasts
+// c. It charges exactly what for !done() { LocalDelay(p, coreID, d) }
+// would, without an event per quantum while the poll has the core to
+// itself (sim.Fluid.Poll). A non-positive quantum costs nothing: p waits on
+// c.
+func (m *Machine) BusyPoll(p *sim.Proc, coreID topo.CoreID, d sim.Time, done func() bool, c *sim.Cond) {
+	if d <= 0 {
+		for !done() {
+			c.Wait(p)
+		}
+		return
+	}
+	m.Cores[coreID].CPU.Poll(p, d.Seconds(), done, c)
+}
+
 // Compute models an application compute phase of base CPU seconds that
 // streams over the given working-set regions (read-mostly: one read pass,
 // with every eighth block written). Cache misses on the working set — e.g.

@@ -3,10 +3,12 @@ package imb
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"knemesis/internal/comm"
 	"knemesis/internal/core"
+	"knemesis/internal/hw"
 	"knemesis/internal/mpi"
 	"knemesis/internal/nemesis"
 	"knemesis/internal/sim"
@@ -29,12 +31,38 @@ var eventStreamPins = map[string]uint64{
 	"pingpong/vmsplice-writev/cross/256KiB":  0x23e71028d9f2d9cf,
 	"pingpong/knem/shared/256KiB":            0x7c3c3b1036666a8c,
 	"pingpong/knem/cross/256KiB":             0x2a05d23c3822d62,
-	"pingpong/knem-ioat/shared/256KiB":       0x98301639630b8e85,
-	"pingpong/knem-ioat/cross/256KiB":        0x35693cb6a0b0145c,
+	"pingpong/knem-ioat/shared/256KiB":       0x19102cc1d173ee1b,
+	"pingpong/knem-ioat/cross/256KiB":        0x8278b0fe2729059f,
 	"pingpong/cma/shared/256KiB":             0x9539a6d4fe40d36a,
 	"pingpong/cma/cross/256KiB":              0x450992941fafa5ac,
-	"alltoall8/knem-ioat/32KiB":              0x33871376d4cbde0f,
+	"alltoall8/knem-ioat/32KiB":              0x22d1a4308b046a3b,
 	"multipair4/default/cross/1MiB":          0x5429c482fe5dc13e,
+}
+
+// resultPin is what a case computed: the engine's final Now() and the
+// FNV-64a hash of the bits of Bus.Served followed by every core's
+// CPU.Served. The stream pins may move with a change that runs fewer events
+// for the same result; these must not.
+type resultPin struct {
+	now    sim.Time
+	served uint64
+}
+
+var resultPins = map[string]resultPin{
+	"pingpong/default/shared/256KiB":         {626189869, 0xa0fd9d71dd2c4735},
+	"pingpong/default/cross/256KiB":          {2487783237, 0x48df1284b75a7aad},
+	"pingpong/vmsplice/shared/256KiB":        {903559291, 0x27745cec354346d1},
+	"pingpong/vmsplice/cross/256KiB":         {909323358, 0x40cb88338b0a8252},
+	"pingpong/vmsplice-writev/shared/256KiB": {1333177582, 0x2307b132e1940c57},
+	"pingpong/vmsplice-writev/cross/256KiB":  {3219797540, 0xee54f6521a736b8f},
+	"pingpong/knem/shared/256KiB":            {678583267, 0xcc050313b94640bf},
+	"pingpong/knem/cross/256KiB":             {682243310, 0x8b8a970f92bc518e},
+	"pingpong/knem-ioat/shared/256KiB":       {1637242559, 0x7f94e396bbd1347f},
+	"pingpong/knem-ioat/cross/256KiB":        {1640902602, 0x8ab6be0182b7568a},
+	"pingpong/cma/shared/256KiB":             {673783231, 0x5957af5a1f960742},
+	"pingpong/cma/cross/256KiB":              {677531274, 0x9ea522ee62c7e3f3},
+	"alltoall8/knem-ioat/32KiB":              {6840959604, 0xba2c320579a80d4a},
+	"multipair4/default/cross/1MiB":          {15398631434, 0x7d3d78dd1a7a268c},
 }
 
 type streamCase struct {
@@ -93,12 +121,31 @@ func streamCases(t *testing.T) []streamCase {
 	return out
 }
 
+// servedHash is the FNV-64a hash of the bits of m's bus and per-core
+// served totals, bus first.
+func servedHash(m *hw.Machine) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	put(m.Bus.Served())
+	for _, c := range m.Cores {
+		put(c.CPU.Served())
+	}
+	return h.Sum64()
+}
+
 // TestEventStreamPinned runs a fixed set of benchmark cases with an event
 // trace installed and compares each case's stream hash with its pin.
 func TestEventStreamPinned(t *testing.T) {
 	cases := streamCases(t)
 	if len(cases) != len(eventStreamPins) {
 		t.Fatalf("%d cases, %d pins", len(cases), len(eventStreamPins))
+	}
+	if len(cases) != len(resultPins) {
+		t.Fatalf("%d cases, %d result pins", len(cases), len(resultPins))
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -124,6 +171,11 @@ func TestEventStreamPinned(t *testing.T) {
 			if got := h.Sum64(); got != want {
 				t.Errorf("event stream hash %#x over %d events, pinned %#x: the engine executed events in a different (at, seq) order",
 					got, events, want)
+			}
+			got := resultPin{now: st.M.Eng.Now(), served: servedHash(st.M)}
+			if got != resultPins[c.name] {
+				t.Errorf("result {now %d, served %#x}, pinned {now %d, served %#x}: the simulator computed a different result",
+					got.now, got.served, resultPins[c.name].now, resultPins[c.name].served)
 			}
 		})
 	}

@@ -32,6 +32,9 @@ type Status struct {
 // Done reports completion. Polling costs are charged by the caller.
 func (s *Status) Done() bool { return s.done }
 
+// Cond is broadcast when the status is written.
+func (s *Status) Cond() *sim.Cond { return s.cond }
+
 // WaitIdle blocks p without consuming CPU until the status is written
 // (models a context that has nothing else to do; the asynchronous progress
 // loops in Nemesis poll Done instead).

@@ -75,6 +75,9 @@ type Status struct {
 // Done reports whether the transfer has completed.
 func (s *Status) Done() bool { return s.done }
 
+// Cond is broadcast when the transfer completes.
+func (s *Status) Cond() *sim.Cond { return s.cond }
+
 // WaitIdle blocks without consuming CPU until completion (used when the
 // caller has nothing else to do; progress loops poll Done instead).
 func (s *Status) WaitIdle(p *sim.Proc) {
@@ -180,9 +183,7 @@ func (k *Module) RecvCmd(p *sim.Proc, core topo.CoreID, c Cookie, dst mem.IOVec,
 		if md == SyncIOAT {
 			// Busy-poll completion before returning to user space:
 			// the core is occupied but the caches stay clean.
-			for !dmaStatus.Done() {
-				k.os.M.LocalDelay(p, core, sim.Microsecond)
-			}
+			k.os.M.BusyPoll(p, core, sim.Microsecond, dmaStatus.Done, dmaStatus.Cond())
 			k.os.Unpin(p, core, dstPages)
 			finish(p)
 		} else {

@@ -245,6 +245,7 @@ func (s Spec) canonComm() (Spec, error) {
 					return Spec{}, fmt.Errorf("api: host %s of cluster %s has %d cores, the simulator models at most %d", n.Name, cl.Name, n.Cores, topo.MaxNodeCores)
 				}
 			}
+			c.Machine = "" // inert: the cluster's hosts are the machines
 		}
 	} else {
 		if c.FlatColl {
@@ -319,7 +320,7 @@ func (s Spec) ToComm() (comm.JobSpec, error) {
 		LMT:      s.LMT,
 		RTMode:   s.RTMode,
 	}
-	if s.Engine == "sim" {
+	if s.Engine == "sim" && s.Topology == "" {
 		m, err := topo.LookupMachine(s.Machine)
 		if err != nil {
 			return comm.JobSpec{}, err

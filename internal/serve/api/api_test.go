@@ -291,7 +291,9 @@ func TestCacheKeysPinned(t *testing.T) {
 	}
 }
 
-// pinned is TestCacheKeysPinned's table: eight specs and their keys.
+// pinned is TestCacheKeysPinned's table: ten specs and their keys. The
+// machine preset is inert on a sim job with a topology, so the two
+// "two-node" rows share a key.
 var pinned = []struct {
 	name string
 	spec Spec
@@ -305,7 +307,13 @@ var pinned = []struct {
 		"5552e7eda9fa64bed0ab188daf20b2bee5a7bae67367fe9c711b157d2de6b213"},
 	{"fat-tree spread", Spec{Kind: KindComm, Bench: "sendrecv", Ranks: 16,
 		Topology: "fat-tree-16", Placement: "spread"},
-		"6a95ea89d2485dc1622a95c83e73e91b0e0256ece93d66e0812b0caff9a911d8"},
+		"9f66b66d3897b0328610a502bc65772584c1a02f2493b7ab9b87e4216b9e5e19"},
+	{"two-node", Spec{Kind: KindComm, Bench: "alltoall", Ranks: 16,
+		Topology: "two-node", Sizes: []int64{65536}},
+		"942be12ebe20d2f187cee3d1b89e22489405a6d3e7a4e48627b6f8f5b78204a5"},
+	{"two-node, machine x5460", Spec{Kind: KindComm, Bench: "alltoall", Ranks: 16,
+		Topology: "two-node", Machine: "x5460", Sizes: []int64{65536}},
+		"942be12ebe20d2f187cee3d1b89e22489405a6d3e7a4e48627b6f8f5b78204a5"},
 	{"rt eager", Spec{Kind: KindComm, Engine: "rt", RTMode: "eager"},
 		"76af65591f3b35b76264bed7ba2ec37cce6975a0edffeb2dbaecd9551676ea71"},
 	{"perturbed", Spec{Kind: KindComm, Perturb: "slow-core;delayed-recv:mean=2e-6", Seed: 7},

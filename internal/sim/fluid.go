@@ -26,8 +26,22 @@ type Fluid struct {
 	freeFlows []*Flow
 	freeTicks []*fluidTick
 
-	// Served accumulates the total units completed (for utilization stats).
-	Served float64
+	served float64 // total units completed; read through Served
+	poll   lazyPoll
+	ties   int // settles that fell on a quantum boundary, for tests
+}
+
+// lazyPoll is a busy-poller charged lazily (see Poll): while p is parked on
+// c, its quanta of fl.amount each take d and end at start + j·d, and the
+// first folded of them are already in served. fl is not among the fluid's
+// flows. p is nil when no poll is lazy.
+type lazyPoll struct {
+	p      *Proc
+	c      *Cond
+	fl     *Flow
+	start  Time
+	d      Time
+	folded int64
 }
 
 // Flow is one in-flight demand on a Fluid. Create flows with Fluid.Start.
@@ -57,13 +71,26 @@ func (f *Fluid) SetCapacity(c float64) {
 	if c <= 0 {
 		panic("sim: fluid capacity must be positive")
 	}
+	f.interrupt()
 	f.update()
 	f.capacity = c
 	f.reschedule()
 }
 
-// Active reports the number of in-flight flows.
-func (f *Fluid) Active() int { return len(f.flows) }
+// Active reports the number of in-flight flows, a lazy poller's included.
+func (f *Fluid) Active() int {
+	if f.poll.p != nil {
+		return len(f.flows) + 1
+	}
+	return len(f.flows)
+}
+
+// Served returns the total units completed (for utilization stats),
+// counting every quantum a lazy poller has finished by now.
+func (f *Fluid) Served() float64 {
+	f.fold()
+	return f.served
+}
 
 // epsilon below which a flow counts as complete: less than 0.01 ps of
 // service at full capacity. Completion times are rounded up by 1 ps, so
@@ -73,22 +100,29 @@ func (f *Fluid) epsilon() float64 { return f.capacity * 1e-14 }
 // Start begins a flow of the given amount and returns a handle to wait on.
 // A non-positive amount completes immediately.
 func (f *Fluid) Start(amount float64) *Flow {
-	var fl *Flow
-	if n := len(f.freeFlows); n > 0 {
-		fl = f.freeFlows[n-1]
-		f.freeFlows = f.freeFlows[:n-1]
-		*fl = Flow{fluid: f, remaining: amount, amount: amount, waiters: fl.waiters}
-	} else {
-		fl = &Flow{fluid: f, remaining: amount, amount: amount}
-	}
+	fl := f.newFlow(amount)
 	if amount <= f.epsilon() {
+		f.fold()
 		fl.done = true
-		f.Served += amount
+		f.served += amount
 		return fl
 	}
+	f.interrupt()
 	f.update()
 	f.flows = append(f.flows, fl)
 	f.reschedule()
+	return fl
+}
+
+// newFlow returns an unstarted flow of amount, reusing a released one.
+func (f *Fluid) newFlow(amount float64) *Flow {
+	n := len(f.freeFlows)
+	if n == 0 {
+		return &Flow{fluid: f, remaining: amount, amount: amount}
+	}
+	fl := f.freeFlows[n-1]
+	f.freeFlows = f.freeFlows[:n-1]
+	*fl = Flow{fluid: f, remaining: amount, amount: amount, waiters: fl.waiters}
 	return fl
 }
 
@@ -97,6 +131,115 @@ func (f *Fluid) Consume(p *Proc, amount float64) {
 	fl := f.Start(amount)
 	fl.Wait(p)
 	f.Release(fl)
+}
+
+// Poll busy-polls: it means for !done() { f.Consume(p, amount) }, for a
+// done that flips only in an event that broadcasts c. While p's quantum is
+// the only flow on f, quantum j ends at exactly start + j·D, where D is what
+// Start and reschedule give a lone flow of amount, so p parks on c and f
+// keeps {start, D} in place of a tick and a wake per quantum. Three things
+// settle the lazy poller into the state the loop would have reached: a Start
+// or SetCapacity by another process (the whole quanta are added to Served,
+// one amount at a time, and the current one becomes a real flow begun at
+// start + k·D) and a read of Served (the whole quanta only). When done flips,
+// the current quantum finishes as a real flow whose tick sits on the loop's
+// boundary.
+//
+// Tie rule: anything that happens exactly on a quantum boundary happens
+// after that quantum's completion and before p polls again, which is the
+// loop's order for every event there except a zero-delay one queued behind
+// p's own wake. A done that flips on a boundary therefore ends the poll on
+// it.
+func (f *Fluid) Poll(p *Proc, amount float64, done func() bool, c *Cond) {
+	for !done() {
+		d := FromSeconds(amount/f.capacity) + 1
+		if len(f.flows) > 0 || f.poll.p != nil || amount <= f.epsilon() ||
+			amount-f.capacity*d.Seconds() > f.epsilon() {
+			// Not alone, or a lone quantum would not end in one tick
+			// (update's arithmetic, exactly): run the loop.
+			f.Consume(p, amount)
+			continue
+		}
+		fl := f.newFlow(amount)
+		f.poll = lazyPoll{p: p, c: c, fl: fl, start: f.eng.now, d: d}
+		for {
+			c.Wait(p)
+			if f.poll.fl != fl {
+				break // settled by another process
+			}
+			if done() {
+				if !f.settle() {
+					f.gen++
+					f.tick(f.last + d)
+				}
+				break
+			}
+		}
+		fl.Wait(p)
+		f.Release(fl)
+	}
+}
+
+// fold adds to served the lazy poller's quanta that have ended by now, and
+// reports whether now is a quantum boundary (one ends exactly now).
+func (f *Fluid) fold() bool {
+	lp := &f.poll
+	if lp.p == nil {
+		return false
+	}
+	elapsed := f.eng.now - lp.start
+	for k := int64(elapsed / lp.d); lp.folded < k; lp.folded++ {
+		f.served += lp.fl.amount
+	}
+	if lp.folded > 0 && elapsed%lp.d == 0 {
+		f.ties++
+		return true
+	}
+	return false
+}
+
+// settle ends the lazy poll at now in the state the loop would have
+// reached, and reports whether now is a quantum boundary. If it is, the
+// current quantum has just ended and the poller's flow is done; if not, the
+// flow is among f's flows with its last quantum's service due from the
+// quantum's start. The caller schedules the tick.
+func (f *Fluid) settle() bool {
+	lp := &f.poll
+	boundary := f.fold()
+	if boundary {
+		lp.fl.done = true
+	} else {
+		lp.fl.remaining = lp.fl.amount
+		f.last = lp.start + Time(lp.folded)*lp.d
+		f.flows = append(f.flows, lp.fl)
+	}
+	*lp = lazyPoll{}
+	return boundary
+}
+
+// interrupt settles a lazy poller because another process is about to
+// change f's flow set or capacity, and so reschedule. A poller still parked
+// on its cond moves to where the loop would have it: onto its flow, or, on a
+// boundary, to a wake-up now. The loop's tick for the current quantum goes
+// in too, superseded by the caller's reschedule as the loop's is: it fires
+// as a no-op, but when the flows then finish before it (a capacity raise,
+// or a reschedule's rounding) it is the engine's last event, as in the loop.
+func (f *Fluid) interrupt() {
+	p, c, fl, d := f.poll.p, f.poll.c, f.poll.fl, f.poll.d
+	if p == nil {
+		return
+	}
+	if !f.settle() {
+		f.tick(f.last + d)
+	}
+	switch {
+	case !c.remove(p):
+		// Already woken by c: Poll waits on fl itself.
+	case fl.done: // on a boundary
+		f.eng.scheduleWake(f.eng.now, p)
+	default:
+		fl.waiters = append(fl.waiters, p)
+	}
 }
 
 // Release hands a flow the caller started on f, has seen complete and will
@@ -140,7 +283,7 @@ func (f *Fluid) update() {
 	for _, fl := range f.flows {
 		if fl.remaining <= eps {
 			fl.done = true
-			f.Served += fl.amount
+			f.served += fl.amount
 			for _, w := range fl.waiters {
 				f.eng.scheduleWake(now, w)
 			}
@@ -191,7 +334,11 @@ func (f *Fluid) reschedule() {
 		}
 	}
 	rate := f.capacity / float64(len(f.flows))
-	dt := FromSeconds(minRem/rate) + 1 // round up so the flow really finishes
+	f.tick(f.eng.now + FromSeconds(minRem/rate) + 1) // round up so the flow really finishes
+}
+
+// tick schedules a completion event at at under the current generation.
+func (f *Fluid) tick(at Time) {
 	var t *fluidTick
 	if n := len(f.freeTicks); n > 0 {
 		t = f.freeTicks[n-1]
@@ -201,10 +348,10 @@ func (f *Fluid) reschedule() {
 		t.fire = t.run
 	}
 	t.gen = f.gen
-	f.eng.Schedule(f.eng.now+dt, t.fire)
+	f.eng.Schedule(at, t.fire)
 }
 
 // String describes the fluid for diagnostics.
 func (f *Fluid) String() string {
-	return fmt.Sprintf("fluid %s cap=%.3g active=%d", f.name, f.capacity, len(f.flows))
+	return fmt.Sprintf("fluid %s cap=%.3g active=%d", f.name, f.capacity, f.Active())
 }

@@ -175,8 +175,8 @@ func TestFluidServedAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !approx(f.Served, 3000, 1e-9) {
-		t.Fatalf("Served = %v, want 3000", f.Served)
+	if !approx(f.Served(), 3000, 1e-9) {
+		t.Fatalf("Served = %v, want 3000", f.Served())
 	}
 }
 

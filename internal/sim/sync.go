@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Cond is a simulated condition variable. Unlike sync.Cond there is no
 // associated mutex: the simulation is sequential, so state changes between
 // Wait and Signal cannot race. The usual pattern still applies — waiters
@@ -8,6 +10,7 @@ package sim
 type Cond struct {
 	eng        *Engine
 	waiters    []*Proc
+	first      [1]*Proc // waiters' backing until a second process waits
 	label      string
 	parkReason string // precomputed "cond <label>", shared by all waiters
 }
@@ -20,6 +23,9 @@ func NewCond(e *Engine, label string) *Cond {
 
 // Wait blocks p until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
+	if c.waiters == nil {
+		c.waiters = c.first[:0]
+	}
 	c.waiters = append(c.waiters, p)
 	p.park(c.parkReason)
 }
@@ -51,6 +57,17 @@ func (c *Cond) Broadcast() {
 		c.eng.scheduleWake(c.eng.now, w)
 	}
 	c.waiters = c.waiters[:0]
+}
+
+// remove takes p off c's waiters, keeping the others' order, and reports
+// whether it was there.
+func (c *Cond) remove(p *Proc) bool {
+	i := slices.Index(c.waiters, p)
+	if i < 0 {
+		return false
+	}
+	c.waiters = slices.Delete(c.waiters, i, i+1)
+	return true
 }
 
 // Waiters reports how many processes are blocked on c.
