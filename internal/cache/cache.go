@@ -135,9 +135,6 @@ func (c *Cache) BlockBytes() int64 { return c.blockBytes }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
-// Assoc returns the associativity.
-func (c *Cache) Assoc() int { return c.assoc }
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -23,8 +23,7 @@ package cache
 // with the addresses a Machine touches and is released when the Machine
 // (one per simulated stack) is dropped.
 type Directory struct {
-	domains int
-	pages   map[uint64]*DirPage
+	pages map[uint64]*DirPage
 }
 
 // DirEntry is the directory's knowledge of one block. The zero value means
@@ -84,11 +83,8 @@ func NewDirectory(domains int) *Directory {
 	if domains < 1 || domains > MaxDomains {
 		panic("cache: directory needs 1..64 domains")
 	}
-	return &Directory{domains: domains, pages: make(map[uint64]*DirPage)}
+	return &Directory{pages: make(map[uint64]*DirPage)}
 }
-
-// Domains returns the number of cache domains the directory covers.
-func (d *Directory) Domains() int { return d.domains }
 
 // Page returns the page holding block's entry, allocating it on first
 // touch, and the last block that page covers.

@@ -170,14 +170,3 @@ func SumInt64(dst, src []byte) {
 		binary.LittleEndian.PutUint64(dst[i:], uint64(d+s))
 	}
 }
-
-// MaxFloat64 keeps the elementwise maximum.
-func MaxFloat64(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		d := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		s := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		if s > d {
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(s))
-		}
-	}
-}

@@ -29,13 +29,13 @@ type Time = sim.Time
 // their Clock from this).
 func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) * sim.Nanosecond }
 
-// Matching wildcards. Adapters translate these to their engine's native
-// sentinels; workloads must use these, never engine constants.
+// Matching wildcards. Engines match on these values themselves; adapters
+// pass them through untranslated.
 const (
 	// AnySource matches a message from any rank.
 	AnySource = -1
-	// AnyTag matches a message with any tag. (Deliberately not -1: some
-	// engines reserve small negative tags for internal collectives.)
+	// AnyTag matches a message with any tag. (Deliberately not -1: the
+	// collectives' internal tags are negative.)
 	AnyTag = -1 << 31
 )
 

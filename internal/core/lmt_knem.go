@@ -90,7 +90,7 @@ func (l *knemLMT) HandleCTS(p *sim.Proc, t *nemesis.Transfer, info any) {}
 func (l *knemLMT) Recv(p *sim.Proc, t *nemesis.Transfer, cookie any) {
 	mode := l.chooseMode(t)
 	st := l.ch.KNEM.RecvCmd(p, t.RecvCore(), cookie.(knem.Cookie), t.DstVec, mode)
-	l.ch.M.BusyPoll(p, t.RecvCore(), l.opt.BusyPollQuantum, st.Done, st.Cond())
+	l.ch.M.BusyPoll(p, t.RecvCore(), BusyPollQuantum, st.Done, st.Cond())
 }
 
 // chooseMode applies Figure-6 overrides or the §3.5 dynamic policy. As the

@@ -62,6 +62,12 @@ const (
 	IOATAuto
 )
 
+// BusyPollQuantum is the CPU slice consumed per completion poll of an
+// asynchronous KNEM receive. The polling models Nemesis' spinning progress
+// engine and is what makes the kernel-thread asynchronous mode compete with
+// the user process (§4.3).
+const BusyPollQuantum = 2 * sim.Microsecond
+
 // Options configures the LMT factory.
 type Options struct {
 	Kind Kind
@@ -72,12 +78,6 @@ type Options struct {
 	// ForceKnemMode pins a specific KNEM receive mode, overriding IOAT —
 	// how Figure 6 compares synchronous vs asynchronous modes.
 	ForceKnemMode *knem.Mode
-
-	// BusyPollQuantum is the CPU slice consumed per completion poll of an
-	// asynchronous KNEM receive. The polling models Nemesis' spinning
-	// progress engine and is what makes the kernel-thread asynchronous
-	// mode compete with the user process (§4.3). Default 2us.
-	BusyPollQuantum sim.Time
 
 	// CollectiveAware enables the paper's §6 future-work policy: when the
 	// upper layer announces that multiple large transfers run in parallel
@@ -91,9 +91,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Kind == "" {
 		o.Kind = DefaultLMT
-	}
-	if o.BusyPollQuantum == 0 {
-		o.BusyPollQuantum = 2 * sim.Microsecond
 	}
 	return o
 }

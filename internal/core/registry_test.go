@@ -236,8 +236,7 @@ func TestDMAMinForEdgeCases(t *testing.T) {
 // optionsEqual compares presets by value, following the ForceKnemMode
 // pointer, so equal presets built apart compare equal.
 func optionsEqual(a, b Options) bool {
-	if a.Kind != b.Kind || a.IOAT != b.IOAT ||
-		a.BusyPollQuantum != b.BusyPollQuantum || a.CollectiveAware != b.CollectiveAware {
+	if a.Kind != b.Kind || a.IOAT != b.IOAT || a.CollectiveAware != b.CollectiveAware {
 		return false
 	}
 	if (a.ForceKnemMode == nil) != (b.ForceKnemMode == nil) {

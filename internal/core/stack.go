@@ -94,17 +94,6 @@ func (cs *ClusterStack) Size() int { return len(cs.Place.NodeOf) }
 // Endpoint returns the endpoint of a global rank.
 func (cs *ClusterStack) Endpoint(rank int) *nemesis.Endpoint { return cs.Link.Endpoint(rank) }
 
-// NodeStack returns the stack hosting a global rank.
-func (cs *ClusterStack) NodeStack(rank int) *Stack {
-	node := cs.Place.NodeOf[rank]
-	for i, h := range cs.Place.UsedHosts() {
-		if h == node {
-			return cs.Nodes[i]
-		}
-	}
-	panic("core: rank on unused host")
-}
-
 // StandardOptions returns the four LMT configurations of the paper's tables
 // (default, vmsplice, KNEM kernel copy, KNEM with auto I/OAT), in order.
 // The CMA backend postdates the paper and is therefore not part of the

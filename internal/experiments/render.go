@@ -33,17 +33,7 @@ func RenderFigure(w io.Writer, fig Figure) {
 			rowCount = len(s.Points)
 		}
 	}
-	printRow := func(cells []string) {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-	}
-	printRow(headers)
+	printRow(w, widths, headers)
 	for r := 0; r < rowCount; r++ {
 		cells := []string{""}
 		for _, s := range fig.Series {
@@ -54,7 +44,7 @@ func RenderFigure(w io.Writer, fig Figure) {
 				cells = append(cells, "-")
 			}
 		}
-		printRow(cells)
+		printRow(w, widths, cells)
 	}
 }
 
@@ -72,20 +62,23 @@ func RenderTable(w io.Writer, tab Table) {
 			}
 		}
 	}
-	printRow := func(cells []string) {
-		var b strings.Builder
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-	}
-	printRow(tab.Header)
+	printRow(w, widths, tab.Header)
 	for _, row := range tab.Rows {
-		printRow(row)
+		printRow(w, widths, row)
 	}
+}
+
+// printRow writes one fixed-width row: each cell left-aligned to its
+// column width, two spaces apart, trailing blanks trimmed.
+func printRow(w io.Writer, widths []int, cells []string) {
+	var b strings.Builder
+	for i, c := range cells {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		fmt.Fprintf(&b, "%-*s", widths[i], c)
+	}
+	fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
 }
 
 // RenderThresholds writes the §3.5 study.

@@ -177,15 +177,8 @@ func (m *Machine) LocalDelay(p *sim.Proc, coreID topo.CoreID, d sim.Time) {
 // until done reports true; done must flip only in an event that broadcasts
 // c. It charges exactly what for !done() { LocalDelay(p, coreID, d) }
 // would, without an event per quantum while the poll has the core to
-// itself (sim.Fluid.Poll). A non-positive quantum costs nothing: p waits on
-// c.
+// itself (sim.Fluid.Poll).
 func (m *Machine) BusyPoll(p *sim.Proc, coreID topo.CoreID, d sim.Time, done func() bool, c *sim.Cond) {
-	if d <= 0 {
-		for !done() {
-			c.Wait(p)
-		}
-		return
-	}
 	m.Cores[coreID].CPU.Poll(p, d.Seconds(), done, c)
 }
 

@@ -52,9 +52,6 @@ func (os *OS) NewPipe(name string) *Pipe {
 	}
 }
 
-// CapBytes returns the pipe capacity in bytes.
-func (pp *Pipe) CapBytes() int64 { return pp.capPages * pp.os.M.Params().PageBytes }
-
 func pagesFor(n, pageBytes int64) int64 {
 	if n <= 0 {
 		return 0

@@ -232,16 +232,3 @@ func (k *Module) copyLoop(p *sim.Proc, core topo.CoreID, dst, src mem.IOVec) {
 
 // Cookies reports the number of live registrations (leak checking).
 func (k *Module) Cookies() int { return len(k.cookies) }
-
-// Unload checks that no cookies are outstanding (a real module refuses to
-// unload while references exist) and stops the copy kernel threads.
-func (k *Module) Unload() error {
-	if n := len(k.cookies); n > 0 {
-		return fmt.Errorf("knem: cannot unload with %d live cookies", n)
-	}
-	for _, kt := range k.kthreads {
-		kt.Stop()
-	}
-	k.kthreads = map[topo.CoreID]*kernel.KThread{}
-	return nil
-}

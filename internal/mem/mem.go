@@ -26,7 +26,6 @@ type Space struct {
 	shared    bool
 	pageBytes int64
 	next      uint64
-	allocated int64
 }
 
 // World allocates address spaces with distinct address ranges.
@@ -71,9 +70,6 @@ func (s *Space) Shared() bool { return s.shared }
 // PageBytes returns the page size.
 func (s *Space) PageBytes() int64 { return s.pageBytes }
 
-// Allocated returns the total bytes allocated from this space.
-func (s *Space) Allocated() int64 { return s.allocated }
-
 // Alloc returns a page-aligned buffer of n bytes that reads as zeroes. The
 // backing array is made on first content access (see Buffer).
 func (s *Space) Alloc(n int64) *Buffer {
@@ -86,7 +82,6 @@ func (s *Space) Alloc(n int64) *Buffer {
 		pages = 1
 	}
 	s.next += uint64(pages * s.pageBytes)
-	s.allocated += pages * s.pageBytes
 	if s.next >= uint64(s.id+1)*spaceStride {
 		panic(fmt.Sprintf("mem: space %s exhausted its 1TiB region", s.name))
 	}
@@ -106,7 +101,6 @@ func (s *Space) AllocPhantom(n int64) *Buffer {
 	}
 	// Alloc(0) consumed one page; extend the reservation.
 	s.next += uint64((pages - 1) * s.pageBytes)
-	s.allocated += (pages - 1) * s.pageBytes
 	if s.next >= uint64(s.id+1)*spaceStride {
 		panic(fmt.Sprintf("mem: space %s exhausted its 1TiB region", s.name))
 	}

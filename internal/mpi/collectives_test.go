@@ -92,11 +92,15 @@ func (p *tagProbe) Sendrecv(dst, sendTag int, s comm.Range, src, recvTag int, rv
 	return comm.Status{}
 }
 
-// Collective tags reach the channel only through mapTag, which must fold
-// every one of them — each flat operation and each hierarchical phase,
-// across the sequence counter's wrap — above the user range [0, 1<<24) and
-// off the channel's AnyTag sentinel.
+// The sim adapter passes wildcards and tags to the channel untranslated, so
+// the channel's wildcards must be comm's, and every collective tag — each
+// flat operation and each hierarchical phase, across the sequence counter's
+// wrap — must stay below the user range and off the AnyTag wildcard.
 func TestCollectiveTagsClearUserSpace(t *testing.T) {
+	if nemesis.AnySource != comm.AnySource || nemesis.AnyTag != comm.AnyTag {
+		t.Fatalf("channel wildcards (%d, %d) differ from comm's (%d, %d)",
+			nemesis.AnySource, nemesis.AnyTag, comm.AnySource, comm.AnyTag)
+	}
 	const block = 8
 	ops := map[string]func(p comm.Peer, seq *int){
 		"barrier": func(p comm.Peer, seq *int) { comm.GenericBarrier(p, seq) },
@@ -141,8 +145,8 @@ func TestCollectiveTagsClearUserSpace(t *testing.T) {
 					seq := start
 					op(p, &seq)
 					for _, tag := range p.tags {
-						if m := mapTag(tag); m < 1<<24 || m == nemesis.AnyTag {
-							t.Errorf("%s (size %d, seq %d): tag %d maps to %d", name, size, start, tag, m)
+						if tag >= 0 || tag == comm.AnyTag {
+							t.Errorf("%s (size %d, seq %d): collective tag %d", name, size, start, tag)
 						}
 					}
 					seen += len(p.tags)
@@ -152,14 +156,5 @@ func TestCollectiveTagsClearUserSpace(t *testing.T) {
 		if seen == 0 {
 			t.Errorf("%s sent no messages; its tags went unchecked", name)
 		}
-	}
-	// The folding leaves user tags and the wildcard where they were.
-	for _, tag := range []int{0, 1<<24 - 1} {
-		if m := mapTag(tag); m != tag {
-			t.Errorf("user tag %d maps to %d", tag, m)
-		}
-	}
-	if m := mapTag(comm.AnyTag); m != nemesis.AnyTag {
-		t.Errorf("comm.AnyTag maps to %d, want nemesis.AnyTag", m)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"knemesis/internal/comm"
 	"knemesis/internal/core"
-	"knemesis/internal/hw"
 	"knemesis/internal/mem"
 	"knemesis/internal/nemesis"
 	"knemesis/internal/perturb"
@@ -76,8 +75,6 @@ func init() {
 // simJob adapts a wired stack (or multi-node cluster stack) to the
 // engine-neutral Job interface.
 type simJob struct {
-	st   *core.Stack        // single-node (nil when clustered)
-	cs   *core.ClusterStack // multi-node (nil on a single node)
 	w    *World
 	hier bool // wrap peers with the hierarchical collectives
 }
@@ -86,35 +83,23 @@ type simJob struct {
 // bridge from a hand-built stack (the experiments build their own) to the
 // comm drivers.
 func NewSimJob(st *core.Stack) comm.Job {
-	return &simJob{st: st, w: NewWorld(st)}
+	return &simJob{w: NewWorld(st)}
 }
 
 // newClusterSimJob wraps a multi-node cluster stack; hier selects the
 // topology-aware collectives (on by default for multi-node placements).
 func newClusterSimJob(cs *core.ClusterStack, hier bool) comm.Job {
 	w := NewClusterWorld(cs)
-	return &simJob{cs: cs, w: w, hier: hier && w.MultiNode()}
+	return &simJob{w: w, hier: hier && w.MultiNode()}
 }
-
-// Stack returns the underlying simulated node (sim-only diagnostics; nil
-// for multi-node jobs — see Cluster).
-func (j *simJob) Stack() *core.Stack { return j.st }
 
 // Cluster returns the underlying multi-node stack (nil for single-node
 // jobs) — the hook topology tests and experiments use to read network stats.
-func (j *simJob) Cluster() *core.ClusterStack { return j.cs }
+func (j *simJob) Cluster() *core.ClusterStack { return j.w.Cluster }
 
 func (j *simJob) Size() int { return j.w.Size }
 
-func (j *simJob) Label() string { return j.anyStack().Ch.LMTName() }
-
-// anyStack returns a representative node stack for labels and config.
-func (j *simJob) anyStack() *core.Stack {
-	if j.cs != nil {
-		return j.cs.Nodes[0]
-	}
-	return j.st
-}
+func (j *simJob) Label() string { return j.w.nodes()[0].Ch.LMTName() }
 
 // installPerturb installs the spec's perturbation set onto the simulated
 // hardware (no-op for an empty list).
@@ -122,24 +107,20 @@ func (j *simJob) installPerturb(spec comm.JobSpec) error {
 	if len(spec.Perturbations) == 0 {
 		return nil
 	}
-	t := &perturb.SimTarget{Eng: j.w.eng(), Ranks: j.w.Size}
-	if j.cs != nil {
-		for _, s := range j.cs.Nodes {
-			t.Machines = append(t.Machines, s.M)
-		}
-		t.Net = j.cs.Net
-		pl := j.cs.Place
-		t.RankLoc = func(r int) (int, topo.CoreID) { return pl.NodeOf[r], pl.CoreOf[r] }
-	} else {
-		t.Machines = []*hw.Machine{j.st.M}
-		eps := j.st.Ch.Endpoints
-		t.RankLoc = func(r int) (int, topo.CoreID) { return 0, eps[r].Core }
+	w := j.w
+	t := &perturb.SimTarget{Eng: w.eng(), Ranks: w.Size,
+		RankLoc: func(r int) (int, topo.CoreID) { return w.NodeOf(r), w.endpoint(r).Core }}
+	for _, s := range w.nodes() {
+		t.Machines = append(t.Machines, s.M)
+	}
+	if w.Cluster != nil {
+		t.Net = w.Cluster.Net
 	}
 	set, err := perturb.InstallSim(t, spec.Perturbations, spec.Seed)
 	if err != nil {
 		return err
 	}
-	j.w.SetPerturb(set)
+	w.SetPerturb(set)
 	return nil
 }
 
@@ -191,42 +172,30 @@ func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 // meaningful after Run/RunCtx has returned.
 func (j *simJob) StateDump() string { return j.w.eng().StateDump() }
 
+// Usage aggregates over the per-node machines: one shared engine, one
+// elapsed time; bus bytes, capacity and core seconds sum, and the bus
+// utilisation is hw.UtilizationReport's formula over the sums.
 func (j *simJob) Usage() comm.Usage {
-	if j.cs != nil {
-		// Aggregate over the per-node machines: shared engine, one
-		// elapsed time; bus bytes, capacity and core seconds sum.
-		var out comm.Usage
-		for _, s := range j.cs.Nodes {
-			u := s.M.UtilizationReport()
-			out.Elapsed = u.Elapsed
-			out.BusBytesServed += u.BusBytesServed
-			out.BusCapacityBps += u.BusCapacityBps
-			out.CoreBusySec = append(out.CoreBusySec, u.CoreBusySec...)
-		}
-		if secs := out.Elapsed.Seconds(); secs > 0 && out.BusCapacityBps > 0 {
-			out.BusUtilization = out.BusBytesServed / (out.BusCapacityBps * secs)
-		}
-		return out
+	var out comm.Usage
+	for _, s := range j.w.nodes() {
+		u := s.M.UtilizationReport()
+		out.Elapsed = u.Elapsed
+		out.BusBytesServed += u.BusBytesServed
+		out.BusCapacityBps += u.BusCapacityBps
+		out.CoreBusySec = append(out.CoreBusySec, u.CoreBusySec...)
 	}
-	u := j.st.M.UtilizationReport()
-	return comm.Usage{
-		Elapsed:        u.Elapsed,
-		BusBytesServed: u.BusBytesServed,
-		BusCapacityBps: u.BusCapacityBps,
-		BusUtilization: u.BusUtilization,
-		CoreBusySec:    u.CoreBusySec,
+	if secs := out.Elapsed.Seconds(); secs > 0 {
+		out.BusUtilization = out.BusBytesServed / (out.BusCapacityBps * secs)
 	}
+	return out
 }
 
 func (j *simJob) MissLines() int64 {
-	if j.cs != nil {
-		var total int64
-		for _, s := range j.cs.Nodes {
-			total += s.M.L2MissLines()
-		}
-		return total
+	var total int64
+	for _, s := range j.w.nodes() {
+		total += s.M.L2MissLines()
 	}
-	return j.st.M.L2MissLines()
+	return total
 }
 
 // simPeer adapts one rank's mpi.Comm to the engine-neutral Peer.
@@ -270,52 +239,26 @@ func regions(ws []comm.Range) []mem.Region {
 	return out
 }
 
-// mapSrc / mapTag translate the comm wildcards to the channel's sentinels.
-func mapSrc(src int) int {
-	if src == comm.AnySource {
-		return nemesis.AnySource
-	}
-	return src
-}
-
-func mapTag(tag int) int {
-	if tag == comm.AnyTag {
-		return nemesis.AnyTag
-	}
-	if tag < 0 {
-		// Internal collective tags live in the comm layer's negative
-		// space; fold them above every other tag region so none can
-		// collide with the channel's AnyTag sentinel (-1).
-		return (1 << 28) - tag
-	}
-	return tag
-}
-
-func (p *simPeer) Send(dst, tag int, r comm.Range) { p.c.Send(dst, mapTag(tag), vec(r)) }
+func (p *simPeer) Send(dst, tag int, r comm.Range) { p.c.Send(dst, tag, vec(r)) }
 
 func (p *simPeer) Recv(src, tag int, r comm.Range) comm.Status {
-	return status(p.c.Recv(mapSrc(src), mapTag(tag), vec(r)))
+	return p.c.Recv(src, tag, vec(r))
 }
 
-// simReq wraps a simulator request for the neutral interface.
-type simReq struct{ r *Request }
-
-func (q *simReq) Done() bool { return q.r.Done() }
-
 func (p *simPeer) Isend(dst, tag int, r comm.Range) comm.Request {
-	return &simReq{r: p.c.Isend(dst, mapTag(tag), vec(r))}
+	return p.c.Isend(dst, tag, vec(r))
 }
 
 func (p *simPeer) Irecv(src, tag int, r comm.Range) comm.Request {
-	return &simReq{r: p.c.Irecv(mapSrc(src), mapTag(tag), vec(r))}
+	return p.c.Irecv(src, tag, vec(r))
 }
 
 func (p *simPeer) Wait(req comm.Request) comm.Status {
-	sr, ok := req.(*simReq)
+	r, ok := req.(*Request)
 	if !ok {
 		panic(fmt.Sprintf("sim: waiting on a %T request from a different engine", req))
 	}
-	return status(p.c.Wait(sr.r))
+	return p.c.Wait(r)
 }
 
 func (p *simPeer) Waitall(reqs ...comm.Request) {
@@ -325,11 +268,7 @@ func (p *simPeer) Waitall(reqs ...comm.Request) {
 }
 
 func (p *simPeer) Sendrecv(dst, sendTag int, s comm.Range, src, recvTag int, rv comm.Range) comm.Status {
-	return status(p.c.Sendrecv(dst, mapTag(sendTag), vec(s), mapSrc(src), mapTag(recvTag), vec(rv)))
-}
-
-func status(st Status) comm.Status {
-	return comm.Status{Source: st.Source, Tag: st.Tag, Bytes: st.Bytes}
+	return p.c.Sendrecv(dst, sendTag, vec(s), src, recvTag, vec(rv))
 }
 
 // Collectives run the comm algorithms over this peer, so every message and

@@ -9,6 +9,7 @@ package mpi
 import (
 	"fmt"
 
+	"knemesis/internal/comm"
 	"knemesis/internal/core"
 	"knemesis/internal/hw"
 	"knemesis/internal/mem"
@@ -58,6 +59,14 @@ func (w *World) NodeOf(rank int) int {
 		return 0
 	}
 	return w.Cluster.Place.NodeOf[rank]
+}
+
+// nodes returns the per-node stacks: the one stack, or every cluster node.
+func (w *World) nodes() []*core.Stack {
+	if w.Cluster != nil {
+		return w.Cluster.Nodes
+	}
+	return []*core.Stack{w.Stack}
 }
 
 func (w *World) eng() *sim.Engine {
@@ -163,11 +172,7 @@ func (c *Comm) CopyLocal(dst, src mem.Region) {
 }
 
 // Status describes a completed receive.
-type Status struct {
-	Source int
-	Tag    int
-	Bytes  int64
-}
+type Status = comm.Status
 
 // Request is a nonblocking operation handle.
 type Request struct {
@@ -183,19 +188,12 @@ func (r *Request) Done() bool {
 	return r.recv.Done()
 }
 
-func (r *Request) status() Status {
-	if r.recv == nil {
-		return Status{}
-	}
-	return Status{Source: r.recv.ActualSrc, Tag: r.recv.ActualTag, Bytes: r.recv.ActualSize}
-}
-
 // Isend starts a nonblocking send of vec to dst.
 func (c *Comm) Isend(dst, tag int, vec mem.IOVec) *Request {
 	return &Request{send: c.ep.Isend(dst, tag, vec)}
 }
 
-// Irecv starts a nonblocking receive (AnySource/AnyTag allowed).
+// Irecv starts a nonblocking receive (comm.AnySource/comm.AnyTag allowed).
 func (c *Comm) Irecv(src, tag int, vec mem.IOVec) *Request {
 	c.recvDelay()
 	return &Request{recv: c.ep.Irecv(src, tag, vec)}
@@ -208,7 +206,7 @@ func (c *Comm) Wait(r *Request) Status {
 		return Status{}
 	}
 	c.ep.Wait(c.p, r.recv)
-	return r.status()
+	return Status{Source: r.recv.ActualSrc, Tag: r.recv.ActualTag, Bytes: r.recv.ActualSize}
 }
 
 // Waitall completes all requests.
@@ -236,12 +234,6 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendVec mem.IOVec, src, recvTag int, r
 	c.Wait(s)
 	return c.Wait(r)
 }
-
-// AnySource / AnyTag re-export the channel wildcards.
-const (
-	AnySource = nemesis.AnySource
-	AnyTag    = nemesis.AnyTag
-)
 
 // TypeVector builds a strided (noncontiguous) datatype over buf: count
 // blocks of blockLen bytes separated by stride bytes — MPI_Type_vector.

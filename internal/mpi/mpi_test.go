@@ -66,7 +66,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 			got := map[int]bool{}
 			for i := 0; i < 2; i++ {
 				b := c.Alloc(8)
-				st := c.Recv(AnySource, AnyTag, mem.VecOf(b))
+				st := c.Recv(comm.AnySource, comm.AnyTag, mem.VecOf(b))
 				got[st.Source] = true
 				if int(getU64(b, 0)) != st.Source {
 					t.Errorf("payload %d from source %d", getU64(b, 0), st.Source)

@@ -25,6 +25,9 @@ import (
 // CellBytes is the payload capacity of one shared-memory eager cell.
 const CellBytes = 64 * 1024
 
+// CellsPerRank sizes each rank's free-cell pool.
+const CellsPerRank = 8
+
 // DefaultEagerMax is Nemesis' default rendezvous threshold: messages above
 // it use the LMT path ("NEMESIS usually enables LMT only after 64 KiB").
 const DefaultEagerMax = 64 * 1024
@@ -34,9 +37,6 @@ type Config struct {
 	// EagerMax is the eager/rendezvous switchover (default 64 KiB,
 	// clamped to CellBytes).
 	EagerMax int64
-
-	// CellsPerRank sizes each rank's free-cell pool (default 8).
-	CellsPerRank int
 
 	// Backend is the registry name of the configured LMT strategy. The
 	// channel treats it as opaque metadata: the embedding layer
@@ -126,9 +126,6 @@ func NewChannelRanks(m *hw.Machine, os *kernel.OS, dma *ioat.Engine, km *knem.Mo
 	}
 	if cfg.EagerMax > CellBytes {
 		cfg.EagerMax = CellBytes
-	}
-	if cfg.CellsPerRank == 0 {
-		cfg.CellsPerRank = 8
 	}
 	if ranks != nil && len(ranks) != len(cores) {
 		panic(fmt.Sprintf("nemesis: %d ranks placed on %d cores", len(ranks), len(cores)))

@@ -9,10 +9,13 @@ import (
 	"knemesis/internal/topo"
 )
 
-// Wildcards for matching.
+// Wildcards for matching: comm's values, so the sim adapter passes them
+// through untranslated (nemesis sits below comm and cannot import it; a
+// test in mpi pins the two pairs equal). Negative tags other than AnyTag
+// are ordinary tags: the collectives' internal tags use them.
 const (
 	AnySource = -1
-	AnyTag    = -1
+	AnyTag    = -1 << 31
 )
 
 type pktType int
@@ -162,7 +165,7 @@ func newEndpoint(ch *Channel, rank int, core topo.CoreID) *Endpoint {
 		recvName:    fmt.Sprintf("r%d.recv", rank),
 		lmtRecvName: fmt.Sprintf("r%d.lmtrecv", rank),
 	}
-	for i := 0; i < ch.Cfg.CellsPerRank; i++ {
+	for i := 0; i < CellsPerRank; i++ {
 		ep.freeCells = append(ep.freeCells, &cell{buf: ch.Shm.Alloc(CellBytes), owner: ep})
 	}
 	return ep

@@ -93,9 +93,9 @@ func TestOrderingMixedEagerRndv(t *testing.T) {
 func TestCellPoolFlowControl(t *testing.T) {
 	// More in-flight eager sends than cells: the sender must block on the
 	// pool and everything still delivers (receiver posted late).
-	ch := newTestChannel(2, Config{CellsPerRank: 2})
+	ch := newTestChannel(2, Config{})
 	ep0, ep1 := ch.Endpoints[0], ch.Endpoints[1]
-	const msgs = 10
+	const msgs = 20 // more than CellsPerRank
 	got := 0
 	ch.M.Eng.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < msgs; i++ {
@@ -117,8 +117,8 @@ func TestCellPoolFlowControl(t *testing.T) {
 	if got != msgs {
 		t.Fatalf("received %d of %d", got, msgs)
 	}
-	if len(ep0.freeCells) != 2 {
-		t.Fatalf("cells leaked: %d free of 2", len(ep0.freeCells))
+	if len(ep0.freeCells) != CellsPerRank {
+		t.Fatalf("cells leaked: %d free of %d", len(ep0.freeCells), CellsPerRank)
 	}
 }
 

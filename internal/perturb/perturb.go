@@ -29,20 +29,11 @@ import (
 
 // Spec is one parsed perturbation: a registered kind name plus its
 // key=value parameters (raw strings, validated against the kind's Param
-// table). The zero Spec is invalid; build specs with ParseSpec or Make.
+// table). The zero Spec is invalid; build specs with ParseSpec.
 type Spec struct {
 	Kind string
 	// params holds the explicitly set parameters (raw value strings).
 	params map[string]string
-}
-
-// Make builds a validated Spec from a kind name and explicit parameters.
-func Make(kind string, params map[string]string) (Spec, error) {
-	sp := Spec{Kind: kind, params: params}
-	if _, err := resolve(sp); err != nil {
-		return Spec{}, err
-	}
-	return sp, nil
 }
 
 // Param returns the raw value of an explicitly set parameter.

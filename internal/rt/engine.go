@@ -140,21 +140,6 @@ func rtBytes(r comm.Range) []byte {
 	return b[r.Off : r.Off+r.Len]
 }
 
-// mapSrc / mapTag translate the comm wildcards to the runtime's sentinels.
-func mapSrc(src int) int {
-	if src == comm.AnySource {
-		return AnySource
-	}
-	return src
-}
-
-func mapTag(tag int) int {
-	if tag == comm.AnyTag {
-		return AnyTag
-	}
-	return tag
-}
-
 // rtPeer adapts one Rank to the engine-neutral Peer.
 type rtPeer struct {
 	r *Rank
@@ -181,7 +166,7 @@ func (p *rtPeer) CopyLocal(dst, src comm.Range) {
 func (p *rtPeer) Send(dst, tag int, r comm.Range) { p.r.Send(dst, tag, rtBytes(r)) }
 
 func (p *rtPeer) Recv(src, tag int, r comm.Range) comm.Status {
-	return status(p.r.Recv(mapSrc(src), mapTag(tag), rtBytes(r)))
+	return status(p.r.Recv(src, tag, rtBytes(r)))
 }
 
 // rtReq wraps a runtime request for the neutral interface. Requests are
@@ -207,7 +192,7 @@ func (p *rtPeer) Isend(dst, tag int, r comm.Range) comm.Request {
 }
 
 func (p *rtPeer) Irecv(src, tag int, r comm.Range) comm.Request {
-	q := p.r.Irecv(mapSrc(src), mapTag(tag), rtBytes(r))
+	q := p.r.Irecv(src, tag, rtBytes(r))
 	return &rtReq{r: q, gen: q.gen}
 }
 
@@ -230,7 +215,7 @@ func (p *rtPeer) Waitall(reqs ...comm.Request) {
 }
 
 func (p *rtPeer) Sendrecv(dst, sendTag int, s comm.Range, src, recvTag int, rv comm.Range) comm.Status {
-	return status(p.r.Sendrecv(dst, sendTag, rtBytes(s), mapSrc(src), mapTag(recvTag), rtBytes(rv)))
+	return status(p.r.Sendrecv(dst, sendTag, rtBytes(s), src, recvTag, rtBytes(rv)))
 }
 
 func status(st Status) comm.Status {

@@ -5,12 +5,14 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"knemesis/internal/comm"
 )
 
-// Matching wildcards.
+// Matching wildcards: comm's, so the engine adapter passes them through.
 const (
-	AnySource = -1
-	AnyTag    = -2147483648 // math.MinInt32: leaves negative tags for collectives
+	AnySource = comm.AnySource
+	AnyTag    = comm.AnyTag
 )
 
 // Status describes a completed receive.

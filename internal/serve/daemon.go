@@ -154,23 +154,30 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 			d.store.Finish(id, store.Failed, why, "", "crash-interrupted")
 			rs.CrashFailed++
 		}
+		// The key is re-derived, not read from the log: after a
+		// CodeVersion bump or a canonicalisation change the logged key
+		// names another run's artefact.
 		spec, err := api.Decode(rec.Spec)
 		var c api.Spec
+		var key string
 		if err == nil {
 			c, err = spec.Canonicalize()
+		}
+		if err == nil {
+			key, err = c.CacheKey()
 		}
 		if err != nil {
 			crashFail(fmt.Sprintf("crash-interrupted: replayed spec no longer canonicalizes: %v", err))
 			continue
 		}
-		if owner, ok := d.lookup(rec.Key); ok {
+		if owner, ok := d.lookup(key); ok {
 			d.done.Add(1)
 			d.store.Finish(id, store.Done, "", owner.ID, "crash-recovered: answered from the key's owner")
 			rs.CachedAnswered++
 			continue
 		}
 		d.mu.Lock()
-		d.keys[id] = rec.Key
+		d.keys[id] = key
 		d.mu.Unlock()
 		d.store.Advance(id, store.Queued, "crash-recovered: re-queued")
 		if err := d.dispatch(id, c); err != nil {

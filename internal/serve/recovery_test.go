@@ -256,6 +256,52 @@ func TestCrashRecoveryFailsUncanonicalizableSpec(t *testing.T) {
 	}
 }
 
+// TestRecoveryIgnoresOwnerOfOldKey reopens a ledger whose interrupted job
+// was logged under a key that a finished run with other bytes owns — what a
+// CodeVersion bump or a canonicalisation change leaves behind. Recovery
+// must re-derive the key from the spec, so the job is re-queued and re-run
+// rather than answered with the old owner's bytes.
+func TestRecoveryIgnoresOwnerOfOldKey(t *testing.T) {
+	root := t.TempDir()
+	spec, key := mustCanon(t, tinySpec(4*units.KiB))
+	const oldKey = "old-key"
+	st, _, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Create("job-000001", oldKey, spec.Class(), spec.CanonicalJSON(), store.Queued)
+	st.Advance("job-000001", store.Running, "")
+	if err := st.PutArtefact("job-000001", map[string][]byte{"result.json": []byte("stale\n")}); err != nil {
+		t.Fatal(err)
+	}
+	st.Finish("job-000001", store.Done, "", "job-000001", "")
+	st.Create("job-000002", oldKey, spec.Class(), spec.CanonicalJSON(), store.Queued)
+	st.Advance("job-000002", store.Running, "")
+	st.Close()
+	if key == oldKey {
+		t.Fatal("the spec's key equals the stale one; the test shows nothing")
+	}
+
+	d := newTestDaemon(t, Config{StoreRoot: root})
+	defer d.Close()
+	awaitReady(t, d)
+	rec := await(t, d, "job-000002")
+	if rec.State != store.Done || rec.Cached || rec.ArtefactID != "job-000002" {
+		t.Fatalf("interrupted job = %+v, want re-run to its own artefact", rec)
+	}
+	if rs := d.Stats().Recovery; rs.Requeued != 1 || rs.CachedAnswered != 0 {
+		t.Fatalf("recovery stats = %+v", rs)
+	}
+	direct, err := Execute(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := d.Store().Artefact(rec.ArtefactID, "result.json")
+	if err != nil || !bytes.Equal(got, direct["result.json"]) {
+		t.Fatalf("re-run artefact = %q, %v", got, err)
+	}
+}
+
 // TestOldFormatRootReRunsOwner opens a ledger written before artefacts rode
 // the finish entry: the done owner's bytes sat in a job directory no code
 // reads any more, so replay hands the owner to recovery as interrupted and

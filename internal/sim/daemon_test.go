@@ -84,18 +84,3 @@ func TestYieldRunsBehindSameTimeEvents(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
-
-func TestMailboxTryGet(t *testing.T) {
-	e := NewEngine()
-	m := NewMailbox[string](e, "t")
-	if _, ok := m.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox succeeded")
-	}
-	m.Put("x")
-	if v, ok := m.TryGet(); !ok || v != "x" {
-		t.Fatalf("TryGet = (%q,%v)", v, ok)
-	}
-	if m.Len() != 0 {
-		t.Fatal("mailbox not empty")
-	}
-}

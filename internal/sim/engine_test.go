@@ -245,34 +245,6 @@ func TestMailboxRoundTripDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestResourceMutualExclusion(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "dev", 1)
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 4; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			r.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(10 * Nanosecond)
-			inside--
-			r.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("max concurrent holders = %d, want 1", maxInside)
-	}
-	if e.Now() != 40*Nanosecond {
-		t.Fatalf("serialized total = %v, want 40ns", e.Now())
-	}
-}
-
 func TestTimeString(t *testing.T) {
 	cases := []struct {
 		t    Time

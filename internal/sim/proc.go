@@ -180,9 +180,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// PID returns the unique process id.
-func (p *Proc) PID() int { return p.pid }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 

@@ -70,9 +70,6 @@ func (c *Cond) remove(p *Proc) bool {
 	return true
 }
 
-// Waiters reports how many processes are blocked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 // Mailbox is an unbounded FIFO of items with blocking receive. It is the
 // simulation analogue of a Go channel.
 type Mailbox[T any] struct {
@@ -99,50 +96,5 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 	return shift(&m.items)
 }
 
-// TryGet returns the next item without blocking.
-func (m *Mailbox[T]) TryGet() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
-		return zero, false
-	}
-	return shift(&m.items), true
-}
-
 // Len reports the number of queued items.
 func (m *Mailbox[T]) Len() int { return len(m.items) }
-
-// Resource is a counting semaphore with FIFO admission, used for exclusive
-// or limited-concurrency devices (e.g. a pipe lock or an ioctl path).
-type Resource struct {
-	capacity int
-	inUse    int
-	cond     *Cond
-}
-
-// NewResource returns a resource admitting up to capacity concurrent holders.
-func NewResource(e *Engine, label string, capacity int) *Resource {
-	if capacity <= 0 {
-		panic("sim: resource capacity must be positive")
-	}
-	return &Resource{capacity: capacity, cond: NewCond(e, "resource "+label)}
-}
-
-// Acquire blocks p until a slot is available.
-func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
-		r.cond.Wait(p)
-	}
-	r.inUse++
-}
-
-// Release frees a slot and wakes one waiter.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("sim: release of idle resource")
-	}
-	r.inUse--
-	r.cond.Signal()
-}
-
-// InUse reports the current number of holders.
-func (r *Resource) InUse() int { return r.inUse }

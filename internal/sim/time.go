@@ -41,9 +41,6 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 // FromSeconds converts a floating-point number of seconds to a Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// FromNanoseconds converts a floating-point number of nanoseconds to a Time.
-func FromNanoseconds(ns float64) Time { return Time(ns * float64(Nanosecond)) }
-
 // String formats the time with an adaptive unit, e.g. "1.234ms".
 func (t Time) String() string {
 	switch {

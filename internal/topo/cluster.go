@@ -129,16 +129,6 @@ func (c *Cluster) reachableFrom(start int) map[int]bool {
 	return reach
 }
 
-// NodeIndex returns the index of the named node, or -1.
-func (c *Cluster) NodeIndex(name string) int {
-	for i, n := range c.Nodes {
-		if n.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Hosts returns the indices of nodes with cores, in declaration order.
 func (c *Cluster) Hosts() []int {
 	var out []int
