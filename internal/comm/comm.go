@@ -15,6 +15,7 @@ import (
 	"context"
 	"time"
 
+	"knemesis/internal/hw"
 	"knemesis/internal/sim"
 )
 
@@ -158,47 +159,11 @@ type Peer interface {
 	Compute(base Time, ws ...Range)
 }
 
-// Usage is an engine-neutral machine-utilization snapshot. The simulator
-// fills every field from its hardware model; engines without a hardware
-// model fill Elapsed only and leave the rest zero.
-type Usage struct {
-	Elapsed        Time
-	BusBytesServed float64
-	BusCapacityBps float64   // bus bandwidth the fraction is relative to
-	BusUtilization float64   // fraction of bus capacity used
-	CoreBusySec    []float64 // CPU-seconds consumed per core
-}
-
-// Sub returns the utilization of the window between snapshot prev and u:
-// elapsed time, bus bytes and per-core busy seconds become deltas, and
-// BusUtilization is recomputed over the window.
-func (u Usage) Sub(prev Usage) Usage {
-	d := Usage{
-		Elapsed:        u.Elapsed - prev.Elapsed,
-		BusBytesServed: u.BusBytesServed - prev.BusBytesServed,
-		BusCapacityBps: u.BusCapacityBps,
-	}
-	for i, s := range u.CoreBusySec {
-		busy := s
-		if i < len(prev.CoreBusySec) {
-			busy -= prev.CoreBusySec[i]
-		}
-		d.CoreBusySec = append(d.CoreBusySec, busy)
-	}
-	if secs := d.Elapsed.Seconds(); secs > 0 && d.BusCapacityBps > 0 {
-		d.BusUtilization = d.BusBytesServed / (d.BusCapacityBps * secs)
-	}
-	return d
-}
-
-// TotalCoreBusySec sums busy seconds across every core.
-func (u Usage) TotalCoreBusySec() float64 {
-	var t float64
-	for _, s := range u.CoreBusySec {
-		t += s
-	}
-	return t
-}
+// Usage is an engine-neutral machine-utilization snapshot: the simulator's
+// hw.Utilization, with its Sub and TotalCoreBusySec. The simulator fills
+// every field from its hardware model; engines without a hardware model
+// fill Elapsed only and leave the rest zero.
+type Usage = hw.Utilization
 
 // Job is one communicator world ready to run a workload. A Job is
 // single-use: build one per workload run (engines may tear down worker

@@ -19,11 +19,7 @@ func init() {
 		ID: "ablation", Order: 11,
 		Title: "model-mechanism ablation behind the headline results",
 		Run: func(ctx context.Context, env Env) (Result, error) {
-			rows, err := modelAblation(ctx, env.Machine, env.workers())
-			if err != nil {
-				return nil, err
-			}
-			return rows, nil
+			return modelAblation(ctx, env.Machine, env.workers())
 		},
 	})
 	Experiments.Register(Experiment{
@@ -55,7 +51,7 @@ func (rows AblationSet) Files() (map[string][]byte, error) {
 	return jsonFiles(map[string]any{"ablation": rows})
 }
 
-// ModelAblation quantifies the three model mechanisms DESIGN.md calls out as
+// modelAblation quantifies the three model mechanisms DESIGN.md calls out as
 // load-bearing for the paper's headline results:
 //
 //   - RemoteDirtyStallFactor (slow modified-line interventions) is what
@@ -66,10 +62,6 @@ func (rows AblationSet) Files() (map[string][]byte, error) {
 //
 // Each row reports the 1 MiB cross-die PingPong throughput of the affected
 // backend with the mechanism on and off.
-func ModelAblation() (AblationSet, error) {
-	return modelAblation(context.Background(), topo.XeonE5345(), DefaultWorkers())
-}
-
 func modelAblation(ctx context.Context, base *topo.Machine, workers int) (AblationSet, error) {
 	const size = 1 * units.MiB
 	// Each mechanism ablates on a private copy of the machine preset with
@@ -148,14 +140,10 @@ func modelAblation(ctx context.Context, base *topo.Machine, workers int) (Ablati
 	return rows, nil
 }
 
-// CollectiveAwareStudy measures the §6 future-work policy: an 8-rank
+// collectiveAwareStudy measures the §6 future-work policy: an 8-rank
 // Alltoall under IOATAuto with and without the upper-layer concurrency
 // hint. With the hint, the threshold drops by the transfer concurrency and
 // I/OAT engages at the ~200 KiB sizes the paper observed (§4.4).
-func CollectiveAwareStudy(m *topo.Machine, sizes []int64) (Figure, error) {
-	return collectiveAwareStudy(context.Background(), m, sizes, DefaultWorkers())
-}
-
 func collectiveAwareStudy(ctx context.Context, m *topo.Machine, sizes []int64, workers int) (Figure, error) {
 	fig := Figure{
 		ID:     "collective-aware",

@@ -3,16 +3,10 @@ package experiments
 import (
 	"bytes"
 	"testing"
-
-	"knemesis/internal/topo"
-	"knemesis/internal/units"
 )
 
 func TestModelAblationDirections(t *testing.T) {
-	rows, err := ModelAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := shared[AblationSet](t, "ablation")
 	if len(rows) != 3 {
 		t.Fatalf("ablation rows = %d, want 3", len(rows))
 	}
@@ -40,14 +34,11 @@ func TestCollectiveAwareEngagesEarlier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("8-rank alltoall study skipped in -short mode")
 	}
-	sizes := []int64{256 * units.KiB}
-	fig, err := CollectiveAwareStudy(topo.XeonE5345(), sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto := seriesByLabel(t, fig, "IOATAuto (per-pair DMAmin)").Points[0].Throughput
-	hinted := seriesByLabel(t, fig, "IOATAuto + collective hint").Points[0].Throughput
-	always := seriesByLabel(t, fig, "I/OAT always (reference)").Points[0].Throughput
+	// The shared A2ASizes are 32 KiB and 256 KiB.
+	fig := shared[Figure](t, "collective-aware")
+	auto := seriesByLabel(t, fig, "IOATAuto (per-pair DMAmin)").Points[1].Throughput
+	hinted := seriesByLabel(t, fig, "IOATAuto + collective hint").Points[1].Throughput
+	always := seriesByLabel(t, fig, "I/OAT always (reference)").Points[1].Throughput
 	// At 256 KiB the plain auto policy stays on CPU copies; the hint drops
 	// the threshold to 1MiB/7 ≈ 146KiB, so the hinted policy should track
 	// the always-offload reference.

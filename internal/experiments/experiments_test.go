@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"knemesis/internal/nas"
@@ -11,25 +12,62 @@ import (
 	"knemesis/internal/units"
 )
 
-var smallSizes = []int64{128 * units.KiB, 1 * units.MiB}
+// testEnv is the Env of every shared run (workers 1) and of every -j8
+// determinism run: the paper's machine at reduced sizes. Skew and topology
+// keep their default sizes, so their shared runs are the ones the goldens
+// pin; multipair runs at its contention-crossover size.
+func testEnv(workers int) Env {
+	env := DefaultEnv(topo.XeonE5345())
+	env.PingSizes = []int64{128 * units.KiB, 1 * units.MiB}
+	env.A2ASizes = []int64{32 * units.KiB, 256 * units.KiB}
+	env.MultiSizes = []int64{1 * units.MiB}
+	env.RTSizes = []int64{4 * units.KiB, 128 * units.KiB}
+	env.Kernels = []nas.Kernel{nas.MG().Scaled(4), nas.ISSized(1<<18, 2, 8)}
+	env.ISKernel = nas.ISSized(1<<18, 2, 8)
+	env.Workers = workers
+	return env
+}
 
-// reducedEnv is a fast, full-coverage Env for registry smoke tests.
-func reducedEnv() Env {
-	return Env{
-		Machine:   topo.XeonE5345(),
-		PingSizes: smallSizes,
-		A2ASizes:  []int64{32 * units.KiB, 256 * units.KiB},
-		SkewSizes: []int64{4 * units.KiB, 64 * units.KiB},
-		Kernels:   []nas.Kernel{nas.MG().Scaled(4), nas.ISSized(1<<18, 2, 8)},
-		ISKernel:  nas.ISSized(1<<18, 2, 8),
+var sharedRuns sync.Map // experiment id -> func() (Result, error)
+
+// shared returns the one run of the registered experiment id on
+// testEnv(1) that every test of the package reads.
+func shared[R Result](t *testing.T, id string) R {
+	t.Helper()
+	run, _ := sharedRuns.LoadOrStore(id, sync.OnceValues(func() (Result, error) {
+		return Run(context.Background(), id, testEnv(1))
+	}))
+	res, err := run.(func() (Result, error))()
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
 	}
+	r, ok := res.(R)
+	if !ok {
+		t.Fatalf("%s returned %T", id, res)
+	}
+	return r
+}
+
+// wideRun runs the registered experiment id once more on testEnv(8), the
+// other side of a determinism check against its shared run.
+func wideRun(t *testing.T, id string) Result {
+	t.Helper()
+	res, err := Run(context.Background(), id, testEnv(8))
+	if err != nil {
+		t.Fatalf("%s -j8: %v", id, err)
+	}
+	return res
+}
+
+// rendered is res's text rendering.
+func rendered(res Result) string {
+	var buf bytes.Buffer
+	res.Render(&buf)
+	return buf.String()
 }
 
 func TestFig3SmallSweep(t *testing.T) {
-	fig, err := fig3(context.Background(), Env{Machine: topo.XeonE5345(), PingSizes: smallSizes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := shared[Figure](t, "fig3")
 	if len(fig.Series) != 6 {
 		t.Fatalf("fig3 has %d series, want 6", len(fig.Series))
 	}
@@ -43,15 +81,7 @@ func TestFig3SmallSweep(t *testing.T) {
 }
 
 func TestFig4Fig5Shapes(t *testing.T) {
-	m := topo.XeonE5345()
-	f4, err := fig4(context.Background(), Env{Machine: m, PingSizes: smallSizes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f5, err := fig5(context.Background(), Env{Machine: m, PingSizes: smallSizes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f4, f5 := shared[Figure](t, "fig4"), shared[Figure](t, "fig5")
 	// Cross-die: KNEM far above default (paper: >3x at 1MiB).
 	knem5 := seriesByLabel(t, f5, "KNEM LMT").Points[1].Throughput
 	def5 := seriesByLabel(t, f5, "default LMT").Points[1].Throughput
@@ -71,10 +101,7 @@ func TestFig4Fig5Shapes(t *testing.T) {
 }
 
 func TestFig6AsyncShape(t *testing.T) {
-	fig, err := fig6(context.Background(), Env{Machine: topo.XeonE5345(), PingSizes: smallSizes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := shared[Figure](t, "fig6")
 	sync := seriesByLabel(t, fig, "KNEM LMT - synchronous").Points[1].Throughput
 	async := seriesByLabel(t, fig, "KNEM LMT - asynchronous").Points[1].Throughput
 	if async >= sync {
@@ -83,10 +110,7 @@ func TestFig6AsyncShape(t *testing.T) {
 }
 
 func TestFig7SmallSweep(t *testing.T) {
-	fig, err := fig7(context.Background(), Env{Machine: topo.XeonE5345(), A2ASizes: []int64{32 * units.KiB, 256 * units.KiB}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := shared[Figure](t, "fig7")
 	// KNEM dramatically above default for medium alltoall (paper: up to 5x).
 	knem := seriesByLabel(t, fig, "KNEM LMT").Points[0].Throughput
 	def := seriesByLabel(t, fig, "default LMT").Points[0].Throughput
@@ -96,10 +120,7 @@ func TestFig7SmallSweep(t *testing.T) {
 }
 
 func TestTable1SmallRun(t *testing.T) {
-	tab, err := table1(context.Background(), Env{Machine: topo.XeonE5345(), Kernels: []nas.Kernel{nas.MG().Scaled(4), nas.ISSized(1<<18, 2, 8)}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := shared[table1Result](t, "table1")
 	if len(tab.Rows) != 2 || len(tab.NASRows) != 2 {
 		t.Fatalf("table1 rows = %d, want 2", len(tab.Rows))
 	}
@@ -114,10 +135,7 @@ func TestTable2SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4MiB miss-count rows skipped in -short mode")
 	}
-	tab, err := table2(context.Background(), Env{Machine: topo.XeonE5345(), ISKernel: nas.ISSized(1<<18, 2, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := shared[Table](t, "table2")
 	if len(tab.Rows) != 5 {
 		t.Fatalf("table2 rows = %d, want 5", len(tab.Rows))
 	}
@@ -132,10 +150,7 @@ func TestTable2SmallRun(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	fig, err := fig4(context.Background(), Env{Machine: topo.XeonE5345(), PingSizes: smallSizes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := shared[Figure](t, "fig4")
 	var buf bytes.Buffer
 	RenderFigure(&buf, fig)
 	if !strings.Contains(buf.String(), "128KiB") || !strings.Contains(buf.String(), "KNEM LMT") {

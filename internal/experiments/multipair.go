@@ -107,11 +107,6 @@ func multipair(ctx context.Context, env Env) (multipairResult, error) {
 		Title:  "Multi-PingPong aggregate throughput under N-pair contention",
 		Header: []string{"Backend", "Placement", "Pairs", "Size", "Agg MiB/s", "x solo", "Bus util", "CPU busy"},
 	}}
-	sizes := env.MultiSizes
-	if len(sizes) == 0 {
-		sizes = DefaultMultiPairSizes()
-	}
-
 	var cases []multipairCase
 	for _, kind := range core.Names() {
 		for _, pc := range multipairPlacements(env.Machine) {
@@ -124,7 +119,7 @@ func multipair(ctx context.Context, env Env) (multipairResult, error) {
 	err := forEach(ctx, env.workers(), len(cases), func(i int) error {
 		cs := cases[i]
 		st := core.NewStack(env.Machine, cs.cores, core.Options{Kind: cs.kind}, nemesis.Config{})
-		r, err := imb.RunMultiPingPong(comm.WithContext(ctx, mpi.NewSimJob(st)), sizes)
+		r, err := imb.RunMultiPingPong(comm.WithContext(ctx, mpi.NewSimJob(st)), env.MultiSizes)
 		if err != nil {
 			return fmt.Errorf("%s/%s/%d pairs: %w", cs.kind, cs.placement, cs.pairs, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -31,20 +30,22 @@ func multipairRow(t *testing.T, rows []MultipairRow, backend, placement string, 
 // multipairRows runs the contention sweep on m at one size.
 func multipairRows(t *testing.T, m *topo.Machine, size int64) []MultipairRow {
 	t.Helper()
-	res, err := multipair(context.Background(), Env{Machine: m, MultiSizes: []int64{size}})
+	env := DefaultEnv(m)
+	env.MultiSizes = []int64{size}
+	res, err := multipair(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.MultiRows
 }
 
-// The headline contention result (ISSUE 2): at 1 MiB with 4 cross-die pairs
-// the default two-copy LMT saturates the shared bus and collapses below 2x
-// its solo aggregate, while the single-copy KNEM and CMA backends stay
+// The headline contention result: at 1 MiB with 4 cross-die pairs the
+// default two-copy LMT saturates the shared bus and collapses below 2x its
+// solo aggregate, while the single-copy KNEM and CMA backends stay
 // cache-resident and keep scaling above 3x.
 func TestMultipairContentionCrossover(t *testing.T) {
 	size := int64(1 * units.MiB)
-	rows := multipairRows(t, topo.XeonE5345(), size)
+	rows := shared[multipairResult](t, "multipair").MultiRows
 	def := multipairRow(t, rows, "default", "cross", 4, size)
 	if def.ScaleVsSolo >= 2.0 {
 		t.Errorf("default LMT at 4 cross-die pairs scales %.2fx, want < 2x (bus collapse)", def.ScaleVsSolo)
@@ -62,28 +63,16 @@ func TestMultipairContentionCrossover(t *testing.T) {
 
 // The sweep must cover every registered backend at N = 1, 2, 4 pairs under
 // both placements on the 8-core testbed, and the rendered artefact must be
-// byte-identical between a serial and a wide worker pool.
+// byte-identical between the serial shared run and a wide worker pool.
 func TestMultipairCoverageAndWorkerDeterminism(t *testing.T) {
-	env := Env{Machine: topo.XeonE5345(), MultiSizes: []int64{256 * units.KiB}}
-	render := func(workers int) (string, multipairResult) {
-		env.Workers = workers
-		res, err := multipair(context.Background(), env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		res.Render(&buf)
-		return buf.String(), res
-	}
-	serial, res := render(1)
-	wide, _ := render(8)
-	if serial != wide {
+	res := shared[multipairResult](t, "multipair")
+	if serial, wide := rendered(res), rendered(wideRun(t, "multipair")); serial != wide {
 		t.Fatalf("multipair render differs between -j 1 and -j 8:\n--- j1\n%s\n--- j8\n%s", serial, wide)
 	}
 	for _, kind := range core.Names() {
 		for _, placement := range []string{"shared", "cross"} {
 			for _, pairs := range MultiPairCounts() {
-				row := multipairRow(t, res.MultiRows, string(kind), placement, pairs, 256*units.KiB)
+				row := multipairRow(t, res.MultiRows, string(kind), placement, pairs, 1*units.MiB)
 				if row.AggMiBps <= 0 {
 					t.Errorf("%s/%s/%d pairs: degenerate aggregate %.0f", kind, placement, pairs, row.AggMiBps)
 				}

@@ -1,16 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"testing"
 
-	"knemesis/internal/core"
-	"knemesis/internal/imb"
-	"knemesis/internal/mpi"
-	"knemesis/internal/nemesis"
-	"knemesis/internal/topo"
 	"knemesis/internal/units"
 )
 
@@ -60,42 +54,23 @@ var pinnedSim = map[string]float64{
 	"fig7/knem-ioat aggMiB/s@256KiB": 3496.9889063369847,
 }
 
-// pinnedSimValues runs the three sweeps behind pinnedSim and returns every
-// value they produce under pinnedSim's key scheme.
+// pinnedSimValues reads the shared thresholds, multipair and fig7 runs and
+// returns every value they produce under pinnedSim's key scheme.
 func pinnedSimValues(t *testing.T) map[string]float64 {
 	t.Helper()
 	got := map[string]float64{}
-
-	set, err := thresholds(context.Background(), DefaultWorkers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range set {
+	for _, r := range shared[ThresholdSet](t, "thresholds") {
 		got[fmt.Sprintf("thresholds crossover-bytes:%s/%s", r.Machine, r.Placement)] = float64(r.MeasuredCrossover)
 	}
-
-	for _, r := range multipairRows(t, topo.XeonE5345(), 1*units.MiB) {
+	for _, r := range shared[multipairResult](t, "multipair").MultiRows {
 		got[fmt.Sprintf("multipair aggMiB/s:%s/%s/%dpair", r.Backend, r.Placement, r.Pairs)] = r.AggMiBps
 	}
-
-	knemEager := nemesis.Config{EagerMax: 4 * units.KiB}
-	for _, cs := range []struct {
-		name string
-		opt  core.Options
-		cfg  nemesis.Config
-	}{
-		{"default", core.Options{Kind: core.DefaultLMT}, nemesis.Config{}},
-		{"knem", core.Options{Kind: core.KnemLMT, IOAT: core.IOATOff}, knemEager},
-		{"knem-ioat", core.Options{Kind: core.KnemLMT, IOAT: core.IOATAlways}, knemEager},
-	} {
-		m := topo.XeonE5345()
-		st := core.NewStack(m, m.AllCores(), cs.opt, cs.cfg)
-		res, err := imb.RunAlltoall(mpi.NewSimJob(st), []int64{32 * units.KiB, 256 * units.KiB})
-		if err != nil {
-			t.Fatalf("fig7/%s: %v", cs.name, err)
-		}
-		for _, pt := range res.Points {
-			got[fmt.Sprintf("fig7/%s aggMiB/s@%s", cs.name, units.FormatSize(pt.Size))] = pt.Throughput
+	// fig7's default LMT keeps the stock threshold; both KNEM curves run
+	// under the 4 KiB one.
+	fig7 := shared[Figure](t, "fig7")
+	for name, label := range map[string]string{"default": "default LMT", "knem": "KNEM LMT", "knem-ioat": "KNEM LMT with I/OAT"} {
+		for _, pt := range seriesByLabel(t, fig7, label).Points {
+			got[fmt.Sprintf("fig7/%s aggMiB/s@%s", name, units.FormatSize(pt.Size))] = pt.Throughput
 		}
 	}
 	return got

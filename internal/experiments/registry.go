@@ -11,15 +11,16 @@ import (
 
 // Env is the declarative input every experiment runs against: the machine
 // preset, the sweep axes, the NAS proxy suite and the worker-pool width for
-// sharded stack simulations.
+// sharded stack simulations. Every axis is read as given (an empty one
+// sweeps nothing); DefaultEnv and QuickEnv fill them all.
 type Env struct {
 	Machine    *topo.Machine
 	PingSizes  []int64
 	A2ASizes   []int64
-	MultiSizes []int64 // multipair contention sweep (empty = defaults)
-	RTSizes    []int64 // real-runtime wall-clock sweep (empty = defaults)
-	TopoSizes  []int64 // multi-node topology sweep (empty = defaults)
-	SkewSizes  []int64 // perturbed-PingPong robustness sweep (empty = defaults)
+	MultiSizes []int64 // multipair contention sweep
+	RTSizes    []int64 // real-runtime wall-clock sweep
+	TopoSizes  []int64 // multi-node topology sweep
+	SkewSizes  []int64 // perturbed-PingPong robustness sweep
 	Kernels    []nas.Kernel
 	ISKernel   nas.Kernel
 

@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"testing"
-
-	"knemesis/internal/topo"
-	"knemesis/internal/units"
 )
 
 func TestExperimentRegistryRoundTrip(t *testing.T) {
@@ -83,47 +79,23 @@ func TestForEachOrderAndErrors(t *testing.T) {
 // pool must produce output byte-identical to the serial path, because every
 // stack is a self-contained deterministic simulation.
 func TestConcurrentRunnerMatchesSerial(t *testing.T) {
-	env := Env{
-		Machine:   topo.XeonE5345(),
-		PingSizes: []int64{128 * units.KiB, 512 * units.KiB},
-		A2ASizes:  []int64{32 * units.KiB},
-	}
 	for _, id := range []string{"fig4", "fig7"} {
-		env.Workers = 1
-		serial, err := Run(context.Background(), id, env)
-		if err != nil {
-			t.Fatalf("%s serial: %v", id, err)
-		}
-		env.Workers = 8
-		concurrent, err := Run(context.Background(), id, env)
-		if err != nil {
-			t.Fatalf("%s concurrent: %v", id, err)
-		}
-		var sw, cw bytes.Buffer
-		serial.Render(&sw)
-		concurrent.Render(&cw)
-		if sw.String() != cw.String() {
+		if serial, wide := rendered(shared[Figure](t, id)), rendered(wideRun(t, id)); serial != wide {
 			t.Errorf("%s: concurrent output differs from serial:\n--- serial ---\n%s--- concurrent ---\n%s",
-				id, sw.String(), cw.String())
+				id, serial, wide)
 		}
 	}
 }
 
-// Every registry entry runs end to end on a reduced Env and renders
-// something non-empty — the smoke test a new experiment gets for free.
+// Every registry entry's shared run renders something non-empty — the
+// smoke test a new experiment gets for free.
 func TestEveryExperimentRunsReduced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep skipped in -short mode")
 	}
-	env := reducedEnv()
 	for _, e := range Experiments.All() {
-		res, err := e.Run(context.Background(), env)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		var buf bytes.Buffer
-		res.Render(&buf)
-		if buf.Len() == 0 {
+		res := shared[Result](t, e.ID)
+		if rendered(res) == "" {
 			t.Errorf("%s: empty rendering", e.ID)
 		}
 		if files, err := res.Files(); err != nil || len(files) == 0 {

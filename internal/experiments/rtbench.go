@@ -63,11 +63,6 @@ func rtBench(ctx context.Context, env Env) (rtResult, error) {
 		Title:  "Real-runtime IMB benchmarks (wall clock, goroutine ranks)",
 		Header: []string{"Bench", "Mode", "Ranks", "Size", "time(us)", "MiB/s"},
 	}}
-	sizes := env.RTSizes
-	if len(sizes) == 0 {
-		sizes = DefaultRTSizes()
-	}
-
 	benches := []struct {
 		name  string
 		ranks int
@@ -110,7 +105,7 @@ func rtBench(ctx context.Context, env Env) (rtResult, error) {
 			if err != nil {
 				return res, err
 			}
-			rows, err := b.run(comm.WithContext(ctx, job), sizes)
+			rows, err := b.run(comm.WithContext(ctx, job), env.RTSizes)
 			if err != nil {
 				return res, fmt.Errorf("rt %s/%s: %w", b.name, mode, err)
 			}

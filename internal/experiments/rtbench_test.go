@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"sort"
 	"testing"
-
-	"knemesis/internal/units"
 )
 
 // The rt rows are wall-clock measurements, so their values vary run to run.
@@ -15,19 +11,8 @@ import (
 // grid, the row ordering, and the JSON schema external consumers parse.
 // The schema is golden-checked (testdata/rt_row.golden) like the renderers.
 
-func rtTestEnv() Env {
-	return Env{RTSizes: []int64{4 * units.KiB, 128 * units.KiB}}
-}
-
 func TestRTExperimentShape(t *testing.T) {
-	res, err := Run(context.Background(), "rt", rtTestEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, ok := res.(rtResult)
-	if !ok {
-		t.Fatalf("rt experiment returned %T", res)
-	}
+	rt := shared[rtResult](t, "rt")
 
 	// Full grid: 2 benches x 3 modes x 2 sizes, in deterministic order.
 	wantRows := 2 * 3 * 2
@@ -68,9 +53,7 @@ func TestRTExperimentShape(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	res.Render(&buf)
-	if buf.Len() == 0 {
+	if rendered(rt) == "" {
 		t.Error("empty rendering")
 	}
 }
@@ -88,11 +71,7 @@ func TestRTRowJSONSchemaGolden(t *testing.T) {
 
 // Files must emit the typed rows (not the rendered table) as rt.json.
 func TestRTExperimentWritesTypedRows(t *testing.T) {
-	res, err := Run(context.Background(), "rt", rtTestEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := res.Files()
+	files, err := shared[rtResult](t, "rt").Files()
 	if err != nil {
 		t.Fatal(err)
 	}

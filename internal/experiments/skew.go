@@ -192,22 +192,39 @@ func skewFastbox(ctx context.Context, arm SkewArm) (SkewRTRow, error) {
 	return row, nil
 }
 
-// skew runs the sweep: every (arm, size) cell simulates two fresh jobs —
-// forced eager and forced rendezvous — sharded across the worker pool
-// (cells are index-addressed, so the table is byte-identical at any
-// width). The rt fastbox rows run serially afterwards: they are wall-clock
-// measurements and concurrent stacks would distort them.
+// skew runs the simulated cells, then the rt fastbox rows. The rt rows run
+// serially: they are wall-clock measurements and concurrent stacks would
+// distort them.
 func skew(ctx context.Context, env Env) (skewResult, error) {
+	res, err := skewCells(ctx, env)
+	if err != nil {
+		return res, err
+	}
+	for i, arm := range skewRTArms() {
+		if err := ctx.Err(); err != nil {
+			return res, fmt.Errorf("experiments: cut after %d/%d rt arms: %w",
+				i, len(skewRTArms()), err)
+		}
+		row, err := skewFastbox(ctx, arm)
+		if err != nil {
+			return res, fmt.Errorf("skew rt %s: %w", arm.Name, err)
+		}
+		res.RTRows = append(res.RTRows, row)
+	}
+	return res, nil
+}
+
+// skewCells runs the simulated table: every (arm, size) cell simulates two
+// fresh jobs — forced eager and forced rendezvous — sharded across the
+// worker pool (cells are index-addressed, so the table is byte-identical
+// at any width).
+func skewCells(ctx context.Context, env Env) (skewResult, error) {
 	res := skewResult{Table: Table{
 		ID:     "skew",
 		Title:  "Robustness under skew: perturbed PingPong, forced eager vs forced rendezvous",
 		Header: []string{"Perturbation", "Size", "Eager us", "Rndv us", "Best", "Eager x", "Rndv x"},
 	}}
-	sizes := env.SkewSizes
-	if len(sizes) == 0 {
-		sizes = DefaultSkewSizes()
-	}
-	arms := SkewArms()
+	sizes, arms := env.SkewSizes, SkewArms()
 
 	type cell struct{ eagerUS, rndvUS float64 }
 	cells := make([]cell, len(arms)*len(sizes))
@@ -254,18 +271,6 @@ func skew(ctx context.Context, env Env) (skewResult, error) {
 				fmt.Sprintf("%.2fx", row.RndvX),
 			})
 		}
-	}
-
-	for i, arm := range skewRTArms() {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("experiments: cut after %d/%d rt arms: %w",
-				i, len(skewRTArms()), err)
-		}
-		row, err := skewFastbox(ctx, arm)
-		if err != nil {
-			return res, fmt.Errorf("skew rt %s: %w", arm.Name, err)
-		}
-		res.RTRows = append(res.RTRows, row)
 	}
 	return res, nil
 }

@@ -1,39 +1,9 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"sync"
 	"testing"
 )
-
-// skewJ1 is the one -j1 run of the registry experiment that the golden,
-// shape and determinism tests share.
-var skewJ1 = sync.OnceValues(func() (Result, error) {
-	return Run(context.Background(), "skew", Env{Workers: 1})
-})
-
-// runSkew runs the registry experiment at the given pool width; width 1
-// reads the shared skewJ1 run.
-func runSkew(t *testing.T, workers int) skewResult {
-	t.Helper()
-	run := skewJ1
-	if workers != 1 {
-		run = func() (Result, error) { return Run(context.Background(), "skew", Env{Workers: workers}) }
-	}
-	res, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.(skewResult)
-}
-
-func renderSkew(t *testing.T, workers int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	runSkew(t, workers).Render(&buf)
-	return buf.Bytes()
-}
 
 // TestSkewGolden pins the simulated table byte-for-byte: the perturbation
 // layer is seeded-deterministic, so any drift in a perturbed timing — not
@@ -43,15 +13,18 @@ func renderSkew(t *testing.T, workers int) []byte {
 //
 //	go test ./internal/experiments -run TestSkewGolden -update
 func TestSkewGolden(t *testing.T) {
-	checkGolden(t, "skew", renderSkew(t, 1))
+	checkGolden(t, "skew", []byte(rendered(shared[skewResult](t, "skew"))))
 }
 
 // Cells shard one self-contained perturbed simulation each across the
-// worker pool; the table must be byte-identical at any width.
+// worker pool; the table must be byte-identical at any width. The -j8 side
+// runs the simulated cells only: the rt rows are never rendered.
 func TestSkewParallelDeterminism(t *testing.T) {
-	serial := renderSkew(t, 1)
-	parallel := renderSkew(t, 8)
-	if !bytes.Equal(serial, parallel) {
+	cells, err := skewCells(context.Background(), testEnv(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial, parallel := rendered(shared[skewResult](t, "skew")), rendered(cells); serial != parallel {
 		t.Errorf("skew artefact differs between -j1 and -j8:\n--- j1\n%s--- j8\n%s", serial, parallel)
 	}
 }
@@ -59,9 +32,9 @@ func TestSkewParallelDeterminism(t *testing.T) {
 // The experiment's point, asserted not just rendered: every perturbation
 // arm slows at least one forced protocol versus the clean baseline, and
 // the rt fastbox rows carry real traffic with a sane hit rate. It reads the
-// -j1 run; TestSkewParallelDeterminism proves a wider pool renders the same.
+// shared run; TestSkewParallelDeterminism proves a wider pool renders the same.
 func TestSkewShape(t *testing.T) {
-	res := runSkew(t, 1)
+	res := shared[skewResult](t, "skew")
 	sizes := DefaultSkewSizes()
 	if want := len(SkewArms()) * len(sizes); len(res.SkewRows) != want {
 		t.Fatalf("got %d sim rows, want %d", len(res.SkewRows), want)

@@ -19,11 +19,7 @@ func init() {
 		ID: "thresholds", Order: 10,
 		Title: "DMAmin formula vs measured I/OAT crossover (§3.5)",
 		Run: func(ctx context.Context, env Env) (Result, error) {
-			res, err := thresholds(ctx, env.workers())
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return thresholds(ctx, env.workers())
 		},
 	})
 }

@@ -79,14 +79,10 @@ type topologyCase struct {
 	size    int64
 }
 
-// RunTopologyCase simulates one cell: ranks ranks block-placed on cl run
+// runTopologyCase simulates one cell: ranks ranks block-placed on cl run
 // topoReps repetitions of op at size bytes, under hierarchical (flat=false)
 // or single-level (flat=true) collectives. The row carries the simulated
 // time between the enclosing barriers and the run's network footprint.
-func RunTopologyCase(cl *topo.Cluster, ranks int, flat bool, op string, size int64) (TopologyRow, error) {
-	return runTopologyCase(context.Background(), cl, ranks, flat, op, size)
-}
-
 func runTopologyCase(ctx context.Context, cl *topo.Cluster, ranks int, flat bool, op string, size int64) (TopologyRow, error) {
 	job, err := comm.NewJob("sim", comm.JobSpec{
 		Ranks:           ranks,
@@ -160,11 +156,6 @@ func topology(ctx context.Context, env Env) (topologyResult, error) {
 		Title:  "Hierarchical vs flat collectives across cluster topologies",
 		Header: []string{"Topology", "Ranks", "Nodes", "Coll", "Op", "Size", "Time", "Net pkts", "Net bytes", "Byte-hops", "Wire bytes"},
 	}}
-	sizes := env.TopoSizes
-	if len(sizes) == 0 {
-		sizes = DefaultTopologySizes()
-	}
-
 	var cases []topologyCase
 	for _, name := range TopologyClusterNames() {
 		cl, err := topo.LookupCluster(name)
@@ -174,7 +165,7 @@ func topology(ctx context.Context, env Env) (topologyResult, error) {
 		ranks := cl.Capacity()
 		for _, flat := range []bool{false, true} {
 			for _, op := range TopologyOps() {
-				for _, size := range sizes {
+				for _, size := range env.TopoSizes {
 					cases = append(cases, topologyCase{
 						cluster: name, ranks: ranks,
 						flat: flat, op: op, size: size,

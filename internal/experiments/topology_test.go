@@ -1,38 +1,13 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
-	"sync"
 	"testing"
 
 	"knemesis/internal/sim"
 	"knemesis/internal/topo"
 	"knemesis/internal/units"
 )
-
-// topologyJ1 is the one -j1 run of the registry experiment that the golden
-// and determinism tests share.
-var topologyJ1 = sync.OnceValues(func() (Result, error) {
-	return Run(context.Background(), "topology", Env{Workers: 1})
-})
-
-// renderTopology runs the registry experiment at the given pool width and
-// returns the rendered table bytes; width 1 reads the shared topologyJ1 run.
-func renderTopology(t *testing.T, workers int) []byte {
-	t.Helper()
-	run := topologyJ1
-	if workers != 1 {
-		run = func() (Result, error) { return Run(context.Background(), "topology", Env{Workers: workers}) }
-	}
-	res, err := run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	res.Render(&buf)
-	return buf.Bytes()
-}
 
 // TestTopologyGolden pins the full registry artefact byte-for-byte: the
 // simulation is deterministic, so any drift in modelled times or network
@@ -41,16 +16,13 @@ func renderTopology(t *testing.T, workers int) []byte {
 //
 //	go test ./internal/experiments -run TestTopologyGolden -update
 func TestTopologyGolden(t *testing.T) {
-	got := renderTopology(t, 1)
-	checkGolden(t, "topology", got)
+	checkGolden(t, "topology", []byte(rendered(shared[topologyResult](t, "topology"))))
 }
 
 // The sweep shards one self-contained cluster simulation per case across
 // the worker pool; output must be byte-identical at any width.
 func TestTopologyParallelDeterminism(t *testing.T) {
-	serial := renderTopology(t, 1)
-	parallel := renderTopology(t, 8)
-	if !bytes.Equal(serial, parallel) {
+	if serial, parallel := rendered(shared[topologyResult](t, "topology")), rendered(wideRun(t, "topology")); serial != parallel {
 		t.Errorf("topology artefact differs between -j1 and -j8:\n--- j1\n%s--- j8\n%s", serial, parallel)
 	}
 }
@@ -72,11 +44,11 @@ func TestTopologyFatTree1024(t *testing.T) {
 		t.Fatalf("fat tree capacity %d, want %d", cap, ranks)
 	}
 	const size = 16 * units.KiB
-	hier, err := RunTopologyCase(cl, ranks, false, "allreduce", size)
+	hier, err := runTopologyCase(context.Background(), cl, ranks, false, "allreduce", size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := RunTopologyCase(cl, ranks, true, "allreduce", size)
+	flat, err := runTopologyCase(context.Background(), cl, ranks, true, "allreduce", size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"knemesis/internal/comm"
 	"knemesis/internal/core"
+	"knemesis/internal/hw"
 	"knemesis/internal/mem"
 	"knemesis/internal/nemesis"
 	"knemesis/internal/perturb"
@@ -109,7 +110,7 @@ func (j *simJob) installPerturb(spec comm.JobSpec) error {
 	}
 	w := j.w
 	t := &perturb.SimTarget{Eng: w.eng(), Ranks: w.Size,
-		RankLoc: func(r int) (int, topo.CoreID) { return w.NodeOf(r), w.endpoint(r).Core }}
+		RankLoc: func(r int) (*hw.Machine, topo.CoreID) { ep := w.endpoint(r); return ep.Ch.M, ep.Core }}
 	for _, s := range w.nodes() {
 		t.Machines = append(t.Machines, s.M)
 	}

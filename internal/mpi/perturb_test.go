@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"knemesis/internal/comm"
 	"knemesis/internal/core"
 	"knemesis/internal/hw"
 	"knemesis/internal/mem"
@@ -92,7 +95,7 @@ func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks
 		Eng:      eng,
 		Machines: []*hw.Machine{st.M},
 		Ranks:    ranks,
-		RankLoc:  func(r int) (int, topo.CoreID) { return 0, st.Ch.Endpoints[r].Core },
+		RankLoc:  func(r int) (*hw.Machine, topo.CoreID) { return st.M, st.Ch.Endpoints[r].Core },
 	}
 	set, err := perturb.InstallSim(target, specs, seed)
 	if err != nil {
@@ -176,7 +179,7 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64) clusterPerturbArtefa
 		Machines: machines,
 		Net:      cs.Net,
 		Ranks:    w.Size,
-		RankLoc:  func(r int) (int, topo.CoreID) { return pl.NodeOf[r], pl.CoreOf[r] },
+		RankLoc:  func(r int) (*hw.Machine, topo.CoreID) { return cs.Endpoint(r).Ch.M, pl.CoreOf[r] },
 	}
 	var specs []perturb.Spec
 	for _, s := range []string{
@@ -256,5 +259,54 @@ func TestPerturbationsChangeTiming(t *testing.T) {
 	if perturbed.final <= clean.final {
 		t.Fatalf("perturbed run (%v) not slower than clean run (%v)",
 			perturbed.final, clean.final)
+	}
+}
+
+// A rank perturbation lands on the rank's own host. The switch presets list
+// their switches among the cluster nodes, so a rank's cluster node index is
+// no index into the used hosts: slow-core on the last rank must lower
+// exactly that rank's core capacity, under block and spread placement.
+func TestPerturbSlowCoreHitsItsRankOnSwitchTopologies(t *testing.T) {
+	const ranks = 6
+	slow, err := perturb.ParseList(fmt.Sprintf("slow-core:rank=%d,factor=0.5", ranks-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"four-node", "fat-tree-16", "dragonfly-24"} {
+		for _, placement := range []string{"block", "spread"} {
+			capacities := func(specs []perturb.Spec) (*core.ClusterStack, [][]float64) {
+				cl, err := topo.LookupCluster(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				job, err := comm.NewJob("sim", comm.JobSpec{Ranks: ranks, Topology: cl,
+					Placement: placement, Perturbations: specs, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cs := job.(*simJob).Cluster()
+				caps := make([][]float64, len(cs.Nodes))
+				for i, s := range cs.Nodes {
+					for _, c := range s.M.Cores {
+						caps[i] = append(caps[i], c.CPU.Capacity())
+					}
+				}
+				return cs, caps
+			}
+			_, clean := capacities(nil)
+			cs, got := capacities(slow)
+			host := slices.Index(cs.Place.UsedHosts(), cs.Place.NodeOf[ranks-1])
+			victim := int(cs.Place.CoreOf[ranks-1])
+			for i := range clean {
+				for c, want := range clean[i] {
+					if i == host && c == victim {
+						want *= 0.5
+					}
+					if got[i][c] != want {
+						t.Errorf("%s/%s: host %d core %d capacity %v, want %v", name, placement, i, c, got[i][c], want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -16,8 +16,8 @@ type SimTarget struct {
 	Machines []*hw.Machine
 	Net      *nemesis.Net // nil for a single-node job
 	Ranks    int
-	// RankLoc maps a rank to its hosting machine index and core.
-	RankLoc func(rank int) (machine int, core topo.CoreID)
+	// RankLoc maps a rank to its hosting machine and core.
+	RankLoc func(rank int) (*hw.Machine, topo.CoreID)
 }
 
 // SimSet is the installed result the engine consults at runtime.
@@ -64,7 +64,6 @@ func (t *SimTarget) victim(rank int) (*hw.Machine, *hw.Core) {
 	if rank < 0 {
 		rank = 0
 	}
-	mi, core := t.RankLoc(rank)
-	m := t.Machines[mi]
+	m, core := t.RankLoc(rank)
 	return m, m.Cores[core]
 }

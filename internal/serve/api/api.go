@@ -34,7 +34,7 @@ const Version = 1
 // CodeVersion participates in every cache key: bump it when an engine or
 // driver change may alter artefact bytes, so stale results are never
 // served across code revisions.
-const CodeVersion = "knemesis-2026.08"
+const CodeVersion = "knemesis-2026.10"
 
 // Job kinds.
 const (

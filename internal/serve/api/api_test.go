@@ -300,34 +300,34 @@ var pinned = []struct {
 	key  string
 }{
 	{"comm defaults", Spec{Kind: KindComm},
-		"d0c452cb49d2b5f369d89a2faa53a7b209c1d4f47ff6001e03792e9f3e7de018"},
+		"a2344ffce82caecd342f176659fb19784d71b9f9677fba7036994f0264c714b4"},
 	{"knem", Spec{Kind: KindComm, LMT: "knem", Sizes: []int64{4096, 1 << 20}},
-		"16a11687394d1ccd0cdc5451af3c95d8a5905bdce9010a07ed507341e33d523d"},
+		"1b52667eb26587a50d87819f0a6e0cafb164e9a82fa1c8252426058ed34b08d2"},
 	{"knem-ioat", Spec{Kind: KindComm, LMT: "knem-ioat", Sizes: []int64{1 << 20}},
-		"5552e7eda9fa64bed0ab188daf20b2bee5a7bae67367fe9c711b157d2de6b213"},
+		"3037f9ef56b5295f42794dabe54e47946a4fc0d7111f09a9de634c95ca26fd05"},
 	{"fat-tree spread", Spec{Kind: KindComm, Bench: "sendrecv", Ranks: 16,
 		Topology: "fat-tree-16", Placement: "spread"},
-		"9f66b66d3897b0328610a502bc65772584c1a02f2493b7ab9b87e4216b9e5e19"},
+		"c6d5d89c34dffeaa794474023d9281d80c3235e6d2f6ef88604f5429c8acb10d"},
 	{"two-node", Spec{Kind: KindComm, Bench: "alltoall", Ranks: 16,
 		Topology: "two-node", Sizes: []int64{65536}},
-		"942be12ebe20d2f187cee3d1b89e22489405a6d3e7a4e48627b6f8f5b78204a5"},
+		"86f51d4185625a1a88d58dc2521d3d883d8fa8491dc24d5b5139d89dae6382c0"},
 	{"two-node, machine x5460", Spec{Kind: KindComm, Bench: "alltoall", Ranks: 16,
 		Topology: "two-node", Machine: "x5460", Sizes: []int64{65536}},
-		"942be12ebe20d2f187cee3d1b89e22489405a6d3e7a4e48627b6f8f5b78204a5"},
+		"86f51d4185625a1a88d58dc2521d3d883d8fa8491dc24d5b5139d89dae6382c0"},
 	{"rt eager", Spec{Kind: KindComm, Engine: "rt", RTMode: "eager"},
-		"76af65591f3b35b76264bed7ba2ec37cce6975a0edffeb2dbaecd9551676ea71"},
+		"d1f2b7771408e34d3352a3bdeacb934d8d0bb3dc25ce0fb1f9df1b9a50415fa0"},
 	{"perturbed", Spec{Kind: KindComm, Perturb: "slow-core;delayed-recv:mean=2e-6", Seed: 7},
-		"c28c6f08309525436b03930211cb587a9b0356b93639cb2ad2d8f278d7085452"},
+		"c7d0471f776cb034c2f52d5d0519342e0721885add11d2141613adebdbb3e3be"},
 	{"bcast on x5460", Spec{Kind: KindComm, Bench: "bcast", Ranks: 4, Machine: "x5460"},
-		"5c2f93b3c208a35432860604736e3122580d6195c2a2c93411501b6542056318"},
+		"70da5a5ee08be9a08fbc566e2a6fb0870c07c2a6dde06aa519fb687f611e0fcf"},
 	{"experiment", Spec{Kind: KindExperiment, Experiment: "fig4", Quick: true},
-		"fc1389b0d8c75647d9ba25540754c3880266de79216b6a9c39f2a02caf05fa83"},
+		"afd07205b10fcb167f9a2aaabe633303ed3cf3d95977f93cec829ce98aecf846"},
 }
 
 // FuzzCanonicalize holds Canonicalize to being a fixed point: whatever it
 // accepts, decoding its canonical JSON and canonicalizing again gives
 // byte-identical JSON and the same cache key. Crash recovery relies on it:
-// it re-canonicalizes a logged spec and runs it under the logged key.
+// it re-canonicalizes a logged spec and re-derives its key.
 func FuzzCanonicalize(f *testing.F) {
 	for _, tc := range pinned {
 		data, err := json.Marshal(tc.spec)

@@ -179,7 +179,7 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 		d.mu.Lock()
 		d.keys[id] = key
 		d.mu.Unlock()
-		d.store.Advance(id, store.Queued, "crash-recovered: re-queued")
+		d.store.Requeue(id, key, "crash-recovered: re-queued")
 		if err := d.dispatch(id, c); err != nil {
 			d.forgetJob(id)
 			crashFail(fmt.Sprintf("crash-interrupted: re-queue rejected: %v", err))

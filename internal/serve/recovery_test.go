@@ -260,7 +260,8 @@ func TestCrashRecoveryFailsUncanonicalizableSpec(t *testing.T) {
 // was logged under a key that a finished run with other bytes owns — what a
 // CodeVersion bump or a canonicalisation change leaves behind. Recovery
 // must re-derive the key from the spec, so the job is re-queued and re-run
-// rather than answered with the old owner's bytes.
+// rather than answered with the old owner's bytes, and the re-run then owns
+// that key: a repeat of the spec hits it, before and after a restart.
 func TestRecoveryIgnoresOwnerOfOldKey(t *testing.T) {
 	root := t.TempDir()
 	spec, key := mustCanon(t, tinySpec(4*units.KiB))
@@ -299,6 +300,21 @@ func TestRecoveryIgnoresOwnerOfOldKey(t *testing.T) {
 	got, err := d.Store().Artefact(rec.ArtefactID, "result.json")
 	if err != nil || !bytes.Equal(got, direct["result.json"]) {
 		t.Fatalf("re-run artefact = %q, %v", got, err)
+	}
+	hit, err := d.Submit(tinySpec(4 * units.KiB))
+	if err != nil || !hit.Cached || hit.ID != rec.ID {
+		t.Fatalf("repeat after recovery = %s (cached %v), %v, want a hit on the re-run %s", hit.ID, hit.Cached, err, rec.ID)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d = newTestDaemon(t, Config{StoreRoot: root})
+	defer d.Close()
+	awaitReady(t, d)
+	again, err := d.Submit(tinySpec(4 * units.KiB))
+	if err != nil || !again.Cached || again.ID != rec.ID {
+		t.Fatalf("repeat after restart = %s (cached %v), %v, want a hit on the re-run %s", again.ID, again.Cached, err, rec.ID)
 	}
 }
 

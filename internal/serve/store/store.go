@@ -235,10 +235,21 @@ func (s *Store) deleteLocked(id string) {
 // the first terminal transition wins). The entry is logged without an fsync
 // of its own, see wal.go.
 func (s *Store) Advance(id string, st State, note string) {
+	s.advance(walEntry{Op: "advance", ID: id, State: st, Note: note})
+}
+
+// Requeue moves an interrupted record back to Queued under key, the key
+// crash recovery re-derived from its spec. The advance entry carries the
+// key, so the re-run's finish owns it, live and on replay alike.
+func (s *Store) Requeue(id, key, note string) {
+	s.advance(walEntry{Op: "advance", ID: id, Key: key, State: Queued, Note: note})
+}
+
+func (s *Store) advance(e walEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.stateLocked(id); ok && !cur.Terminal() {
-		s.commit(walEntry{Op: "advance", ID: id, State: st, Note: note}, st.Terminal())
+	if cur, ok := s.stateLocked(e.ID); ok && !cur.Terminal() {
+		s.commit(e, e.State.Terminal())
 	}
 }
 

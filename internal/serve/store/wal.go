@@ -302,9 +302,10 @@ func validEntryIn(buf []byte) bool {
 // entry (a cancel racing a finish) cannot make them diverge. Unknown ops
 // and entries for unknown IDs are ignored (forward compatibility over
 // strictness: a ledger that loads with one record fewer beats a daemon that
-// cannot boot). Applying the first done finish of a key's artefact owner
-// records it in the owner index, in the same critical section that makes
-// the done state visible.
+// cannot boot). An advance that carries a key (a crash-recovery re-queue)
+// moves the record to it. Applying the first done finish of a key's
+// artefact owner records it in the owner index, in the same critical
+// section that makes the done state visible.
 func (s *Store) applyLocked(e walEntry) {
 	switch e.Op {
 	case "create":
@@ -318,6 +319,9 @@ func (s *Store) applyLocked(e walEntry) {
 		s.advanceLocked(r, e.State, e.Note, e.At)
 	case "advance":
 		if r, ok := s.jobs[e.ID]; ok && !r.State.Terminal() {
+			if e.Key != "" {
+				r.Key = e.Key
+			}
 			s.advanceLocked(r, e.State, e.Note, e.At)
 		}
 	case "finish":

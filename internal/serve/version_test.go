@@ -15,7 +15,7 @@ import (
 // CodeVersion, so a change that moves these bytes without a new CodeVersion
 // would serve stale artefacts from a warm cache.
 var artefactPin = struct{ codeVersion, sum string }{
-	codeVersion: "knemesis-2026.08",
+	codeVersion: "knemesis-2026.10",
 	sum:         "47a1ea59bb36bdf5f1c63e7d541ee0229ffb62226ee085552a2f8102367fa0ae",
 }
 
