@@ -328,7 +328,7 @@ func Example_threshold() {
 		fmt.Printf("  shared-cache pair : DMAmin = %s\n", units.FormatSize(m.DMAMin(2)))
 		fmt.Printf("  unshared pair     : DMAmin = %s\n", units.FormatSize(m.DMAMin(1)))
 		fmt.Printf("  one rank per core : DMAmin = %s (architecture-only formula)\n",
-			units.FormatSize(m.DMAMinArch(0)))
+			units.FormatSize(m.DMAMin(len(m.L2Domains[m.L2Of(0)]))))
 		fmt.Println()
 	}
 

@@ -16,12 +16,11 @@ package cache
 // keeps its eviction victims' page the same way: one map lookup per run of
 // DirPageBlocks blocks, so the directory keeps no lookup cache of its own.
 //
-// Pages are only reclaimed by Reset (hw.FlushCaches), not when their
-// entries empty out: live tracking would put a counter update on every
-// presence-bit mutation to save ~1.6% of the touched address span (one
-// 8 KiB page per 512 KiB ever cached). Directory footprint therefore grows
-// with the addresses a Machine touches and is released when the Machine
-// (one per simulated stack) is dropped.
+// Pages are not reclaimed when their entries empty out: live tracking
+// would put a counter update on every presence-bit mutation to save ~1.6%
+// of the touched address span (one 8 KiB page per 512 KiB ever cached).
+// Directory footprint therefore grows with the addresses a Machine touches
+// and is released when the Machine (one per simulated stack) is dropped.
 type Directory struct {
 	pages map[uint64]*DirPage
 }
@@ -115,9 +114,4 @@ func (d *Directory) ForEach(fn func(block uint64, e DirEntry)) {
 			}
 		}
 	}
-}
-
-// Reset forgets everything (bulk coherence reset after flushing all caches).
-func (d *Directory) Reset() {
-	d.pages = make(map[uint64]*DirPage)
 }

@@ -1,28 +1,6 @@
 package comm
 
-import (
-	"context"
-	"time"
-)
-
-// StateDumper is an optional Job capability: a human-readable per-rank
-// state snapshot (park reasons, queue depths) for watchdog diagnostics.
-// Both current engines implement it; the cancellation errors they return
-// already embed the dump taken at cut time.
-type StateDumper interface {
-	StateDump() string
-}
-
-// RunWithDeadline runs app on the job under a wall-clock deadline: the
-// watchdog form of Job.Run. On timeout the returned error satisfies
-// errors.Is(err, context.DeadlineExceeded) and carries the engine's
-// per-rank state dump, so a hung case fails fast with diagnostics instead
-// of stalling the suite.
-func RunWithDeadline(j Job, d time.Duration, app func(p Peer)) error {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	return j.RunCtx(ctx, app)
-}
+import "context"
 
 // WithContext lifts a Job's context form into its plain Run: every
 // j.Run(app) on the returned job executes as RunCtx(ctx, app), which is

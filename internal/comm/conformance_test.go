@@ -67,7 +67,7 @@ const confDeadline = 60 * time.Second
 // runWatchdog runs one conformance case under the deadline watchdog.
 func runWatchdog(t *testing.T, job comm.Job, app func(c comm.Peer)) {
 	t.Helper()
-	if err := comm.RunWithDeadline(job, confDeadline, app); err != nil {
+	if err := runWithDeadline(job, confDeadline, app); err != nil {
 		t.Fatalf("job failed: %v", err)
 	}
 }

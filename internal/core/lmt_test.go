@@ -300,12 +300,14 @@ func TestBidirectionalRendezvousNoDeadlock(t *testing.T) {
 		st.M.Eng.Spawn("r0", func(p *sim.Proc) {
 			s := ep0.Isend(1, 0, mem.VecOf(a0))
 			r := ep0.Irecv(1, 0, mem.VecOf(b0))
-			ep0.WaitAll(p, s, r)
+			ep0.Wait(p, s)
+			ep0.Wait(p, r)
 		})
 		st.M.Eng.Spawn("r1", func(p *sim.Proc) {
 			s := ep1.Isend(0, 0, mem.VecOf(a1))
 			r := ep1.Irecv(0, 0, mem.VecOf(b1))
-			ep1.WaitAll(p, s, r)
+			ep1.Wait(p, s)
+			ep1.Wait(p, r)
 		})
 		if err := st.M.Eng.Run(); err != nil {
 			t.Fatalf("%s: %v", opt.Label(), err)

@@ -78,9 +78,6 @@ func TestEverySpecDeliversOnFullStack(t *testing.T) {
 	c0, c1 := m.PairDifferentDies()
 	for _, spec := range Presets.All() {
 		st := NewStack(m, []topo.CoreID{c0, c1}, spec.Options, nemesis.Config{})
-		if got := st.Ch.BackendName(); got != string(spec.Options.Kind.String()) {
-			t.Errorf("%s: channel backend name %q, want %q", spec.Name, got, spec.Options.Kind)
-		}
 		ep0, ep1 := st.Ch.Endpoints[0], st.Ch.Endpoints[1]
 		a := ep0.Space.Alloc(256 * units.KiB)
 		b := ep1.Space.Alloc(256 * units.KiB)
@@ -122,7 +119,7 @@ func factoryPanic(t *testing.T, opt Options, withOS, withKNEM, withDMA bool) (ms
 			}
 		}
 	}()
-	nemesis.NewChannel(m, os, dma, km, []topo.CoreID{0, 4}, nemesis.Config{LMT: Factory(opt)})
+	nemesis.NewChannelRanks(m, os, dma, km, []topo.CoreID{0, 4}, nil, nemesis.Config{LMT: Factory(opt)})
 	return ""
 }
 

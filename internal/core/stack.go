@@ -37,7 +37,6 @@ func newStackOn(m *hw.Machine, cores []topo.CoreID, ranks []int, opt Options, ch
 	os := kernel.New(m)
 	dma := ioat.NewEngine(m)
 	km := knem.Load(os, dma)
-	chCfg.Backend = string(opt.Kind)
 	chCfg.LMT = Factory(opt)
 	ch := nemesis.NewChannelRanks(m, os, dma, km, cores, ranks, chCfg)
 	return &Stack{M: m, OS: os, DMA: dma, KNEM: km, Ch: ch, Opt: opt}

@@ -53,7 +53,7 @@ func TestNehalemAllPairsShared(t *testing.T) {
 		t.Fatal("pair not sharing")
 	}
 	// DMAmin with 8 processes on one 8MiB LLC: 512KiB.
-	if got := m.DMAMinArch(0); got != 512*units.KiB {
-		t.Fatalf("nehalem DMAminArch = %s, want 512KiB", units.FormatSize(got))
+	if got := m.DMAMin(8); got != 512*units.KiB {
+		t.Fatalf("nehalem DMAmin(8) = %s, want 512KiB", units.FormatSize(got))
 	}
 }

@@ -280,11 +280,6 @@ func checkTrace(t *testing.T, tp *topo.Machine, footprint int64, ops []traceOp) 
 			t.Fatalf("op %d %+v: directory (%d,%d,%d) != snoop (%d,%d,%d)",
 				i, op, da, db, dc, sa, sb, sc)
 		}
-		addr := buf.Addr() + uint64(op.off)
-		if res, want := m.ResidentBytes(op.core, addr, op.n),
-			ref.l2s[ref.coreL2[op.core]].ResidentBytes(addr, op.n); res != want {
-			t.Fatalf("op %d %+v: ResidentBytes %d != %d", i, op, res, want)
-		}
 		checkDirectorySync(t, m)
 	}
 	for d, c := range m.L2s {

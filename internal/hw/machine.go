@@ -91,9 +91,6 @@ func NewOn(eng *sim.Engine, t *topo.Machine) *Machine {
 // Core returns the runtime core for id.
 func (m *Machine) Core(id topo.CoreID) *Core { return m.Cores[id] }
 
-// L2OfCore returns the L2 cache used by core id.
-func (m *Machine) L2OfCore(id topo.CoreID) *cache.Cache { return m.L2s[m.coreL2[id]] }
-
 // Params is shorthand for the topology's cost parameters.
 func (m *Machine) Params() *topo.Params { return &m.Topo.Params }
 
@@ -110,15 +107,6 @@ func (m *Machine) TotalL2Stats() cache.Stats {
 // (the unit of the paper's Table 2).
 func (m *Machine) L2MissLines() int64 {
 	return m.TotalL2Stats().MissesInLines(m.Topo.Params.LineBytes)
-}
-
-// FlushCaches invalidates every cache (used between experiment repetitions
-// that must not share warm state).
-func (m *Machine) FlushCaches() {
-	for _, c := range m.L2s {
-		c.Flush()
-	}
-	m.dir.Reset()
 }
 
 // Busy charges d of CPU time to the core under processor sharing: if other
@@ -338,41 +326,6 @@ func (m *Machine) recall(e *cache.DirEntry, block, mask uint64, invalidate bool)
 		e.ClearPresent(d)
 	}
 	return dirty
-}
-
-// ResidentBytes reports how many bytes of [addr, addr+n) are resident in
-// core coreID's L2, by the directory's presence bits instead of probing
-// the cache's ways per block, a directory page at a time.
-func (m *Machine) ResidentBytes(coreID topo.CoreID, addr uint64, n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	local := m.coreL2[coreID]
-	bs := uint64(m.Topo.Params.BlockBytes)
-	first := addr / bs
-	last := (addr + uint64(n) - 1) / bs
-	end := addr + uint64(n)
-	bit := uint64(1) << uint(local)
-	var resident int64
-	for b := first; b <= last; {
-		page, pageLast := m.dir.PageIfAny(b)
-		pageLast = min(pageLast, last)
-		if page == nil {
-			b = pageLast + 1
-			continue
-		}
-		for ; b <= pageLast; b++ {
-			if page.Entry(b).Mask()&bit == 0 {
-				continue
-			}
-			span := int64(bs)
-			if b == first || b == last {
-				span = partialSpan(b, bs, addr, end)
-			}
-			resident += span
-		}
-	}
-	return resident
 }
 
 // missStallPerByte converts missed bytes into extra CPU seconds such that a

@@ -82,30 +82,6 @@ func (m *Machine) charge(p *sim.Proc, coreID topo.CoreID, busBytes int64, cpuSec
 	m.Bus.Release(flow)
 }
 
-// TouchRange walks [addr, addr+n) through core coreID's cache as reads or
-// writes without moving payload (application compute touching its working
-// set, or a copy side that has no modelled partner). Time accounting mirrors
-// CopyRange's miss-stall model.
-func (m *Machine) TouchRange(p *sim.Proc, coreID topo.CoreID, addr uint64, n int64, write bool, noTime bool) Traffic {
-	if n <= 0 {
-		return Traffic{}
-	}
-	par := m.Params()
-	busBytes, missBytes, dirtyMiss := m.classifyRange(coreID, addr, n, write)
-	tr := Traffic{Bytes: n, BusBytes: busBytes, DirtyMissBytes: dirtyMiss}
-	if write {
-		tr.DstMissBytes = missBytes
-	} else {
-		tr.SrcMissBytes = missBytes
-	}
-	stall := float64(missBytes) + float64(dirtyMiss)*(par.RemoteDirtyStallFactor-1)
-	tr.CPUSeconds = float64(n)/par.CPUCopyCachedBps + stall*missStallPerByte(par)
-	if !noTime {
-		m.charge(p, coreID, tr.BusBytes, tr.CPUSeconds)
-	}
-	return tr
-}
-
 // DMASnoopSource prepares a range for a cache-bypassing DMA read: dirty
 // cached copies must be written back so the engine reads current data.
 // Returns the bus bytes of the forced writebacks.

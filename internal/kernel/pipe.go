@@ -224,12 +224,3 @@ func (pp *Pipe) blockUntil(p *sim.Proc, cond *sim.Cond, ok func() bool) {
 		p.Sleep(pp.os.M.Params().SchedWakeLatency)
 	}
 }
-
-// Buffered reports queued bytes (for tests).
-func (pp *Pipe) Buffered() int64 {
-	var n int64
-	for _, s := range pp.segs {
-		n += s.data.Len
-	}
-	return n
-}

@@ -229,6 +229,3 @@ func (k *Module) copyLoop(p *sim.Proc, core topo.CoreID, dst, src mem.IOVec) {
 		k.BytesCopied += pair.Src.Len
 	}
 }
-
-// Cookies reports the number of live registrations (leak checking).
-func (k *Module) Cookies() int { return len(k.cookies) }

@@ -125,11 +125,11 @@ func TestIOATDoesNotPolluteCache(t *testing.T) {
 		})
 		r.os.M.Eng.Spawn("receiver", func(p *sim.Proc) {
 			// Warm the application working set on core 2.
-			r.os.M.TouchRange(p, 2, ws.Addr(), ws.Len(), false, false)
+			r.os.M.Compute(p, 2, 0, mem.VecOf(ws)...)
 			r.k.RecvCmd(p, 2, cookieCh.Get(p), mem.VecOf(dst), md).WaitIdle(p)
-			// Re-touch the working set: misses reveal pollution.
-			tr := r.os.M.TouchRange(p, 2, ws.Addr(), ws.Len(), false, false)
-			wsMisses = tr.SrcMissBytes
+			// Re-read the working set: misses reveal pollution.
+			tr := r.os.M.Compute(p, 2, 0, mem.VecOf(ws)...)
+			wsMisses = tr.SrcMissBytes + tr.DstMissBytes
 		})
 		if err := r.os.M.Eng.Run(); err != nil {
 			t.Fatal(err)

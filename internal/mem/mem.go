@@ -349,36 +349,3 @@ func CopyBytes(dst, src Region) {
 	}
 	copy(dst.Bytes(), src.Bytes())
 }
-
-// CopyVec copies src regions into dst regions as one logical stream,
-// handling arbitrary region-boundary mismatches. Total lengths must match.
-// Pairs with a phantom side move no bytes (see CopyBytes).
-func CopyVec(dst, src IOVec) {
-	if dst.TotalLen() != src.TotalLen() {
-		panic(fmt.Sprintf("mem: CopyVec length mismatch %d != %d", dst.TotalLen(), src.TotalLen()))
-	}
-	di, si := 0, 0
-	var doff, soff int64
-	for di < len(dst) && si < len(src) {
-		d, s := dst[di], src[si]
-		n := d.Len - doff
-		if s.Len-soff < n {
-			n = s.Len - soff
-		}
-		if n > 0 {
-			if !d.Buf.Phantom() && !s.Buf.Phantom() {
-				copy(d.Bytes()[doff:doff+n], s.Bytes()[soff:soff+n])
-			}
-			doff += n
-			soff += n
-		}
-		if doff == d.Len {
-			di++
-			doff = 0
-		}
-		if soff == s.Len {
-			si++
-			soff = 0
-		}
-	}
-}

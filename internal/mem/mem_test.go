@@ -119,7 +119,19 @@ func TestPhysSegmentsPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestCopyVecRoundTrip(t *testing.T) {
+// overlayCopy moves src into dst the way the kernel, KNEM and I/OAT copy
+// loops do: one CopyBytes per Overlay pair, each at most maxChunk bytes.
+func overlayCopy(t *testing.T, dst, src IOVec, maxChunk int64) {
+	t.Helper()
+	for _, pair := range Overlay(dst, src, maxChunk) {
+		if maxChunk > 0 && pair.Src.Len > maxChunk {
+			t.Fatalf("pair of %d bytes exceeds maxChunk %d", pair.Src.Len, maxChunk)
+		}
+		CopyBytes(pair.Dst, pair.Src)
+	}
+}
+
+func TestOverlayRoundTrip(t *testing.T) {
 	w := NewWorld(4096)
 	s := w.NewSpace("p")
 	src := s.Alloc(1000)
@@ -144,18 +156,18 @@ func TestCopyVecRoundTrip(t *testing.T) {
 	if err := dv.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	CopyVec(dv, sv)
+	overlayCopy(t, dv, sv, 0)
 	if !EqualBytes(src, dst) {
-		t.Fatal("CopyVec did not reproduce source bytes")
+		t.Fatal("Overlay pairs did not reproduce source bytes")
 	}
 }
 
-// Property: CopyVec over random splits of the same buffer pair always
-// reproduces the source exactly.
-func TestCopyVecSplitProperty(t *testing.T) {
+// Property: copying the Overlay pairs of random splits of the same buffer
+// pair, in chunks of any non-zero bound, reproduces the source exactly.
+func TestOverlaySplitProperty(t *testing.T) {
 	w := NewWorld(4096)
 	s := w.NewSpace("p")
-	prop := func(sizeRaw uint16, cutsRaw [6]uint16, seed uint64) bool {
+	prop := func(sizeRaw uint16, cutsRaw [6]uint16, chunkRaw uint16, seed uint64) bool {
 		n := int64(sizeRaw%4096) + 1
 		src := s.Alloc(n)
 		src.FillPattern(seed)
@@ -181,7 +193,7 @@ func TestCopyVecSplitProperty(t *testing.T) {
 		}
 		sv := split(cutsRaw[:3])
 		dv := IOVec{{Buf: dst, Off: 0, Len: n}}
-		CopyVec(dv, sv)
+		overlayCopy(t, dv, sv, int64(chunkRaw%4096)+1)
 		return EqualBytes(src, dst)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {

@@ -169,10 +169,6 @@ func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 	return err
 }
 
-// StateDump renders the engine's per-process state (for watchdogs). Only
-// meaningful after Run/RunCtx has returned.
-func (j *simJob) StateDump() string { return j.w.eng().StateDump() }
-
 // Usage aggregates over the per-node machines: one shared engine, one
 // elapsed time; bus bytes, capacity and core seconds sum, and the bus
 // utilisation is hw.UtilizationReport's formula over the sums.

@@ -83,7 +83,9 @@ func TestRunCtxLeavesNoGoroutines(t *testing.T) {
 	})
 	t.Run("deadline", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
-		err := comm.RunWithDeadline(quiesceJob(t), 50*time.Millisecond, wedge)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		err := quiesceJob(t).RunCtx(ctx, wedge)
+		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("deadline-cut run returned %v", err)
 		}

@@ -214,9 +214,3 @@ var _ = func() int {
 	}
 	return 0
 }()
-
-// ISKeyVolumeCheck reports the average Alltoallv payload per rank pair per
-// iteration (~2 MiB at class B on 8 ranks), used by tests and docs.
-func ISKeyVolumeCheck(n int) int64 {
-	return int64(isTotalKeys) * 4 / int64(n) / int64(n)
-}

@@ -38,13 +38,6 @@ type Config struct {
 	// clamped to CellBytes).
 	EagerMax int64
 
-	// Backend is the registry name of the configured LMT strategy. The
-	// channel treats it as opaque metadata: the embedding layer
-	// (core.NewStack) resolves it against the backend registry and fills
-	// LMT accordingly, so reports and tooling can name the strategy
-	// without reaching into the constructor.
-	Backend string
-
 	// LMT constructs the large-message backend for this channel; nil
 	// means "eager only" (then EagerMax must cover all traffic).
 	LMT func(ch *Channel) LMT
@@ -108,17 +101,12 @@ func (ch *Channel) LeaveCollective() {
 // CollectiveHint reports the current hint (0 when none).
 func (ch *Channel) CollectiveHint() int { return ch.collHint }
 
-// NewChannel creates a channel for n ranks placed on the given cores.
+// NewChannelRanks creates a channel for ranks placed on the given cores.
 // os, dma and km may share substrate with other components; dma and km may
-// be nil when the experiment disables them.
-func NewChannel(m *hw.Machine, os *kernel.OS, dma *ioat.Engine, km *knem.Module, cores []topo.CoreID, cfg Config) *Channel {
-	return NewChannelRanks(m, os, dma, km, cores, nil, cfg)
-}
-
-// NewChannelRanks is NewChannel for one node of a cluster: ranks[i] is the
-// global rank of the endpoint on cores[i], so cluster-wide rank numbers
-// address endpoints directly. nil ranks means rank i on cores[i] (the
-// single-node layout).
+// be nil when the experiment disables them. On one node of a cluster,
+// ranks[i] is the global rank of the endpoint on cores[i], so cluster-wide
+// rank numbers address endpoints directly; nil ranks means rank i on
+// cores[i] (the single-node layout).
 func NewChannelRanks(m *hw.Machine, os *kernel.OS, dma *ioat.Engine, km *knem.Module,
 	cores []topo.CoreID, ranks []int, cfg Config) *Channel {
 	if cfg.EagerMax == 0 {
@@ -160,15 +148,6 @@ func (ch *Channel) LMTName() string {
 		return "eager-only"
 	}
 	return ch.lmt.Name()
-}
-
-// BackendName reports the configured registry name of the backend, falling
-// back to the live backend's own name when the config carries none.
-func (ch *Channel) BackendName() string {
-	if ch.Cfg.Backend != "" {
-		return ch.Cfg.Backend
-	}
-	return ch.LMTName()
 }
 
 // Transfer is one rendezvous message in flight, shared between the sender's

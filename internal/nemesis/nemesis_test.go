@@ -33,7 +33,7 @@ func newTestChannel(ranks int, cfg Config) *Channel {
 	m := hw.New(topo.XeonE5345())
 	cfg.LMT = func(ch *Channel) LMT { return &testLMT{ch: ch} }
 	cores := m.Topo.AllCores()[:ranks]
-	return NewChannel(m, nil, nil, nil, cores, cfg)
+	return NewChannelRanks(m, nil, nil, nil, cores, nil, cfg)
 }
 
 func TestEagerThresholdClamping(t *testing.T) {

@@ -62,13 +62,6 @@ func (ep *Endpoint) Wait(p *sim.Proc, req Waiter) {
 	}
 }
 
-// WaitAll completes a set of requests.
-func (ep *Endpoint) WaitAll(p *sim.Proc, reqs ...Waiter) {
-	for _, r := range reqs {
-		ep.Wait(p, r)
-	}
-}
-
 // runSend executes the send protocol. tick is the send's per-destination
 // position: the envelope may not be enqueued before every earlier send to
 // dst has enqueued its own, preserving matching order (see Endpoint).

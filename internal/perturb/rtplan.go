@@ -55,9 +55,6 @@ func (pl *RTPlan) RecvDelayHook() func(rank int, op uint64) time.Duration { retu
 // link perturbation is active).
 func (pl *RTPlan) CrossDelayHook() func(bytes int) time.Duration { return pl.crossDelay }
 
-// Injectors reports how many background injector goroutines Start launches.
-func (pl *RTPlan) Injectors() int { return len(pl.injectors) }
-
 // Start launches the plan's injector goroutines and returns the function
 // that stops them and waits for them to exit. Injectors Gosched every burn
 // pass, so they perturb rather than starve the ranks on GOMAXPROCS=1.

@@ -108,9 +108,6 @@ func (j *rtJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
 	})
 }
 
-// StateDump exposes the world's per-rank snapshot (comm.StateDumper).
-func (j *rtJob) StateDump() string { return j.w.StateDump() }
-
 // Usage reports wall-clock elapsed time only: the real runtime has no
 // hardware model to attribute bus or per-core figures to.
 func (j *rtJob) Usage() comm.Usage { return comm.Usage{Elapsed: j.w.elapsed()} }

@@ -119,6 +119,12 @@ var hostDMAMin = sync.OnceValue(func() int {
 	return int(topo.DMAMinOf(size, sharers))
 })
 
+// MaxRanks is the largest world a caller should build from input it does
+// not control (knemd refuses rt specs above it): every rank holds one
+// fastbox per peer, so a world of n ranks holds n² of them, ≈ 71 MB at 256
+// ranks and ≈ 17 GiB at 4 096.
+const MaxRanks = 256
+
 // NewWorld creates a world of n ranks. It derives the cell size from the
 // threshold, so an eager message of any threshold fits one cell; the
 // offload copy width from the core count; the sender's rendezvous copy from

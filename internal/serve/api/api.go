@@ -216,6 +216,9 @@ func (s Spec) canonComm() (Spec, error) {
 		if _, err := rt.ParseMode(c.RTMode); err != nil {
 			return Spec{}, err
 		}
+		if c.Ranks > rt.MaxRanks {
+			return Spec{}, fmt.Errorf("api: ranks %d: the rt engine runs at most %d", c.Ranks, rt.MaxRanks)
+		}
 	}
 	if c.EagerMax < 0 {
 		return Spec{}, fmt.Errorf("api: negative eager_max")

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"knemesis/internal/rt"
 	"knemesis/internal/topo"
 )
 
@@ -197,6 +198,10 @@ func TestCanonicalizeRejections(t *testing.T) {
 		"odd cross":        {Kind: KindComm, Bench: "sendrecv", Ranks: 3, Placement: "cross"},
 		"topology cross":   {Kind: KindComm, Topology: "two-node", Placement: "cross"},
 		"bad DOT":          {Kind: KindComm, Topology: "graph x { a -- }"},
+		// Every rt rank holds a fastbox per peer: a million ranks would
+		// exhaust memory before the job could fail.
+		"rt ranks":          {Kind: KindComm, Engine: "rt", Ranks: 1 << 20},
+		"rt ranks topology": {Kind: KindComm, Engine: "rt", Ranks: rt.MaxRanks + 1, Topology: `graph big { n0 [cores=200]; n1 [cores=200]; n0 -- n1 [latency="1us", bandwidth="1.25e9"]; }`},
 		// A path names no preset and holds no DOT text; it must not be read.
 		"DOT path": {Kind: KindComm, Topology: "../../../examples/topologies/two-node.dot"},
 	} {
@@ -204,6 +209,8 @@ func TestCanonicalizeRejections(t *testing.T) {
 			t.Errorf("%s: accepted %+v", name, s)
 		} else if name == "DOT path" && !strings.Contains(err.Error(), "unknown cluster preset") {
 			t.Errorf("%s: %v, want an unknown-preset error", name, err)
+		} else if strings.HasPrefix(name, "rt ranks") && !strings.Contains(err.Error(), fmt.Sprintf("at most %d", rt.MaxRanks)) {
+			t.Errorf("%s: %v, want the rt limit named", name, err)
 		}
 	}
 }

@@ -55,8 +55,7 @@ type Daemon struct {
 	start time.Time
 	seq   atomic.Int64
 
-	ready  atomic.Bool
-	readyc chan struct{} // closed when recovery completes
+	ready atomic.Bool
 
 	mu          sync.Mutex
 	keys        map[string]string // id -> cache key, for the quarantine breaker
@@ -89,7 +88,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		cfg:        cfg,
 		store:      st,
 		start:      time.Now(),
-		readyc:     make(chan struct{}),
 		keys:       make(map[string]string),
 		panicCount: make(map[string]int),
 	}
@@ -120,9 +118,6 @@ func (d *Daemon) Store() *store.Store { return d.store }
 // accepted.
 func (d *Daemon) Ready() bool { return d.ready.Load() }
 
-// ReadyCh is closed once crash recovery completes.
-func (d *Daemon) ReadyCh() <-chan struct{} { return d.readyc }
-
 // Close releases the ledger's WAL handle. Call after Drain.
 func (d *Daemon) Close() error { return d.store.Close() }
 
@@ -131,7 +126,6 @@ func (d *Daemon) finishRecovery(rs api.RecoveryStats) {
 	d.recov = rs
 	d.mu.Unlock()
 	d.ready.Store(true)
-	close(d.readyc)
 }
 
 // recoverReplay resolves the jobs the replayed WAL left interrupted: each

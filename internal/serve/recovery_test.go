@@ -82,13 +82,15 @@ func mustCanon(t *testing.T, spec api.Spec) (api.Spec, string) {
 	return c, key
 }
 
-// awaitReady blocks until the daemon's crash recovery completes.
+// awaitReady polls until the daemon's crash recovery completes.
 func awaitReady(t *testing.T, d *Daemon) {
 	t.Helper()
-	select {
-	case <-d.ReadyCh():
-	case <-time.After(2 * time.Minute):
-		t.Fatal("daemon never became ready")
+	deadline := time.Now().Add(2 * time.Minute)
+	for !d.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never became ready")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

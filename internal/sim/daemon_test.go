@@ -47,34 +47,12 @@ func TestSpawnAtFuture(t *testing.T) {
 	}
 }
 
-func TestFailStopsRun(t *testing.T) {
-	e := NewEngine()
-	e.Spawn("failer", func(p *Proc) {
-		p.Sleep(Nanosecond)
-		e.Fail(errSentinel)
-	})
-	e.Spawn("other", func(p *Proc) { p.Sleep(Second) })
-	err := e.Run()
-	if err != errSentinel {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if e.Now() >= Second {
-		t.Fatal("engine ran past the failure")
-	}
-}
-
-type sentinelError struct{}
-
-func (sentinelError) Error() string { return "sentinel" }
-
-var errSentinel = sentinelError{}
-
 func TestYieldRunsBehindSameTimeEvents(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Spawn("yielder", func(p *Proc) {
 		e.Schedule(e.Now(), func() { order = append(order, "event") })
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "proc")
 	})
 	if err := e.Run(); err != nil {

@@ -154,8 +154,6 @@ type Engine struct {
 	cbPanic any
 
 	stopped atomic.Bool
-	failMu  sync.Mutex
-	err     error
 
 	// trace, when set, observes every executed event in execution order.
 	trace func(at Time, seq uint64, dom Domain)
@@ -314,20 +312,9 @@ func (e *Engine) StateDump() string {
 	return b.String()
 }
 
-// Fail records err and stops the engine. Used by processes to abort a
-// simulation from inside.
-func (e *Engine) Fail(err error) {
-	e.failMu.Lock()
-	if e.err == nil {
-		e.err = err
-	}
-	e.failMu.Unlock()
-	e.Stop()
-}
-
-// Run executes events until the queue is empty, Stop is called, or an error
-// is recorded. If the queue drains while processes are still blocked, Run
-// returns a deadlock error naming the blocked processes.
+// Run executes events until the queue is empty or Stop is called. If the
+// queue drains while processes are still blocked, Run returns a deadlock
+// error naming the blocked processes.
 func (e *Engine) Run() error {
 	return e.RunUntil(-1)
 }
@@ -345,16 +332,13 @@ func (e *Engine) RunUntil(limit Time) error {
 		}
 		if limit >= 0 && next.at > limit {
 			e.now = max(e.now, limit) // never back: the FIFO's events are due at now
-			return e.err
+			return nil
 		}
 		if ev := e.take(); ev.fn != nil {
 			ev.fn()
 		} else {
 			e.resume(ev.p)
 		}
-	}
-	if e.err != nil {
-		return e.err
 	}
 	if e.stopped.Load() {
 		return nil

@@ -72,12 +72,6 @@ func (pp *ProcPanic) Error() string {
 	return fmt.Sprintf("sim: process %s panicked: %v\n%s", pp.Proc, pp.Value, pp.Stack)
 }
 
-// SpawnAt creates a process that will begin executing fn at simulated time
-// start (which must be >= now). The process counts as live until fn returns.
-func (e *Engine) SpawnAt(start Time, name string, fn func(*Proc)) *Proc {
-	return e.spawn(start, name, false, fn)
-}
-
 func (e *Engine) spawn(start Time, name string, daemon bool, fn func(*Proc)) *Proc {
 	p := &Proc{eng: e, name: name, pid: e.nextPID, daemon: daemon, fn: fn}
 	e.nextPID++
@@ -192,6 +186,3 @@ func (p *Proc) Sleep(d Time) {
 	p.eng.scheduleWake(p.eng.now+d, p)
 	p.park("sleep")
 }
-
-// Yield reschedules the process at the current time behind pending events.
-func (p *Proc) Yield() { p.Sleep(0) }

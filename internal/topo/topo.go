@@ -316,11 +316,6 @@ func (m *Machine) L2Of(c CoreID) int {
 // SharedCache reports whether cores a and b share an L2.
 func (m *Machine) SharedCache(a, b CoreID) bool { return m.L2Of(a) == m.L2Of(b) }
 
-// CoresSharingL2 returns the number of cores in c's L2 domain.
-func (m *Machine) CoresSharingL2(c CoreID) int {
-	return len(m.L2Domains[m.L2Of(c)])
-}
-
 // PairSharedCache returns two cores that share an L2 (the paper's
 // "Shared Cache" placement).
 func (m *Machine) PairSharedCache() (CoreID, CoreID) {
@@ -418,15 +413,6 @@ func (m *Machine) AllCores() []CoreID {
 // cache, 2 when a communicating pair shares one L2, and so on).
 func (m *Machine) DMAMin(processesUsingCache int) int64 {
 	return DMAMinOf(m.L2SizeBytes, processesUsingCache)
-}
-
-// DMAMinArch is the architecture-only variant of the threshold: assuming one
-// MPI process per core, the number of processes using core c's cache equals
-// the number of cores sharing it,
-//
-//	DMAmin = CacheSize / (2 x CoresSharingTheCache).
-func (m *Machine) DMAMinArch(c CoreID) int64 {
-	return DMAMinOf(m.L2SizeBytes, m.CoresSharingL2(c))
 }
 
 // DMAMinOf is the §3.5 formula itself, cacheBytes / (2 x sharers), for any

@@ -56,9 +56,6 @@ func TestE5345Topology(t *testing.T) {
 	if m.L2Of(0) != m.L2Of(1) || m.L2Of(0) == m.L2Of(2) {
 		t.Fatal("L2 domain mapping wrong for E5345")
 	}
-	if n := m.CoresSharingL2(0); n != 2 {
-		t.Fatalf("CoresSharingL2(0) = %d, want 2", n)
-	}
 }
 
 // The paper's §3.5 calibration points: 4 MiB L2 shared by 2 processes gives
@@ -72,15 +69,12 @@ func TestDMAMinPaperValues(t *testing.T) {
 	if got := e.DMAMin(1); got != 2*units.MiB {
 		t.Errorf("E5345 DMAMin(1) = %s, want 2MiB", units.FormatSize(got))
 	}
-	if got := e.DMAMinArch(0); got != 1*units.MiB {
-		t.Errorf("E5345 DMAMinArch = %s, want 1MiB", units.FormatSize(got))
-	}
 	x := XeonX5460()
 	if got, want := x.DMAMin(2), e.DMAMin(2)*3/2; got != want {
 		t.Errorf("X5460 DMAMin(2) = %s, want +50%% = %s",
 			units.FormatSize(got), units.FormatSize(want))
 	}
-	// Both methods are DMAMinOf over the machine's L2.
+	// DMAMin is DMAMinOf over the machine's L2.
 	for _, c := range []struct {
 		name      string
 		got, want int64
@@ -88,7 +82,6 @@ func TestDMAMinPaperValues(t *testing.T) {
 		{"E5345 DMAMin(2)", e.DMAMin(2), DMAMinOf(4*units.MiB, 2)},
 		{"E5345 DMAMin(1)", e.DMAMin(1), DMAMinOf(4*units.MiB, 1)},
 		{"E5345 DMAMin(0)", e.DMAMin(0), DMAMinOf(4*units.MiB, 0)},
-		{"E5345 DMAMinArch(0)", e.DMAMinArch(0), DMAMinOf(4*units.MiB, 2)},
 		{"X5460 DMAMin(2)", x.DMAMin(2), DMAMinOf(6*units.MiB, 2)},
 	} {
 		if c.got != c.want {

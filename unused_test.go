@@ -22,19 +22,38 @@ var interfaceMethods = map[string]bool{
 	"Read": true, "Write": true, "Close": true, "Seek": true, "ServeHTTP": true,
 }
 
+// testHelpers are the exports that only tests reference and that stay
+// exported all the same: reference helpers the tests of several packages
+// share, which an export_test.go cannot carry across packages. Each maps
+// its package-qualified name to the reason it stays.
+var testHelpers = map[string]string{
+	"cache.Cache.ContainsDirty":   "hw's coherence differential test audits the directory's dirty owners against it",
+	"cache.Cache.ResidentBytes":   "hw's coherence differential test audits the directory's presence bits against it",
+	"cache.Cache.ForEachResident": "hw's coherence differential test audits the directory's entries against it",
+	"cache.Directory.ForEach":     "hw's coherence differential test audits the caches' contents against it",
+	"mem.Buffer.FillPattern":      "nine test packages stamp payloads with it",
+	"mem.EqualBytes":              "nine test packages verify payloads with it",
+	"mem.VecOf":                   "nine test packages wrap whole buffers with it",
+	"perturb.MustParse":           "three test packages build perturbation tables with it",
+	"mpi.TypeVector":              "the noncontiguous example and mpi's tests build strided datatypes with it; ROADMAP 15 gives it a caller",
+}
+
 // TestNoUnusedExports fails on every exported top-level identifier (type,
 // function, method, variable or constant) of a non-test file under
-// internal/ or cmd/ that no Go file of the repository — tests, bench/ and
-// the facade included — mentions by name. The match is by name only, so a
-// name shared with something in use passes; what it catches is code that
-// nothing reaches any more.
+// internal/ or cmd/ that no non-test Go file of the repository — the
+// facade and bench/ included — mentions by name, unless testHelpers lists
+// it; a name that no file mentions at all is reported as such. It also
+// fails on a testHelpers entry that names no such export, or one the
+// program itself now mentions. The match is by name only, so a name shared
+// with something in use passes; what it catches is code that nothing but
+// tests reaches.
 func TestNoUnusedExports(t *testing.T) {
 	type decl struct {
-		name string
-		pos  token.Position
+		name, qualified string
+		pos             token.Position
 	}
 	var decls []decl
-	used := map[string]bool{}
+	usedByProgram, usedByTests := map[string]bool{}, map[string]bool{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -53,9 +72,15 @@ func TestNoUnusedExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		isTest := strings.HasSuffix(path, "_test.go")
+		used := usedByProgram
+		if isTest {
+			used = usedByTests
+		}
+		names := topLevelNames(f)
 		declared := map[*ast.Ident]bool{}
-		for _, id := range topLevelNames(f) {
-			declared[id] = true
+		for _, n := range names {
+			declared[n.id] = true
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declared[id] {
@@ -64,12 +89,12 @@ func TestNoUnusedExports(t *testing.T) {
 			return true
 		})
 		scanned := strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")
-		if !scanned || strings.HasSuffix(path, "_test.go") {
+		if !scanned || isTest {
 			return nil
 		}
-		for id := range declared {
-			if id.IsExported() {
-				decls = append(decls, decl{id.Name, fset.Position(id.Pos())})
+		for _, n := range names {
+			if n.id.IsExported() {
+				decls = append(decls, decl{n.id.Name, f.Name.Name + "." + n.qualified, fset.Position(n.id.Pos())})
 			}
 		}
 		return nil
@@ -78,35 +103,78 @@ func TestNoUnusedExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	var unused []string
+	listed := map[string]bool{}
 	for _, d := range decls {
-		if !used[d.name] && !interfaceMethods[d.name] {
-			unused = append(unused, d.pos.String()+": "+d.name)
+		switch {
+		case usedByProgram[d.name] || interfaceMethods[d.name]:
+		case testHelpers[d.qualified] != "":
+			listed[d.qualified] = true
+		case usedByTests[d.name]:
+			unused = append(unused, d.pos.String()+": "+d.qualified+" is exported but only tests reference it")
+		default:
+			unused = append(unused, d.pos.String()+": "+d.qualified+" is exported but referenced by no Go file")
+		}
+	}
+	for name := range testHelpers {
+		if !listed[name] {
+			unused = append(unused, "testHelpers lists "+name+", which is no export that only tests reference")
 		}
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("%s is exported but referenced by no Go file", u)
+		t.Error(u)
 	}
+}
+
+// topName is one top-level identifier with its name qualified by its
+// receiver's type for a method ("Type.Method").
+type topName struct {
+	id        *ast.Ident
+	qualified string
 }
 
 // topLevelNames returns the identifiers a file declares at top level:
 // functions, methods, types, variables and constants.
-func topLevelNames(f *ast.File) []*ast.Ident {
-	var ids []*ast.Ident
+func topLevelNames(f *ast.File) []topName {
+	var names []topName
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			ids = append(ids, d.Name)
+			q := d.Name.Name
+			if d.Recv != nil {
+				q = receiverType(d.Recv.List[0].Type) + "." + q
+			}
+			names = append(names, topName{d.Name, q})
 		case *ast.GenDecl:
 			for _, s := range d.Specs {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
-					ids = append(ids, s.Name)
+					names = append(names, topName{s.Name, s.Name.Name})
 				case *ast.ValueSpec:
-					ids = append(ids, s.Names...)
+					for _, id := range s.Names {
+						names = append(names, topName{id, id.Name})
+					}
 				}
 			}
 		}
 	}
-	return ids
+	return names
+}
+
+// receiverType names a method receiver's type: T for T, *T, T[P] and *T[P].
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
 }
