@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -31,9 +30,9 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8077", "serve address")
 		storeRoot  = flag.String("store", "", "ledger directory holding wal.jsonl, the whole store (empty = in memory only)")
-		simWorkers = flag.Int("sim-workers", runtime.GOMAXPROCS(0), "concurrently running sim jobs")
-		queueCap   = flag.Int("queue-cap", 256, "backlog cap before submissions are shed (429)")
-		deadline   = flag.Duration("deadline", 2*time.Minute, "default per-job deadline")
+		simWorkers = flag.Int("sim-workers", 0, "concurrently running sim jobs (0 = daemon default)")
+		queueCap   = flag.Int("queue-cap", 0, "backlog cap before submissions are shed (429) (0 = daemon default)")
+		deadline   = flag.Duration("deadline", 0, "default per-job deadline (0 = daemon default)")
 	)
 	flag.Parse()
 

@@ -11,6 +11,7 @@
 package api
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -87,7 +88,7 @@ type Spec struct {
 // Decode parses a spec envelope strictly: unknown fields are errors, so a
 // typo'd field name cannot silently select a default.
 func Decode(data []byte) (Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {

@@ -32,8 +32,8 @@ var (
 
 // Config sizes a Daemon. Zero values select the defaults noted inline.
 type Config struct {
-	SimWorkers int           // concurrently running sim jobs (default 4)
-	QueueCap   int           // backlog cap before shedding (default 64)
+	SimWorkers int           // concurrently running sim jobs (default scheduler.New's)
+	QueueCap   int           // backlog cap before shedding (default scheduler.New's)
 	Deadline   time.Duration // default per-job deadline (default 2m)
 	StoreRoot  string        // WAL directory ("" = in memory only)
 }
@@ -166,7 +166,7 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 		}
 		if owner, ok := d.lookup(key); ok {
 			d.done.Add(1)
-			d.store.Finish(id, store.Done, "", owner.ID, "crash-recovered: answered from the key's owner")
+			d.store.Finish(id, store.Done, "", owner, "crash-recovered: answered from the key's owner")
 			rs.CachedAnswered++
 			continue
 		}
@@ -186,14 +186,14 @@ func (d *Daemon) recoverReplay(t0 time.Time, rep store.Replay) {
 }
 
 // Submit validates, canonicalizes and admits one spec. The returned record
-// reflects the submission outcome: a cache hit returns the done record of
-// the run that owns the artefact, marked Cached (no engine invocation, no
-// new record); everything else started Queued and is returned as the ledger
-// holds it once its create is durable, which may be further along. A full
-// queue sheds with scheduler.ErrQueueFull; an unfinished recovery rejects
-// with ErrNotReady; a spec whose key panicked quarantineAfter times is shed
-// with ErrQuarantined. A failed run is never cached: resubmitting its spec
-// starts a new job.
+// reflects the submission outcome: a cache hit returns a done record under
+// the id of the run that owns the artefact, marked Cached (no engine
+// invocation, no new record); everything else started Queued and is
+// returned as the ledger holds it once its create is durable, which may be
+// further along. A full queue sheds with scheduler.ErrQueueFull; an
+// unfinished recovery rejects with ErrNotReady; a spec whose key panicked
+// quarantineAfter times is shed with ErrQuarantined. A failed run is never
+// cached: resubmitting its spec starts a new job.
 func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	if d.draining.Load() {
 		return store.Record{}, scheduler.ErrDraining
@@ -217,10 +217,10 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	}
 	// Warm path: a repeat is the run it repeats. A key has an owner only
 	// once the owner's done finish, bytes included, is durable and applied,
-	// so the owner's record is the whole answer: no id is minted, nothing is
+	// so the owner's id is the whole answer: no id is minted, nothing is
 	// logged, no fsync is awaited.
-	if r, ok := d.lookup(key); ok {
-		return r, nil
+	if owner, ok := d.lookup(key); ok {
+		return store.Record{ID: owner, Key: key, State: store.Done, Cached: true, ArtefactID: owner}, nil
 	}
 
 	id := fmt.Sprintf("job-%06d", d.seq.Add(1))
@@ -243,17 +243,16 @@ func (d *Daemon) Submit(spec api.Spec) (store.Record, error) {
 	return r, nil
 }
 
-// lookup returns the record owning key's artefact, marked Cached, and
-// counts the hit or miss.
-func (d *Daemon) lookup(key string) (store.Record, bool) {
-	r, ok := d.store.Owner(key)
-	if !ok {
+// lookup returns the id of the job owning key's artefact and counts the
+// hit or miss.
+func (d *Daemon) lookup(key string) (string, bool) {
+	owner, ok := d.store.Owner(key)
+	if ok {
+		d.hits.Add(1)
+	} else {
 		d.misses.Add(1)
-		return store.Record{}, false
 	}
-	d.hits.Add(1)
-	r.Cached = true
-	return r, true
+	return owner, ok
 }
 
 // dispatch hands one canonical spec to the scheduler (initial submission

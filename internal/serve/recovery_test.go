@@ -415,6 +415,14 @@ func TestOldCachedCreateReplays(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	st, rep, err := store.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if rep.Records != 2 || rep.Terminal != 2 || rep.MaxSeq != 2 {
+		t.Fatalf("replay = %+v", rep)
+	}
 	before, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -423,9 +431,6 @@ func TestOldCachedCreateReplays(t *testing.T) {
 	d := newTestDaemon(t, Config{StoreRoot: root})
 	defer d.Close()
 	awaitReady(t, d)
-	if rep := d.Store().Replay(); rep.Records != 2 || rep.Terminal != 2 || rep.MaxSeq != 2 {
-		t.Fatalf("replay = %+v", rep)
-	}
 	old, ok := d.Store().Get("job-000002")
 	if !ok || old.State != store.Done || !old.Cached || old.ArtefactID != "job-000001" {
 		t.Fatalf("old cached create replayed as %+v (found %v)", old, ok)

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -37,8 +38,8 @@ const (
 
 // Config sizes a Scheduler. Zero values select the defaults noted inline.
 type Config struct {
-	SimWorkers int           // concurrently running sim jobs (default 4)
-	QueueCap   int           // max queued (not yet running) jobs (default 64)
+	SimWorkers int           // concurrently running sim jobs (default GOMAXPROCS)
+	QueueCap   int           // max queued (not yet running) jobs (default 256)
 	Deadline   time.Duration // per-job deadline when the job sets none (default none)
 
 	// Lifecycle callbacks (all optional, all invoked without the scheduler
@@ -92,10 +93,10 @@ type Scheduler struct {
 // New builds a scheduler from cfg (zero fields defaulted).
 func New(cfg Config) *Scheduler {
 	if cfg.SimWorkers <= 0 {
-		cfg.SimWorkers = 4
+		cfg.SimWorkers = runtime.GOMAXPROCS(0) // a sim job is one CPU-bound goroutine
 	}
 	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 64
+		cfg.QueueCap = 256
 	}
 	s := &Scheduler{
 		cfg:     cfg,

@@ -160,6 +160,68 @@ func TestHTTPLifecycleAndByteIdenticalArtefact(t *testing.T) {
 	r.Body.Close()
 }
 
+// TestArtefactRepliesPinned pins the status and body of every artefact read
+// and of a cache hit's submission: the owner's files through a record that
+// names it, and a miss answered "no such job" only for an id the ledger does
+// not hold.
+func TestArtefactRepliesPinned(t *testing.T) {
+	d := newTestDaemon(t, Config{SimWorkers: 1})
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	c, key := mustCanon(t, tinySpec(4*units.KiB))
+	st := d.Store()
+	st.Create("job-000001", key, c.Class(), c.CanonicalJSON(), store.Queued)
+	if err := st.PutArtefact("job-000001", map[string][]byte{"result.json": []byte("{}\n"), "fig.csv": []byte("a\n")}); err != nil {
+		t.Fatal(err)
+	}
+	st.Finish("job-000001", store.Done, "", "job-000001", "")
+	st.Create("job-000002", key, c.Class(), c.CanonicalJSON(), store.Queued)
+	st.Finish("job-000002", store.Done, "", "job-000001", "answered from the key's owner")
+	st.Create("job-000003", "other", c.Class(), c.CanonicalJSON(), store.Queued)
+	st.Finish("job-000003", store.Failed, "boom", "", "")
+
+	body, _ := json.Marshal(tinySpec(4 * units.KiB))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	hit := fmt.Sprintf("{\n  \"id\": \"job-000001\",\n  \"state\": \"done\",\n  \"cached\": true,\n  \"key\": %q\n}\n", key)
+	if resp.StatusCode != http.StatusOK || string(got) != hit {
+		t.Fatalf("cache hit = %d %q, want 200 %q", resp.StatusCode, got, hit)
+	}
+
+	notFound := func(what string) string { return fmt.Sprintf("{\n  \"error\": %q\n}\n", what) }
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"job-000001/result", "{}\n", http.StatusOK},
+		{"job-000001/artefacts/fig.csv", "a\n", http.StatusOK},
+		{"job-000001/artefacts", "[\n  \"fig.csv\",\n  \"result.json\"\n]\n", http.StatusOK},
+		{"job-000002/result", "{}\n", http.StatusOK},
+		{"job-000002/artefacts", "[\n  \"fig.csv\",\n  \"result.json\"\n]\n", http.StatusOK},
+		{"job-000001/artefacts/nope.csv", notFound("no such artefact"), http.StatusNotFound},
+		{"job-000002/artefacts/nope.csv", notFound("no such artefact"), http.StatusNotFound},
+		{"job-000003/result", notFound("no such artefact"), http.StatusNotFound},
+		{"job-000003/artefacts", notFound("no artefacts"), http.StatusNotFound},
+		{"job-000009/result", notFound("no such job"), http.StatusNotFound},
+		{"job-000009/artefacts", notFound("no such job"), http.StatusNotFound},
+		{"job-000009/artefacts/fig.csv", notFound("no such job"), http.StatusNotFound},
+	} {
+		r, err := http.Get(srv.URL + "/v1/jobs/" + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode != tc.status || string(got) != tc.body {
+			t.Errorf("GET %s = %d %q, want %d %q", tc.path, r.StatusCode, got, tc.status, tc.body)
+		}
+	}
+}
+
 func TestCachedResubmitSkipsEngine(t *testing.T) {
 	d := newTestDaemon(t, Config{SimWorkers: 2})
 	spec := tinySpec(8 * units.KiB)

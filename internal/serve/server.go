@@ -105,14 +105,10 @@ func Handler(d *Daemon) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/artefacts", func(w http.ResponseWriter, r *http.Request) {
-		id, ok := artefactOwner(d, r.PathValue("id"))
-		if !ok {
-			fail(w, http.StatusNotFound, errors.New("no such job"))
-			return
-		}
+		id := r.PathValue("id")
 		names, err := d.Store().ArtefactNames(id)
 		if err != nil {
-			fail(w, http.StatusNotFound, errors.New("no artefacts"))
+			notFound(w, d, id, "no artefacts")
 			return
 		}
 		reply(w, http.StatusOK, names)
@@ -162,28 +158,12 @@ func Handler(d *Daemon) http.Handler {
 	return mux
 }
 
-// artefactOwner resolves a record to the job ID owning its artefact (the
-// record itself, or the original run on a cache hit).
-func artefactOwner(d *Daemon, id string) (string, bool) {
-	rec, ok := d.Store().Get(id)
-	if !ok {
-		return "", false
-	}
-	if rec.ArtefactID != "" {
-		return rec.ArtefactID, true
-	}
-	return rec.ID, true
-}
-
+// serveArtefact writes one artefact file of a job; the store reads it
+// through the job's record, so a cache-answered record serves its owner's.
 func serveArtefact(w http.ResponseWriter, d *Daemon, id, name string) {
-	owner, ok := artefactOwner(d, id)
-	if !ok {
-		fail(w, http.StatusNotFound, errors.New("no such job"))
-		return
-	}
-	buf, err := d.Store().Artefact(owner, name)
+	buf, err := d.Store().Artefact(id, name)
 	if err != nil {
-		fail(w, http.StatusNotFound, errors.New("no such artefact"))
+		notFound(w, d, id, "no such artefact")
 		return
 	}
 	ct := "application/octet-stream"
@@ -195,6 +175,15 @@ func serveArtefact(w http.ResponseWriter, d *Daemon, id, name string) {
 	}
 	w.Header().Set("Content-Type", ct)
 	w.Write(buf)
+}
+
+// notFound answers a missed artefact read: 404 "no such job" for an id the
+// ledger does not hold, else 404 with what.
+func notFound(w http.ResponseWriter, d *Daemon, id, what string) {
+	if _, ok := d.Store().Get(id); !ok {
+		what = "no such job"
+	}
+	fail(w, http.StatusNotFound, errors.New(what))
 }
 
 func reply(w http.ResponseWriter, status int, v interface{}) {

@@ -218,7 +218,7 @@ func TestCacheHitDurableWhenAnswered(t *testing.T) {
 			Owner  string `json:"artefact_id"`
 			Files  map[string][]byte
 		}
-		if err := json.Unmarshal(line, &e); err != nil {
+		if err := json.Unmarshal(entryJSON(line), &e); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
 		}
 		switch {
@@ -259,6 +259,12 @@ type told struct {
 // walLine is what the crash wall's model reads of a log entry.
 type walLine struct {
 	Op, ID, State string
+}
+
+// entryJSON drops a log line's frame, the tab and checksum after its JSON.
+func entryJSON(line []byte) []byte {
+	body, _, _ := bytes.Cut(line, []byte{'\t'})
+	return body
 }
 
 // TestGroupCommitCrashWall holds the crash contract of DESIGN §12 against
@@ -459,7 +465,7 @@ func checkLogOrder(t *testing.T, wal []byte) {
 	created := map[string]bool{}
 	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte{'\n'}), []byte{'\n'}) {
 		var e walLine
-		if err := json.Unmarshal(line, &e); err != nil {
+		if err := json.Unmarshal(entryJSON(line), &e); err != nil {
 			t.Fatalf("log line %q: %v", line, err)
 		}
 		switch {
@@ -478,7 +484,7 @@ func checkCut(t *testing.T, cut int, s *store.Store, wal []byte, tells []told) {
 	want := map[string]store.State{}
 	for _, line := range bytes.Split(wal[:bytes.LastIndexByte(wal, '\n')+1], []byte{'\n'}) {
 		var e walLine
-		if len(line) == 0 || json.Unmarshal(line, &e) != nil {
+		if len(line) == 0 || json.Unmarshal(entryJSON(line), &e) != nil {
 			continue
 		}
 		cur, live := want[e.ID]

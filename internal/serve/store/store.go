@@ -71,8 +71,8 @@ type Record struct {
 	// job recovery finished from another run, or a cache hit an older
 	// version logged as a record of its own. ArtefactID then names the job
 	// whose artefact serves this record (otherwise the record's own ID once
-	// done). The daemon also sets Cached on the copy of the owner's record
-	// it returns for a cache hit.
+	// done). The daemon's reply to a cache hit is a Record too, built from
+	// the owner's id alone: ID and ArtefactID the owner, state done, Cached.
 	Cached     bool   `json:"cached,omitempty"`
 	ArtefactID string `json:"artefact_id,omitempty"`
 }
@@ -101,8 +101,6 @@ type Store struct {
 	syncing bool
 	failed  error
 	synced  *sync.Cond
-
-	replay Replay
 }
 
 // New opens a store, discarding the replay summary. Prefer Open when the
@@ -139,26 +137,20 @@ func Open(root string) (*Store, Replay, error) {
 		f.Close()
 		return nil, rep, err
 	}
-	s.replay = rep
 	return s, rep, nil
 }
 
-// Replay returns the summary of what Open reconstructed.
-func (s *Store) Replay() Replay { return s.replay }
-
-// Owner returns a deep copy of the record owning key's artefact: the job
-// whose done finish, bytes included, was the first of that key to be
-// applied. A key gains its owner in the critical section that makes the
-// owner's done state visible, so whoever saw the owner done finds it here,
-// and an owner is always durable.
-func (s *Store) Owner(key string) (Record, bool) {
+// Owner returns the id of the job owning key's artefact: the job whose done
+// finish, bytes included, was the first of that key to be applied. A key
+// gains its owner in the critical section that makes the owner's done state
+// visible, so whoever saw the owner done finds it here, and an owner is
+// always durable. Records are never evicted, so an owner stays in the
+// ledger.
+func (s *Store) Owner(key string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.jobs[s.owners[key]]
-	if !ok {
-		return Record{}, false
-	}
-	return r.clone(), true
+	id, ok := s.owners[key]
+	return id, ok
 }
 
 // Owners returns the number of keys with an owner.
@@ -367,10 +359,20 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// ArtefactNames lists a job's artefact files in sorted order.
+// filesLocked returns the artefact files serving id: those of the job its
+// record names as the artefact's owner, else id's own, staged or finished.
+func (s *Store) filesLocked(id string) (map[string][]byte, bool) {
+	if r, ok := s.jobs[id]; ok && r.ArtefactID != "" {
+		id = r.ArtefactID
+	}
+	files, ok := s.artefacts[id]
+	return files, ok
+}
+
+// ArtefactNames lists the files serving a job's artefact in sorted order.
 func (s *Store) ArtefactNames(id string) ([]string, error) {
 	s.mu.Lock()
-	files, ok := s.artefacts[id]
+	files, ok := s.filesLocked(id)
 	s.mu.Unlock()
 	if !ok {
 		return nil, os.ErrNotExist
@@ -383,10 +385,12 @@ func (s *Store) ArtefactNames(id string) ([]string, error) {
 	return names, nil
 }
 
-// Artefact returns one artefact file's bytes.
+// Artefact returns one file of a job's artefact, read through its record's
+// ArtefactID like ArtefactNames.
 func (s *Store) Artefact(id, name string) ([]byte, error) {
 	s.mu.Lock()
-	buf, ok := s.artefacts[id][name]
+	files, _ := s.filesLocked(id)
+	buf, ok := files[name]
 	s.mu.Unlock()
 	if !ok {
 		return nil, os.ErrNotExist

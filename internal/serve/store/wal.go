@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"time"
@@ -17,6 +21,13 @@ import (
 // mid-append) is detected, dropped and truncated away so the next append
 // starts on a clean record boundary. A bad line before the last valid one
 // is corruption, not a tear: Open fails and truncates nothing.
+//
+// Each line is framed: the entry's JSON, a tab and the 8 lowercase hex
+// digits of the CRC-32C (Castagnoli) of that JSON. A line whose checksum
+// does not match is bad, like one that does not parse, so damage that
+// still parses — a flipped bit in a done job's base64 artefact — is caught
+// on replay instead of served. Lines without a frame, as versions before
+// it wrote them, are read as they are.
 //
 // Written is not applied. A mutation first writes its entry under the
 // ledger mutex (stamp, marshal, write(2), the next log sequence number);
@@ -52,6 +63,28 @@ import (
 
 // walFile is the ledger log's name under the store root.
 const walFile = "wal.jsonl"
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendCRC appends the 8 hex digits of body's CRC-32C to dst.
+func appendCRC(dst, body []byte) []byte {
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(body, castagnoli))
+	return hex.AppendEncode(dst, sum[:])
+}
+
+// decodeLine parses one log line, framed or not (see the top of this file).
+func decodeLine(line []byte) (walEntry, error) {
+	var e walEntry
+	if n := len(line) - 9; n >= 0 && line[n] == '\t' {
+		var want [8]byte
+		if !bytes.Equal(line[n+1:], appendCRC(want[:0], line[:n])) {
+			return e, errors.New("checksum mismatch")
+		}
+		line = line[:n]
+	}
+	return e, json.Unmarshal(line, &e)
+}
 
 // logFile is what the store needs of the WAL handle: *os.File in
 // production, a recorder or a failing stand-in under test.
@@ -140,7 +173,8 @@ func (s *Store) writeLocked(e walEntry, sync bool) int64 {
 	if err != nil {
 		panic(fmt.Sprintf("store: wal entry marshal cannot fail: %v", err))
 	}
-	buf = append(buf, '\n')
+	n := len(buf)
+	buf = append(appendCRC(append(buf, '\t'), buf[:n]), '\n') // the frame, see the top of this file
 	if _, err := s.wal.Write(buf); err != nil {
 		panic(fmt.Sprintf("store: wal append: %v", err))
 	}
@@ -236,9 +270,9 @@ func (s *Store) replayWAL() (Replay, error) {
 			break
 		}
 		line := buf[off : off+nl]
-		var e walEntry
 		if len(bytes.TrimSpace(line)) != 0 {
-			if err := json.Unmarshal(line, &e); err != nil {
+			e, err := decodeLine(line)
+			if err != nil {
 				// A crash cuts only the last append. A bad line with a
 				// valid entry after it is corruption, not a torn tail:
 				// truncating would drop acknowledged entries, so refuse
@@ -284,11 +318,13 @@ func (s *Store) replayWAL() (Replay, error) {
 	return rep, nil
 }
 
-// validEntryIn reports whether any line of buf parses as a WAL entry.
+// validEntryIn reports whether any line of buf is a valid WAL entry.
 func validEntryIn(buf []byte) bool {
 	for _, line := range bytes.Split(buf, []byte{'\n'}) {
-		var e walEntry
-		if len(bytes.TrimSpace(line)) != 0 && json.Unmarshal(line, &e) == nil {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if _, err := decodeLine(line); err == nil {
 			return true
 		}
 	}

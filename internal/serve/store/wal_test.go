@@ -339,7 +339,8 @@ func TestCrashPrefixWall(t *testing.T) {
 		want := map[string]State{}
 		for _, line := range bytes.Split(whole, []byte{'\n'}) {
 			var e walEntry
-			if len(line) > 0 && json.Unmarshal(line, &e) == nil {
+			body, _, _ := bytes.Cut(line, []byte{'\t'}) // the entry's JSON, without its frame
+			if len(line) > 0 && json.Unmarshal(body, &e) == nil {
 				want[e.ID] = e.State
 			}
 		}
