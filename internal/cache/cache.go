@@ -12,7 +12,10 @@
 // equivalents.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Stats counts cache events. Byte fields accumulate blockBytes per event, so
 // they remain meaningful across simulation granularities.
@@ -72,7 +75,8 @@ func (s Stats) MissesInLines(lineBytes int64) int64 {
 // The zero state is an empty cache: an empty way holds tag 0 (a resident
 // block b is stored as b+1), a set builds its links on its first fill, and
 // a cache makes its way arrays on its first fill, so New allocates nothing
-// and an L2 no core ever fills costs no memory.
+// and an L2 no core ever fills costs no memory. Release hands the arrays
+// back for the first fill of a later cache of the same shape.
 type Cache struct {
 	name       string
 	blockBytes int64
@@ -87,7 +91,8 @@ type Cache struct {
 	prev  []uint8
 	head  []uint8 // per set
 
-	stats Stats
+	stats    Stats
+	released bool
 }
 
 // MaxAssoc is the highest associativity a Cache supports: way numbers and
@@ -205,9 +210,7 @@ func (c *Cache) Hit(set int, block uint64, write bool) {
 // the evicted block was modified (its writeback is counted here).
 func (c *Cache) Fill(set int, block uint64, write bool) (victim uint64, dirty bool) {
 	if c.tags == nil {
-		n := c.sets * c.assoc
-		c.tags, c.dirty = make([]uint64, n), make([]bool, n)
-		c.next, c.prev, c.head = make([]uint8, n), make([]uint8, n), make([]uint8, c.sets)
+		c.makeWays()
 	}
 	c.stats.Accesses++
 	c.stats.Misses++
@@ -222,7 +225,7 @@ func (c *Cache) Fill(set int, block uint64, write bool) (victim uint64, dirty bo
 	}
 	c.head[set] = w
 	i := base + int(w)
-	// An empty way is clean: Invalidate and Flush clear both.
+	// An empty way is clean: Invalidate clears both.
 	victim, dirty = c.tags[i], c.dirty[i]
 	if dirty {
 		c.stats.WriteBackBytes += c.blockBytes
@@ -230,6 +233,61 @@ func (c *Cache) Fill(set int, block uint64, write bool) (victim uint64, dirty bo
 	c.tags[i] = block + 1
 	c.dirty[i] = write
 	return victim, dirty
+}
+
+// wayArrays are the way arrays of one cache, all zero while pooled.
+type wayArrays struct {
+	tags       []uint64
+	dirty      []bool
+	next, prev []uint8
+	head       []uint8
+}
+
+// wayPools holds the way arrays of released caches, one *sync.Pool per
+// shape ([2]int{sets, assoc}).
+var wayPools sync.Map
+
+func wayPool(sets, assoc int) *sync.Pool {
+	if p, ok := wayPools.Load([2]int{sets, assoc}); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := wayPools.LoadOrStore([2]int{sets, assoc}, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// makeWays gives a cache its way arrays on its first fill: a released
+// cache's, all zero and so indistinguishable from new ones, when the pool
+// of its shape holds any.
+func (c *Cache) makeWays() {
+	if c.released {
+		panic(fmt.Sprintf("cache %s: used after Release", c.name))
+	}
+	if w, ok := wayPool(c.sets, c.assoc).Get().(*wayArrays); ok {
+		c.tags, c.dirty, c.next, c.prev, c.head = w.tags, w.dirty, w.next, w.prev, w.head
+		return
+	}
+	n := c.sets * c.assoc
+	c.tags, c.dirty = make([]uint64, n), make([]bool, n)
+	c.next, c.prev, c.head = make([]uint8, n), make([]uint8, n), make([]uint8, c.sets)
+}
+
+// Release ends the cache's life: its way arrays, cleared, go to a pool
+// the first fill of any later cache of the same shape takes them from.
+// Statistics stay readable; anything that would fill the cache afterwards
+// panics, and so does a Hit, which finds nothing resident.
+func (c *Cache) Release() {
+	c.released = true
+	if c.tags == nil {
+		return
+	}
+	w := &wayArrays{tags: c.tags, dirty: c.dirty, next: c.next, prev: c.prev, head: c.head}
+	c.tags, c.dirty, c.next, c.prev, c.head = nil, nil, nil, nil, nil
+	clear(w.tags)
+	clear(w.dirty)
+	clear(w.next)
+	clear(w.prev)
+	clear(w.head)
+	wayPool(c.sets, c.assoc).Put(w)
 }
 
 // linkSet builds the recency order of a set whose ways are all empty: from
@@ -364,21 +422,4 @@ func (c *Cache) ForEachResident(fn func(block uint64, dirty bool)) {
 			fn(tag-1, c.dirty[i])
 		}
 	}
-}
-
-// Flush invalidates every block (bulk coherence reset between experiment
-// repetitions); dirty blocks count writebacks. The cache is empty afterwards,
-// as New made it, statistics aside; way arrays it has made are cleared and
-// kept for the next fill.
-func (c *Cache) Flush() {
-	for _, d := range c.dirty {
-		if d {
-			c.stats.WriteBackBytes += c.blockBytes
-		}
-	}
-	clear(c.tags)
-	clear(c.dirty)
-	clear(c.next)
-	clear(c.prev)
-	clear(c.head)
 }

@@ -1,10 +1,12 @@
 package cache
 
+import "sync"
+
 // Directory is a machine-wide coherence directory: for every block it
 // tracks which cache domains hold a copy (a presence bitmask) and which
 // domain, if any, holds the block modified. The machine layer (internal/hw)
 // is the single mutator of the caches and keeps the directory in sync on
-// every fill, eviction, Invalidate, Downgrade and Flush. Coherent accesses
+// every fill, eviction, Invalidate and Downgrade. Coherent accesses
 // then consult the directory instead of probing every remote cache, making
 // the overwhelmingly common no-remote-copy case O(1), and the local cache
 // is told whether the access hits (Cache.Hit) or not (Cache.Fill) instead
@@ -20,7 +22,8 @@ package cache
 // would put a counter update on every presence-bit mutation to save ~1.6%
 // of the touched address span (one 8 KiB page per 512 KiB ever cached).
 // Directory footprint therefore grows with the addresses a Machine touches
-// and is released when the Machine (one per simulated stack) is dropped.
+// and is released with the Machine (one per simulated stack): Release hands
+// the pages, cleared, to the first touches of later directories.
 type Directory struct {
 	pages map[uint64]*DirPage
 }
@@ -88,12 +91,35 @@ func NewDirectory(domains int) *Directory {
 // Page returns the page holding block's entry, allocating it on first
 // touch, and the last block that page covers.
 func (d *Directory) Page(block uint64) (pg *DirPage, last uint64) {
-	key := block >> dirPageShift
-	if pg = d.pages[key]; pg == nil {
-		pg = new(DirPage)
-		d.pages[key] = pg
+	if pg = d.pages[block>>dirPageShift]; pg == nil {
+		pg = d.newPage(block)
 	}
 	return pg, block | (DirPageBlocks - 1)
+}
+
+// pagePool holds the pages of released directories, every entry zero.
+var pagePool = sync.Pool{New: func() any { return new(DirPage) }}
+
+// newPage is Page's first touch of a page, kept out of line so that Page
+// stays small enough to inline into the range walks.
+func (d *Directory) newPage(block uint64) *DirPage {
+	if d.pages == nil {
+		panic("cache: directory used after Release")
+	}
+	pg := pagePool.Get().(*DirPage)
+	d.pages[block>>dirPageShift] = pg
+	return pg
+}
+
+// Release ends the directory's life: its pages, cleared, go to a pool the
+// first touches of later directories take them from, so a page from the
+// pool is as new. Touching a page afterwards panics.
+func (d *Directory) Release() {
+	for _, pg := range d.pages {
+		clear(pg[:])
+		pagePool.Put(pg)
+	}
+	d.pages = nil
 }
 
 // PageIfAny is Page without the allocation: the page is nil when no block

@@ -186,8 +186,17 @@ func FuzzRecencyListMatchesStampReference(f *testing.F) {
 // order, so a flushed cache and a new one put the same blocks in the same
 // ways and evict the same ones over the same sequence.
 func TestFlushedCacheChoosesLikeFresh(t *testing.T) {
+	choosesLikeFresh(t, 7, func(used *Cache) *Cache { used.Flush(); return used })
+}
+
+// choosesLikeFresh runs 5000 random accesses and invalidations on a
+// cache, hands it to emptied, and requires the cache emptied returns and
+// a new one to give the same results and way contents over the next 5000
+// accesses.
+func choosesLikeFresh(t *testing.T, seed int64, emptied func(used *Cache) *Cache) {
+	t.Helper()
 	const sets, assoc, blockBytes = 4, 16, 64
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed))
 	draw := func() (uint64, bool) { return uint64(rng.Intn(3 * sets * assoc)), rng.Intn(2) == 0 }
 	used := New("used", sets*assoc*blockBytes, blockBytes, assoc)
 	for i := 0; i < 5000; i++ {
@@ -197,17 +206,17 @@ func TestFlushedCacheChoosesLikeFresh(t *testing.T) {
 			used.Access(b, write)
 		}
 	}
-	used.Flush()
+	c := emptied(used)
 	fresh := New("fresh", sets*assoc*blockBytes, blockBytes, assoc)
 	for i := 0; i < 5000; i++ {
 		b, write := draw()
-		if got, want := used.Access(b, write), fresh.Access(b, write); got != want {
-			t.Fatalf("op %d: Access(%d,%v) flushed %+v, fresh %+v", i, b, write, got, want)
+		if got, want := c.Access(b, write), fresh.Access(b, write); got != want {
+			t.Fatalf("op %d: Access(%d,%v) emptied %+v, fresh %+v", i, b, write, got, want)
 		}
-		usedTags, _ := ways(used)
-		freshTags, _ := ways(fresh)
-		if !slices.Equal(usedTags, freshTags) {
-			t.Fatalf("op %d: way contents differ:\n%v\n%v", i, usedTags, freshTags)
+		gotTags, gotDirty := ways(c)
+		wantTags, wantDirty := ways(fresh)
+		if !slices.Equal(gotTags, wantTags) || !slices.Equal(gotDirty, wantDirty) {
+			t.Fatalf("op %d: way contents differ:\n%v\n%v", i, gotTags, wantTags)
 		}
 	}
 }

@@ -24,13 +24,14 @@ import (
 // own set of caches, every one of them probed on every block access. It is
 // the reference the machine is tested against and runs nowhere else.
 type snoopMachine struct {
+	t      *topo.Machine
 	par    *topo.Params
 	l2s    []*cache.Cache
 	coreL2 []int
 }
 
 func newSnoopMachine(t *topo.Machine) *snoopMachine {
-	s := &snoopMachine{par: &t.Params}
+	s := &snoopMachine{t: t, par: &t.Params}
 	for range t.L2Domains {
 		s.l2s = append(s.l2s, cache.New("ref", t.L2SizeBytes, t.Params.BlockBytes, t.L2Assoc))
 	}
@@ -200,8 +201,8 @@ func applySnoop(s *snoopMachine, buf, buf2 *mem.Buffer, op traceOp) (a, b, c int
 	case 4:
 		return s.dmaWalk(buf.Addr()+uint64(op.off), op.n, true), 0, 0
 	case 5:
-		for _, c := range s.l2s {
-			c.Flush()
+		for d := range s.l2s {
+			s.l2s[d] = cache.New("ref", s.t.L2SizeBytes, s.par.BlockBytes, s.t.L2Assoc)
 		}
 	}
 	return 0, 0, 0

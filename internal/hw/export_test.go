@@ -18,10 +18,13 @@ func hasWayArrays(c *cache.Cache) bool {
 // L2OfCore returns the L2 cache used by core id.
 func (m *Machine) L2OfCore(id topo.CoreID) *cache.Cache { return m.L2s[m.coreL2[id]] }
 
-// FlushCaches invalidates every cache and starts an empty directory.
+// FlushCaches releases every cache and the directory and starts empty new
+// ones, which fill from what the old ones released.
 func (m *Machine) FlushCaches() {
-	for _, c := range m.L2s {
-		c.Flush()
+	t := m.Topo
+	m.Release()
+	for d, c := range m.L2s {
+		m.L2s[d] = cache.New(c.Name(), t.L2SizeBytes, t.Params.BlockBytes, t.L2Assoc)
 	}
 	m.dir = cache.NewDirectory(len(m.L2s))
 }

@@ -88,6 +88,20 @@ func NewOn(eng *sim.Engine, t *topo.Machine) *Machine {
 	return m
 }
 
+// Release ends the machine's life once its simulation is over: every L2
+// and the coherence directory hand their backing to the pools the caches
+// and directories of later machines fill from (cache.Cache.Release,
+// cache.Directory.Release), which clear it first, so a later machine
+// computes exactly what it would on new memory. Statistics and usage stay
+// readable; any cache or coherence operation afterwards panics.
+func (m *Machine) Release() {
+	for _, c := range m.L2s {
+		c.Release()
+	}
+	m.dir.Release()
+	m.dir = nil
+}
+
 // Core returns the runtime core for id.
 func (m *Machine) Core(id topo.CoreID) *Core { return m.Cores[id] }
 

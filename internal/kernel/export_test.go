@@ -10,3 +10,6 @@ func (pp *Pipe) Buffered() int64 {
 	}
 	return n
 }
+
+// Stop ends the worker once the jobs queued before it have run.
+func (kt *KThread) Stop() { kt.jobs.Put(nil) }

@@ -94,6 +94,3 @@ func (kt *KThread) Submit(p *sim.Proc, submitCore topo.CoreID, os *OS, job func(
 	os.M.LocalDelay(p, submitCore, os.M.Params().KThreadSpawnCost)
 	kt.jobs.Put(job)
 }
-
-// Stop terminates the worker after pending jobs drain.
-func (kt *KThread) Stop() { kt.jobs.Put(nil) }

@@ -187,6 +187,15 @@ func (j *simJob) Usage() comm.Usage {
 	return out
 }
 
+// Release hands every node machine's cache state back for later jobs to
+// reuse (hw.Machine.Release). Call it after the run has returned and its
+// Usage has been read; the job is spent afterwards.
+func (j *simJob) Release() {
+	for _, s := range j.w.nodes() {
+		s.M.Release()
+	}
+}
+
 func (j *simJob) MissLines() int64 {
 	var total int64
 	for _, s := range j.w.nodes() {

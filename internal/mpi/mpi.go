@@ -209,13 +209,6 @@ func (c *Comm) Wait(r *Request) Status {
 	return Status{Source: r.recv.ActualSrc, Tag: r.recv.ActualTag, Bytes: r.recv.ActualSize}
 }
 
-// Waitall completes all requests.
-func (c *Comm) Waitall(reqs ...*Request) {
-	for _, r := range reqs {
-		c.Wait(r)
-	}
-}
-
 // Send is the blocking send.
 func (c *Comm) Send(dst, tag int, vec mem.IOVec) { c.ep.Send(c.p, dst, tag, vec) }
 

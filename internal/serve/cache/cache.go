@@ -72,9 +72,3 @@ func (c *LRU) Len() int {
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
-
-// Hits returns the lifetime hit count.
-func (c *LRU) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the lifetime miss count.
-func (c *LRU) Misses() int64 { return c.misses.Load() }

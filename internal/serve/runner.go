@@ -149,12 +149,18 @@ func executeComm(ctx context.Context, spec api.Spec, probe *rtProbe) (map[string
 		return nil, err
 	}
 
+	usage := job.Usage()
+	// A finished sim job's cache state goes back for the next job's
+	// machines to fill from: a cold job then makes almost none of its own.
+	if sj, ok := job.(interface{ Release() }); ok {
+		sj.Release()
+	}
 	buf, err := json.MarshalIndent(commResult{
 		Spec:   spec,
 		Engine: spec.Engine,
 		Bench:  spec.Bench,
 		Result: table,
-		Usage:  job.Usage(),
+		Usage:  usage,
 	}, "", "  ")
 	if err != nil {
 		return nil, err

@@ -222,6 +222,47 @@ func TestArtefactRepliesPinned(t *testing.T) {
 	}
 }
 
+// TestStagedArtefactServedOnlyOnceDone: the files a running job staged
+// are not served, under its id or under one the ledger does not hold,
+// until its done finish has been applied.
+func TestStagedArtefactServedOnlyOnceDone(t *testing.T) {
+	d := newTestDaemon(t, Config{SimWorkers: 1, StoreRoot: t.TempDir()})
+	defer d.Close()
+	srv := httptest.NewServer(Handler(d))
+	defer srv.Close()
+	st := d.Store()
+	st.Create("job-000001", "k", api.ClassSim, nil, store.Queued)
+	st.Advance("job-000001", store.Admitted, "")
+	st.Advance("job-000001", store.Running, "")
+	files := map[string][]byte{"result.json": []byte("{}\n")}
+	for _, id := range []string{"job-000001", "job-000009"} {
+		if err := st.PutArtefact(id, files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when, path string, status int, body string) {
+		t.Helper()
+		r, err := http.Get(srv.URL + "/v1/jobs/" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode != status || string(got) != body {
+			t.Errorf("%s: GET %s = %d %q, want %d %q", when, path, r.StatusCode, got, status, body)
+		}
+	}
+	notFound := func(what string) string { return fmt.Sprintf("{\n  \"error\": %q\n}\n", what) }
+	check("running", "job-000001/result", http.StatusNotFound, notFound("no such artefact"))
+	check("running", "job-000001/artefacts", http.StatusNotFound, notFound("no artefacts"))
+	check("no record", "job-000009/result", http.StatusNotFound, notFound("no such job"))
+	check("no record", "job-000009/artefacts", http.StatusNotFound, notFound("no such job"))
+	st.Finish("job-000001", store.Done, "", "job-000001", "")
+	check("done", "job-000001/result", http.StatusOK, "{}\n")
+	check("done", "job-000001/artefacts", http.StatusOK, "[\n  \"result.json\"\n]\n")
+	check("done", "job-000009/result", http.StatusNotFound, notFound("no such job"))
+}
+
 func TestCachedResubmitSkipsEngine(t *testing.T) {
 	d := newTestDaemon(t, Config{SimWorkers: 2})
 	spec := tinySpec(8 * units.KiB)

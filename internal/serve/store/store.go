@@ -88,7 +88,8 @@ type Store struct {
 	jobs  map[string]*Record
 	order []string // submission order, for List
 
-	artefacts map[string]map[string][]byte // job id -> file name -> bytes
+	artefacts map[string]map[string][]byte // job id -> file name -> bytes, done jobs only
+	staged    map[string]map[string][]byte // PutArtefact's files, which only Finish reads
 	owners    map[string]string            // cache key -> owning job id, see Owner
 
 	// Group commit (wal.go): entries written but not yet applied, in log
@@ -115,7 +116,8 @@ func New(root string) (*Store, error) {
 // reconstructed and which jobs a crash caught mid-flight.
 func Open(root string) (*Store, Replay, error) {
 	s := &Store{root: root, jobs: make(map[string]*Record),
-		artefacts: make(map[string]map[string][]byte), owners: make(map[string]string)}
+		artefacts: make(map[string]map[string][]byte), staged: make(map[string]map[string][]byte),
+		owners: make(map[string]string)}
 	s.cond = sync.NewCond(&s.mu)
 	s.synced = sync.NewCond(&s.mu)
 	if root == "" {
@@ -249,18 +251,21 @@ func (s *Store) advance(e walEntry) {
 // engine's cut error embeds the state dump), the artefact owner and an
 // optional transition note (e.g. "crash-interrupted"). A done record that
 // owns its artefact (artefactID == id) takes the files PutArtefact staged
-// into its log entry; one answered by another job's artefact is marked
-// cached.
+// into its log entry, and applying that entry is what makes them servable;
+// one answered by another job's artefact is marked cached. Any finish
+// drops what the job staged.
 func (s *Store) Finish(id string, st State, errText, artefactID, note string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	files := s.staged[id]
+	delete(s.staged, id)
 	if cur, ok := s.stateLocked(id); !ok || cur.Terminal() {
 		return
 	}
 	e := walEntry{Op: "finish", ID: id, State: st, Error: errText, Artefact: artefactID, Note: note}
 	if st == Done {
 		if artefactID == id {
-			e.Files = s.artefacts[id]
+			e.Files = files
 		} else {
 			e.Cached = true
 		}
@@ -337,14 +342,15 @@ func (r *Record) clone() Record {
 	return c
 }
 
-// PutArtefact stages a job's artefact files; Finish makes them durable.
+// PutArtefact stages a job's artefact files. Nothing serves them until
+// the job's done Finish has made them durable.
 func (s *Store) PutArtefact(id string, files map[string][]byte) error {
 	cp := make(map[string][]byte, len(files))
 	for name, buf := range files {
 		cp[name] = append([]byte(nil), buf...)
 	}
 	s.mu.Lock()
-	s.artefacts[id] = cp
+	s.staged[id] = cp
 	s.mu.Unlock()
 	return nil
 }
@@ -360,7 +366,7 @@ func syncDir(dir string) error {
 }
 
 // filesLocked returns the artefact files serving id: those of the job its
-// record names as the artefact's owner, else id's own, staged or finished.
+// record names as the artefact's owner, else id's own, once done.
 func (s *Store) filesLocked(id string) (map[string][]byte, bool) {
 	if r, ok := s.jobs[id]; ok && r.ArtefactID != "" {
 		id = r.ArtefactID

@@ -79,9 +79,11 @@ func TestArtefactsMemoryAndDisk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.Create("j1", "k", "sim", nil, Running)
 		if err := s.PutArtefact("j1", files); err != nil {
 			t.Fatal(err)
 		}
+		s.Finish("j1", Done, "", "j1", "")
 		names, err := s.ArtefactNames("j1")
 		if err != nil {
 			t.Fatal(err)
