@@ -275,6 +275,11 @@ func checkTrace(t *testing.T, tp *topo.Machine, footprint int64, ops []traceOp) 
 	dst := buf.Slice(footprint, footprint)
 
 	for i, op := range ops {
+		if op.kind == 5 {
+			// A flush replaces every cache on both sides, statistics and
+			// all, so what the old ones counted is compared first.
+			checkStats(t, i, m, ref)
+		}
 		da, db, dc := apply(m, buf, dst, op)
 		sa, sb, sc := applySnoop(ref, buf, dst, op)
 		if da != sa || db != sb || dc != sc {
@@ -283,11 +288,32 @@ func checkTrace(t *testing.T, tp *topo.Machine, footprint int64, ops []traceOp) 
 		}
 		checkDirectorySync(t, m)
 	}
+	checkStats(t, len(ops), m, ref)
+}
+
+// checkStats requires every L2 of m to hold the statistics and the dirty
+// block count of the reference's cache of the same domain before op i. The
+// dirty count is what a flush of the caches would write back.
+func checkStats(t *testing.T, i int, m *Machine, ref *snoopMachine) {
+	t.Helper()
 	for d, c := range m.L2s {
 		if got, want := c.Stats(), ref.l2s[d].Stats(); got != want {
-			t.Fatalf("L2.%d stats diverged:\ndirectory %+v\nsnoop     %+v", d, got, want)
+			t.Fatalf("before op %d: L2.%d stats diverged:\ndirectory %+v\nsnoop     %+v", i, d, got, want)
+		}
+		if got, want := dirtyBlocks(c), dirtyBlocks(ref.l2s[d]); got != want {
+			t.Fatalf("before op %d: L2.%d holds %d dirty blocks, snoop %d", i, d, got, want)
 		}
 	}
+}
+
+// dirtyBlocks counts the dirty blocks resident in c.
+func dirtyBlocks(c *cache.Cache) (n int) {
+	c.ForEachResident(func(_ uint64, dirty bool) {
+		if dirty {
+			n++
+		}
+	})
+	return n
 }
 
 // TestCoherenceDirectoryMatchesSnoop is the main differential property test:

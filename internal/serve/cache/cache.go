@@ -1,5 +1,4 @@
-// Package cache is a bounded LRU from a cache key to a job ID, with
-// hit/miss counters. It was knemd's result cache; the daemon no longer uses
+// Package cache is a bounded LRU from a cache key to a job ID. It was knemd's result cache; the daemon no longer uses
 // it (the ledger in serve/store holds every run and is the cache), and it
 // stays only as the subject of the benchmark's serve.cache.get_ns probe.
 package cache
@@ -7,7 +6,6 @@ package cache
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 )
 
 // LRU is a goroutine-safe fixed-capacity least-recently-used cache.
@@ -16,9 +14,6 @@ type LRU struct {
 	cap   int
 	ll    *list.List // front = most recent
 	items map[string]*list.Element
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 type entry struct {
@@ -33,17 +28,14 @@ func New(capacity int) *LRU {
 	return &LRU{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// Get returns the value under key, refreshing its recency, and counts the
-// hit or miss.
+// Get returns the value under key, refreshing its recency.
 func (c *LRU) Get(key string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses.Add(1)
 		return "", false
 	}
-	c.hits.Add(1)
 	c.ll.MoveToFront(el)
 	return el.Value.(*entry).val, true
 }

@@ -365,7 +365,7 @@ func (s *Store) applyLocked(e walEntry) {
 			r.Error = e.Error
 			r.ArtefactID = e.Artefact
 			r.Cached = r.Cached || e.Cached
-			if e.State == Done && e.Files != nil {
+			if e.Files != nil {
 				s.artefacts[e.ID] = e.Files
 			}
 			s.advanceLocked(r, e.State, e.Note, e.At)
