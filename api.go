@@ -71,7 +71,11 @@ var (
 	NewJob = comm.NewJob
 	// Engines is the engine registry (Lookup, All, Names).
 	Engines = comm.Engines
-	// NewSimJob wraps an already-built simulated stack as a job.
+	// NewSimJob wraps an already-built simulated stack as a job. A sim
+	// job runs once: when its Run returns, the stack's machines have
+	// handed their cache state back for later stacks to reuse (Usage and
+	// MissLines still read the finished run), and a second Run returns an
+	// error. Build a new stack for every run.
 	NewSimJob = mpi.NewSimJob
 
 	// R and WholeBuf build message ranges over a Buf.

@@ -176,7 +176,8 @@ type Job interface {
 	Label() string
 	// Run executes app on every rank concurrently and waits for all of
 	// them. It returns the first rank failure (deadlocks and panics
-	// included).
+	// included). A simulator job runs once: its end releases the
+	// machines' cache state, and a second Run returns an error.
 	Run(app func(p Peer)) error
 	// RunCtx is Run under a context: when ctx is cancelled (or its
 	// deadline passes) the engine cuts the run — the simulator stops at a

@@ -58,10 +58,11 @@ func (r *copyRing) Push(p *sim.Proc, core topo.CoreID, rest mem.IOVec) int64 {
 	if total := rest.TotalLen(); n > total {
 		n = total
 	}
+	var win [vecScratch]mem.Region
 	slotVec := mem.IOVec{{Buf: r.slots[slot], Off: 0, Len: n}}
-	for _, pair := range mem.Overlay(slotVec, rest.Slice(0, n), 0) {
+	mem.OverlayEach(slotVec, rest.SliceInto(win[:0], 0, n), 0, func(pair mem.RegionPair) {
 		r.m.CopyRange(p, core, pair.Dst, pair.Src, hw.CopyOpts{})
-	}
+	})
 	r.full[slot] = true
 	r.filled[slot] = n
 	r.m.ControlTransfer(p, core, r.recvCore, 1)
@@ -78,10 +79,11 @@ func (r *copyRing) Pull(p *sim.Proc, core topo.CoreID, rest mem.IOVec) int64 {
 		r.cond.Wait(p)
 	}
 	n := r.filled[slot]
+	var win [vecScratch]mem.Region
 	slotVec := mem.IOVec{{Buf: r.slots[slot], Off: 0, Len: n}}
-	for _, pair := range mem.Overlay(rest.Slice(0, n), slotVec, 0) {
+	mem.OverlayEach(rest.SliceInto(win[:0], 0, n), slotVec, 0, func(pair mem.RegionPair) {
 		r.m.CopyRange(p, core, pair.Dst, pair.Src, hw.CopyOpts{})
-	}
+	})
 	r.full[slot] = false
 	r.m.ControlTransfer(p, core, r.sendCore, 1)
 	r.cond.Broadcast()

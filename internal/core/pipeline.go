@@ -25,13 +25,20 @@ type stagedPipe interface {
 	Pull(p *sim.Proc, core topo.CoreID, rest mem.IOVec) int64
 }
 
+// vecScratch is the stack room a chunk loop gives the I/O vector window
+// it cuts per chunk: windows of up to this many regions allocate nothing.
+const vecScratch = 4
+
 // pumpSend drives the sender half of a staged pipeline: push successive
 // windows of t.SrcVec until the whole transfer is in (or through) the stage.
+// Every window is cut into the same scratch vector (Push keeps no window).
 func pumpSend(p *sim.Proc, pipe stagedPipe, t *nemesis.Transfer) {
 	core := t.SenderCore()
+	var rest mem.IOVec
 	var off int64
 	for off < t.Size {
-		off += pipe.Push(p, core, t.SrcVec.Slice(off, t.Size-off))
+		rest = t.SrcVec.SliceInto(rest[:0], off, t.Size-off)
+		off += pipe.Push(p, core, rest)
 	}
 }
 
@@ -39,9 +46,11 @@ func pumpSend(p *sim.Proc, pipe stagedPipe, t *nemesis.Transfer) {
 // windows of t.DstVec until the transfer is complete.
 func pumpRecv(p *sim.Proc, pipe stagedPipe, t *nemesis.Transfer) {
 	core := t.RecvCore()
+	var rest mem.IOVec
 	var off int64
 	for off < t.Size {
-		off += pipe.Pull(p, core, t.DstVec.Slice(off, t.Size-off))
+		rest = t.DstVec.SliceInto(rest[:0], off, t.Size-off)
+		off += pipe.Pull(p, core, rest)
 	}
 }
 

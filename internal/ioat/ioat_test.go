@@ -10,6 +10,11 @@ import (
 	"knemesis/internal/units"
 )
 
+// whole is the one descriptor pair copying all of src into dst.
+func whole(dst, src *mem.Buffer) []mem.RegionPair {
+	return []mem.RegionPair{{Dst: mem.Region{Buf: dst, Len: dst.Len()}, Src: mem.Region{Buf: src, Len: src.Len()}}}
+}
+
 func TestEngineCopiesAndSignals(t *testing.T) {
 	m := hw.New(topo.XeonE5345())
 	e := NewEngine(m)
@@ -17,7 +22,7 @@ func TestEngineCopiesAndSignals(t *testing.T) {
 	dst := m.Mem.NewSpace("r").Alloc(1 * units.MiB)
 	src.FillPattern(5)
 	m.Eng.Spawn("user", func(p *sim.Proc) {
-		st := e.Submit(p, 0, mem.Overlay(mem.VecOf(dst), mem.VecOf(src), 0))
+		st := e.Submit(p, 0, whole(dst, src))
 		if st.Done() {
 			t.Error("status done immediately after submit")
 		}
@@ -47,7 +52,7 @@ func TestEngineInOrderCompletion(t *testing.T) {
 		src := sp.Alloc(n)
 		dst := sp.Alloc(n)
 		src.FillPattern(uint64(n))
-		return mem.Overlay(mem.VecOf(dst), mem.VecOf(src), 0), src, dst
+		return whole(dst, src), src, dst
 	}
 	big, _, _ := mk(4 * units.MiB)
 	small, ssrc, sdst := mk(4 * units.KiB)
@@ -78,7 +83,7 @@ func TestEngineFreesCPU(t *testing.T) {
 	dst := m.Mem.NewSpace("r").Alloc(4 * units.MiB)
 	var computeDur sim.Time
 	m.Eng.Spawn("user", func(p *sim.Proc) {
-		st := e.Submit(p, 0, mem.Overlay(mem.VecOf(dst), mem.VecOf(src), 0))
+		st := e.Submit(p, 0, whole(dst, src))
 		t0 := p.Now()
 		m.Cores[0].Busy(p, 300*sim.Microsecond) // overlapped compute
 		computeDur = p.Now() - t0
@@ -98,7 +103,7 @@ func TestSubmitChargesDescriptors(t *testing.T) {
 	src := m.Mem.NewSpace("s").Alloc(256 * units.KiB)
 	dst := m.Mem.NewSpace("r").Alloc(256 * units.KiB)
 	m.Eng.Spawn("user", func(p *sim.Proc) {
-		e.Submit(p, 0, mem.Overlay(mem.VecOf(dst), mem.VecOf(src), 0)).WaitIdle(p)
+		e.Submit(p, 0, whole(dst, src)).WaitIdle(p)
 	})
 	if err := m.Eng.Run(); err != nil {
 		t.Fatal(err)

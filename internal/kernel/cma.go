@@ -39,10 +39,10 @@ func (os *OS) ProcessVMReadv(p *sim.Proc, core topo.CoreID, local, remote mem.IO
 	os.SyscallEnter(p, core)
 	pages := os.Pin(p, core, remote)
 	var moved int64
-	for _, pair := range mem.Overlay(local, remote, cmaChunkBytes) {
+	mem.OverlayEach(local, remote, cmaChunkBytes, func(pair mem.RegionPair) {
 		os.M.CopyRange(p, core, pair.Dst, pair.Src, hw.CopyOpts{Kernel: true})
 		moved += pair.Src.Len
-	}
+	})
 	os.Unpin(p, core, pages)
 	os.CMACalls++
 	os.CMABytes += moved

@@ -48,7 +48,7 @@ func (os *OS) SyscallEnter(p *sim.Proc, core topo.CoreID) {
 func (os *OS) Pin(p *sim.Proc, core topo.CoreID, vec mem.IOVec) int64 {
 	var pages int64
 	for _, r := range vec {
-		pages += r.Buf.Slice(r.Off, r.Len).Pages()
+		pages += r.Pages()
 	}
 	os.PagesPinned += pages
 	os.M.LocalDelay(p, core, os.M.Params().PinPerPage*sim.Time(pages))

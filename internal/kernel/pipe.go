@@ -135,7 +135,7 @@ func (pp *Pipe) Writev(p *sim.Proc, core topo.CoreID, vec mem.IOVec) int64 {
 		remain := r.Len
 		for remain > 0 && len(pp.freeSlots) > 0 {
 			slot := pp.freeSlots[0]
-			pp.freeSlots = pp.freeSlots[1:]
+			pp.freeSlots = popFront(pp.freeSlots)
 			n := par.PageBytes
 			if n > remain {
 				n = remain
@@ -195,7 +195,7 @@ func (pp *Pipe) Readv(p *sim.Proc, core topo.CoreID, dst mem.Region) int64 {
 			if seg.slot >= 0 {
 				pp.freeSlots = append(pp.freeSlots, seg.slot)
 			}
-			pp.segs = pp.segs[1:]
+			pp.segs = popFront(pp.segs)
 		} else {
 			// Partial read: shrink the segment; slot accounting keeps
 			// whole pages until the segment fully drains.
@@ -209,6 +209,13 @@ func (pp *Pipe) Readv(p *sim.Proc, core topo.CoreID, dst mem.Region) int64 {
 	pp.BytesRead += read
 	pp.writable.Broadcast()
 	return read
+}
+
+// popFront removes a FIFO's head by moving the rest down: the appends at
+// its tail then reuse the room instead of re-growing a slice whose start
+// keeps moving. The FIFOs hold at most PIPE_BUFFERS entries.
+func popFront[T any](s []T) []T {
+	return s[:copy(s, s[1:])]
 }
 
 // blockUntil waits for ok() on cond; if the process actually blocked, it

@@ -178,7 +178,8 @@ func (k *Module) RecvCmd(p *sim.Proc, core topo.CoreID, c Cookie, dst mem.IOVec,
 		// preparation and alignment-fixup costs (calibrated, see topo).
 		dstPages := k.os.Pin(p, core, dst)
 		k.os.M.LocalDelay(p, core, par.DMAPrepFixed+par.DMAPrepPerPage*sim.Time(dstPages))
-		pairs := mem.Overlay(dst, reg.vec, 0)
+		var pairs []mem.RegionPair // the engine queues them: not scratch
+		mem.OverlayEach(dst, reg.vec, 0, func(pair mem.RegionPair) { pairs = append(pairs, pair) })
 		dmaStatus := k.dma.Submit(p, core, pairs)
 		if md == SyncIOAT {
 			// Busy-poll completion before returning to user space:
@@ -224,8 +225,8 @@ func (k *Module) kthreadFor(core topo.CoreID) *kernel.KThread {
 // copyLoop is the kernel single-copy path: chunked so the machine model
 // captures pipelined cache/bus behaviour.
 func (k *Module) copyLoop(p *sim.Proc, core topo.CoreID, dst, src mem.IOVec) {
-	for _, pair := range mem.Overlay(dst, src, copyChunkBytes) {
+	mem.OverlayEach(dst, src, copyChunkBytes, func(pair mem.RegionPair) {
 		k.os.M.CopyRange(p, core, pair.Dst, pair.Src, hw.CopyOpts{Kernel: true})
 		k.BytesCopied += pair.Src.Len
-	}
+	})
 }

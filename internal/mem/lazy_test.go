@@ -17,11 +17,11 @@ func TestUntouchedBufferHasNoBacking(t *testing.T) {
 	for i := range bufs {
 		b := s.Alloc(size)
 		v := b.Slice(4096, 8192).Slice(100, 200)
-		if v.Addr() != b.Addr()+4196 || v.Len() != 200 || b.Pages() != size/4096 {
-			t.Fatalf("view [%#x,+%d) of a %d-page buffer at %#x", v.Addr(), v.Len(), b.Pages(), b.Addr())
+		if v.Addr() != b.Addr()+4196 || v.Len() != 200 || pages(b) != size/4096 {
+			t.Fatalf("view [%#x,+%d) of a %d-page buffer at %#x", v.Addr(), v.Len(), pages(b), b.Addr())
 		}
-		b.PhysSegments(4)
-		VecOf(b).Slice(10, 20)
+		physSegments(b, 4)
+		VecOf(b).SliceInto(nil, 10, 20)
 		bufs[i] = b
 	}
 	runtime.ReadMemStats(&after)
@@ -40,11 +40,15 @@ func TestUntouchedBufferHasNoBacking(t *testing.T) {
 // allocation, and every view, older or newer, aliases it.
 func TestFirstTouchMaterialisesOneSharedBacking(t *testing.T) {
 	touch := map[string]func(parent, view *Buffer){
-		"parent.Bytes":       func(p, v *Buffer) { p.Bytes() },
-		"view.Bytes":         func(p, v *Buffer) { v.Bytes() },
-		"parent.Region":      func(p, v *Buffer) { Region{Buf: p, Off: 8, Len: 8}.Bytes() },
-		"view.Region":        func(p, v *Buffer) { Region{Buf: v, Off: 8, Len: 8}.Bytes() },
-		"view.CopyBytes.dst": func(p, v *Buffer) { CopyBytes(Region{Buf: v, Len: 8}, Region{Buf: p, Len: 8}) },
+		"parent.Bytes":  func(p, v *Buffer) { p.Bytes() },
+		"view.Bytes":    func(p, v *Buffer) { v.Bytes() },
+		"parent.Region": func(p, v *Buffer) { Region{Buf: p, Off: 8, Len: 8}.Bytes() },
+		"view.Region":   func(p, v *Buffer) { Region{Buf: v, Off: 8, Len: 8}.Bytes() },
+		"view.CopyBytes.dst": func(p, v *Buffer) {
+			src := p.Space().Alloc(8)
+			src.Bytes() // a touched, all-zero source
+			CopyBytes(Region{Buf: v, Len: 8}, Region{Buf: src, Len: 8})
+		},
 	}
 	for name, first := range touch {
 		s := NewWorld(4096).NewSpace("p")
@@ -81,6 +85,30 @@ func TestFirstTouchMaterialisesOneSharedBacking(t *testing.T) {
 			t.Fatalf("byte %d = %#x, want pattern byte %#x", i, x, want[i-64])
 		case (i < 64 || i >= 128) && x != 0:
 			t.Fatalf("byte %d outside the filled view = %#x", i, x)
+		}
+	}
+}
+
+// A copy out of an untouched allocation moves zeroes: into an untouched
+// destination it materialises neither side, into a touched one it clears
+// the destination's range and nothing more.
+func TestCopyFromUntouchedSourceClears(t *testing.T) {
+	s := NewWorld(4096).NewSpace("p")
+	src, dst := s.Alloc(64), s.Alloc(64)
+	CopyBytes(Region{Buf: dst, Off: 8, Len: 16}, Region{Buf: src, Off: 0, Len: 16})
+	if src.data != nil || dst.data != nil {
+		t.Fatal("a copy between untouched buffers made a backing array")
+	}
+	dst.FillPattern(3)
+	want := append([]byte(nil), dst.Bytes()...)
+	clear(want[8:24])
+	CopyBytes(Region{Buf: dst, Off: 8, Len: 16}, Region{Buf: src, Off: 0, Len: 16})
+	if src.data != nil {
+		t.Fatal("an untouched source got a backing array")
+	}
+	for i, x := range dst.Bytes() {
+		if x != want[i] {
+			t.Fatalf("byte %d = %#x after copying zeroes into [8,24), want %#x", i, x, want[i])
 		}
 	}
 }

@@ -239,43 +239,18 @@ func EqualBytes(a, b *Buffer) bool {
 	return true
 }
 
-// Pages returns the number of pages spanned by the buffer.
-func (b *Buffer) Pages() int64 {
-	if b.length == 0 {
-		return 0
-	}
-	first := b.addr / uint64(b.space.pageBytes)
-	last := (b.addr + uint64(b.length) - 1) / uint64(b.space.pageBytes)
-	return int64(last-first) + 1
-}
-
-// PhysSegments returns the lengths of the physically contiguous runs backing
-// the buffer, assuming the OS allocates physical memory in runs of runPages
-// pages aligned to run boundaries. The I/OAT backend must issue one request
-// per segment (paper §4.2: "submitting copies to I/OAT requires an access to
-// the physical device for every physically contiguous chunk").
-func (b *Buffer) PhysSegments(runPages int) []int64 {
+// physRun returns the length of the physically contiguous run that starts
+// at addr, capped at remaining, assuming the OS allocates physical memory
+// in runs of runPages pages aligned to run boundaries. The I/OAT backend
+// must issue one request per such run (paper §4.2: "submitting copies to
+// I/OAT requires an access to the physical device for every physically
+// contiguous chunk").
+func (s *Space) physRun(addr, remaining uint64, runPages int) uint64 {
 	if runPages <= 0 {
 		runPages = 1
 	}
-	if b.length == 0 {
-		return nil
-	}
-	runBytes := uint64(runPages) * uint64(b.space.pageBytes)
-	var segs []int64
-	addr := b.addr
-	remaining := uint64(b.length)
-	for remaining > 0 {
-		runEnd := (addr/runBytes + 1) * runBytes
-		n := runEnd - addr
-		if n > remaining {
-			n = remaining
-		}
-		segs = append(segs, int64(n))
-		addr += n
-		remaining -= n
-	}
-	return segs
+	runBytes := uint64(runPages) * uint64(s.pageBytes)
+	return min(runBytes-addr%runBytes, remaining)
 }
 
 // Region is a view into a buffer used to describe scatter/gather
@@ -288,6 +263,17 @@ type Region struct {
 
 // Addr returns the simulated address of the region's first byte.
 func (r Region) Addr() uint64 { return r.Buf.Addr() + uint64(r.Off) }
+
+// Pages returns the number of pages spanned by the region.
+func (r Region) Pages() int64 {
+	if r.Len == 0 {
+		return 0
+	}
+	page := uint64(r.Buf.space.pageBytes)
+	first := r.Addr() / page
+	last := (r.Addr() + uint64(r.Len) - 1) / page
+	return int64(last-first) + 1
+}
 
 // Bytes returns the live backing slice of the region. For phantom buffers
 // it returns (up to) a window-sized scratch slice — enough for the chunked
@@ -340,11 +326,21 @@ func VecOf(b *Buffer) IOVec {
 // move at all: phantom content is meaningless by construction, so a copy
 // into or out of one can only produce (or consume) garbage, and skipping
 // the movement keeps communication-skeleton sweeps free of memcpy cost.
+// A source nobody has touched reads as zeroes, so copying it clears dst
+// and materialises neither side's backing (an untouched dst already
+// reads as zeroes): an eager cell that only ever carried phantom payload
+// stages into an unexpected-message temp without either getting storage.
 func CopyBytes(dst, src Region) {
 	if dst.Len != src.Len {
 		panic(fmt.Sprintf("mem: CopyBytes length mismatch %d != %d", dst.Len, src.Len))
 	}
 	if dst.Buf.Phantom() || src.Buf.Phantom() {
+		return
+	}
+	if src.Buf.root.data == nil {
+		if dst.Buf.root.data != nil {
+			clear(dst.Bytes())
+		}
 		return
 	}
 	copy(dst.Bytes(), src.Bytes())

@@ -74,8 +74,8 @@ func TestFillPatternDeterministicAndDistinct(t *testing.T) {
 func TestPhysSegments(t *testing.T) {
 	w := NewWorld(4096)
 	s := w.NewSpace("p")
-	b := s.Alloc(64 * 1024)   // 16 pages
-	segs := b.PhysSegments(8) // 32 KiB runs
+	b := s.Alloc(64 * 1024)    // 16 pages
+	segs := physSegments(b, 8) // 32 KiB runs
 	var total int64
 	for _, n := range segs {
 		if n <= 0 {
@@ -100,7 +100,7 @@ func TestPhysSegmentsPartitionProperty(t *testing.T) {
 		n := int64(nRaw%(1<<22)) + 1
 		run := int(runRaw%16) + 1
 		b := s.Alloc(n)
-		segs := b.PhysSegments(run)
+		segs := physSegments(b, run)
 		var total int64
 		runBytes := int64(run) * 4096
 		for i, seg := range segs {
@@ -119,16 +119,64 @@ func TestPhysSegmentsPartitionProperty(t *testing.T) {
 	}
 }
 
+// physSegments lists the physically contiguous runs backing b: the walk
+// PhysDescriptors makes over each side of a pair, materialised.
+func physSegments(b *Buffer, runPages int) []int64 {
+	var segs []int64
+	for addr, left := b.addr, uint64(b.length); left > 0; {
+		n := b.space.physRun(addr, left, runPages)
+		segs = append(segs, int64(n))
+		addr += n
+		left -= n
+	}
+	return segs
+}
+
+// Property: a pair's descriptor count is the number of pieces in the
+// merge of both sides' physical runs (the count as it was first written,
+// over materialised segment lists).
+func TestPhysDescriptorsMergeRuns(t *testing.T) {
+	s := NewWorld(4096).NewSpace("p")
+	a, b := s.Alloc(1<<20), s.Alloc(1<<20)
+	prop := func(dOff, sOff, nRaw uint32, runRaw uint8) bool {
+		n := int64(nRaw%(1<<19)) + 1
+		rp := RegionPair{
+			Dst: Region{Buf: a, Off: int64(dOff % (1 << 19)), Len: n},
+			Src: Region{Buf: b, Off: int64(sOff % (1 << 19)), Len: n},
+		}
+		run := int(runRaw % 17) // 0 means one page
+		dSegs := physSegments(a.Slice(rp.Dst.Off, n), run)
+		sSegs := physSegments(b.Slice(rp.Src.Off, n), run)
+		want := 0
+		var dRem, sRem int64
+		for i, j := 0, 0; i < len(dSegs) || j < len(sSegs); want++ {
+			if dRem == 0 && i < len(dSegs) {
+				dRem, i = dSegs[i], i+1
+			}
+			if sRem == 0 && j < len(sSegs) {
+				sRem, j = sSegs[j], j+1
+			}
+			m := min(dRem, sRem)
+			dRem -= m
+			sRem -= m
+		}
+		return rp.PhysDescriptors(run) == want
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // overlayCopy moves src into dst the way the kernel, KNEM and I/OAT copy
-// loops do: one CopyBytes per Overlay pair, each at most maxChunk bytes.
+// loops do: one CopyBytes per OverlayEach pair, each at most maxChunk bytes.
 func overlayCopy(t *testing.T, dst, src IOVec, maxChunk int64) {
 	t.Helper()
-	for _, pair := range Overlay(dst, src, maxChunk) {
+	OverlayEach(dst, src, maxChunk, func(pair RegionPair) {
 		if maxChunk > 0 && pair.Src.Len > maxChunk {
 			t.Fatalf("pair of %d bytes exceeds maxChunk %d", pair.Src.Len, maxChunk)
 		}
 		CopyBytes(pair.Dst, pair.Src)
-	}
+	})
 }
 
 func TestOverlayRoundTrip(t *testing.T) {
@@ -158,11 +206,11 @@ func TestOverlayRoundTrip(t *testing.T) {
 	}
 	overlayCopy(t, dv, sv, 0)
 	if !EqualBytes(src, dst) {
-		t.Fatal("Overlay pairs did not reproduce source bytes")
+		t.Fatal("OverlayEach pairs did not reproduce source bytes")
 	}
 }
 
-// Property: copying the Overlay pairs of random splits of the same buffer
+// Property: copying the OverlayEach pairs of random splits of the same buffer
 // pair, in chunks of any non-zero bound, reproduces the source exactly.
 func TestOverlaySplitProperty(t *testing.T) {
 	w := NewWorld(4096)
@@ -201,6 +249,41 @@ func TestOverlaySplitProperty(t *testing.T) {
 	}
 }
 
+// SliceInto cuts logical windows across region boundaries, skipping
+// whole regions before the window, and appends into the caller's scratch:
+// reused, a window walk and the OverlayEach over it allocate nothing.
+func TestSliceIntoReusesScratch(t *testing.T) {
+	s := NewWorld(4096).NewSpace("p")
+	a, b := s.Alloc(100), s.Alloc(300)
+	v := IOVec{{Buf: a, Off: 0, Len: 100}, {Buf: b, Off: 50, Len: 200}}
+	got := v.SliceInto(nil, 90, 30)
+	want := IOVec{{Buf: a, Off: 90, Len: 10}, {Buf: b, Off: 50, Len: 20}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("window [90,120): %+v, want %+v", got, want)
+	}
+	if got := v.SliceInto(nil, 100, 200); len(got) != 1 || got[0] != (Region{Buf: b, Off: 50, Len: 200}) {
+		t.Fatalf("window [100,300): %+v", got)
+	}
+	dst := s.Alloc(300)
+	scratch := make(IOVec, 0, 2)
+	allocs := testing.AllocsPerRun(20, func() {
+		for off := int64(0); off < 300; off += 64 {
+			n := min(64, 300-off)
+			scratch = v.SliceInto(scratch[:0], off, n)
+			OverlayEach(IOVec{{Buf: dst, Off: off, Len: n}}, scratch, 16, func(RegionPair) {})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a reused window walk allocates %v objects", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a window past the vector's end did not panic")
+		}
+	}()
+	v.SliceInto(nil, 290, 20)
+}
+
 func TestIOVecValidate(t *testing.T) {
 	w := NewWorld(4096)
 	b := w.NewSpace("p").Alloc(100)
@@ -213,17 +296,24 @@ func TestIOVecValidate(t *testing.T) {
 	}
 }
 
+// pages is the page count of the whole of b.
+func pages(b *Buffer) int64 { return VecOf(b)[0].Pages() }
+
 func TestPages(t *testing.T) {
 	w := NewWorld(4096)
 	s := w.NewSpace("p")
-	if got := s.Alloc(1).Pages(); got != 1 {
+	if got := pages(s.Alloc(1)); got != 1 {
 		t.Fatalf("1B buffer pages = %d, want 1", got)
 	}
-	if got := s.Alloc(4097).Pages(); got != 2 {
+	if got := pages(s.Alloc(4097)); got != 2 {
 		t.Fatalf("4097B buffer pages = %d, want 2", got)
 	}
-	if got := s.Alloc(0).Pages(); got != 0 {
+	if got := pages(s.Alloc(0)); got != 0 {
 		t.Fatalf("0B buffer pages = %d, want 0", got)
+	}
+	b := s.Alloc(3 * 4096)
+	if got := (Region{Buf: b, Off: 4095, Len: 2}).Pages(); got != 2 {
+		t.Fatalf("a region across a page boundary spans %d pages, want 2", got)
 	}
 }
 

@@ -6,15 +6,16 @@ type RegionPair struct {
 	Dst, Src Region
 }
 
-// Overlay walks dst and src as one logical stream and emits matched
-// contiguous pairs no longer than maxChunk bytes (maxChunk <= 0 means
-// unlimited). Total lengths must match. This is how a kernel copy loop or a
-// DMA submission path linearizes vectorial (noncontiguous) buffers.
-func Overlay(dst, src IOVec, maxChunk int64) []RegionPair {
+// OverlayEach walks dst and src as one logical stream and calls fn with
+// each matched contiguous pair, in stream order, no longer than maxChunk
+// bytes (maxChunk <= 0 means unlimited). Total lengths must match. This is
+// how a kernel copy loop or a DMA submission path linearizes vectorial
+// (noncontiguous) buffers; it allocates nothing, and fn may block (the
+// vectors are read again after fn returns, so they must not change).
+func OverlayEach(dst, src IOVec, maxChunk int64, fn func(RegionPair)) {
 	if dst.TotalLen() != src.TotalLen() {
 		panic("mem: Overlay length mismatch")
 	}
-	var out []RegionPair
 	di, si := 0, 0
 	var doff, soff int64
 	for di < len(dst) && si < len(src) {
@@ -27,7 +28,7 @@ func Overlay(dst, src IOVec, maxChunk int64) []RegionPair {
 			n = maxChunk
 		}
 		if n > 0 {
-			out = append(out, RegionPair{
+			fn(RegionPair{
 				Dst: Region{Buf: d.Buf, Off: d.Off + doff, Len: n},
 				Src: Region{Buf: s.Buf, Off: s.Off + soff, Len: n},
 			})
@@ -43,15 +44,15 @@ func Overlay(dst, src IOVec, maxChunk int64) []RegionPair {
 			soff = 0
 		}
 	}
-	return out
 }
 
-// Slice returns the sub-vector covering logical bytes [off, off+n) of v.
-func (v IOVec) Slice(off, n int64) IOVec {
+// SliceInto appends the sub-vector covering logical bytes [off, off+n) of
+// v to out and returns it: pass a reused out[:0] (or a stack array's
+// slice) and the per-chunk windows of a transfer allocate nothing.
+func (v IOVec) SliceInto(out IOVec, off, n int64) IOVec {
 	if off < 0 || n < 0 || off+n > v.TotalLen() {
-		panic("mem: IOVec.Slice out of range")
+		panic("mem: IOVec.SliceInto out of range")
 	}
-	var out IOVec
 	for _, r := range v {
 		if n <= 0 {
 			break
@@ -73,31 +74,15 @@ func (v IOVec) Slice(off, n int64) IOVec {
 
 // PhysDescriptors returns the number of physically contiguous descriptor
 // pairs needed to express the pair for DMA hardware: the overlay of the
-// physical runs of both sides.
+// physical runs of both sides, walked without materialising either.
 func (rp RegionPair) PhysDescriptors(runPages int) int {
-	dstSegs := rp.Dst.Buf.Slice(rp.Dst.Off, rp.Dst.Len).PhysSegments(runPages)
-	srcSegs := rp.Src.Buf.Slice(rp.Src.Off, rp.Src.Len).PhysSegments(runPages)
-	// Two sorted partitions of the same length: the overlay has
-	// |dst|+|src|-1 pieces at most; count exactly by merging.
+	dst, src := rp.Dst.Addr(), rp.Src.Addr()
 	count := 0
-	i, j := 0, 0
-	var dRem, sRem int64
-	for i < len(dstSegs) || j < len(srcSegs) {
-		if dRem == 0 && i < len(dstSegs) {
-			dRem = dstSegs[i]
-			i++
-		}
-		if sRem == 0 && j < len(srcSegs) {
-			sRem = srcSegs[j]
-			j++
-		}
-		n := dRem
-		if sRem < n {
-			n = sRem
-		}
-		dRem -= n
-		sRem -= n
-		count++
+	for left := uint64(rp.Src.Len); left > 0; count++ {
+		n := min(rp.Dst.Buf.space.physRun(dst, left, runPages), rp.Src.Buf.space.physRun(src, left, runPages))
+		dst += n
+		src += n
+		left -= n
 	}
 	return count
 }

@@ -70,11 +70,11 @@ func TestPhantomCopyAndSliceWork(t *testing.T) {
 func TestPhantomPagesAndSegments(t *testing.T) {
 	w := NewWorld(4096)
 	a := w.NewSpace("p").AllocPhantom(64 * 1024)
-	if got := a.Pages(); got != 16 {
+	if got := pages(a); got != 16 {
 		t.Fatalf("phantom pages = %d, want 16", got)
 	}
 	var total int64
-	for _, seg := range a.PhysSegments(8) {
+	for _, seg := range physSegments(a, 8) {
 		total += seg
 	}
 	if total != a.Len() {

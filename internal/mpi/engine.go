@@ -78,11 +78,15 @@ func init() {
 type simJob struct {
 	w    *World
 	hier bool // wrap peers with the hierarchical collectives
+	ran  bool
 }
 
 // NewSimJob wraps an existing simulated stack as an engine-neutral job: the
 // bridge from a hand-built stack (the experiments build their own) to the
-// comm drivers.
+// comm drivers. The job runs once: when its Run returns, the stack's
+// machines have handed their cache state back for later stacks to fill
+// from (their statistics and usage stay readable), and a second Run
+// returns an error.
 func NewSimJob(st *core.Stack) comm.Job {
 	return &simJob{w: NewWorld(st)}
 }
@@ -136,8 +140,20 @@ func (j *simJob) Run(app func(p comm.Peer)) error {
 // force-unwinds every remaining process. Terminate also runs after normal
 // completion, reaping perturbation daemons parked mid-sleep, and when a
 // rank's panic resurfaces from Run, reaping the ranks that survived it —
-// so however RunCtx leaves, it leaves no goroutine behind.
+// so however RunCtx leaves, it leaves no goroutine behind, and nothing is
+// left to touch a cache: every node machine then releases its cache state
+// (hw.Machine.Release). The first call spends the job, even one cancelled
+// before start; a later call returns an error.
 func (j *simJob) RunCtx(ctx context.Context, app func(p comm.Peer)) error {
+	if j.ran {
+		return fmt.Errorf("sim: job %q (%d ranks) has already run: a sim job runs once", j.Label(), j.Size())
+	}
+	j.ran = true
+	defer func() {
+		for _, s := range j.w.nodes() {
+			s.M.Release()
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("sim: job cancelled before start: %w", err)
 	}
@@ -185,15 +201,6 @@ func (j *simJob) Usage() comm.Usage {
 		out.BusUtilization = out.BusBytesServed / (out.BusCapacityBps * secs)
 	}
 	return out
-}
-
-// Release hands every node machine's cache state back for later jobs to
-// reuse (hw.Machine.Release). Call it after the run has returned and its
-// Usage has been read; the job is spent afterwards.
-func (j *simJob) Release() {
-	for _, s := range j.w.nodes() {
-		s.M.Release()
-	}
 }
 
 func (j *simJob) MissLines() int64 {

@@ -326,11 +326,7 @@ func (ep *Endpoint) dispatchEager(p *sim.Proc, pkt *packet) {
 				pkt.n, req.vec.TotalLen()))
 		}
 		if pkt.n > 0 {
-			dstVec := vecPrefix(req.vec, pkt.n)
-			srcVec := mem.IOVec{{Buf: pkt.cell.buf, Off: 0, Len: pkt.n}}
-			for _, pair := range mem.Overlay(dstVec, srcVec, 0) {
-				ch.M.CopyRange(p, ep.Core, pair.Dst, pair.Src, hw.CopyOpts{})
-			}
+			ep.copyIn(p, req.vec, mem.Region{Buf: pkt.cell.buf, Off: 0, Len: pkt.n})
 		}
 		ep.returnCell(p, pkt.cell)
 		req.complete(ep, pkt.src, pkt.tag, pkt.n)
@@ -363,7 +359,7 @@ func (ep *Endpoint) dispatchNetEager(p *sim.Proc, pkt *packet) {
 			panic(fmt.Sprintf("nemesis: eager message of %d bytes overflows %d-byte receive",
 				pkt.n, req.vec.TotalLen()))
 		}
-		ep.netDeliver(p, vecPrefix(req.vec, pkt.n), pkt.data)
+		ep.netDeliver(p, req.vec.SliceInto(nil, 0, pkt.n), pkt.data)
 		req.complete(ep, pkt.src, pkt.tag, pkt.n)
 		return
 	}
@@ -380,19 +376,17 @@ func (ep *Endpoint) dispatchNetEager(p *sim.Proc, pkt *packet) {
 	ep.notify()
 }
 
-// vecPrefix returns the first n bytes of a vector as a vector.
-func vecPrefix(v mem.IOVec, n int64) mem.IOVec {
-	var out mem.IOVec
-	for _, r := range v {
-		if n <= 0 {
-			break
-		}
-		take := r.Len
-		if take > n {
-			take = n
-		}
-		out = append(out, mem.Region{Buf: r.Buf, Off: r.Off, Len: take})
-		n -= take
-	}
-	return out
+// copyIn copies src into the first src.Len bytes of dst as the
+// endpoint's core: an eager payload (a cell, or the temp an unexpected one
+// was staged in) delivered into the receive vector.
+func (ep *Endpoint) copyIn(p *sim.Proc, dst mem.IOVec, src mem.Region) {
+	var win [4]mem.Region
+	ep.copyVec(p, dst.SliceInto(win[:0], 0, src.Len), mem.IOVec{src})
+}
+
+// copyVec copies src into dst (equal lengths) as the endpoint's core.
+func (ep *Endpoint) copyVec(p *sim.Proc, dst, src mem.IOVec) {
+	mem.OverlayEach(dst, src, 0, func(pair mem.RegionPair) {
+		ep.Ch.M.CopyRange(p, ep.Core, pair.Dst, pair.Src, hw.CopyOpts{})
+	})
 }

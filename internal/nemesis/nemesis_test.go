@@ -24,9 +24,9 @@ func (l *testLMT) PrepareCTS(p *sim.Proc, t *Transfer) any      { return nil }
 func (l *testLMT) HandleCTS(p *sim.Proc, t *Transfer, info any) {}
 func (l *testLMT) Recv(p *sim.Proc, t *Transfer, cookie any) {
 	src := cookie.(mem.IOVec)
-	for _, pair := range mem.Overlay(t.DstVec, src, 64*units.KiB) {
+	mem.OverlayEach(t.DstVec, src, 64*units.KiB, func(pair mem.RegionPair) {
 		l.ch.M.CopyRange(p, t.RecvCore(), pair.Dst, pair.Src, hw.CopyOpts{Kernel: true})
-	}
+	})
 }
 
 func newTestChannel(ranks int, cfg Config) *Channel {

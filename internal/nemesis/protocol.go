@@ -3,7 +3,6 @@ package nemesis
 import (
 	"fmt"
 
-	"knemesis/internal/hw"
 	"knemesis/internal/mem"
 	"knemesis/internal/sim"
 )
@@ -201,9 +200,7 @@ func (ep *Endpoint) eagerSend(p *sim.Proc, dst, tag int, vec mem.IOVec) {
 
 	if n > 0 {
 		cellVec := mem.IOVec{{Buf: c.buf, Off: 0, Len: n}}
-		for _, pair := range mem.Overlay(cellVec, vec, 0) {
-			ch.M.CopyRange(p, ep.Core, pair.Dst, pair.Src, hw.CopyOpts{})
-		}
+		ep.copyVec(p, cellVec, vec)
 	}
 	ep.sendPacket(p, &packet{
 		typ: pktEager, src: ep.Rank, dst: dst, tag: tag,
@@ -227,7 +224,6 @@ func (ep *Endpoint) runRecv(p *sim.Proc, req *RecvReq) {
 // deliverUnexpected completes a receive from a staged arrival, waiting for
 // in-progress staging to finish first.
 func (ep *Endpoint) deliverUnexpected(p *sim.Proc, u *unexpMsg, req *RecvReq) {
-	ch := ep.Ch
 	for !u.ready {
 		ep.waitEvent(p)
 	}
@@ -238,11 +234,7 @@ func (ep *Endpoint) deliverUnexpected(p *sim.Proc, u *unexpMsg, req *RecvReq) {
 				u.size, req.vec.TotalLen()))
 		}
 		if u.size > 0 {
-			dstVec := vecPrefix(req.vec, u.size)
-			srcVec := mem.IOVec{{Buf: u.temp, Off: 0, Len: u.size}}
-			for _, pair := range mem.Overlay(dstVec, srcVec, 0) {
-				ch.M.CopyRange(p, ep.Core, pair.Dst, pair.Src, hw.CopyOpts{})
-			}
+			ep.copyIn(p, req.vec, mem.Region{Buf: u.temp, Off: 0, Len: u.size})
 		}
 		req.complete(ep, u.src, u.tag, u.size)
 	case pktRTS:
@@ -288,7 +280,7 @@ func (ep *Endpoint) runNetRecv(p *sim.Proc, src, tag int, seq uint64, size int64
 		panic(fmt.Sprintf("nemesis: rendezvous message of %d bytes overflows %d-byte receive",
 			size, req.vec.TotalLen()))
 	}
-	ep.netPulls[seq] = &netPull{req: req, vec: vecPrefix(req.vec, size), src: src, tag: tag, size: size}
+	ep.netPulls[seq] = &netPull{req: req, vec: req.vec.SliceInto(nil, 0, size), src: src, tag: tag, size: size}
 	ep.sendNetPacket(p, &packet{typ: pktCTS, viaNet: true, src: ep.Rank, dst: src, seq: seq}, 0)
 }
 
@@ -305,7 +297,7 @@ func (ep *Endpoint) runLMTRecv(p *sim.Proc, src, tag int, seq uint64, size int64
 		DstRank: ep.Rank,
 		Tag:     tag,
 		Size:    size,
-		DstVec:  vecPrefix(req.vec, size),
+		DstVec:  req.vec.SliceInto(nil, 0, size),
 		Ch:      ch,
 	}
 	wantsCTS, finCompletes := ch.lmt.Flags()

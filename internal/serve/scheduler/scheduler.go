@@ -78,13 +78,14 @@ type Stats struct {
 type Scheduler struct {
 	cfg Config
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled on any running-set shrink (Drain waits on it)
-	queue    []*jobState
-	running  map[string]*jobState
-	simRun   int
-	rtRun    int
-	draining bool
+	mu        sync.Mutex
+	cond      *sync.Cond // signalled when a finished job's OnFinish returns (Drain waits on it)
+	queue     []*jobState
+	running   map[string]*jobState
+	finishing int // jobs out of the queue or running set whose OnFinish has not returned
+	simRun    int
+	rtRun     int
+	draining  bool
 
 	submitted int64
 	shed      int64
@@ -226,18 +227,29 @@ func (s *Scheduler) run(js *jobState) {
 		s.simRun--
 	}
 	delete(s.running, js.job.ID)
+	s.finishing++
 	cancelled := js.cancelRequested
 	var admitted []*jobState
 	if !s.draining {
 		admitted = s.admitLocked()
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	if s.cfg.OnFinish != nil {
-		s.cfg.OnFinish(js.job.ID, err, cancelled)
-	}
+	s.finish(js.job.ID, err, cancelled)
 	s.notifyAdmitted(admitted)
+}
+
+// finish fires OnFinish for a job the caller counted in s.finishing under
+// the lock, and then uncounts it: Drain returns only once every OnFinish
+// has, so a drained daemon's ledger holds no job still marked running.
+func (s *Scheduler) finish(id string, err error, cancelled bool) {
+	if s.cfg.OnFinish != nil {
+		s.cfg.OnFinish(id, err, cancelled)
+	}
+	s.mu.Lock()
+	s.finishing--
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // Cancel cancels a job. A queued job is removed and finished immediately
@@ -249,10 +261,9 @@ func (s *Scheduler) Cancel(id string) bool {
 	for i, js := range s.queue {
 		if js.job.ID == id {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			s.finishing++
 			s.mu.Unlock()
-			if s.cfg.OnFinish != nil {
-				s.cfg.OnFinish(id, context.Canceled, true)
-			}
+			s.finish(id, context.Canceled, true)
 			return true
 		}
 	}
@@ -272,7 +283,8 @@ func (s *Scheduler) Cancel(id string) bool {
 // Drain performs a graceful shutdown: new submissions are rejected, every
 // still-queued job is cancelled, and running jobs are left to finish. If
 // ctx expires first, the stragglers' contexts are cut and Drain keeps
-// waiting for their Runs to return.
+// waiting for their Runs to return. It returns once every finished job's
+// OnFinish has returned.
 func (s *Scheduler) Drain(ctx context.Context) {
 	s.mu.Lock()
 	s.draining = true
@@ -288,7 +300,7 @@ func (s *Scheduler) Drain(ctx context.Context) {
 	done := make(chan struct{})
 	go func() {
 		s.mu.Lock()
-		for len(s.running) > 0 {
+		for len(s.running) > 0 || s.finishing > 0 {
 			s.cond.Wait()
 		}
 		s.mu.Unlock()

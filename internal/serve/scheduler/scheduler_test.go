@@ -192,6 +192,40 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// Drain returns only after a finished job's OnFinish has: the daemon's
+// OnFinish writes the job's final state to the ledger, and a drained
+// daemon must not leave a job recorded as running. The hook blocks until
+// released, so a Drain that waits only for the running set to empty
+// returns while it is still inside.
+func TestDrainWaitsForOnFinish(t *testing.T) {
+	inHook, unblock := make(chan struct{}), make(chan struct{})
+	var hookDone atomic.Bool
+	s := New(Config{SimWorkers: 1, OnFinish: func(string, error, bool) {
+		close(inHook)
+		<-unblock
+		hookDone.Store(true)
+	}})
+	if err := s.Submit(Job{ID: "quick", Class: ClassSim, Run: func(context.Context) error { return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	<-inHook // the job has left the running set; its OnFinish is blocked
+	drained := make(chan struct{})
+	go func() {
+		s.Drain(context.Background())
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("Drain returned while the finished job's OnFinish was still running")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(unblock)
+	<-drained
+	if !hookDone.Load() {
+		t.Fatal("Drain returned before OnFinish did")
+	}
+}
+
 func TestDrainDeadlineCutsStragglers(t *testing.T) {
 	var done sync.WaitGroup
 	done.Add(1)
