@@ -79,9 +79,10 @@ type Spec struct {
 	Perturb   string  `json:"perturb,omitempty"`   // ';'-separated perturbation specs
 	Seed      uint64  `json:"seed,omitempty"`      // perturbation RNG seed
 
-	// DeadlineSec bounds the run (0 = the daemon default). It does not
-	// enter the cache key: a deadline changes whether a run finishes, not
-	// what a finished run produces.
+	// DeadlineSec bounds the run. It may only shorten the daemon's
+	// default deadline: 0, or a value at or above the default, runs under
+	// the default. It does not enter the cache key: a deadline changes
+	// whether a run finishes, not what a finished run produces.
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
 }
 

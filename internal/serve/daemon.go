@@ -259,10 +259,16 @@ func (d *Daemon) lookup(key string) (string, bool) {
 // and crash-recovery re-queue both funnel through here). The caller records
 // the job's key in d.keys first.
 func (d *Daemon) dispatch(id string, c api.Spec) error {
+	// A spec may only shorten the daemon's deadline. Compare in seconds:
+	// a huge deadline_sec overflows a Duration.
+	var deadline time.Duration
+	if c.DeadlineSec > 0 && c.DeadlineSec < d.cfg.Deadline.Seconds() {
+		deadline = time.Duration(c.DeadlineSec * float64(time.Second))
+	}
 	return d.sched.Submit(scheduler.Job{
 		ID:       id,
 		Class:    c.Class(),
-		Deadline: time.Duration(c.DeadlineSec * float64(time.Second)),
+		Deadline: deadline,
 		Run:      func(ctx context.Context) error { return d.runJob(ctx, id, c) },
 	})
 }

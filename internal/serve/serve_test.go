@@ -450,23 +450,31 @@ func TestRTJobsNeverOverlap(t *testing.T) {
 	}
 }
 
+// A job cut by its deadline fails with ctx.Err() and the engine's state
+// dump. A spec's deadline may only shorten the daemon's: one far above it,
+// even one that overflows a time.Duration, runs under the daemon's.
 func TestDeadlineExceededEmbedsStateDump(t *testing.T) {
-	d := newTestDaemon(t, Config{SimWorkers: 1})
-	spec := slowSpec()
-	spec.DeadlineSec = 0.05
-	rec, err := d.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec = await(t, d, rec.ID)
-	if rec.State != store.Failed {
-		t.Fatalf("deadline job finished %s", rec.State)
-	}
-	if !strings.Contains(rec.Error, context.DeadlineExceeded.Error()) {
-		t.Fatalf("error does not carry ctx.Err(): %s", rec.Error)
-	}
-	if !strings.Contains(rec.Error, "sim engine:") {
-		t.Fatalf("error does not embed the engine state dump: %s", rec.Error)
+	for _, tc := range []struct {
+		daemon time.Duration // Config.Deadline (0 = the default)
+		spec   float64       // the spec's deadline_sec
+	}{{0, 0.05}, {50 * time.Millisecond, 1e10}} {
+		d := newTestDaemon(t, Config{SimWorkers: 1, Deadline: tc.daemon})
+		spec := slowSpec()
+		spec.DeadlineSec = tc.spec
+		rec, err := d.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = await(t, d, rec.ID)
+		if rec.State != store.Failed {
+			t.Fatalf("deadline_sec %g under a daemon deadline of %v: job finished %s", tc.spec, tc.daemon, rec.State)
+		}
+		if !strings.Contains(rec.Error, context.DeadlineExceeded.Error()) {
+			t.Fatalf("error does not carry ctx.Err(): %s", rec.Error)
+		}
+		if !strings.Contains(rec.Error, "sim engine:") {
+			t.Fatalf("error does not embed the engine state dump: %s", rec.Error)
+		}
 	}
 }
 

@@ -143,7 +143,8 @@ type Engine struct {
 	head   int
 	limit  Time // bound of the running RunUntil (< 0: none)
 
-	procs    []*Proc
+	procs    []*Proc      // in spawn order; finished ones are dropped in batches
+	retired  int          // finished processes still in procs
 	liveProc atomic.Int32 // processes that have started and not yet finished
 	nextPID  int
 	idle     []*worker // coroutines whose process finished, for reuse
@@ -288,13 +289,14 @@ func (e *Engine) stopIdle() {
 }
 
 // StateDump renders the engine's process table for watchdog diagnostics:
-// the clock, live/pending counts, and every unfinished process with its
-// park reason. Call it from the goroutine that ran the engine, after
+// the clock, live/pending counts (daemons+procs counts every unfinished
+// process, daemons included), and every unfinished process with its park
+// reason. Call it from the goroutine that ran the engine, after
 // Run/RunUntil has returned and before Terminate, which retires them all.
 func (e *Engine) StateDump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim engine: now=%v live=%d daemons+procs=%d pending events=%d\n",
-		e.now, e.liveProc.Load(), len(e.procs), e.pending())
+		e.now, e.liveProc.Load(), len(e.procs)-e.retired, e.pending())
 	for _, p := range e.procs {
 		if p.done {
 			continue

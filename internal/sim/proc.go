@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"slices"
 )
 
 // Proc is a simulated process: a coroutine that advances simulated time by
@@ -75,6 +76,13 @@ func (pp *ProcPanic) Error() string {
 func (e *Engine) spawn(start Time, name string, daemon bool, fn func(*Proc)) *Proc {
 	p := &Proc{eng: e, name: name, pid: e.nextPID, daemon: daemon, fn: fn}
 	e.nextPID++
+	// Forget finished processes once they are most of the table, keeping
+	// spawn order. Not while stopped: Terminate may be walking the table,
+	// and a cleanup it unwinds may spawn.
+	if e.retired > len(e.procs)/2 && !e.stopped.Load() {
+		e.procs = slices.DeleteFunc(e.procs, func(q *Proc) bool { return q.done })
+		e.retired = 0
+	}
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.liveProc.Add(1)
@@ -112,11 +120,14 @@ func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 	return e.spawn(e.now, name, true, fn)
 }
 
-// retire marks the process finished and settles the live count. It runs
-// once per process: on its worker when fn returns or unwinds, or from
-// Terminate for a process whose start event never fired.
+// retire marks the process finished, drops its function (and all it
+// captured) and settles the live count. It runs once per process: on its
+// worker when fn returns or unwinds, or from Terminate for a process whose
+// start event never fired.
 func (p *Proc) retire() {
 	p.done = true
+	p.fn = nil
+	p.eng.retired++
 	if !p.daemon {
 		p.eng.liveProc.Add(-1)
 	}
