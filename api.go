@@ -71,11 +71,13 @@ var (
 	NewJob = comm.NewJob
 	// Engines is the engine registry (Lookup, All, Names).
 	Engines = comm.Engines
-	// NewSimJob wraps an already-built simulated stack as a job. A sim
-	// job runs once: when its Run returns, the stack's machines have
-	// handed their cache state back for later stacks to reuse (Usage and
-	// MissLines still read the finished run), and a second Run returns an
-	// error. Build a new stack for every run.
+	// NewSimJob wraps an already-built simulated stack as a job, one rank
+	// per channel endpoint. Its Peers also move noncontiguous vectors:
+	// SendVec(dst, tag, mem.IOVec) and RecvVec(src, tag, mem.IOVec)
+	// (Example_noncontig). A sim job runs once: when its Run returns, the
+	// stack's machines have handed their cache state back for later
+	// stacks to reuse (Usage and MissLines still read the finished run),
+	// and a second Run returns an error. Build a new stack for every run.
 	NewSimJob = mpi.NewSimJob
 
 	// R and WholeBuf build message ranges over a Buf.
@@ -181,19 +183,6 @@ func NewStack(m *Machine, cores []CoreID, opt LMTOptions, cfg ChannelConfig) *St
 // StandardLMTOptions returns the four configurations of the paper's tables
 // (default, vmsplice, KNEM kernel copy, KNEM + auto I/OAT).
 func StandardLMTOptions() []LMTOptions { return core.StandardOptions() }
-
-// MPI layer over a Stack (the sim engine's native surface; the
-// engine-neutral Peer wraps it).
-type (
-	// World is an MPI job on a simulated node.
-	World = mpi.World
-	// Comm is one rank's MPI handle: point-to-point only. Collectives
-	// live on the engine-neutral Peer (see NewJob).
-	Comm = mpi.Comm
-)
-
-// NewWorld wraps a stack as an MPI job (one rank per channel endpoint).
-func NewWorld(st *Stack) *World { return mpi.NewWorld(st) }
 
 // Experiment registry types: every paper artefact is a registered
 // Experiment run against an Env, and RunExperiment is the one way to run

@@ -17,16 +17,15 @@ func TestFacadeSimulatedTransfer(t *testing.T) {
 	m := XeonE5345()
 	c0, c1 := m.PairSharedCache()
 	st := NewStack(m, []CoreID{c0, c1}, LMTOptions{Kind: KnemLMT, IOAT: IOATAuto}, ChannelConfig{})
-	w := NewWorld(st)
 	size := int64(256 * units.KiB)
-	_, err := w.Run(func(c *Comm) {
-		buf := c.Alloc(size)
-		if c.Rank() == 0 {
+	err := NewSimJob(st).Run(func(p Peer) {
+		buf := p.Alloc(size).(*mem.Buffer)
+		if p.Rank() == 0 {
 			buf.FillPattern(1)
-			c.Send(1, 0, mem.VecOf(buf))
+			p.Send(1, 0, WholeBuf(buf))
 		} else {
-			c.Recv(0, 0, mem.VecOf(buf))
-			want := c.Alloc(size)
+			p.Recv(0, 0, WholeBuf(buf))
+			want := p.Alloc(size).(*mem.Buffer)
 			want.FillPattern(1)
 			if !mem.EqualBytes(buf, want) {
 				t.Error("facade transfer corrupted payload")

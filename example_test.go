@@ -271,24 +271,27 @@ func Example_noncontig() {
 		{Kind: knemesis.KnemLMT, IOAT: knemesis.IOATOff},
 	} {
 		st := knemesis.NewStack(machine, []knemesis.CoreID{c0, c1}, opt, knemesis.ChannelConfig{})
-		w := knemesis.NewWorld(st)
 		var elapsed float64
-		_, err := w.Run(func(c *knemesis.Comm) {
-			grid := c.Alloc(rows * rowBytes)
-			if c.Rank() == 0 {
+		err := knemesis.NewSimJob(st).Run(func(p knemesis.Peer) {
+			grid := p.Alloc(rows * rowBytes).(*mem.Buffer)
+			if p.Rank() == 0 {
 				grid.FillPattern(5)
 				col := mpi.TypeVector(grid, rows, colBytes, rowBytes)
-				c.Send(1, 0, col) // warm-up
-				t0 := c.Now()
-				c.Send(1, 0, col)
-				elapsed = (c.Now() - t0).Seconds()
+				v := p.(interface {
+					knemesis.Peer
+					SendVec(dst, tag int, v mem.IOVec)
+				})
+				v.SendVec(1, 0, col) // warm-up
+				t0 := p.Elapsed()
+				v.SendVec(1, 0, col)
+				elapsed = (p.Elapsed() - t0).Seconds()
 			} else {
 				// Receive the column contiguously (gather semantics).
-				flat := c.Alloc(rows * colBytes)
-				c.Recv(0, 0, mem.VecOf(flat))
-				c.Recv(0, 0, mem.VecOf(flat))
+				flat := p.Alloc(rows * colBytes).(*mem.Buffer)
+				p.Recv(0, 0, knemesis.WholeBuf(flat))
+				p.Recv(0, 0, knemesis.WholeBuf(flat))
 				// Verify a strided sample against the source pattern.
-				ref := c.Alloc(rows * rowBytes)
+				ref := p.Alloc(rows * rowBytes).(*mem.Buffer)
 				ref.FillPattern(5)
 				for r := 0; r < rows; r += 37 {
 					want := ref.Slice(int64(r)*rowBytes, colBytes)

@@ -25,17 +25,17 @@ func TestCollectiveHintOnBothExchanges(t *testing.T) {
 		},
 	}
 	offloaded := func(name string, aware bool) int64 {
-		w := newWorld(t, ranks, core.Options{Kind: core.KnemLMT, IOAT: core.IOATAuto, CollectiveAware: aware})
-		if _, err := w.Run(func(c *Comm) {
-			send, recv := c.AllocPhantom(ranks*block), c.AllocPhantom(ranks*block)
-			exchanges[name](&simPeer{c: c}, send, recv)
+		j := newJob(t, ranks, core.Options{Kind: core.KnemLMT, IOAT: core.IOATAuto, CollectiveAware: aware})
+		if _, err := runRanks(j, func(c *simPeer) {
+			send, recv := c.AllocBench(ranks*block), c.AllocBench(ranks*block)
+			exchanges[name](c, send, recv)
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if h := w.Stack.Ch.CollectiveHint(); h != 0 {
+		if h := j.stack.Ch.CollectiveHint(); h != 0 {
 			t.Errorf("%s: collective hint %d after every rank returned, want 0", name, h)
 		}
-		return w.Stack.DMA.BytesCopied
+		return j.stack.DMA.BytesCopied
 	}
 
 	if got := offloaded("alltoall", false); got != 0 {

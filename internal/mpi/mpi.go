@@ -1,92 +1,25 @@
-// Package mpi implements the MPI point-to-point subset the paper's
-// benchmarks need on top of the Nemesis channel: blocking and nonblocking
-// sends and receives with tag matching, derived (strided) datatypes, and a
-// cost-modelled local copy. Its "sim" engine adapter (engine.go) exposes a
-// rank as a comm.Peer, whose collectives are the comm package's algorithms
-// run over these primitives.
+// Package mpi is the "sim" engine: a simJob runs one MPI job on the
+// simulated stack (engine.go), and each of its ranks is a simPeer, the
+// engine-neutral comm.Peer implemented directly on the rank's Nemesis
+// endpoint — blocking and nonblocking sends and receives with tag matching,
+// derived (strided) datatypes, a cost-modelled local copy, and the comm
+// package's collective algorithms run over those primitives.
 package mpi
 
 import (
 	"fmt"
 
 	"knemesis/internal/comm"
-	"knemesis/internal/core"
 	"knemesis/internal/hw"
 	"knemesis/internal/mem"
 	"knemesis/internal/nemesis"
-	"knemesis/internal/perturb"
 	"knemesis/internal/sim"
-	"knemesis/internal/topo"
 )
 
-// World is one MPI job on a simulated machine — or, when built from a
-// ClusterStack, on several machines joined by the modelled network.
-type World struct {
-	Stack   *core.Stack        // single-node job (nil when clustered)
-	Cluster *core.ClusterStack // multi-node job (nil on a single node)
-	Size    int
-
-	// pset is the installed perturbation set (nil unperturbed); the only
-	// part the MPI layer consults directly is the receive-posting delay.
-	pset *perturb.SimSet
-}
-
-// SetPerturb attaches an installed perturbation set: Recv/Irecv consult its
-// RecvDelay hook before posting. Call before Run.
-func (w *World) SetPerturb(set *perturb.SimSet) { w.pset = set }
-
-// NewWorld wraps a stack (one MPI rank per channel endpoint).
-func NewWorld(st *core.Stack) *World {
-	return &World{Stack: st, Size: len(st.Ch.Endpoints)}
-}
-
-// NewClusterWorld wraps a multi-node cluster stack: ranks keep their global
-// numbers, intra-node traffic rides each node's Nemesis channel, inter-node
-// traffic the network.
-func NewClusterWorld(cs *core.ClusterStack) *World {
-	return &World{Cluster: cs, Size: cs.Size()}
-}
-
-// MultiNode reports whether the job spans more than one cluster node.
-func (w *World) MultiNode() bool {
-	return w.Cluster != nil && w.Cluster.Place.MultiNode()
-}
-
-// NodeOf returns the cluster node index of a rank (0 for all ranks of a
-// single-node world).
-func (w *World) NodeOf(rank int) int {
-	if w.Cluster == nil {
-		return 0
-	}
-	return w.Cluster.Place.NodeOf[rank]
-}
-
-// nodes returns the per-node stacks: the one stack, or every cluster node.
-func (w *World) nodes() []*core.Stack {
-	if w.Cluster != nil {
-		return w.Cluster.Nodes
-	}
-	return []*core.Stack{w.Stack}
-}
-
-func (w *World) eng() *sim.Engine {
-	if w.Cluster != nil {
-		return w.Cluster.Eng
-	}
-	return w.Stack.M.Eng
-}
-
-func (w *World) endpoint(rank int) *nemesis.Endpoint {
-	if w.Cluster != nil {
-		return w.Cluster.Endpoint(rank)
-	}
-	return w.Stack.Ch.Endpoints[rank]
-}
-
-// Comm is a rank's handle, bound to the rank's process. It is not safe to
-// share across simulated processes.
-type Comm struct {
-	w    *World
+// simPeer is one rank of a sim job, bound to the rank's process. It is not
+// safe to share across simulated processes.
+type simPeer struct {
+	j    *simJob
 	rank int
 	ep   *nemesis.Endpoint
 	p    *sim.Proc
@@ -94,138 +27,165 @@ type Comm struct {
 	// recvOps counts this rank's posted receives: the delayed-recv
 	// perturbation's deterministic per-op RNG counter.
 	recvOps uint64
+	seq     int // collective tag sequence
 }
 
 // recvDelay models a perturbed receiver: sleep the sampled posting delay
 // before the receive reaches the matching machinery. The sample is a pure
 // function of (rank, op), so every run of the same spec draws identically.
-func (c *Comm) recvDelay() {
-	set := c.w.pset
+func (p *simPeer) recvDelay() {
+	set := p.j.pset
 	if set == nil || set.RecvDelay == nil {
 		return
 	}
-	op := c.recvOps
-	c.recvOps++
-	if d := set.RecvDelay(c.rank, op); d > 0 {
-		c.p.Sleep(d)
+	op := p.recvOps
+	p.recvOps++
+	if d := set.RecvDelay(p.rank, op); d > 0 {
+		p.p.Sleep(d)
 	}
 }
 
-// Run spawns one process per rank executing app and runs the simulation to
-// completion. It returns the engine error (deadlocks included) and the
-// simulated time at exit.
-func (w *World) Run(app func(c *Comm)) (sim.Time, error) {
-	for rank := 0; rank < w.Size; rank++ {
-		rank := rank
-		ep := w.endpoint(rank)
-		w.eng().Spawn(fmt.Sprintf("mpi-rank%d", rank), func(p *sim.Proc) {
-			app(&Comm{w: w, rank: rank, ep: ep, p: p})
-		})
-	}
-	err := w.eng().Run()
-	return w.eng().Now(), err
-}
-
-// Rank returns the calling rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the job size.
-func (c *Comm) Size() int { return c.w.Size }
-
-// Core returns the core this rank is bound to.
-func (c *Comm) Core() topo.CoreID { return c.ep.Core }
-
-// Proc exposes the simulated process (for Sleep/Now).
-func (c *Comm) Proc() *sim.Proc { return c.p }
-
-// Now returns the simulated time.
-func (c *Comm) Now() sim.Time { return c.p.Now() }
+func (p *simPeer) Rank() int           { return p.rank }
+func (p *simPeer) Size() int           { return p.j.size }
+func (p *simPeer) NodeOf(rank int) int { return p.j.nodeOf(rank) }
+func (p *simPeer) Elapsed() comm.Time  { return p.p.Now() }
 
 // Alloc allocates rank-private memory.
-func (c *Comm) Alloc(n int64) *mem.Buffer { return c.ep.Space.Alloc(n) }
+func (p *simPeer) Alloc(n int64) comm.Buf { return p.ep.Space.Alloc(n) }
 
-// AllocPhantom allocates rank-private memory with real simulated addresses
+// AllocBench allocates rank-private memory with real simulated addresses
 // but no real backing storage: cache and bus modelling is exact while
-// copies skip payload movement. For benchmark sweeps whose content is never
-// verified (content operations on the result panic, see mem.Buffer).
-func (c *Comm) AllocPhantom(n int64) *mem.Buffer { return c.ep.Space.AllocPhantom(n) }
+// copies skip payload movement (content operations on the result panic,
+// see mem.Buffer).
+func (p *simPeer) AllocBench(n int64) comm.Buf { return p.ep.Space.AllocPhantom(n) }
 
-// Space returns the rank's private address space.
-func (c *Comm) Space() *mem.Space { return c.ep.Space }
-
-// Compute models base seconds of application computation streaming over the
-// given working-set regions (cache effects included).
-func (c *Comm) Compute(base sim.Time, ws ...mem.Region) {
-	c.ep.Ch.M.Compute(c.p, c.ep.Core, base, ws...)
-}
-
-// CopyLocal is the engine-neutral local copy: modelled memcpy within the
-// rank's own memory (phantom-safe — bench buffers charge cost, skip content).
-func (c *Comm) CopyLocal(dst, src mem.Region) {
-	if dst.Len != src.Len {
-		panic(fmt.Sprintf("mpi: CopyLocal length mismatch %d != %d", dst.Len, src.Len))
+// simBuffer unwraps an engine-neutral handle back to simulated memory.
+func simBuffer(b comm.Buf) *mem.Buffer {
+	mb, ok := b.(*mem.Buffer)
+	if !ok {
+		panic(fmt.Sprintf("sim: buffer of type %T belongs to a different engine", b))
 	}
-	if dst.Len == 0 {
-		return
+	return mb
+}
+
+// region converts a Range to a simulated memory region.
+func region(r comm.Range) mem.Region {
+	return mem.Region{Buf: simBuffer(r.Buf), Off: r.Off, Len: r.Len}
+}
+
+// vec converts a Range to a one-region IOVec (nil for a zero Range).
+func vec(r comm.Range) mem.IOVec {
+	if r.Buf == nil {
+		return nil
 	}
-	c.ep.Ch.M.CopyRange(c.p, c.ep.Core, dst, src, hw.CopyOpts{})
+	return mem.IOVec{region(r)}
 }
 
-// Status describes a completed receive.
-type Status = comm.Status
+// SendVec is the blocking send of a (possibly noncontiguous) vector: the
+// KNEM backend moves a strided vector in one kernel pass, without packing.
+func (p *simPeer) SendVec(dst, tag int, v mem.IOVec) { p.ep.Send(p.p, dst, tag, v) }
 
-// Request is a nonblocking operation handle.
-type Request struct {
-	send *nemesis.SendReq
-	recv *nemesis.RecvReq
+// RecvVec is the blocking receive into a (possibly noncontiguous) vector
+// (comm.AnySource/comm.AnyTag allowed).
+func (p *simPeer) RecvVec(src, tag int, v mem.IOVec) comm.Status {
+	p.recvDelay()
+	r := p.ep.Recv(p.p, src, tag, v)
+	return comm.Status{Source: r.ActualSrc, Tag: r.ActualTag, Bytes: r.ActualSize}
 }
 
-// Done reports completion without blocking.
-func (r *Request) Done() bool {
-	if r.send != nil {
-		return r.send.Done()
-	}
-	return r.recv.Done()
+func (p *simPeer) Send(dst, tag int, r comm.Range) { p.SendVec(dst, tag, vec(r)) }
+
+func (p *simPeer) Recv(src, tag int, r comm.Range) comm.Status {
+	return p.RecvVec(src, tag, vec(r))
 }
 
-// Isend starts a nonblocking send of vec to dst.
-func (c *Comm) Isend(dst, tag int, vec mem.IOVec) *Request {
-	return &Request{send: c.ep.Isend(dst, tag, vec)}
+// Isend and Irecv return the channel's own requests: *nemesis.SendReq and
+// *nemesis.RecvReq are comm.Requests as they are.
+func (p *simPeer) Isend(dst, tag int, r comm.Range) comm.Request {
+	return p.ep.Isend(dst, tag, vec(r))
 }
 
-// Irecv starts a nonblocking receive (comm.AnySource/comm.AnyTag allowed).
-func (c *Comm) Irecv(src, tag int, vec mem.IOVec) *Request {
-	c.recvDelay()
-	return &Request{recv: c.ep.Irecv(src, tag, vec)}
+func (p *simPeer) Irecv(src, tag int, r comm.Range) comm.Request {
+	p.recvDelay()
+	return p.ep.Irecv(src, tag, vec(r))
 }
 
 // Wait blocks until the request completes, progressing the channel.
-func (c *Comm) Wait(r *Request) Status {
-	if r.send != nil {
-		c.ep.Wait(c.p, r.send)
-		return Status{}
+func (p *simPeer) Wait(req comm.Request) comm.Status {
+	switch r := req.(type) {
+	case *nemesis.SendReq:
+		p.ep.Wait(p.p, r)
+		return comm.Status{}
+	case *nemesis.RecvReq:
+		p.ep.Wait(p.p, r)
+		return comm.Status{Source: r.ActualSrc, Tag: r.ActualTag, Bytes: r.ActualSize}
 	}
-	c.ep.Wait(c.p, r.recv)
-	return Status{Source: r.recv.ActualSrc, Tag: r.recv.ActualTag, Bytes: r.recv.ActualSize}
+	panic(fmt.Sprintf("sim: waiting on a %T request from a different engine", req))
 }
 
-// Send is the blocking send.
-func (c *Comm) Send(dst, tag int, vec mem.IOVec) { c.ep.Send(c.p, dst, tag, vec) }
-
-// Recv is the blocking receive.
-func (c *Comm) Recv(src, tag int, vec mem.IOVec) Status {
-	c.recvDelay()
-	req := c.ep.Recv(c.p, src, tag, vec)
-	return Status{Source: req.ActualSrc, Tag: req.ActualTag, Bytes: req.ActualSize}
+func (p *simPeer) Waitall(reqs ...comm.Request) {
+	for _, r := range reqs {
+		p.Wait(r)
+	}
 }
 
 // Sendrecv runs a send and a receive concurrently (the building block of
 // pairwise exchanges).
-func (c *Comm) Sendrecv(dst, sendTag int, sendVec mem.IOVec, src, recvTag int, recvVec mem.IOVec) Status {
-	s := c.Isend(dst, sendTag, sendVec)
-	r := c.Irecv(src, recvTag, recvVec)
-	c.Wait(s)
-	return c.Wait(r)
+func (p *simPeer) Sendrecv(dst, sendTag int, s comm.Range, src, recvTag int, rv comm.Range) comm.Status {
+	sreq := p.Isend(dst, sendTag, s)
+	rreq := p.Irecv(src, recvTag, rv)
+	p.Wait(sreq)
+	return p.Wait(rreq)
+}
+
+// CopyLocal is a modelled memcpy within the rank's own memory
+// (phantom-safe — bench buffers charge cost, skip content).
+func (p *simPeer) CopyLocal(dst, src comm.Range) {
+	if dst.Len == 0 && src.Len == 0 {
+		return
+	}
+	d, s := region(dst), region(src)
+	if d.Len != s.Len {
+		panic(fmt.Sprintf("mpi: CopyLocal length mismatch %d != %d", d.Len, s.Len))
+	}
+	p.ep.Ch.M.CopyRange(p.p, p.ep.Core, d, s, hw.CopyOpts{})
+}
+
+// Compute models base seconds of application computation streaming over
+// the given working-set ranges (cache effects included).
+func (p *simPeer) Compute(base comm.Time, ws ...comm.Range) {
+	regions := make([]mem.Region, 0, len(ws))
+	for _, r := range ws {
+		regions = append(regions, region(r))
+	}
+	p.ep.Ch.M.Compute(p.p, p.ep.Core, base, regions...)
+}
+
+// Collectives run the comm algorithms over this peer, so every message and
+// every local block copy is charged by the model. The two exchanges also
+// announce their n-1 concurrent transfers to the channel: the §6
+// collective-aware threshold hint, a no-op unless the LMT policy opts in.
+
+func (p *simPeer) Barrier() { comm.GenericBarrier(p, &p.seq) }
+
+func (p *simPeer) Bcast(root int, r comm.Range) { comm.GenericBcast(p, &p.seq, root, r) }
+
+func (p *simPeer) Allreduce(r comm.Range, op comm.ReduceOp) {
+	comm.GenericAllreduce(p, &p.seq, r, op)
+}
+
+func (p *simPeer) Alltoall(send, recv comm.Buf, block int64) {
+	p.ep.Ch.EnterCollective(p.Size() - 1)
+	defer p.ep.Ch.LeaveCollective()
+	comm.GenericAlltoall(p, &p.seq, send, recv, block)
+}
+
+func (p *simPeer) Alltoallv(send comm.Buf, sendCounts, sendDispls []int64,
+	recv comm.Buf, recvCounts, recvDispls []int64) {
+	p.ep.Ch.EnterCollective(p.Size() - 1)
+	defer p.ep.Ch.LeaveCollective()
+	comm.GenericAlltoallv(p, &p.seq, send, sendCounts, sendDispls,
+		recv, recvCounts, recvDispls)
 }
 
 // TypeVector builds a strided (noncontiguous) datatype over buf: count

@@ -9,7 +9,6 @@ import (
 	"knemesis/internal/comm"
 	"knemesis/internal/core"
 	"knemesis/internal/hw"
-	"knemesis/internal/mem"
 	"knemesis/internal/nemesis"
 	"knemesis/internal/perturb"
 	"knemesis/internal/sim"
@@ -89,7 +88,7 @@ func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks
 	m := topo.XeonE5345()
 	st := core.NewStack(m, m.AllCores()[:ranks], core.Options{Kind: core.KnemLMT}, nemesis.Config{})
 	eng := st.M.Eng
-	w := NewWorld(st)
+	j := NewSimJob(st).(*simJob)
 
 	target := &perturb.SimTarget{
 		Eng:      eng,
@@ -101,26 +100,25 @@ func runPerturbedWorkload(t *testing.T, specs []perturb.Spec, seed uint64, ranks
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetPerturb(set)
+	j.pset = set
 
 	art := perturbArtefacts{obs: make([][]sim.Time, ranks)}
 	recordTrace(eng, &art.trace)
 
-	final, err := w.Run(func(c *Comm) {
-		p := &simPeer{c: c}
-		buf := c.Alloc(192 * units.KiB)
-		rbuf := c.Alloc(192 * units.KiB)
-		note := func() { art.obs[c.Rank()] = append(art.obs[c.Rank()], c.Now()) }
+	final, err := runRanks(j, func(c *simPeer) {
+		buf := alloc(c, 192*units.KiB)
+		rbuf := alloc(c, 192*units.KiB)
+		note := func() { art.obs[c.Rank()] = append(art.obs[c.Rank()], c.Elapsed()) }
 		for iter := 0; iter < 3; iter++ {
 			for _, size := range []int64{1024, 180 * units.KiB} {
 				peer := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() - 1 + c.Size()) % c.Size()
-				c.Sendrecv(peer, iter, mem.VecOf(buf.Slice(0, size)),
-					prev, iter, mem.VecOf(rbuf.Slice(0, size)))
+				c.Sendrecv(peer, iter, comm.Whole(buf.Slice(0, size)),
+					prev, iter, comm.Whole(rbuf.Slice(0, size)))
 				note()
 			}
-			c.Compute(2*sim.Microsecond, mem.Region{Buf: buf, Off: 0, Len: 64 * units.KiB})
-			p.Barrier()
+			c.Compute(2*sim.Microsecond, comm.R(buf, 0, 64*units.KiB))
+			c.Barrier()
 			note()
 		}
 	})
@@ -168,7 +166,7 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64) clusterPerturbArtefa
 	}
 	eng := sim.NewEngine()
 	cs := core.NewClusterStack(eng, pl, core.Options{Kind: core.KnemLMT}, nemesis.Config{})
-	w := NewClusterWorld(cs)
+	j := newClusterSimJob(cs, false)
 
 	var machines []*hw.Machine
 	for _, s := range cs.Nodes {
@@ -178,7 +176,7 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64) clusterPerturbArtefa
 		Eng:      eng,
 		Machines: machines,
 		Net:      cs.Net,
-		Ranks:    w.Size,
+		Ranks:    j.size,
 		RankLoc:  func(r int) (*hw.Machine, topo.CoreID) { return cs.Endpoint(r).Ch.M, pl.CoreOf[r] },
 	}
 	var specs []perturb.Spec
@@ -198,24 +196,23 @@ func runPerturbedClusterWorkload(t *testing.T, seed uint64) clusterPerturbArtefa
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetPerturb(set)
+	j.pset = set
 
-	art := clusterPerturbArtefacts{obs: make([][]sim.Time, w.Size)}
+	art := clusterPerturbArtefacts{obs: make([][]sim.Time, j.size)}
 	recordTrace(eng, &art.trace)
-	final, err := w.Run(func(c *Comm) {
-		p := &simPeer{c: c}
-		buf := c.Alloc(192 * units.KiB)
-		rbuf := c.Alloc(192 * units.KiB)
-		note := func() { art.obs[c.Rank()] = append(art.obs[c.Rank()], c.Now()) }
+	final, err := runRanks(j, func(c *simPeer) {
+		buf := alloc(c, 192*units.KiB)
+		rbuf := alloc(c, 192*units.KiB)
+		note := func() { art.obs[c.Rank()] = append(art.obs[c.Rank()], c.Elapsed()) }
 		for iter := 0; iter < 3; iter++ {
 			for _, size := range []int64{1024, 180 * units.KiB} {
 				peer := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() - 1 + c.Size()) % c.Size()
-				c.Sendrecv(peer, iter, mem.VecOf(buf.Slice(0, size)),
-					prev, iter, mem.VecOf(rbuf.Slice(0, size)))
+				c.Sendrecv(peer, iter, comm.Whole(buf.Slice(0, size)),
+					prev, iter, comm.Whole(rbuf.Slice(0, size)))
 				note()
 			}
-			p.Barrier()
+			c.Barrier()
 			note()
 		}
 	})

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"knemesis/internal/hw"
 	"knemesis/internal/mem"
 	"knemesis/internal/nemesis"
+	"knemesis/internal/sim"
 	"knemesis/internal/topo"
 	"knemesis/internal/units"
 )
@@ -45,16 +47,23 @@ func pingPong(size int64, rounds int) func(c comm.Peer) {
 func TestSimJobReleasesAndRunsOnce(t *testing.T) {
 	app := pingPong(256*units.KiB, 3)
 	ref := pingPongJob(core.DefaultLMT)
-	if _, err := ref.w.Run(func(c *Comm) { app(&simPeer{c: c}) }); err != nil {
+	eng := ref.eng()
+	for rank := 0; rank < ref.size; rank++ {
+		ep := ref.endpoint(rank)
+		eng.Spawn(fmt.Sprintf("mpi-rank%d", rank), func(p *sim.Proc) {
+			app(&simPeer{j: ref, rank: rank, ep: ep, p: p})
+		})
+	}
+	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ref.w.eng().Terminate()
+	eng.Terminate()
 
 	job := pingPongJob(core.DefaultLMT)
 	if err := job.Run(app); err != nil {
 		t.Fatal(err)
 	}
-	m, refM := job.w.nodes()[0].M, ref.w.nodes()[0].M
+	m, refM := job.nodes()[0].M, ref.nodes()[0].M
 	if job.MissLines() != ref.MissLines() || m.TotalL2Stats() != refM.TotalL2Stats() {
 		t.Fatalf("after the release: %d miss lines, stats %+v; unreleased: %d, %+v",
 			job.MissLines(), m.TotalL2Stats(), ref.MissLines(), refM.TotalL2Stats())
