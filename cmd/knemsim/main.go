@@ -99,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "knemsim:", err)
 			return 1
 		}
-		env, err := experiments.EnvByName(spec.Machine, spec.Quick)
+		env, err := spec.Env()
 		if err != nil {
 			fmt.Fprintln(stderr, "knemsim:", err)
 			return 1

@@ -6,11 +6,11 @@ import (
 	"knemesis/internal/units"
 )
 
-// The Env builders behind a canonical experiment spec: a name-only
-// description (machine preset name, quick flag) becomes the Env that Run
-// executes. cmd/knemsim and the knemd experiment service make the same two
-// calls, EnvByName then Run, on the same canonical spec, which is what
-// makes a daemon-produced artefact byte-identical to a direct CLI run.
+// The Env builders behind a canonical experiment spec: api.Spec's
+// Canonicalize turns its machine preset and quick flag into DefaultEnv or
+// QuickEnv of that machine, and cmd/knemsim and the knemd experiment
+// service both pass that one Env to Run, which is what makes a
+// daemon-produced artefact byte-identical to a direct CLI run.
 
 // QuickEnv returns the reduced-scale evaluation setup on m: the -quick
 // sweep of cmd/knemsim (a handful of sizes per axis, scaled NAS kernels).
@@ -25,17 +25,4 @@ func QuickEnv(m *topo.Machine) Env {
 	env.Kernels = []nas.Kernel{nas.MG().Scaled(4), nas.FT().Scaled(10), nas.ISSized(1<<21, 3, 8)}
 	env.ISKernel = nas.ISSized(1<<21, 3, 8)
 	return env
-}
-
-// EnvByName builds the Env for a (machine preset, quick) description: the
-// one Env builder behind cmd/knemsim and the daemon's experiment jobs.
-func EnvByName(machine string, quick bool) (Env, error) {
-	m, err := topo.LookupMachine(machine)
-	if err != nil {
-		return Env{}, err
-	}
-	if quick {
-		return QuickEnv(m), nil
-	}
-	return DefaultEnv(m), nil
 }

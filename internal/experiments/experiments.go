@@ -5,11 +5,11 @@
 // Experiments live in a declarative registry (the Experiments
 // registry.Registry): every entry maps an ID to a Run function over a
 // common Env. Run(ctx, id, env) is the only entry point; cmd/knemsim and
-// the knemd experiment service both reach it from a canonical job spec
-// through EnvByName. Independent stack simulations inside each experiment
-// are sharded across a worker pool (Env.Workers); results are
-// byte-identical to a serial run because every stack is a self-contained
-// deterministic simulation.
+// the knemd experiment service both reach it with the Env a canonical job
+// spec resolved to (api.Spec's Env). Independent stack simulations inside
+// each experiment are sharded across a worker pool (Env.Workers); results
+// are byte-identical to a serial run because every stack is a
+// self-contained deterministic simulation.
 //
 // The per-experiment index in DESIGN.md maps each entry here to the paper
 // artefact it reproduces; EXPERIMENTS.md records paper-vs-measured.

@@ -125,6 +125,13 @@ var hostDMAMin = sync.OnceValue(func() int {
 // ranks and ≈ 17 GiB at 4 096.
 const MaxRanks = 256
 
+// MaxRndvThreshold is the largest RndvThreshold a caller should take from
+// input it does not control (knemd refuses rt specs above it): every eager
+// message above the fastbox takes a cell of max(64 KiB, RndvThreshold)
+// bytes, so a 1 TiB threshold allocates 1 TiB on its first 64 KiB send.
+// 4 MiB is the paper's largest message.
+const MaxRndvThreshold = 4 << 20
+
 // NewWorld creates a world of n ranks. It derives the cell size from the
 // threshold, so an eager message of any threshold fits one cell; the
 // offload copy width from the core count; the sender's rendezvous copy from

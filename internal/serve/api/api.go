@@ -84,6 +84,12 @@ type Spec struct {
 	// the default. It does not enter the cache key: a deadline changes
 	// whether a run finishes, not what a finished run produces.
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
+
+	// What Canonicalize resolved the names to: job on a comm spec, env on
+	// an experiment spec, neither on a spec Canonicalize did not return.
+	// Every copy of the spec shares them, so nothing may write through them.
+	job *comm.JobSpec
+	env *experiments.Env
 }
 
 // Decode parses a spec envelope strictly: unknown fields are errors, so a
@@ -102,9 +108,11 @@ func Decode(data []byte) (Spec, error) {
 // normal form: version pinned, defaults spelled out, sizes sorted and
 // deduplicated, the perturbation list in its canonical String form, inert
 // fields zeroed. The result is the only form the daemon schedules, hashes
-// and stores.
+// and stores, and it carries what its names resolved to (ToComm, Env): no
+// other code resolves a spec's names.
 func (s Spec) Canonicalize() (Spec, error) {
 	c := s
+	c.job, c.env = nil, nil
 	if c.Version == 0 {
 		c.Version = Version
 	}
@@ -131,7 +139,8 @@ func (s Spec) canonExperiment() (Spec, error) {
 	if c.Machine == "" {
 		c.Machine = "e5345"
 	}
-	if _, err := topo.LookupMachine(c.Machine); err != nil {
+	m, err := topo.LookupMachine(c.Machine)
+	if err != nil {
 		return Spec{}, err
 	}
 	// The comm field group is inert on an experiment job; a spec that sets
@@ -144,6 +153,12 @@ func (s Spec) canonExperiment() (Spec, error) {
 	if c.DeadlineSec < 0 {
 		return Spec{}, fmt.Errorf("api: negative deadline_sec")
 	}
+	build := experiments.DefaultEnv
+	if c.Quick {
+		build = experiments.QuickEnv
+	}
+	env := build(m)
+	c.env = &env
 	return c, nil
 }
 
@@ -221,16 +236,28 @@ func (s Spec) canonComm() (Spec, error) {
 		if c.Ranks > rt.MaxRanks {
 			return Spec{}, fmt.Errorf("api: ranks %d: the rt engine runs at most %d", c.Ranks, rt.MaxRanks)
 		}
+		if c.EagerMax > rt.MaxRndvThreshold {
+			return Spec{}, fmt.Errorf("api: eager_max %d: the rt engine takes at most %d", c.EagerMax, rt.MaxRndvThreshold)
+		}
 	}
 	if c.EagerMax < 0 {
 		return Spec{}, fmt.Errorf("api: negative eager_max")
 	}
+	job := &comm.JobSpec{Ranks: c.Ranks, EagerMax: c.EagerMax, LMT: c.LMT, RTMode: c.RTMode}
 	if c.Topology != "" {
-		cl, err := cluster(c.Topology)
+		// DOT text is parsed (no preset name holds a brace); anything else
+		// must name a registered preset. A file path is neither, so it is
+		// rejected: the daemon never opens a path taken from a spec.
+		dot := strings.Contains(c.Topology, "{")
+		resolve := topo.LookupCluster
+		if dot {
+			resolve = topo.ParseDOT
+		}
+		cl, err := resolve(c.Topology)
 		if err != nil {
 			return Spec{}, err
 		}
-		if isDOT(c.Topology) {
+		if dot {
 			c.Topology = canonDOT(cl)
 		}
 		if c.Placement == "" {
@@ -252,6 +279,7 @@ func (s Spec) canonComm() (Spec, error) {
 			}
 			c.Machine = "" // inert: the cluster's hosts are the machines
 		}
+		job.Topology, job.Placement, job.FlatCollectives = cl, c.Placement, c.FlatColl
 	} else {
 		if c.FlatColl {
 			return Spec{}, fmt.Errorf("api: flat_coll needs a topology")
@@ -259,6 +287,7 @@ func (s Spec) canonComm() (Spec, error) {
 		if m != nil && c.Ranks > m.Cores {
 			return Spec{}, fmt.Errorf("api: machine %s has %d cores, requested %d ranks", c.Machine, m.Cores, c.Ranks)
 		}
+		job.Machine = m
 		switch c.Placement {
 		case "", "shared":
 			// The first ranks cores: pairs (0,1), (2,3), ... share a cache
@@ -271,9 +300,11 @@ func (s Spec) canonComm() (Spec, error) {
 			if c.Ranks%2 != 0 {
 				return Spec{}, fmt.Errorf("api: cross placement pairs ranks, need an even count, have %d", c.Ranks)
 			}
-			if _, err := m.CrossDiePairs(c.Ranks / 2); err != nil {
+			pairs, err := m.CrossDiePairs(c.Ranks / 2)
+			if err != nil {
 				return Spec{}, err
 			}
+			job.Cores = topo.PairCores(pairs)
 		default:
 			return Spec{}, fmt.Errorf("api: unknown placement %q (have shared|cross; block|spread need a topology)", c.Placement)
 		}
@@ -284,6 +315,7 @@ func (s Spec) canonComm() (Spec, error) {
 			return Spec{}, err
 		}
 		c.Perturb = perturb.FormatList(specs) // canonical: sorted param keys
+		job.Perturbations = specs
 	}
 	// Decided on the canonical list, so a blank one (" ", ";") reads as no
 	// perturbation and canonicalizing again changes nothing.
@@ -292,9 +324,11 @@ func (s Spec) canonComm() (Spec, error) {
 	} else if c.Seed == 0 {
 		c.Seed = 1
 	}
+	job.Seed = c.Seed
 	if c.DeadlineSec < 0 {
 		return Spec{}, fmt.Errorf("api: negative deadline_sec")
 	}
+	c.job = job
 	return c, nil
 }
 
@@ -311,65 +345,27 @@ func (s Spec) Class() string {
 	return ClassSim
 }
 
-// ToComm materializes a canonical comm-kind spec into the engine-neutral
-// comm.JobSpec it executes as: names resolve to the machine, cluster and
-// perturbation values the engines take. It plays no part in the cache key,
-// which hashes the canonical spec itself.
+// ToComm returns the engine-neutral comm.JobSpec a canonical comm-kind
+// spec resolved to: its machine, cluster, pinned cores and perturbation
+// list are shared with every copy of the spec, and an engine only reads
+// them. It plays no part in the cache key, which hashes the canonical spec
+// itself.
 func (s Spec) ToComm() (comm.JobSpec, error) {
-	if s.Kind != KindComm {
-		return comm.JobSpec{}, fmt.Errorf("api: ToComm on a %s spec", s.Kind)
+	if s.job == nil {
+		return comm.JobSpec{}, fmt.Errorf("api: ToComm needs a canonical %s spec", KindComm)
 	}
-	spec := comm.JobSpec{
-		Ranks:    s.Ranks,
-		EagerMax: s.EagerMax,
-		LMT:      s.LMT,
-		RTMode:   s.RTMode,
-	}
-	if s.Engine == "sim" && s.Topology == "" {
-		m, err := topo.LookupMachine(s.Machine)
-		if err != nil {
-			return comm.JobSpec{}, err
-		}
-		spec.Machine = m
-	}
-	if s.Topology != "" {
-		cl, err := cluster(s.Topology)
-		if err != nil {
-			return comm.JobSpec{}, err
-		}
-		spec.Topology = cl
-		spec.Placement = s.Placement
-		spec.FlatCollectives = s.FlatColl
-	} else if s.Placement == "cross" {
-		pairs, err := spec.Machine.CrossDiePairs(s.Ranks / 2)
-		if err != nil {
-			return comm.JobSpec{}, err
-		}
-		spec.Cores = topo.PairCores(pairs)
-	}
-	if s.Perturb != "" {
-		specs, err := perturb.ParseList(s.Perturb)
-		if err != nil {
-			return comm.JobSpec{}, err
-		}
-		spec.Perturbations = specs
-		spec.Seed = s.Seed
-	}
-	return spec, nil
+	return *s.job, nil
 }
 
-// isDOT reports whether a topology value is DOT text rather than a preset
-// name (no preset name holds a brace).
-func isDOT(topology string) bool { return strings.Contains(topology, "{") }
-
-// cluster resolves a topology value: DOT text is parsed, anything else must
-// name a registered preset. A file path is neither, so it is rejected: the
-// daemon never opens a path taken from a spec.
-func cluster(topology string) (*topo.Cluster, error) {
-	if isDOT(topology) {
-		return topo.ParseDOT(topology)
+// Env returns the experiments.Env a canonical experiment-kind spec
+// resolved to: the machine preset's DefaultEnv, or its QuickEnv. A caller
+// may set the copy's Workers; its machine, sweep axes and kernels are
+// shared with every copy of the spec and only read.
+func (s Spec) Env() (experiments.Env, error) {
+	if s.env == nil {
+		return experiments.Env{}, fmt.Errorf("api: Env needs a canonical %s spec", KindExperiment)
 	}
-	return topo.LookupCluster(topology)
+	return *s.env, nil
 }
 
 // canonDOT is the canonical form of DOT topology text: the name of the

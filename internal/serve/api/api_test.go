@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"knemesis/internal/experiments"
 	"knemesis/internal/rt"
 	"knemesis/internal/topo"
 )
@@ -204,6 +206,9 @@ func TestCanonicalizeRejections(t *testing.T) {
 		"rt ranks topology": {Kind: KindComm, Engine: "rt", Ranks: rt.MaxRanks + 1, Topology: `graph big { n0 [cores=200]; n1 [cores=200]; n0 -- n1 [latency="1us", bandwidth="1.25e9"]; }`},
 		// A path names no preset and holds no DOT text; it must not be read.
 		"DOT path": {Kind: KindComm, Topology: "../../../examples/topologies/two-node.dot"},
+		// An rt eager cell is as large as the threshold: a 1 TiB one would
+		// be one fatal allocation on the first 64 KiB message.
+		"rt eager_max": {Kind: KindComm, Engine: "rt", EagerMax: 1 << 40},
 	} {
 		if _, err := s.Canonicalize(); err == nil {
 			t.Errorf("%s: accepted %+v", name, s)
@@ -211,6 +216,8 @@ func TestCanonicalizeRejections(t *testing.T) {
 			t.Errorf("%s: %v, want an unknown-preset error", name, err)
 		} else if strings.HasPrefix(name, "rt ranks") && !strings.Contains(err.Error(), fmt.Sprintf("at most %d", rt.MaxRanks)) {
 			t.Errorf("%s: %v, want the rt limit named", name, err)
+		} else if name == "rt eager_max" && !strings.Contains(err.Error(), fmt.Sprintf("%d: the rt engine takes at most %d", s.EagerMax, rt.MaxRndvThreshold)) {
+			t.Errorf("%s: %v, want the value and the rt bound named", name, err)
 		}
 	}
 }
@@ -333,8 +340,9 @@ var pinned = []struct {
 
 // FuzzCanonicalize holds Canonicalize to being a fixed point: whatever it
 // accepts, decoding its canonical JSON and canonicalizing again gives
-// byte-identical JSON and the same cache key. Crash recovery relies on it:
-// it re-canonicalizes a logged spec and re-derives its key.
+// byte-identical JSON, the same cache key and the same resolved job. Crash
+// recovery relies on it: it re-canonicalizes a logged spec, re-derives its
+// key and runs what the second spec resolved to.
 func FuzzCanonicalize(f *testing.F) {
 	for _, tc := range pinned {
 		data, err := json.Marshal(tc.spec)
@@ -346,10 +354,18 @@ func FuzzCanonicalize(f *testing.F) {
 	f.Add([]byte(`{"kind":"comm","bench":"alltoall","ranks":8,` +
 		`"topology":"graph pair { a [cores=4]; b [cores=4]; a -- b [latency=\"1us\", bandwidth=\"1.25e9\"]; }"}`))
 	f.Add([]byte(`{"kind":"comm","bench":"multi-pingpong","ranks":4,"placement":"cross"}`))
+	f.Add([]byte(`{"kind":"comm","engine":"rt","eager_max":4194304}`))
+	f.Add([]byte(`{"kind":"comm","engine":"rt","eager_max":4194305}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if _, err := s.ToComm(); err == nil {
+			t.Fatalf("ToComm resolved %s, which only Decode returned", data)
+		}
+		if _, err := s.Env(); err == nil {
+			t.Fatalf("Env resolved %s, which only Decode returned", data)
 		}
 		c, err := s.Canonicalize()
 		if err != nil {
@@ -368,6 +384,24 @@ func FuzzCanonicalize(f *testing.F) {
 		}
 		if k1, k2 := mustKey(t, c), mustKey(t, again); k1 != k2 {
 			t.Fatalf("canonicalizing twice moved the key: %s vs %s", k1, k2)
+		}
+		job, jobErr := c.ToComm()
+		env, envErr := c.Env()
+		if (jobErr == nil) != (c.Kind == KindComm) || (envErr == nil) != (c.Kind == KindExperiment) {
+			t.Fatalf("canonical %s spec: ToComm error %v, Env error %v", c.Kind, jobErr, envErr)
+		}
+		if c.Kind == KindComm {
+			if jobAgain, _ := again.ToComm(); !reflect.DeepEqual(job, jobAgain) {
+				t.Fatalf("%s resolves to another job canonicalized again:\n  %+v\n  %+v", c.CanonicalJSON(), job, jobAgain)
+			}
+			return
+		}
+		// The NAS kernels hold funcs, which DeepEqual never finds equal.
+		axes := func(e experiments.Env) [][]int64 {
+			return [][]int64{e.PingSizes, e.A2ASizes, e.MultiSizes, e.RTSizes, e.TopoSizes, e.SkewSizes}
+		}
+		if envAgain, _ := again.Env(); !reflect.DeepEqual(env.Machine, envAgain.Machine) || !reflect.DeepEqual(axes(env), axes(envAgain)) {
+			t.Fatalf("%s resolves to another Env canonicalized again", c.CanonicalJSON())
 		}
 	})
 }

@@ -34,18 +34,28 @@ func TestReleasedStateKeepsResultsIdentical(t *testing.T) {
 	}
 }
 
-// Concurrent Executes release into and fill from the same pools; under
-// -race this is where two jobs sharing backing would show, and every
-// result must still equal its spec's own run.
+// Concurrent Executes release into and fill from the same pools, and both
+// workers run the same canonical values, which share what Canonicalize
+// resolved (machine, cluster, pinned cores, perturbation list); under
+// -race this is where two jobs sharing backing or writing a resolved value
+// would show, and every result must still equal its spec's own run.
 func TestConcurrentExecutesRecycle(t *testing.T) {
 	specs := []api.Spec{
 		tinySpec(8 * units.KiB),
 		tinySpec(512 * units.KiB),
 		{Kind: api.KindComm, Bench: "sendrecv", Ranks: 4, Sizes: []int64{64 * units.KiB}},
+		{Kind: api.KindComm, Bench: "sendrecv", Ranks: 4, Sizes: []int64{16 * units.KiB},
+			Topology: "two-node", Placement: "spread", Perturb: "link-degrade;link-flap", Seed: 3},
+		{Kind: api.KindComm, Placement: "cross", Sizes: []int64{64 * units.KiB}, Perturb: "delayed-recv"},
 	}
 	want := make([][]byte, len(specs))
-	for i, s := range specs {
-		want[i] = executeResult(t, s)
+	for i := range specs {
+		specs[i], _ = mustCanon(t, specs[i])
+		files, err := Execute(context.Background(), specs[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = files["result.json"]
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -54,8 +64,7 @@ func TestConcurrentExecutesRecycle(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				k := (w + i) % len(specs)
-				c, _ := mustCanon(t, specs[k])
-				files, err := Execute(context.Background(), c, nil)
+				files, err := Execute(context.Background(), specs[k], nil)
 				if err != nil {
 					t.Error(err)
 					return

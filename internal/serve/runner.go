@@ -81,7 +81,7 @@ func executeExperiment(ctx context.Context, spec api.Spec) (map[string][]byte, e
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("serve: experiment %s not started: %w", spec.Experiment, err)
 	}
-	env, err := experiments.EnvByName(spec.Machine, spec.Quick)
+	env, err := spec.Env()
 	if err != nil {
 		return nil, err
 	}
