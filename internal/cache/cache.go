@@ -185,7 +185,7 @@ func (c *Cache) Access(block uint64, write bool) AccessResult {
 	if i := c.find(set, block); i >= 0 {
 		return AccessResult{Hit: true, WasDirtyHit: c.touch(set, i, write)}
 	}
-	victim, dirty := c.Fill(set, block, write)
+	_, victim, dirty := c.Fill(set, block, write)
 	res := AccessResult{EvictedDirty: dirty}
 	if victim != 0 {
 		res.Evicted, res.EvictedBlock = true, victim-1
@@ -204,11 +204,17 @@ func (c *Cache) Hit(set int, block uint64, write bool) {
 	c.touch(set, i, write)
 }
 
+// HitWay is Hit for a caller that also knows the way the block is resident
+// in (the way Fill returned for it), so no tag is compared. The caller's
+// bookkeeping is trusted: a wrong way touches whatever block lives there.
+func (c *Cache) HitWay(set, way int, write bool) { c.touch(set, set*c.assoc+way, write) }
+
 // Fill is Access for a caller that knows block is not resident in set: it
 // allocates the block in the set's victim way without looking at the tags.
+// way is where the block now lives, until it is evicted or invalidated;
 // victim is the evicted block + 1, or 0 when the way was empty; dirty says
 // the evicted block was modified (its writeback is counted here).
-func (c *Cache) Fill(set int, block uint64, write bool) (victim uint64, dirty bool) {
+func (c *Cache) Fill(set int, block uint64, write bool) (way int, victim uint64, dirty bool) {
 	if c.tags == nil {
 		c.makeWays()
 	}
@@ -232,7 +238,7 @@ func (c *Cache) Fill(set int, block uint64, write bool) (victim uint64, dirty bo
 	}
 	c.tags[i] = block + 1
 	c.dirty[i] = write
-	return victim, dirty
+	return int(w), victim, dirty
 }
 
 // wayArrays are the way arrays of one cache, all zero while pooled.
@@ -367,6 +373,14 @@ func (c *Cache) Invalidate(block uint64) (present, wasDirty bool) {
 	if i < 0 {
 		return false, false
 	}
+	return true, c.InvalidateWay(set, i-set*c.assoc)
+}
+
+// InvalidateWay is Invalidate for a caller that knows the set and way the
+// block is resident in: it removes the block there, returning whether it
+// was dirty.
+func (c *Cache) InvalidateWay(set, way int) (wasDirty bool) {
+	i := set*c.assoc + way
 	c.stats.Invalidations++
 	if c.dirty[i] {
 		c.stats.WriteBackBytes += c.blockBytes
@@ -374,8 +388,8 @@ func (c *Cache) Invalidate(block uint64) (present, wasDirty bool) {
 	}
 	c.tags[i] = 0
 	c.dirty[i] = false
-	c.retire(set, uint8(i-set*c.assoc))
-	return true, wasDirty
+	c.retire(set, uint8(way))
+	return wasDirty
 }
 
 // Downgrade clears the dirty bit of a resident block (after it supplied data
@@ -388,6 +402,10 @@ func (c *Cache) Downgrade(block uint64) bool {
 	c.dirty[i] = false
 	return true
 }
+
+// DowngradeWay is Downgrade for a caller that knows the set and way the
+// block is resident in: the block is clean afterwards.
+func (c *Cache) DowngradeWay(set, way int) { c.dirty[set*c.assoc+way] = false }
 
 // ResidentBytes reports how many bytes of [addr, addr+n) are currently
 // resident. Used to quantify pollution of an application working set.
@@ -414,12 +432,13 @@ func (c *Cache) ResidentBytes(addr uint64, n int64) int64 {
 	return resident
 }
 
-// ForEachResident calls fn for every resident block, in way order (the
-// machine layer's tests audit the coherence directory against it).
-func (c *Cache) ForEachResident(fn func(block uint64, dirty bool)) {
+// ForEachResident calls fn for every resident block with the way it is in,
+// in way order (the machine layer's tests audit the coherence directory
+// and its way hints against it).
+func (c *Cache) ForEachResident(fn func(block uint64, way int, dirty bool)) {
 	for i, tag := range c.tags {
 		if tag != 0 {
-			fn(tag-1, c.dirty[i])
+			fn(tag-1, i%c.assoc, c.dirty[i])
 		}
 	}
 }

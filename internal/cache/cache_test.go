@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func newSmall() *Cache {
@@ -201,5 +202,39 @@ func TestStatsSubAndLines(t *testing.T) {
 	big.Access(0, false)
 	if got := big.Stats().MissesInLines(64); got != 16 {
 		t.Fatalf("coarse MissesInLines = %d, want 16", got)
+	}
+}
+
+// The way hints live in what was the entry's padding: an entry stays 16
+// bytes, so a directory page stays 8 KiB.
+func TestDirEntryStaysSixteenBytes(t *testing.T) {
+	if got := unsafe.Sizeof(DirEntry{}); got != 16 {
+		t.Fatalf("DirEntry is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(DirPage{}); got != 8<<10 {
+		t.Fatalf("DirPage is %d bytes, want 8 KiB", got)
+	}
+}
+
+// Fill reports the way it put the block in, and the way variants act on
+// that way as the searching calls act on the block.
+func TestWayVariantsMatchSearches(t *testing.T) {
+	byWay, bySearch := newSmall(), newSmall()
+	set := byWay.SetOf(9)
+	way, _, _ := byWay.Fill(set, 9, true)
+	bySearch.Access(9, true)
+	byWay.DowngradeWay(set, way)
+	bySearch.Downgrade(9)
+	byWay.HitWay(set, way, false)
+	bySearch.Access(9, false)
+	if byWay.ContainsDirty(9) || !byWay.Contains(9) {
+		t.Fatal("DowngradeWay left the block dirty or took it away")
+	}
+	if dirty := byWay.InvalidateWay(set, way); dirty || byWay.Contains(9) {
+		t.Fatalf("InvalidateWay: dirty %v, still resident %v; want a clean block gone", dirty, byWay.Contains(9))
+	}
+	bySearch.Invalidate(9)
+	if byWay.Stats() != bySearch.Stats() {
+		t.Fatalf("stats by way %+v, by search %+v", byWay.Stats(), bySearch.Stats())
 	}
 }

@@ -10,7 +10,12 @@ import "sync"
 // then consult the directory instead of probing every remote cache, making
 // the overwhelmingly common no-remote-copy case O(1), and the local cache
 // is told whether the access hits (Cache.Hit) or not (Cache.Fill) instead
-// of finding out by scanning its tags.
+// of finding out by scanning its tags. An entry also keeps the way each of
+// the first HintedDomains domains holds its block in, so a hit, a recall's
+// invalidation and a downgrade go straight to the way (Cache.HitWay,
+// InvalidateWay, DowngradeWay). The domains from HintedDomains on, which
+// only NodeMachine hosts of more than 12 cores have, keep no hint and scan
+// their set.
 //
 // Entries are stored in fixed-size pages keyed by the high block bits. A
 // range walk fetches each page once (Page, or PageIfAny when it only
@@ -30,9 +35,38 @@ type Directory struct {
 
 // DirEntry is the directory's knowledge of one block. The zero value means
 // "cached nowhere, clean".
+//
+// ways are the way hints: ways[d] is the way domain d holds the block in,
+// meaningful only while d's presence bit is set (clearing the bit leaves
+// the byte stale). They fill the entry's padding, so an entry stays 16
+// bytes and a page 8 KiB.
 type DirEntry struct {
 	mask  uint64
 	owner int16 // 1+domain of the modified copy; 0 = no modified copy
+	ways  [HintedDomains]uint8
+}
+
+// HintedDomains is how many domains, from domain 0, an entry keeps a way
+// hint for: one byte each, as many as the padding after mask and owner
+// holds.
+const HintedDomains = 6
+
+// Way returns the way domain dom holds the block in, or -1 when dom keeps
+// no hint (dom >= HintedDomains). Only meaningful while dom's presence bit
+// is set.
+func (e *DirEntry) Way(dom int) int {
+	if uint(dom) < HintedDomains {
+		return int(e.ways[dom])
+	}
+	return -1
+}
+
+// SetWay records that domain dom holds the block in way (Cache.Fill's);
+// a domain without a hint records nothing.
+func (e *DirEntry) SetWay(dom, way int) {
+	if uint(dom) < HintedDomains {
+		e.ways[dom] = uint8(way)
+	}
 }
 
 // Mask returns the presence bitmask (bit d set: domain d holds a copy).
@@ -130,12 +164,13 @@ func (d *Directory) PageIfAny(block uint64) (pg *DirPage, last uint64) {
 	return d.pages[block>>dirPageShift], block | (DirPageBlocks - 1)
 }
 
-// ForEach calls fn for every block with a non-zero entry, in no particular
+// ForEach calls fn for every block whose entry records a copy (a non-zero
+// mask or owner; stale way hints alone do not count), in no particular
 // order (the machine layer's tests audit the directory against the caches).
 func (d *Directory) ForEach(fn func(block uint64, e DirEntry)) {
 	for key, pg := range d.pages {
 		for i, e := range pg {
-			if e != (DirEntry{}) {
+			if e.mask != 0 || e.owner != 0 {
 				fn(key<<dirPageShift|uint64(i), e)
 			}
 		}

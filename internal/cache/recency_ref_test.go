@@ -256,7 +256,7 @@ func TestUnallocatedCacheAnswersAsEmpty(t *testing.T) {
 	if got, want := lazy.ResidentBytes(0, span), emptied.ResidentBytes(0, span); got != want {
 		t.Fatalf("ResidentBytes = %d, emptied cache %d", got, want)
 	}
-	lazy.ForEachResident(func(block uint64, _ bool) { t.Fatalf("ForEachResident reports block %d", block) })
+	lazy.ForEachResident(func(block uint64, _ int, _ bool) { t.Fatalf("ForEachResident reports block %d", block) })
 	lazy.Flush()
 	emptied.Flush()
 	if got, want := lazy.Stats(), emptied.Stats().Sub(before); got != want {

@@ -140,16 +140,17 @@ type traceOp struct {
 	off2 int64 // copy source offset
 }
 
-// randTrace builds a trace over a footprint of footprint bytes. Offsets are
-// block-unaligned on purpose; lengths span one block to maxLen bytes.
-func randTrace(rng *rand.Rand, steps int, footprint, maxLen int64) []traceOp {
+// randTrace builds a trace over a footprint of footprint bytes on a machine
+// of cores cores. Offsets are block-unaligned on purpose; lengths span one
+// block to maxLen bytes.
+func randTrace(rng *rand.Rand, steps, cores int, footprint, maxLen int64) []traceOp {
 	ops := make([]traceOp, steps)
 	for i := range ops {
 		n := rng.Int63n(maxLen) + 1
 		off := rng.Int63n(footprint - n)
 		op := traceOp{
 			kind: rng.Intn(6),
-			core: topo.CoreID(rng.Intn(8)),
+			core: topo.CoreID(rng.Intn(cores)),
 			off:  off,
 			n:    n,
 		}
@@ -210,13 +211,14 @@ func applySnoop(s *snoopMachine, buf, buf2 *mem.Buffer, op traceOp) (a, b, c int
 
 // checkDirectorySync audits the directory against the caches: a domain's
 // presence bit is set exactly for the blocks resident in its L2 (once
-// each), and a block's owner is exactly the domain holding it dirty. It is
+// each), a block's owner is exactly the domain holding it dirty, and a
+// domain's way hint, where it keeps one, is the way its copy is in. It is
 // what a directory rebuilt from the cache contents would hold.
 func checkDirectorySync(t *testing.T, m *Machine) {
 	t.Helper()
 	resident := 0
 	for d, c := range m.L2s {
-		c.ForEachResident(func(block uint64, dirty bool) {
+		c.ForEachResident(func(block uint64, way int, dirty bool) {
 			resident++
 			var e cache.DirEntry // zero: no page, no bit
 			if pg, _ := m.dir.PageIfAny(block); pg != nil {
@@ -227,6 +229,9 @@ func checkDirectorySync(t *testing.T, m *Machine) {
 			}
 			if dirty != (e.Owner() == d) {
 				t.Fatalf("block %d in L2.%d: dirty %v but directory owner %d", block, d, dirty, e.Owner())
+			}
+			if w := e.Way(d); w >= 0 && w != way {
+				t.Fatalf("block %d is in way %d of L2.%d but its way hint says %d", block, way, d, w)
 			}
 		})
 	}
@@ -246,20 +251,19 @@ func checkDirectorySync(t *testing.T, m *Machine) {
 
 // runDiff drives the machine and the reference through a trace, failing on
 // the first divergence in per-op traffic, residency, per-cache statistics
-// or directory contents. The E5345's 4 L2 domains either keep their 4 MiB,
-// where the caches of a trace stay half empty between its flushes and
-// coherence actions dominate, or (pressure) shrink to 512 KiB under a
-// 2 MiB footprint, where the caches run full, fills evict and about a
-// tenth of the accesses hit.
-func runDiff(t *testing.T, rng *rand.Rand, steps int, pressure bool) {
+// or directory contents. The L2 domains of tp (the E5345's 4, say) either
+// keep their 4 MiB, where the caches of a trace stay half empty between
+// its flushes and coherence actions dominate, or (pressure) shrink to
+// 512 KiB under a 2 MiB footprint, where the caches run full, fills evict
+// and about a tenth of the accesses hit.
+func runDiff(t *testing.T, tp *topo.Machine, rng *rand.Rand, steps int, pressure bool) {
 	t.Helper()
-	tp := topo.XeonE5345()
 	footprint, maxLen := 6*units.MiB, 256*units.KiB
 	if pressure {
 		tp.L2SizeBytes = 512 * units.KiB
 		footprint, maxLen = units.MiB, 128*units.KiB
 	}
-	checkTrace(t, tp, footprint, randTrace(rng, steps, footprint, maxLen))
+	checkTrace(t, tp, footprint, randTrace(rng, steps, tp.Cores, footprint, maxLen))
 }
 
 // checkTrace runs ops on a Machine and a snoopMachine of topology tp over
@@ -308,7 +312,7 @@ func checkStats(t *testing.T, i int, m *Machine, ref *snoopMachine) {
 
 // dirtyBlocks counts the dirty blocks resident in c.
 func dirtyBlocks(c *cache.Cache) (n int) {
-	c.ForEachResident(func(_ uint64, dirty bool) {
+	c.ForEachResident(func(_ uint64, _ int, dirty bool) {
 		if dirty {
 			n++
 		}
@@ -328,7 +332,26 @@ func TestCoherenceDirectoryMatchesSnoop(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run("", func(t *testing.T) {
-			runDiff(t, rand.New(rand.NewSource(int64(seed)*7919+1)), steps, seed%2 == 1)
+			runDiff(t, topo.XeonE5345(), rand.New(rand.NewSource(int64(seed)*7919+1)), steps, seed%2 == 1)
+		})
+	}
+}
+
+// TestCoherenceUnhintedDomainsMatchSnoop runs the differential on a 16-core
+// cluster node, whose 8 L2 domains are more than a directory entry keeps
+// way hints for: domains 6 and 7 scan their sets on a hit or a recall
+// while 0-5 go by hint, often for copies of the same block.
+func TestCoherenceUnhintedDomainsMatchSnoop(t *testing.T) {
+	steps, seeds := 300, 4
+	if testing.Short() {
+		steps, seeds = 150, 2
+	}
+	if tp := topo.NodeMachine(16); len(tp.L2Domains) <= cache.HintedDomains {
+		t.Fatalf("%d L2 domains, want more than the %d with way hints", len(tp.L2Domains), cache.HintedDomains)
+	}
+	for seed := 0; seed < seeds; seed++ {
+		t.Run("", func(t *testing.T) {
+			runDiff(t, topo.NodeMachine(16), rand.New(rand.NewSource(int64(seed)*104729+3)), steps, seed%2 == 1)
 		})
 	}
 }
@@ -382,6 +405,6 @@ func FuzzCoherenceEquivalence(f *testing.F) {
 	f.Add(int64(1), uint(64))
 	f.Add(int64(42), uint(200))
 	f.Fuzz(func(t *testing.T, seed int64, steps uint) {
-		runDiff(t, rand.New(rand.NewSource(seed)), int(steps%256)+1, seed%2 == 1)
+		runDiff(t, topo.XeonE5345(), rand.New(rand.NewSource(seed)), int(steps%256)+1, seed%2 == 1)
 	})
 }

@@ -219,7 +219,8 @@ func (t *Traffic) Add(other Traffic) {
 // Per block: resolve remote copies, access the local cache, keep the
 // directory in sync with the fill and any eviction, and account bus bytes.
 // The directory's presence bit decides hit or miss before the cache is
-// touched, so a hit only finds its way and a miss scans no tags at all.
+// touched, and its way hint says where a hit is, so neither scans a tag
+// (a domain without a hint, cache.HintedDomains on, still scans on a hit).
 // Everything that does not change from block to block is taken once per
 // range; the directory page is fetched once per page of blocks, and the
 // set follows the block by counting instead of dividing. Eviction victims
@@ -256,15 +257,20 @@ func (m *Machine) classifyRange(coreID topo.CoreID, addr uint64, n int64, write 
 			// downgrades a remote dirty owner, which services the access.
 			dirtyRemote := false
 			if remote := mask &^ localBit; remote != 0 {
-				dirtyRemote = m.recall(e, b, remote, write) > 0
+				dirtyRemote = m.recall(e, b, set, remote, write) > 0
 			}
 			if dirtyRemote {
 				busBytes += dirtyFill
 			}
 			if mask&localBit != 0 {
-				l2.Hit(set, b, write)
+				if w := e.Way(local); w >= 0 {
+					l2.HitWay(set, w, write)
+				} else {
+					l2.Hit(set, b, write)
+				}
 			} else {
-				victim, victimDirty := l2.Fill(set, b, write)
+				way, victim, victimDirty := l2.Fill(set, b, write)
+				e.SetWay(local, way)
 				if victim != 0 {
 					v := victim - 1
 					if v|(cache.DirPageBlocks-1) != victimLast {
@@ -315,14 +321,20 @@ func partialSpan(b, bs uint64, addr, end uint64) int64 {
 }
 
 // recall is the one coherence action on the copies of block in the domains
-// of mask, e being block's directory entry: invalidate invalidates every
-// one of them and clears its presence bit; otherwise the dirty owner, if
-// it is in mask, is downgraded to clean. It returns how many modified
+// of mask, e being block's directory entry and set its set (the same in
+// every L2 of a machine): invalidate invalidates every one of them and
+// clears its presence bit; otherwise the dirty owner, if it is in mask, is
+// downgraded to clean. A copy is reached through its way hint, or by a
+// scan of its set in a domain without one. It returns how many modified
 // copies had to be written back.
-func (m *Machine) recall(e *cache.DirEntry, block, mask uint64, invalidate bool) (dirty int64) {
+func (m *Machine) recall(e *cache.DirEntry, block uint64, set int, mask uint64, invalidate bool) (dirty int64) {
 	if !invalidate {
 		if owner := e.Owner(); owner >= 0 && mask&(1<<uint(owner)) != 0 {
-			m.L2s[owner].Downgrade(block)
+			if w := e.Way(owner); w >= 0 {
+				m.L2s[owner].DowngradeWay(set, w)
+			} else {
+				m.L2s[owner].Downgrade(block)
+			}
 			e.ClearOwner()
 			return 1
 		}
@@ -334,7 +346,13 @@ func (m *Machine) recall(e *cache.DirEntry, block, mask uint64, invalidate bool)
 			continue
 		}
 		mask &^= bit
-		if present, wasDirty := m.L2s[d].Invalidate(block); present && wasDirty {
+		var wasDirty bool
+		if w := e.Way(d); w >= 0 {
+			wasDirty = m.L2s[d].InvalidateWay(set, w)
+		} else {
+			_, wasDirty = m.L2s[d].Invalidate(block)
+		}
+		if wasDirty {
 			dirty++
 		}
 		e.ClearPresent(d)

@@ -117,7 +117,7 @@ func (m *Machine) dmaWalk(addr uint64, n int64, invalidate bool) int64 {
 		}
 		for ; b <= pageLast; b++ {
 			if e := page.Entry(b); e.Mask() != 0 {
-				busBytes += m.recall(e, b, e.Mask(), invalidate) * par.BlockBytes
+				busBytes += m.recall(e, b, m.L2s[0].SetOf(b), e.Mask(), invalidate) * par.BlockBytes
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package sim_test
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"knemesis/internal/sim"
 )
@@ -216,4 +218,186 @@ func TestTerminalRunStopsIdleWorkers(t *testing.T) {
 		t.Fatalf("goroutines above baseline during each generation %v, want [2 2 2 2]: one worker per concurrent process", during)
 	}
 	sim.WaitGoroutines(t, baseline)
+}
+
+// ring spawns three processes passing a token p → q → r → p for laps laps.
+// Taking the token, a process logs it, schedules a callback due when its
+// sleep ends (a tie the callback's smaller seq wins), sleeps, then puts
+// the token into the next one's mailbox, schedules a zero-delay callback
+// and waits for its own: so it parks with the next process's wake-up due
+// next, and resumes that process itself, except when the next is an
+// ancestor on the chain (r's token wakes p, which resumed q, which resumed
+// r). onToken, if not nil, is called as process i takes the token. ring
+// returns the log, which the callbacks also write to, and the processes.
+func ring(e *sim.Engine, laps int, onToken func(i int)) (*[]string, []*sim.Proc) {
+	var log []string
+	names := []string{"p", "q", "r"}
+	var boxes [3]*sim.Mailbox[int]
+	for i := range boxes {
+		boxes[i] = sim.NewMailbox[int](e, names[i])
+	}
+	procs := make([]*sim.Proc, len(names))
+	for i, name := range names {
+		procs[i] = e.Spawn(name, func(p *sim.Proc) {
+			for lap := 0; lap < laps; lap++ {
+				if i > 0 || lap > 0 {
+					boxes[i].Get(p)
+				}
+				if onToken != nil {
+					onToken(i)
+				}
+				log = append(log, fmt.Sprintf("%s%d@%v", name, lap, p.Now()))
+				e.After(sim.Time(i+1), func() { log = append(log, fmt.Sprintf("cb-%s%d@%v", name, lap, e.Now())) })
+				p.Sleep(sim.Time(i + 1))
+				boxes[(i+1)%3].Put(lap)
+				e.After(0, func() { log = append(log, fmt.Sprintf("put-%s%d@%v", name, lap, e.Now())) })
+			}
+			if i == 0 {
+				boxes[i].Get(p) // r's last token
+			}
+		})
+	}
+	return &log, procs
+}
+
+// A ring of three processes, each waking the next and the last the first,
+// runs each process nested under the ones that resumed it, and executes
+// the events, in the order, that it did when only the executor switched
+// to a process.
+func TestNestedRingKeepsEventOrder(t *testing.T) {
+	e := sim.NewEngine()
+	var trace []string
+	e.SetTrace(func(at sim.Time, seq uint64, _ sim.Domain) { trace = append(trace, fmt.Sprintf("%d@%d", seq, at)) })
+	var procs []*sim.Proc
+	var chains []string // per token taken: the processes dispatching then
+	log, procs := ring(e, 3, func(int) {
+		chain := ""
+		for i, name := range "pqr" {
+			if procs[i].Dispatching() {
+				chain += string(name)
+			}
+		}
+		chains = append(chains, cmp.Or(chain, "-"))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// p takes the token from r after the chain unwound to it; q runs
+	// under p and r under q under p, but for the last lap, where q has
+	// finished and p resumes r.
+	if got := strings.Join(chains, " "); got != "- p pq - p pq - p p" {
+		t.Errorf("dispatching as each token was taken: %s, want - p pq - p pq - p p", got)
+	}
+	// Both pins were read off the engine before parking processes resumed
+	// one another: only the executor switched to a process then.
+	const wantLog = "p0@0ps cb-p0@1ps q0@1ps put-p0@1ps cb-q0@3ps r0@3ps put-q0@3ps " +
+		"cb-r0@6ps p1@6ps put-r0@6ps cb-p1@7ps q1@7ps put-p1@7ps cb-q1@9ps r1@9ps put-q1@9ps " +
+		"cb-r1@12ps p2@12ps put-r1@12ps cb-p2@13ps q2@13ps put-p2@13ps cb-q2@15ps r2@15ps put-q2@15ps " +
+		"cb-r2@18ps put-r2@18ps"
+	const wantTrace = "1@0 2@0 3@0 4@1 5@1 6@1 7@1 8@3 9@3 10@3 11@3 12@6 13@6 14@6 15@6 " +
+		"16@7 17@7 18@7 19@7 20@9 21@9 22@9 23@9 24@12 25@12 26@12 27@12 28@13 29@13 30@13 31@13 " +
+		"32@15 33@15 34@15 35@15 36@18 37@18 38@18 39@18"
+	if got := strings.Join(*log, " "); got != wantLog {
+		t.Errorf("log\n%s\nwant\n%s", got, wantLog)
+	}
+	if got := strings.Join(trace, " "); got != wantTrace {
+		t.Errorf("traced (seq@at)\n%s\nwant\n%s", got, wantTrace)
+	}
+}
+
+// relay spawns a, b and c: at 1us a wakes b and waits, b wakes c and
+// waits, so c runs nested under b under a, and then c does what it is
+// given.
+func relay(e *sim.Engine, c func(p *sim.Proc)) {
+	boxB, boxC, never := sim.NewMailbox[int](e, "b"), sim.NewMailbox[int](e, "c"), sim.NewMailbox[int](e, "never")
+	e.Spawn("a", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond)
+		boxB.Put(1)
+		never.Get(p)
+	})
+	e.Spawn("b", func(p *sim.Proc) {
+		boxB.Get(p)
+		boxC.Put(1)
+		never.Get(p)
+	})
+	e.Spawn("c", func(p *sim.Proc) {
+		boxC.Get(p)
+		c(p)
+	})
+}
+
+// A panic at the end of a chain of processes resuming one another
+// surfaces from Run as it does from a process the executor resumed: a
+// process's as a *ProcPanic naming it, a callback's raw with the process
+// that ran it still parked. The processes on the chain stay parked, and
+// Terminate leaves no goroutine.
+func TestNestedPanicsSurfaceFromRun(t *testing.T) {
+	run := func(e *sim.Engine) (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}
+	t.Run("process", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		e := sim.NewEngine()
+		relay(e, func(*sim.Proc) { panic("nested boom") })
+		pp, ok := run(e).(*sim.ProcPanic)
+		if !ok || pp.Proc != "c" || pp.Value != "nested boom" {
+			t.Fatalf("Run panicked with %#v, want a *ProcPanic from c", pp)
+		}
+		if e.LiveProcs() != 2 {
+			t.Fatalf("live %d after the panic, want 2 (a and b)", e.LiveProcs())
+		}
+		e.Terminate()
+		sim.WaitGoroutines(t, baseline)
+	})
+	t.Run("callback", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		e := sim.NewEngine()
+		relay(e, func(p *sim.Proc) {
+			e.After(sim.Nanosecond, func() { panic("callback boom") })
+			p.Sleep(sim.Second)
+		})
+		if r := run(e); r != "callback boom" {
+			t.Fatalf("Run panicked with %#v, want the raw callback value", r)
+		}
+		if e.LiveProcs() != 3 || !strings.Contains(e.StateDump(), `c: blocked on "sleep"`) {
+			t.Fatalf("live %d, dump:\n%s\nwant all three parked, c in its Sleep", e.LiveProcs(), e.StateDump())
+		}
+		e.Terminate()
+		sim.WaitGoroutines(t, baseline)
+	})
+}
+
+// Stop from another goroutine ends a run whose processes resume one
+// another without ever returning to the executor.
+func TestStopFromAnotherGoroutineEndsNestedRun(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	e := sim.NewEngine()
+	started, closed := make(chan struct{}), false
+	ring(e, 1<<30, func(i int) {
+		if i == 2 && !closed { // the chain is p, q, r now
+			close(started)
+			closed = true
+		}
+	})
+	returned := make(chan error)
+	go func() { returned <- e.RunUntil(sim.Second) }()
+	<-started
+	for {
+		e.Stop() // RunUntil clears the flag on entry: repeat until it returns
+		select {
+		case err := <-returned:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Now() >= sim.Second {
+				t.Fatalf("stopped at %v, the limit", e.Now())
+			}
+			e.Terminate()
+			sim.WaitGoroutines(t, baseline)
+			return
+		case <-time.After(time.Millisecond):
+		}
+	}
 }

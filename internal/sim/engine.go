@@ -124,9 +124,11 @@ const DomainMachine Domain = 0
 
 // Engine is a discrete-event simulation executor: it runs events in
 // (at, seq) order, the callbacks itself and the process wake-ups by
-// switching to the process. A process that parks runs the callbacks that
-// come next on its own goroutine, up to its own wake-up (Proc.park), so
-// most hand-offs switch no goroutine at all.
+// switching to the process. A process that parks runs the events that
+// come next on its own goroutine, up to its own wake-up (Proc.park): it
+// runs the callbacks itself and switches straight to a process the next
+// event wakes, so most hand-offs switch no goroutine at all and the rest
+// switch once, not through the executor.
 //
 // Events due later than now wait in a binary heap; events scheduled for now
 // go to a FIFO. Every heap event due now was scheduled before the clock
@@ -148,10 +150,11 @@ type Engine struct {
 	liveProc atomic.Int32 // processes that have started and not yet finished
 	nextPID  int
 	idle     []*worker // coroutines whose process finished, for reuse
-	switches int       // executor → process switches, for tests
+	switches int       // switches to a process by resume, nested ones included, for tests
 
-	// cbPanic is a callback's panic caught on a parking process's
-	// goroutine, for the executor to re-raise.
+	// cbPanic is a panic caught on a parking process's goroutine (a
+	// callback's, or a nested process's *ProcPanic), for the process's
+	// resumer to re-raise.
 	cbPanic any
 
 	stopped atomic.Bool
@@ -358,8 +361,10 @@ func (e *Engine) RunUntil(limit Time) error {
 }
 
 // resume switches to p — binding it to a worker first if this is its start
-// event — and returns when p parks or finishes. A panic in p resurfaces here
-// as a *ProcPanic; a callback's that p ran while parking, raw.
+// event — and returns when p parks or finishes. It runs on the executor or,
+// nested, on a parking process (runUntilWake). A panic in p resurfaces here
+// as a *ProcPanic; one that p caught while parking (a callback's, or a
+// process's p resumed), as it was.
 func (e *Engine) resume(p *Proc) {
 	if p.done { // its worker may be running another process by now
 		return

@@ -11,7 +11,8 @@ import (
 
 // Proc is a simulated process: a coroutine that advances simulated time by
 // blocking on the engine. It runs on a worker (a goroutine the engine
-// reuses from process to process); the executor wakes it with a direct
+// reuses from process to process); whoever resumes it — the executor, or
+// a parking process whose next event wakes it — does so with a direct
 // goroutine switch (iter.Pull) and gets control back the same way when it
 // parks, so a hand-off never passes through the Go scheduler — and when the
 // process's own wake-up is the next event, it does not switch at all (see
@@ -24,15 +25,16 @@ type Proc struct {
 	fn   func(*Proc)
 	w    *worker // bound by the start event
 
-	started   bool
-	done      bool
-	daemon    bool
-	blockedOn string // human-readable reason, for deadlock reports
+	started     bool
+	done        bool
+	daemon      bool
+	dispatching bool   // parked and resuming another process (runUntilWake)
+	blockedOn   string // human-readable reason, for deadlock reports
 }
 
 // worker is a coroutine that runs processes one after another: when one
 // finishes it goes idle, and the next process to start takes it over with
-// the stack it has grown. next and stop are the executor's side — next runs
+// the stack it has grown. next and stop are the resumer's side — next runs
 // the bound process until it parks or finishes, stop makes its yield report
 // false — and yield is the process's side. Only one side runs at a time.
 type worker struct {
@@ -135,8 +137,9 @@ func (p *Proc) retire() {
 
 // park blocks the process until it is woken; reason is recorded for
 // deadlock diagnostics. First it runs the events that come next on its own
-// goroutine (runUntilWake): when that reaches its own wake-up the process
-// carries on without a switch. Otherwise it yields to the executor. Once
+// goroutine (runUntilWake), resuming the processes they wake: when that
+// reaches its own wake-up the process carries on without a switch back.
+// Otherwise it yields to whoever resumed it. Once
 // Terminate has stopped the process, yield reports false — at the parked
 // call and at every later one, so cleanup that blocks during the unwind is
 // cut short the same way (and, the engine being stopped, runs no event).
@@ -149,16 +152,27 @@ func (p *Proc) park(reason string) {
 }
 
 // runUntilWake runs events on parking process p's goroutine, in (at, seq)
-// order, and reports whether it reached p's own wake-up, which it takes. It
-// stops short — p must yield to the executor — when the next event wakes
-// another process (only the executor switches to a process), nothing is
+// order, and reports whether it reached p's own wake-up, which it takes.
+// When the next event wakes another process q, p takes it and resumes q
+// itself, a switch straight from p to q, and carries on with the events
+// after q parks. It stops short — p must yield to whoever resumed it — when
+// q is dispatching too: q is then an ancestor of p on the chain of
+// processes resuming one another (a coroutine cannot be resumed from
+// inside its own resume), and the false returns of the processes in
+// between unwind the chain to q, which finds its wake-up next. It also
+// stops short, unwinding the whole chain to the executor, when nothing is
 // pending, the next event lies past RunUntil's limit or the engine is
-// stopped. A callback's panic is caught and left for the executor, which
-// re-raises it once p has yielded: it surfaces raw from Run, with p still
-// parked, just as if the callback had run on the executor.
+// stopped. Whoever runs, every event runs in (at, seq) order.
+//
+// A panic — a callback's, or a *ProcPanic a nested process raised — is
+// caught and left for the executor, and every process on the chain yields
+// in turn: its resumer re-raises the panic, which the resumer's own
+// runUntilWake catches again. So it surfaces from Run as it would had the
+// executor run every event, with p still parked.
 func (e *Engine) runUntilWake(p *Proc) (woken bool) {
 	defer func() {
 		if r := recover(); r != nil {
+			p.dispatching = false
 			e.cbPanic = r
 		}
 	}()
@@ -167,14 +181,22 @@ func (e *Engine) runUntilWake(p *Proc) (woken bool) {
 		if next == nil || (e.limit >= 0 && next.at > e.limit) {
 			return false
 		}
-		if next.fn == nil {
-			if next.p != p {
-				return false
-			}
+		if next.fn != nil {
+			e.take().fn()
+			continue
+		}
+		q := next.p
+		if q == p {
 			e.take()
 			return true
 		}
-		e.take().fn()
+		if q.dispatching {
+			return false
+		}
+		e.take()
+		p.dispatching = true
+		e.resume(q)
+		p.dispatching = false
 	}
 	return false
 }

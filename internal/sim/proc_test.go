@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -166,11 +167,12 @@ func TestTerminateReapsDaemonMidSleep(t *testing.T) {
 }
 
 // BenchmarkProcHandoff times the primitive every blocking step of a
-// simulation pays for: the executor switching to a process and getting
-// control back. One op is one ping-pong (two wakeups through a Mailbox's
-// condition variable) or one Sleep (one wakeup). Run it at -cpu 1,2: the
-// hand-off must not get slower when the scheduler has a second thread to
-// migrate goroutines to.
+// simulation pays for: a switch to a process and back. One op is one
+// ping-pong (two wakeups through a Mailbox's condition variable), one
+// Sleep (one wakeup) or, in a ring of three processes that resume one
+// another nested, one pass of the token (one wakeup). Run it at -cpu 1,2:
+// the hand-off must not get slower when the scheduler has a second thread
+// to migrate goroutines to.
 func BenchmarkProcHandoff(b *testing.B) {
 	b.Run("mailbox-pingpong", func(b *testing.B) {
 		b.ReportAllocs()
@@ -187,6 +189,31 @@ func BenchmarkProcHandoff(b *testing.B) {
 				pong.Put(ping.Get(p))
 			}
 		})
+		b.ResetTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("ring-of-three", func(b *testing.B) {
+		b.ReportAllocs()
+		e := NewEngine()
+		var boxes [3]*Mailbox[int]
+		for i := range boxes {
+			boxes[i] = NewMailbox[int](e, fmt.Sprint("ring", i))
+		}
+		for i := range boxes {
+			e.Spawn(fmt.Sprint("ring", i), func(p *Proc) {
+				for {
+					n := boxes[i].Get(p)
+					if n >= b.N { // pass the end on, so every process sees it
+						boxes[(i+1)%3].Put(n)
+						return
+					}
+					boxes[(i+1)%3].Put(n + 1)
+				}
+			})
+		}
+		boxes[0].Put(0)
 		b.ResetTimer()
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

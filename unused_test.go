@@ -29,7 +29,7 @@ var interfaceMethods = map[string]bool{
 var testHelpers = map[string]string{
 	"cache.Cache.ContainsDirty":   "hw's coherence differential test audits the directory's dirty owners against it",
 	"cache.Cache.ResidentBytes":   "hw's coherence differential test audits the directory's presence bits against it",
-	"cache.Cache.ForEachResident": "hw's coherence differential test audits the directory's entries against it",
+	"cache.Cache.ForEachResident": "hw's coherence differential test audits the directory's entries and way hints against it",
 	"cache.Directory.ForEach":     "hw's coherence differential test audits the caches' contents against it",
 	"mem.Buffer.FillPattern":      "nine test packages stamp payloads with it",
 	"mem.EqualBytes":              "nine test packages verify payloads with it",
